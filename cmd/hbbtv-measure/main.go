@@ -43,12 +43,12 @@
 // byte-identical (by digest) to an uninterrupted run. The journal is
 // self-describing; resuming with a different seed, scale, fault plan,
 // retry policy, run set, topology, or channel order is rejected with an
-// error naming the differing field. Checkpointing needs a cell boundary,
-// so it requires the sharded engine (-j >= 1) or a fleet shard
-// (-shard i/N). On SIGINT or SIGTERM the campaign stops gracefully at
-// the next channel boundary, syncs the journal and the telemetry sinks,
-// and exits with status 3 (distinct from error status 1) so wrappers
-// know the journal is resumable; a second signal exits immediately.
+// error naming the differing field. Every campaign is checkpointable,
+// the default -j 0 one included: its single shard's cells are its runs.
+// On SIGINT or SIGTERM the campaign stops gracefully at the next channel
+// boundary, syncs the journal and the telemetry sinks, and exits with
+// status 3 (distinct from error status 1) so wrappers know the journal is
+// resumable; a second signal exits immediately.
 //
 // With -fault-rate > 0 the run executes under deterministic fault
 // injection (chaos mode): the virtual network and broadcast layer fail
@@ -140,7 +140,7 @@ func run(args []string) error {
 	var shardFlag cli.Shard
 	var ckpt cli.Checkpoint
 	world.Register(fs)
-	jobs.Register(fs, "the sharded measurement engine (the paper's serial procedure when 0)")
+	jobs.Register(fs, "the measurement engine, whose default shard count is 1 at -j 0 and 8 otherwise")
 	telem.Register(fs)
 	output.Register(fs, "the FULL dataset")
 	shardFlag.Register(fs)
@@ -184,13 +184,23 @@ func run(args []string) error {
 		if *runName != "" {
 			return fmt.Errorf("-checkpoint journals whole campaigns; it conflicts with -run")
 		}
-		if !shardFlag.Enabled() && jobs.N < 1 {
-			return fmt.Errorf("-checkpoint needs a (shard, run) cell boundary; it requires the sharded engine (-j >= 1) or a fleet shard (-shard i/N)")
-		}
 	}
 
+	specs := core.DefaultRuns()
+	if *runName != "" {
+		var named []core.RunSpec
+		for _, spec := range specs {
+			if string(spec.Name) == *runName {
+				named = append(named, spec)
+			}
+		}
+		if named == nil {
+			return fmt.Errorf("-run: unknown run %q (General, Red, Green, Blue, Yellow)", *runName)
+		}
+		specs = named
+	}
 	opts := hbbtvlab.Options{
-		Seed: world.Seed, Scale: world.Scale, Parallelism: jobs.N, Shards: *shards,
+		Seed: world.Seed, Scale: world.Scale, Runs: specs, Parallelism: jobs.N, Shards: *shards,
 	}
 	if *faultRate > 0 {
 		opts.Faults = &faults.Config{Seed: *faultSeed, Rate: *faultRate}
@@ -215,9 +225,7 @@ func run(args []string) error {
 		if shardFlag.Enabled() {
 			// The shard's instrumentation lands in registry slot i of N,
 			// mirroring the in-process engine's layout.
-			opts.Telemetry = hbbtvlab.NewTelemetry(hbbtvlab.Options{
-				Parallelism: 1, Shards: shardFlag.Of,
-			})
+			opts.Telemetry = hbbtvlab.NewTelemetry(hbbtvlab.Options{Shards: shardFlag.Of})
 		} else {
 			opts.Telemetry = hbbtvlab.NewTelemetry(opts)
 		}
@@ -242,13 +250,10 @@ func run(args []string) error {
 	}
 	fmt.Println()
 
-	runs := 5
-	if *runName != "" {
-		runs = 1
-	}
 	measured := len(funnel.Final)
 	if shardFlag.Enabled() {
-		measured = shardChannels(len(funnel.Final), shardFlag.Index, shardFlag.Of)
+		eff := core.EffectiveShards(shardFlag.Of, measured)
+		measured = len(core.ShardSubset(funnel.Final, shardFlag.Index, eff))
 	}
 
 	var sink *telemetry.LineSink
@@ -280,7 +285,7 @@ func run(args []string) error {
 	}
 	var progress *progressReporter
 	if telemetryOn {
-		total := uint64(measured * runs)
+		total := uint64(measured * len(specs))
 		progress = newProgressReporter(opts.Telemetry, os.Stderr, sink, total)
 		progress.start()
 		// finish is idempotent: the deferred call guarantees the final
@@ -299,45 +304,24 @@ func run(args []string) error {
 	co := hbbtvlab.CheckpointOptions{Path: ckpt.Path, Resume: ckpt.Resume, SyncEvery: ckpt.SyncEvery}
 
 	var ds *store.Dataset
-	var degradedErr error
-	if shardFlag.Enabled() {
-		if ckpt.Enabled() {
-			ds, err = study.ExecuteShardResumable(ctx, shardFlag.Index, shardFlag.Of, co)
-		} else {
-			ds, err = study.ExecuteShardContext(ctx, shardFlag.Index, shardFlag.Of)
-		}
-		if err != nil && (ds == nil || !hbbtvlab.DegradedOnly(err)) {
-			return interruptedError(ctx, err, &ckpt)
-		}
-		degradedErr = err
-	} else if *runName != "" {
-		rd, err := study.RunContext(ctx, store.RunName(*runName))
-		if err != nil && (rd == nil || !hbbtvlab.DegradedOnly(err)) {
-			return interruptedError(ctx, err, &ckpt)
-		}
-		degradedErr = err
-		ds = &store.Dataset{Runs: []*store.RunData{rd}}
-		if opts.Telemetry != nil {
-			ds.Telemetry = opts.Telemetry.Snapshot()
-			ds.Trace = opts.Telemetry.Trace()
-		}
-	} else {
-		var err error
-		if ckpt.Enabled() {
-			ds, err = study.ExecuteResumable(ctx, co)
-		} else {
-			ds, err = study.ExecuteRunsContext(ctx)
-		}
-		if err != nil && (ds == nil || !hbbtvlab.DegradedOnly(err)) {
-			return interruptedError(ctx, err, &ckpt)
-		}
-		degradedErr = err
+	switch {
+	case shardFlag.Enabled() && ckpt.Enabled():
+		ds, err = study.ExecuteShardResumable(ctx, shardFlag.Index, shardFlag.Of, co)
+	case shardFlag.Enabled():
+		ds, err = study.ExecuteShardContext(ctx, shardFlag.Index, shardFlag.Of)
+	case ckpt.Enabled():
+		ds, err = study.ExecuteResumable(ctx, co)
+	default:
+		ds, err = study.ExecuteRunsContext(ctx)
 	}
-	if degradedErr != nil {
+	if err != nil && (ds == nil || !hbbtvlab.DegradedOnly(err)) {
+		return interruptedError(ctx, err, &ckpt)
+	}
+	if err != nil {
 		// Purely per-channel degradation: the dataset is well-formed and the
 		// failures are recorded as outcomes; -max-channel-failures decides
 		// the exit code below.
-		fmt.Fprintf(os.Stderr, "hbbtv-measure: warning: degraded campaign: %v\n", degradedErr)
+		fmt.Fprintf(os.Stderr, "hbbtv-measure: warning: degraded campaign: %v\n", err)
 	}
 	if progress != nil {
 		progress.finish()
@@ -409,23 +393,6 @@ func interruptedError(ctx context.Context, err error, ck *cli.Checkpoint) error 
 		return fmt.Errorf("%w; checkpoint journal %s holds every completed cell — rerun with -resume to continue", errInterrupted, ck.Path)
 	}
 	return fmt.Errorf("%w (no -checkpoint journal; a rerun starts over)", errInterrupted)
-}
-
-// shardChannels counts the channels shard i of an N-way fleet owns under
-// the engine's clamped strided partition (for the progress total).
-func shardChannels(channels, shard, of int) int {
-	eff := of
-	if eff > channels {
-		eff = channels
-	}
-	if eff < 1 {
-		eff = 1
-	}
-	n := 0
-	for i := shard; i < channels; i += eff {
-		n++
-	}
-	return n
 }
 
 // failuresError enforces the -max-channel-failures budget: it counts every

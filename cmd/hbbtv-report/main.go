@@ -55,8 +55,10 @@ func run(args []string) error {
 	}
 	res := hbbtvlab.Analyze(ds)
 
-	fmt.Fprintf(w, "hbbtvlab full report (seed=%d scale=%.2f, generated in %v)\n\n",
-		*seed, *scale, time.Since(start).Round(time.Millisecond))
+	// The timing goes to stderr so the report itself is a byte-stable
+	// oracle that CI regenerates and diffs.
+	fmt.Fprintf(os.Stderr, "hbbtv-report: generated in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "hbbtvlab full report (seed=%d scale=%.2f)\n\n", *seed, *scale)
 	if err := hbbtvlab.RenderFunnel(w, funnel); err != nil {
 		return err
 	}

@@ -5,19 +5,17 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"github.com/hbbtvlab/hbbtvlab/internal/core"
 	"github.com/hbbtvlab/hbbtvlab/internal/dvb"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
-	"github.com/hbbtvlab/hbbtvlab/internal/telemetry"
 )
 
 // This file is the fleet topology's library surface: ExecuteShard runs
 // one collector's partition of a campaign and stamps the result with a
 // self-describing store.ShardManifest; Merge recombines K shard datasets
-// into the dataset a single-process sharded run would have produced,
+// into the dataset the single-process campaign would have produced,
 // byte-identical by Digest. Both follow the package's convenience/context
 // pairing convention (see the package doc).
 
@@ -28,9 +26,8 @@ func (s *Study) ExecuteShard(shard, of int) (*store.Dataset, error) {
 
 // ExecuteShardContext performs the configured measurement runs over the
 // shard-th of of strided partitions of the selected channel order — the
-// exact partition the in-process sharded engine (Options.Parallelism >= 1
-// with Options.Shards = of) assigns to its shard-th framework, on a
-// framework seeded the same way (Seed ^ shard) — and returns a shard
+// exact partition, framework and seed the in-process campaign with
+// Options.Shards = of gives its shard-th shard — and returns a shard
 // dataset carrying a store.ShardManifest. Merging the datasets of shards
 // 0..of-1 (Merge, or the hbbtv-merge command) yields a dataset whose
 // Digest is byte-identical to that single-process run's.
@@ -40,9 +37,8 @@ func (s *Study) ExecuteShard(shard, of int) (*store.Dataset, error) {
 // channels and return well-formed empty runs that merge neutrally.
 //
 // When Options.Telemetry is set, the registry must have at least of shard
-// slots (build it as NewTelemetry(Options{Parallelism: 1, Shards: of}));
-// the shard's instrumentation lands in slot shard, mirroring the
-// in-process engine.
+// slots (build it as NewTelemetry(Options{Shards: of})); the shard's
+// instrumentation lands in slot shard, mirroring the in-process engine.
 //
 // Like ExecuteRunsContext, per-channel degradation (see DegradedOnly)
 // does not abort the shard: failed visits are recorded as outcomes, the
@@ -54,11 +50,10 @@ func (s *Study) ExecuteShardContext(ctx context.Context, shard, of int) (*store.
 	return s.executeShard(ctx, shard, of, nil)
 }
 
-// executeShard is the common body of ExecuteShardContext and the
-// checkpointed fleet path (ExecuteShardResumable): cp, when non-nil,
-// replays the shard's journaled run prefix and commits every freshly
-// completed run as a cell, exactly like core.Pool's runShard.
-func (s *Study) executeShard(ctx context.Context, shard, of int, cp *core.Checkpointer) (*store.Dataset, error) {
+// executeShard checks a fleet collector's shard request and runs it as
+// its campaign plan; co, when non-nil, journals the shard's cells
+// (ExecuteShardResumable).
+func (s *Study) executeShard(ctx context.Context, shard, of int, co *CheckpointOptions) (*store.Dataset, error) {
 	if of < 1 {
 		return nil, fmt.Errorf("hbbtvlab: ExecuteShard: shard count %d must be >= 1", of)
 	}
@@ -66,95 +61,10 @@ func (s *Study) executeShard(ctx context.Context, shard, of int, cp *core.Checkp
 		return nil, fmt.Errorf("hbbtvlab: ExecuteShard: shard index %d out of range [0, %d)", shard, of)
 	}
 	if tr := s.opts.Telemetry; tr != nil && tr.Shards() <= shard {
-		return nil, fmt.Errorf("hbbtvlab: ExecuteShard: Options.Telemetry has %d shard slot(s), shard %d of %d needs %d (build the registry with NewTelemetry(Options{Parallelism: 1, Shards: %d}))",
+		return nil, fmt.Errorf("hbbtvlab: ExecuteShard: Options.Telemetry has %d shard slot(s), shard %d of %d needs %d (build the registry with NewTelemetry(Options{Shards: %d}))",
 			tr.Shards(), shard, of, shard+1, of)
 	}
-	channels, err := s.Selected()
-	if err != nil {
-		return nil, err
-	}
-	eff := core.EffectiveShards(of, len(channels))
-	subset := core.ShardSubset(channels, shard, eff)
-
-	if len(subset) == 0 {
-		// The partition clamps: this shard owns no channels. Don't build a
-		// framework — powering a TV on and off logs entries the in-process
-		// engine (which only ever builds eff frameworks) never records, so
-		// an empty run must be synthesized, not executed, to merge
-		// byte-neutrally.
-		ds := &store.Dataset{}
-		for _, spec := range s.opts.Runs {
-			ds.Runs = append(ds.Runs, &store.RunData{Name: spec.Name, Date: spec.Date})
-		}
-		if err := s.finishShard(ds, shard, of, channels); err != nil {
-			return ds, err
-		}
-		return ds, nil
-	}
-
-	fw, err := s.shardFramework(shard)
-	if err != nil {
-		return nil, fmt.Errorf("hbbtvlab: shard %d: build framework: %w", shard, err)
-	}
-
-	ds := &store.Dataset{}
-	runs := make([]*store.RunData, len(s.opts.Runs))
-	var degraded []error
-	var hard error
-	// The shard bracket runs in a closure so its deferred stop event and
-	// gauge flip land before finishShard collects the telemetry snapshot.
-	// The bracket mirrors core.Pool's runShard exactly — same gauge, same
-	// event details — so a fleet shard's slot is event-for-event identical
-	// to the in-process run's and the telemetry merge reproduces it.
-	func() {
-		if fw.Telemetry.Active() {
-			active := fw.Telemetry.Gauge("core_shards_active")
-			active.Set(1)
-			fw.Telemetry.Event(telemetry.EventShardStart, fmt.Sprintf("channels=%d", len(subset)))
-			defer func() {
-				fw.Telemetry.Event(telemetry.EventShardStop, "")
-				active.Set(0)
-			}()
-		}
-		start, rerr := cp.Resume(shard, s.opts.Runs, fw, runs)
-		if rerr != nil {
-			hard = fmt.Errorf("hbbtvlab: shard %d: %w", shard, rerr)
-			return
-		}
-		for si := start; si < len(s.opts.Runs); si++ {
-			spec := s.opts.Runs[si]
-			run, rerr := fw.ExecuteRunContext(ctx, spec, subset)
-			runs[si] = run // partial data is kept even on error
-			if rerr != nil {
-				// Mirror the in-process shard loop (core.Pool): degradation is
-				// recorded, committed, and the next run proceeds; anything
-				// else — above all cancellation — stops the shard without
-				// committing the partial run.
-				if !core.DegradedOnly(rerr) {
-					hard = fmt.Errorf("hbbtvlab: shard %d: run %s: %w", shard, spec.Name, rerr)
-					return
-				}
-				degraded = append(degraded, fmt.Errorf("hbbtvlab: shard %d: run %s: %w", shard, spec.Name, rerr))
-			}
-			if cerr := cp.CommitCell(shard, si, spec, fw, run); cerr != nil {
-				hard = fmt.Errorf("hbbtvlab: shard %d: run %s: checkpoint: %w", shard, spec.Name, cerr)
-				return
-			}
-		}
-	}()
-	for _, run := range runs {
-		if run != nil {
-			ds.Runs = append(ds.Runs, run)
-		}
-	}
-	if hard != nil {
-		s.finishShard(ds, shard, of, channels)
-		return ds, hard
-	}
-	if err := s.finishShard(ds, shard, of, channels); err != nil {
-		return ds, err
-	}
-	return ds, errors.Join(degraded...)
+	return s.campaign(ctx, s.opts.Runs, of, shard, co)
 }
 
 // finishShard stamps the dataset with its shard manifest and the final
@@ -235,8 +145,8 @@ func Merge(datasets ...*store.Dataset) (*store.Dataset, error) {
 // MergeContext verifies the shard manifests of the given shard datasets —
 // identical study parameters and channel order, shards 0..N-1 covered
 // exactly once — and merges them into one complete dataset whose Digest
-// is byte-identical to a single-process sharded run (Options.Parallelism
-// >= 1, Options.Shards = N) of the same study, fault-degraded campaigns
+// is byte-identical to the single-process campaign of the same study with
+// Options.Shards = N (at any Parallelism), fault-degraded campaigns
 // included. The merged dataset carries no shard manifest, but it does
 // carry the fleet-wide telemetry snapshot and span trace merged from the
 // shards (see store.MergeShards). Input order does not matter; the

@@ -94,7 +94,8 @@ func roundTripShards(t *testing.T, shards []*store.Dataset, format store.Format)
 // TestFleetDigestParity is the tentpole invariant over 3 seeds × N=1/2/4:
 // merging the N shard datasets — both in memory and after a snapshot
 // round trip with cross-shard dedup — reproduces the single-process
-// sharded run byte for byte.
+// sharded run byte for byte. For N=1 the paper's serial procedure
+// (Parallelism 0) must give that same digest too.
 func TestFleetDigestParity(t *testing.T) {
 	for _, seed := range []int64{1, 7, 321} {
 		for _, n := range []int{1, 2, 4} {
@@ -109,6 +110,23 @@ func TestFleetDigestParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := digestOf(t, refDS)
+				if n == 1 {
+					// A one-shard campaign is the paper's procedure: the
+					// Parallelism-0 study is a third reference.
+					serial := fleetOptions(seed, 0)
+					serial.Parallelism = 0
+					st, err := NewStudyChecked(serial)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ds, err := st.ExecuteRuns()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := digestOf(t, ds); got != want {
+						t.Errorf("Parallelism 0 digest %s != Parallelism 2 Shards 1 digest %s", got, want)
+					}
+				}
 
 				shards := executeFleet(t, opts, n)
 				merged, err := Merge(shards...)

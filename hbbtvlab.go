@@ -27,6 +27,16 @@
 // cancellation and — where noted — returns the well-formed partial
 // result collected so far together with the context's error.
 //
+// # One measurement engine
+//
+// Every measurement entry point — ExecuteRuns, ExecuteResumable,
+// ExecuteShard, ExecuteShardResumable, Run and their context forms — is a
+// plan for the same engine, core.Pool, over the campaign's logical shards
+// (see Options.Shards). A one-shard campaign is the paper's procedure of
+// Section IV-C: one TV visits every channel on a single timeline, run
+// after run, on the study's own post-funnel framework. It is therefore
+// checkpointable, fleet-mergeable and traced exactly like a sharded one.
+//
 // # Fleet topology
 //
 // A campaign can be split across independent collector processes:
@@ -34,8 +44,8 @@
 // order and returns a shard dataset whose store.ShardManifest makes it
 // self-describing; Merge verifies K such datasets cover the campaign
 // exactly once with identical study parameters and recombines them into
-// a dataset byte-identical (by Digest) to a single-process sharded run
-// (Parallelism >= 1) of the same study with Options.Shards = N. The
+// a dataset byte-identical (by Digest) to the single-process campaign of
+// the same study with Options.Shards = N, at any Parallelism. The
 // hbbtv-measure -shard i/N flag and the hbbtv-merge command are the CLI
 // face of the same API.
 package hbbtvlab
@@ -71,18 +81,21 @@ type Options struct {
 	// Runs overrides the measurement-run specs (default: the study's five
 	// runs with their real dates).
 	Runs []core.RunSpec
-	// Parallelism selects the measurement engine. 0 (the default) is the
-	// paper's exact procedure: one TV measures every channel serially on a
-	// single timeline. N >= 1 enables the sharded engine: the channel list
-	// is partitioned across Shards isolated frameworks (own virtual clock,
-	// recorder, TV, and synthetic world, seeded Seed ^ shard) and N worker
-	// goroutines execute the shards. For a fixed Shards value the sharded
-	// engine produces a byte-identical dataset for every N >= 1 — workers
+	// Parallelism is the number of worker goroutines that execute the
+	// campaign's shards; 0 runs one. It also picks the default shard
+	// count (see Shards): Parallelism 0 measures the paper's exact
+	// procedure — one shard, so one TV visits every channel on a single
+	// timeline — and N >= 1 partitions the channel list across
+	// core.DefaultShards isolated frameworks (own virtual clock, recorder,
+	// TV, and synthetic world, seeded Seed ^ shard). For a fixed shard
+	// count the dataset is byte-identical for every Parallelism — workers
 	// change wall-clock time only.
 	Parallelism int
-	// Shards is the logical shard count of the sharded engine (0 =
-	// core.DefaultShards). Changing it changes the shard partition and
-	// therefore the dataset; changing Parallelism never does.
+	// Shards is the campaign's logical shard count. 0 selects 1 when
+	// Parallelism is 0 and core.DefaultShards otherwise. Shards = 1 is the
+	// paper's procedure at any Parallelism. Changing the shard count
+	// changes the partition and therefore the dataset; changing
+	// Parallelism at a fixed shard count never does.
 	Shards int
 	// Telemetry, when non-nil, instruments the measurement engine with
 	// the given registry (build one with NewTelemetry). Telemetry reads
@@ -138,19 +151,23 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// NewTelemetry builds a telemetry registry correctly sized for the
-// measurement engine the options select: one shard slot for the paper's
-// serial procedure, Shards (or core.DefaultShards) slots for the sharded
-// engine.
+// NewTelemetry builds a telemetry registry with one shard slot per
+// logical shard of the campaign the options describe (see Options.Shards).
 func NewTelemetry(opts Options) *telemetry.Registry {
-	shards := 1
-	if opts.Parallelism >= 1 {
-		shards = opts.Shards
-		if shards <= 0 {
-			shards = core.DefaultShards
-		}
+	return telemetry.New(telemetry.Options{Shards: opts.shards()})
+}
+
+// shards is the campaign's logical shard count, the one home of the rule
+// documented on Options.Shards.
+func (o Options) shards() int {
+	switch {
+	case o.Shards > 0:
+		return o.Shards
+	case o.Parallelism == 0:
+		return 1
+	default:
+		return core.DefaultShards
 	}
-	return telemetry.New(telemetry.Options{Shards: shards})
 }
 
 // Study bundles the synthetic world with the measurement framework.
@@ -161,14 +178,14 @@ type Study struct {
 
 	// injector is the study's fault injector (nil when faults are off).
 	// Injectors are stateless and shard-agnostic, so one instance serves
-	// the serial framework and every shard alike.
+	// the study's framework and every shard alike.
 	injector *faults.Injector
 
 	selected []*dvb.Service
 
-	// worldsMu guards shardWorlds: the per-shard synthetic worlds built by
-	// shardFramework, kept so the checkpoint layer can capture and restore
-	// their handler state (tracker rng positions and ID counters).
+	// worldsMu guards shardWorlds: the per-shard synthetic worlds handed
+	// out by shardFramework, kept so the checkpoint layer can capture and
+	// restore their handler state (tracker rng positions and ID counters).
 	worldsMu    sync.Mutex
 	shardWorlds map[int]*synth.World
 }
@@ -224,20 +241,27 @@ func NewStudyChecked(opts Options) (*Study, error) {
 		// ran, not what the caller wrote.
 		opts.Faults = &fc
 	}
+	// The study's own framework (funnel probes, one-shard campaigns) is
+	// shard 0: telemetry slot 0 on its own virtual clock.
+	world, fw := buildShard(opts, injector, 0)
+	return &Study{opts: opts, World: world, Framework: fw, injector: injector}, nil
+}
+
+// buildShard builds the synthetic world from the study seed on a fresh
+// virtual clock and wires a measurement framework seeded Seed ^ shard to
+// it, instrumented as telemetry slot shard.
+func buildShard(opts Options, injector *faults.Injector, shard int) (*synth.World, *core.Framework) {
 	clk := clock.NewVirtual(time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC))
 	world := synth.Build(synth.Config{Seed: opts.Seed, Scale: opts.Scale}, clk)
-	fw := core.New(core.Config{
+	return world, core.New(core.Config{
 		Internet:     world.Internet,
-		Seed:         opts.Seed,
+		Seed:         opts.Seed ^ int64(shard),
 		Clock:        clk,
 		Availability: world.Availability,
 		Faults:       injector,
 		Retry:        opts.Retry,
-		// The study's own framework (serial engine, funnel probes) is
-		// telemetry shard 0 on its virtual clock.
-		Telemetry: opts.Telemetry.Shard(0, clk.Now),
+		Telemetry:    opts.Telemetry.Shard(shard, clk.Now),
 	})
-	return &Study{opts: opts, World: world, Framework: fw, injector: injector}, nil
 }
 
 // SelectChannels runs the Section IV-B funnel: scan the satellites, apply
@@ -276,63 +300,79 @@ func (s *Study) ExecuteRuns() (*store.Dataset, error) {
 	return s.ExecuteRunsContext(context.Background())
 }
 
-// ExecuteRunsContext is ExecuteRuns with cooperative cancellation. When
-// Options.Parallelism >= 1, the sharded measurement engine executes the
-// runs (see Options.Parallelism); otherwise the single-TV serial procedure
-// of the paper runs on the study's own framework. In both modes a
-// cancelled context yields the well-formed partial dataset collected so
-// far together with the context's error.
+// ExecuteRunsContext is ExecuteRuns with cooperative cancellation. The
+// runs execute as a core.Pool plan over the campaign's logical shards (see
+// Options.Shards); a one-shard campaign is the paper's single-TV procedure
+// on the study's own framework. A cancelled context yields the well-formed
+// partial dataset collected so far together with the context's error.
 func (s *Study) ExecuteRunsContext(ctx context.Context) (*store.Dataset, error) {
+	return s.campaign(ctx, s.opts.Runs, s.opts.shards(), -1, nil)
+}
+
+// campaign executes specs over the selected channels as a core.Pool plan
+// of shards logical shards: the one measurement engine behind every entry
+// point. With fleetShard < 0 it measures every shard and merges them;
+// otherwise it measures only shard fleetShard, for one collector of a
+// fleet, and stamps the dataset with its shard manifest. A non-nil co
+// journals every completed (shard, run) cell and, on resume, replays the
+// journaled ones instead of measuring them again.
+func (s *Study) campaign(ctx context.Context, specs []core.RunSpec, shards, fleetShard int, co *CheckpointOptions) (ds *store.Dataset, err error) {
 	channels, err := s.Selected()
 	if err != nil {
 		return nil, err
 	}
-	if s.opts.Parallelism >= 1 {
-		pool := &core.Pool{
-			Shards:  s.opts.Shards,
-			Workers: s.opts.Parallelism,
-			Factory: s.shardFramework,
-			// Merge phases are engine-controller work, timestamped on the
-			// study clock (which the sharded engine leaves untouched — the
-			// shards advance their own clocks — so controller events are as
-			// deterministic as the shards' own).
-			Telemetry: s.opts.Telemetry.Controller(s.Framework.Clock.Now),
+	eff := core.EffectiveShards(shards, len(channels))
+	pool := &core.Pool{
+		Shards:  eff,
+		Workers: max(s.opts.Parallelism, 1),
+		Factory: s.shardFramework(eff),
+		// Merge phases are engine-controller work, timestamped on the study
+		// clock.
+		Telemetry: s.opts.Telemetry.Controller(s.Framework.Clock.Now),
+	}
+	if co != nil {
+		// The journal records an in-process campaign's effective shard
+		// count and a fleet collector's N.
+		topology := eff
+		if fleetShard >= 0 {
+			topology = shards
 		}
-		ds, err := pool.ExecuteRuns(ctx, s.opts.Runs, channels)
+		want, err := s.checkpointHeader(channels, topology, fleetShard)
+		if err != nil {
+			return nil, err
+		}
+		cp, journal, err := openJournal(*co, want)
+		if err != nil {
+			return nil, err
+		}
+		pool.Checkpoint = s.checkpointer(cp, journal)
+		// The close syncs every committed cell; its error matters even when
+		// the campaign itself succeeded.
+		defer func() {
+			if cerr := journal.Close(); cerr != nil {
+				err = errors.Join(err, fmt.Errorf("hbbtvlab: close checkpoint journal: %w", cerr))
+			}
+		}()
+	}
+	if fleetShard < 0 {
+		ds, err = pool.ExecuteRuns(ctx, specs, channels)
 		s.attachTelemetry(ds)
 		if err != nil {
-			return ds, fmt.Errorf("hbbtvlab: sharded runs: %w", err)
+			return ds, fmt.Errorf("hbbtvlab: runs: %w", err)
 		}
 		return ds, nil
 	}
-	ds := &store.Dataset{}
-	var degraded []error
-	// The serial campaign span must close before attachTelemetry collects
-	// the trace (open spans are excluded from the artifact), so it is
-	// ended explicitly on both exits rather than deferred.
-	campaign := s.Framework.Telemetry.StartSpan(telemetry.SpanCampaign,
-		fmt.Sprintf("runs=%d", len(s.opts.Runs)))
-	for _, spec := range s.opts.Runs {
-		run, err := s.Framework.ExecuteRunContext(ctx, spec, channels)
+	runs, err := pool.ExecuteShard(ctx, fleetShard, specs, channels)
+	ds = &store.Dataset{}
+	for _, run := range runs {
 		if run != nil {
 			ds.Runs = append(ds.Runs, run)
 		}
-		if err != nil {
-			// Per-channel degradation (visits recorded as failed outcomes)
-			// must not abort the campaign's remaining runs; anything else
-			// — cancellation above all — still stops here.
-			if core.DegradedOnly(err) {
-				degraded = append(degraded, fmt.Errorf("hbbtvlab: run %s: %w", spec.Name, err))
-				continue
-			}
-			campaign.End()
-			s.attachTelemetry(ds)
-			return ds, fmt.Errorf("hbbtvlab: run %s: %w", spec.Name, err)
-		}
 	}
-	campaign.End()
-	s.attachTelemetry(ds)
-	return ds, errors.Join(degraded...)
+	if err != nil {
+		err = fmt.Errorf("hbbtvlab: shard %d: %w", fleetShard, err)
+	}
+	return ds, errors.Join(err, s.finishShard(ds, fleetShard, shards, channels))
 }
 
 // attachTelemetry embeds the engine's final telemetry snapshot and span
@@ -357,29 +397,28 @@ func (s *Study) Telemetry() *telemetry.Registry { return s.opts.Telemetry }
 // actually stopped.
 func DegradedOnly(err error) bool { return core.DegradedOnly(err) }
 
-// shardFramework is the study's core.ShardFactory: it rebuilds the
-// synthetic world from the study seed on a shard-private virtual clock, so
-// every shard sees an identical Internet with fully isolated handler state
-// (tracker ID counters, timestamp cookies), and seeds the shard's
-// framework with Seed ^ shard for its channel-visit order and TV identity.
-func (s *Study) shardFramework(shard int) (*core.Framework, error) {
-	clk := clock.NewVirtual(time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC))
-	world := synth.Build(synth.Config{Seed: s.opts.Seed, Scale: s.opts.Scale}, clk)
-	s.worldsMu.Lock()
-	if s.shardWorlds == nil {
-		s.shardWorlds = make(map[int]*synth.World)
+// shardFramework is the study's core.ShardFactory for a campaign of
+// shards effective shards. A one-shard campaign is the paper's procedure,
+// so its shard is the study's own post-funnel framework and world. With
+// more shards, each rebuilds the synthetic world from the study seed on a
+// shard-private virtual clock, so every shard sees an identical Internet
+// with fully isolated handler state (tracker ID counters, timestamp
+// cookies), and seeds its framework with Seed ^ shard for its
+// channel-visit order and TV identity.
+func (s *Study) shardFramework(shards int) core.ShardFactory {
+	return func(shard int) (*core.Framework, error) {
+		world, fw := s.World, s.Framework
+		if shards > 1 {
+			world, fw = buildShard(s.opts, s.injector, shard)
+		}
+		s.worldsMu.Lock()
+		if s.shardWorlds == nil {
+			s.shardWorlds = make(map[int]*synth.World)
+		}
+		s.shardWorlds[shard] = world
+		s.worldsMu.Unlock()
+		return fw, nil
 	}
-	s.shardWorlds[shard] = world
-	s.worldsMu.Unlock()
-	return core.New(core.Config{
-		Internet:     world.Internet,
-		Seed:         s.opts.Seed ^ int64(shard),
-		Clock:        clk,
-		Availability: world.Availability,
-		Faults:       s.injector,
-		Retry:        s.opts.Retry,
-		Telemetry:    s.opts.Telemetry.Shard(shard, clk.Now),
-	}), nil
 }
 
 // Run executes a single named run (useful for examples and ablations).
@@ -389,14 +428,16 @@ func (s *Study) Run(name store.RunName) (*store.RunData, error) {
 
 // RunContext is Run with cooperative cancellation: a cancelled context
 // yields the partial run data collected so far with the context's error.
+// The run is the campaign ExecuteRunsContext would measure with
+// Options.Runs narrowed to the named spec.
 func (s *Study) RunContext(ctx context.Context, name store.RunName) (*store.RunData, error) {
-	channels, err := s.Selected()
-	if err != nil {
-		return nil, err
-	}
 	for _, spec := range s.opts.Runs {
 		if spec.Name == name {
-			return s.Framework.ExecuteRunContext(ctx, spec, channels)
+			ds, err := s.campaign(ctx, []core.RunSpec{spec}, s.opts.shards(), -1, nil)
+			if ds == nil || len(ds.Runs) == 0 {
+				return nil, err
+			}
+			return ds.Runs[0], err
 		}
 	}
 	return nil, fmt.Errorf("hbbtvlab: unknown run %q", name)

@@ -2,6 +2,7 @@ package hbbtvlab
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -386,5 +387,45 @@ func TestRunSingle(t *testing.T) {
 	}
 	if _, err := study.Run("Purple"); err == nil {
 		t.Error("unknown run accepted")
+	}
+}
+
+// TestRunContextIsNarrowedCampaign: a single run is the campaign with
+// Options.Runs narrowed to its spec — same engine, same shards, same
+// bytes — for the paper's procedure and for a sharded study alike.
+func TestRunContextIsNarrowedCampaign(t *testing.T) {
+	var red []core.RunSpec
+	for _, spec := range core.DefaultRuns() {
+		if spec.Name == store.RunRed {
+			red = append(red, spec)
+		}
+	}
+	for _, tc := range []struct{ parallelism, shards int }{{0, 0}, {2, 2}} {
+		opts := Options{
+			Seed: 5, Scale: 0.02, ProbeWatch: 20 * time.Second,
+			Parallelism: tc.parallelism, Shards: tc.shards,
+		}
+		run, err := NewStudy(opts).RunContext(context.Background(), store.RunRed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		narrowed := opts
+		narrowed.Runs = red
+		ds, err := NewStudy(narrowed).ExecuteRunsContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := (&store.Dataset{Runs: []*store.RunData{run}}).Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ds.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("j=%d shards=%d: RunContext digest %s != narrowed campaign digest %s",
+				tc.parallelism, tc.shards, got, want)
+		}
 	}
 }

@@ -2,11 +2,11 @@ package core
 
 import "github.com/hbbtvlab/hbbtvlab/internal/dvb"
 
-// The channel partition of the sharded measurement engine, shared by the
-// in-process pool (Pool.ExecuteRuns) and the fleet topology
-// (hbbtvlab.Study.ExecuteShard): both must assign canonical channel index
-// i to shard i % EffectiveShards, or a fleet merge could never reproduce
-// a single-process run byte for byte.
+// The channel partition of the measurement engine, shared by the whole
+// campaign (Pool.ExecuteRuns) and one fleet collector's shard
+// (Pool.ExecuteShard): both must assign canonical channel index i to
+// shard i % EffectiveShards, or a fleet merge could never reproduce a
+// single-process run byte for byte.
 
 // EffectiveShards clamps a configured shard count to the channel count
 // (no shard is empty in a single-process run) and to a minimum of 1;

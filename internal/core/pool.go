@@ -153,7 +153,34 @@ func (p *Pool) ExecuteRuns(ctx context.Context, specs []RunSpec, channels []*dvb
 	return ds, errors.Join(errs...)
 }
 
-// runShard executes all specs for one shard on a freshly built framework.
+// ExecuteShard executes only the shard-th of the pool's shards — the
+// partition, framework and checkpoint cells ExecuteRuns would give that
+// shard — for a fleet collector that measures one shard per process. It
+// returns one RunData per spec (nil where the shard stopped early) and
+// the shard's errors; a cancelled context is reported as ctx.Err(). A
+// shard at or beyond the effective shard count owns no channels: its runs
+// are synthesized empty, without a framework, so they merge neutrally.
+func (p *Pool) ExecuteShard(ctx context.Context, shard int, specs []RunSpec, channels []*dvb.Service) ([]*store.RunData, error) {
+	if p.Factory == nil {
+		return nil, errors.New("core: pool has no shard factory")
+	}
+	shards := EffectiveShards(p.Shards, len(channels))
+	if shard >= shards {
+		runs := make([]*store.RunData, len(specs))
+		for i, spec := range specs {
+			runs[i] = &store.RunData{Name: spec.Name, Date: spec.Date}
+		}
+		return runs, nil
+	}
+	out := p.runShard(ctx, shard, shards, specs, channels)
+	if err := ctx.Err(); err != nil {
+		return out.runs, err
+	}
+	return out.runs, out.err
+}
+
+// runShard executes all specs for one shard on the framework the Factory
+// builds for it. It is the engine's only caller of ExecuteRunContext.
 func (p *Pool) runShard(ctx context.Context, shard, shards int, specs []RunSpec, channels []*dvb.Service) (out shardOutcome) {
 	out.runs = make([]*store.RunData, len(specs))
 	defer func() {

@@ -64,6 +64,57 @@ func poolFactory(seed int64, scale float64, mutate func(shard int, w *synth.Worl
 	}
 }
 
+// TestPoolExecuteShardMatchesExecuteRuns: a fleet collector's
+// ExecuteShard is the in-process shard loop, so merging every shard's runs
+// reproduces ExecuteRuns byte for byte; a shard past the clamped shard
+// count gets empty runs without a framework ever being built.
+func TestPoolExecuteShardMatchesExecuteRuns(t *testing.T) {
+	const seed, scale, shards = 7, 0.04, 3
+	ctx := context.Background()
+	channels := poolChannels(seed, scale)
+	specs := poolSpecs()
+	pool := &Pool{Shards: shards, Workers: 2, Factory: poolFactory(seed, scale, nil)}
+	want, err := pool.ExecuteRuns(ctx, specs, channels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]string, len(channels))
+	for i, svc := range channels {
+		order[i] = svc.Name
+	}
+	perShard := make([][]*store.RunData, shards)
+	for s := range perShard {
+		if perShard[s], err = pool.ExecuteShard(ctx, s, specs, channels); err != nil {
+			t.Fatalf("shard %d: %v", s, err)
+		}
+	}
+	got := &store.Dataset{}
+	for si := range specs {
+		runs := make([]*store.RunData, shards)
+		for s := range perShard {
+			runs[s] = perShard[s][si]
+		}
+		got.Runs = append(got.Runs, store.MergeRunShards(order, runs))
+	}
+	if g, w := datasetDigest(t, got), datasetDigest(t, want); g != w {
+		t.Fatalf("merged ExecuteShard digest %s != ExecuteRuns digest %s", g, w)
+	}
+
+	idle := &Pool{Shards: len(channels) + 2, Factory: func(int) (*Framework, error) {
+		t.Fatal("factory called for a shard that owns no channels")
+		return nil, nil
+	}}
+	runs, err := idle.ExecuteShard(ctx, len(channels)+1, specs, channels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, run := range runs {
+		if run.Name != specs[i].Name || len(run.Channels)+len(run.Flows)+len(run.Logs) != 0 {
+			t.Fatalf("idle shard run %d = %+v, want an empty %s run", i, run, specs[i].Name)
+		}
+	}
+}
+
 func datasetDigest(t *testing.T, ds *store.Dataset) string {
 	t.Helper()
 	digest, err := ds.Digest()

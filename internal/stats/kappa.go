@@ -1,6 +1,9 @@
 package stats
 
-import "errors"
+import (
+	"errors"
+	"sort"
+)
 
 // ErrLengthMismatch is returned when two annotation sequences differ in
 // length.
@@ -28,9 +31,17 @@ func CohensKappa(a, b []string) (float64, error) {
 		countB[b[i]]++
 	}
 	po := float64(agree) / float64(n)
+	// Sum the chance agreement in sorted label order: float addition is
+	// not associative, so map order would move kappa's last bit between
+	// calls.
+	labels := make([]string, 0, len(countA))
+	for label := range countA {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
 	var pe float64
-	for label, ca := range countA {
-		pe += float64(ca) / float64(n) * float64(countB[label]) / float64(n)
+	for _, label := range labels {
+		pe += float64(countA[label]) / float64(n) * float64(countB[label]) / float64(n)
 	}
 	if pe == 1 {
 		// Both annotators used a single identical label: perfect but

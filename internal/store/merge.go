@@ -32,6 +32,11 @@ import (
 //
 // Every rule depends only on shard index and canonical order, so the result
 // is independent of the order in which shards finished.
+//
+// A lone shard (len(shards) == 1) is the whole run and is returned
+// unchanged: a one-shard campaign keeps the paper's single-timeline
+// procedure byte for byte — visit order and flow IDs included — whether
+// it is merged in process or by hbbtv-merge.
 func MergeRunShards(order []string, shards []*RunData) *RunData {
 	return MergeRunShardsObserved(order, shards, nil)
 }
@@ -67,6 +72,9 @@ func MergeRunShardsObserved(order []string, shards []*RunData, tele *telemetry.S
 }
 
 func mergeRunShards(order []string, shards []*RunData) *RunData {
+	if len(shards) == 1 && shards[0] != nil {
+		return shards[0]
+	}
 	merged := &RunData{}
 	for _, s := range shards {
 		if s == nil {

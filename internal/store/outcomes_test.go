@@ -115,6 +115,27 @@ func TestMergeOutcomesCanonicalOrder(t *testing.T) {
 	}
 }
 
+// TestMergeLoneShardUnchanged: a lone shard's run is the whole run, so
+// the merge hands it back as-is — the paper's visit order and flow IDs
+// are not canonicalized away. A multi-shard layout with one live shard
+// still merges canonically.
+func TestMergeLoneShardUnchanged(t *testing.T) {
+	order := []string{"A", "B", "C"}
+	run := func() *RunData {
+		return &RunData{Name: RunGeneral, Outcomes: []ChannelOutcome{
+			{Channel: "C", Status: OutcomeOK, Attempts: 1},
+			{Channel: "A", Status: OutcomeOK, Attempts: 1},
+		}}
+	}
+	lone := run()
+	if got := MergeRunShards(order, []*RunData{lone}); got != lone {
+		t.Fatalf("lone shard merged into a new run %+v", got)
+	}
+	if got := MergeRunShards(order, []*RunData{run(), nil}); got.Outcomes[0].Channel != "A" {
+		t.Fatalf("two-shard layout not canonicalized: %+v", got.Outcomes)
+	}
+}
+
 // TestSummariesResilienceTallies: per-run summaries tally the outcome
 // records into the resilience columns.
 func TestSummariesResilienceTallies(t *testing.T) {

@@ -42,52 +42,16 @@ type CheckpointOptions struct {
 	SyncEvery int
 }
 
-// ExecuteResumable is ExecuteRunsContext for the sharded engine
-// (Options.Parallelism >= 1) with a write-ahead checkpoint journal.
-// Every completed (shard, run) cell is committed to the journal before
-// the shard proceeds, so a killed campaign loses at most the cells that
-// were in flight. Restarting with co.Resume replays the journaled cells
-// and measures only the remainder; the finished dataset's Digest is
-// byte-identical to an uninterrupted run's at any Parallelism.
-//
-// The serial engine (Parallelism 0) is not resumable: its single
-// framework measures every channel of a run in one indivisible pass, so
-// there is no cell boundary to checkpoint at.
+// ExecuteResumable is ExecuteRunsContext with a write-ahead checkpoint
+// journal. Every completed (shard, run) cell is committed to the journal
+// before the shard proceeds, so a killed campaign loses at most the cells
+// that were in flight. Restarting with co.Resume replays the journaled
+// cells and measures only the remainder; the finished dataset's Digest is
+// byte-identical to an uninterrupted run's at any Parallelism. The
+// paper's one-shard procedure (Parallelism 0) is resumable too: its cells
+// are its runs.
 func (s *Study) ExecuteResumable(ctx context.Context, co CheckpointOptions) (*store.Dataset, error) {
-	if s.opts.Parallelism < 1 {
-		return nil, errors.New("hbbtvlab: ExecuteResumable requires the sharded engine (Options.Parallelism >= 1); the serial procedure has no checkpointable cell boundary")
-	}
-	channels, err := s.Selected()
-	if err != nil {
-		return nil, err
-	}
-	eff := core.EffectiveShards(s.opts.Shards, len(channels))
-	want, err := s.checkpointHeader(channels, eff, -1)
-	if err != nil {
-		return nil, err
-	}
-	cp, journal, err := openJournal(co, want)
-	if err != nil {
-		return nil, err
-	}
-	pool := &core.Pool{
-		Shards:     s.opts.Shards,
-		Workers:    s.opts.Parallelism,
-		Factory:    s.shardFramework,
-		Telemetry:  s.opts.Telemetry.Controller(s.Framework.Clock.Now),
-		Checkpoint: s.checkpointer(cp, journal),
-	}
-	ds, err := pool.ExecuteRuns(ctx, s.opts.Runs, channels)
-	s.attachTelemetry(ds)
-	// The close syncs every committed cell; its error matters even when
-	// the campaign itself succeeded.
-	if cerr := journal.Close(); cerr != nil {
-		err = errors.Join(err, fmt.Errorf("close checkpoint journal: %w", cerr))
-	}
-	if err != nil {
-		return ds, fmt.Errorf("hbbtvlab: sharded runs: %w", err)
-	}
-	return ds, nil
+	return s.campaign(ctx, s.opts.Runs, s.opts.shards(), -1, &co)
 }
 
 // ExecuteShardResumable is ExecuteShardContext with a write-ahead
@@ -97,29 +61,7 @@ func (s *Study) ExecuteResumable(ctx context.Context, co CheckpointOptions) (*st
 // manifest included — is byte-identical to an uninterrupted collector's,
 // and merges (Merge, hbbtv-merge) exactly like one.
 func (s *Study) ExecuteShardResumable(ctx context.Context, shard, of int, co CheckpointOptions) (*store.Dataset, error) {
-	if of < 1 {
-		return nil, fmt.Errorf("hbbtvlab: ExecuteShard: shard count %d must be >= 1", of)
-	}
-	if shard < 0 || shard >= of {
-		return nil, fmt.Errorf("hbbtvlab: ExecuteShard: shard index %d out of range [0, %d)", shard, of)
-	}
-	channels, err := s.Selected()
-	if err != nil {
-		return nil, err
-	}
-	want, err := s.checkpointHeader(channels, of, shard)
-	if err != nil {
-		return nil, err
-	}
-	cp, journal, err := openJournal(co, want)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := s.executeShard(ctx, shard, of, s.checkpointer(cp, journal))
-	if cerr := journal.Close(); cerr != nil {
-		err = errors.Join(err, fmt.Errorf("hbbtvlab: shard %d: close checkpoint journal: %w", shard, cerr))
-	}
-	return ds, err
+	return s.executeShard(ctx, shard, of, &co)
 }
 
 // checkpointHeader builds the self-describing journal header for this

@@ -188,14 +188,41 @@ func TestResumeRejectsMismatchedStudy(t *testing.T) {
 	}
 }
 
-// TestResumeSerialEngineRejected: the serial procedure has no cell
-// boundary and must say so instead of producing an unresumable journal.
-func TestResumeSerialEngineRejected(t *testing.T) {
+// TestResumeSerialProcedureAfterKill: the paper's procedure (Parallelism
+// 0: one shard, measured on the study's own post-funnel framework) is a
+// one-shard campaign, so its runs are checkpoint cells like any other.
+// Its journal, cut at seed-derived byte offsets, must resume to the
+// uninterrupted digest — also at a different worker count, since one
+// shard is one shard at any Parallelism.
+func TestResumeSerialProcedureAfterKill(t *testing.T) {
 	opts := chaosOptions(0)
-	study := resumeStudy(t, opts)
-	_, err := study.ExecuteResumable(context.Background(), CheckpointOptions{Path: filepath.Join(t.TempDir(), "x.journal")})
-	if err == nil || !strings.Contains(err.Error(), "Parallelism") {
-		t.Fatalf("serial ExecuteResumable: %v", err)
+	opts.Shards = 0 // Parallelism 0 with no Shards: the one-shard procedure
+	base := digestOrFatal(t, runChaosStudy(t, opts))
+	dir := t.TempDir()
+
+	full := filepath.Join(dir, "full.journal")
+	if got := executeResumable(t, opts, CheckpointOptions{Path: full}); got != base {
+		t.Fatalf("uninterrupted checkpointed digest %s != plain digest %s", got, base)
+	}
+	fi, err := os.Stat(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const killSeed = int64(321)
+	points := killPoints(killSeed, fi.Size(), 5)
+	t.Logf("kill seed %d, journal %d bytes, kill points %v", killSeed, fi.Size(), points)
+
+	for ki, cut := range points {
+		path := filepath.Join(dir, "killed.journal")
+		truncateCopy(t, full, path, cut)
+		resumed := opts
+		if ki == len(points)-1 {
+			resumed.Parallelism, resumed.Shards = 2, 1
+		}
+		if got := executeResumable(t, resumed, CheckpointOptions{Path: path, Resume: true}); got != base {
+			t.Fatalf("kill %d at byte %d (j=%d): resumed digest differs:\n  %s\n  %s",
+				ki, cut, resumed.Parallelism, got, base)
+		}
 	}
 }
 
