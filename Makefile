@@ -44,9 +44,13 @@ resume:
 	$(GO) test -race -run 'TestCheckpoint|TestJournal' -v ./internal/store/
 	$(GO) test -race -run 'TestResume|TestChaosProcessKillResumeParity|TestChaosFleetKillResumeMerge|TestChaosResumeMismatchRejectedCLI|TestChaosInterruptGracefulExit' -v .
 
-# Short fuzzing pass over the binary AIT decoder (seeded corpus).
+# Short coverage-guided fuzzing passes (seeded corpora), 30 s each: the
+# binary AIT decoder, and the dataset loader over both formats and the
+# checkpoint container (no panic; an accepted input re-saves as a
+# snapshot to a fixed point with an unchanged digest).
 fuzz:
 	$(GO) test ./internal/dvb/ -run '^$$' -fuzz FuzzParseAIT -fuzztime 30s
+	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzLoad -fuzztime 30s
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

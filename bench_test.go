@@ -791,7 +791,7 @@ func BenchmarkSnapshotFormats(b *testing.B) {
 	b.Run("save-json", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
-			if err := ds.Save(&buf); err != nil {
+			if err := store.Save(&buf, ds, store.FormatJSON); err != nil {
 				b.Fatal(err)
 			}
 			jsonBytes = buf.Bytes()
@@ -801,7 +801,7 @@ func BenchmarkSnapshotFormats(b *testing.B) {
 	b.Run("save-snapshot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
-			if err := ds.SaveSnapshot(&buf); err != nil {
+			if err := store.Save(&buf, ds, store.FormatSnapshot); err != nil {
 				b.Fatal(err)
 			}
 			snapBytes = buf.Bytes()

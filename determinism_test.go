@@ -149,7 +149,7 @@ func TestSaveLoadAnalyzeEquivalence(t *testing.T) {
 	direct := Analyze(ds)
 
 	var buf bytes.Buffer
-	if err := ds.Save(&buf); err != nil {
+	if err := store.Save(&buf, ds, store.FormatJSON); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := store.Load(&buf)

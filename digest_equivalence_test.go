@@ -1,7 +1,12 @@
 package hbbtvlab
 
 import (
+	"bytes"
+	"compress/gzip"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -10,105 +15,194 @@ import (
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
 
-// These tests hold the incremental digest encoder (Dataset.Digest, which
-// folds flow records into the hash one at a time and in parallel for large
-// flow lists) equal to the original materialize-then-marshal encoder
-// (Dataset.DigestReference). The digest is the determinism contract of the
-// whole measurement engine — every worker-independence proof compares
-// digests — so the streaming rewrite must be bit-for-bit compatible, not
-// merely "equivalent".
+// These tests hold Dataset.Digest, the hash of the runs' binary snapshot,
+// to the identity the digest used to have: the hash of the runs'
+// uncompressed gzip-JSON encoding. The two digests differ in value, so
+// each test collects datasets together with the class they belong to and
+// asserts that both digests sort them into exactly the same classes, and
+// that those classes are the expected ones: a dataset's worker count,
+// fleet topology and storage format never change its identity, while
+// different campaigns never share one.
 
-// digestBothWays computes the dataset's digest through the incremental and
-// the reference path and fails the test if they disagree.
-func digestBothWays(t *testing.T, ds *store.Dataset, label string) string {
-	t.Helper()
-	fast, err := ds.Digest()
-	if err != nil {
-		t.Fatalf("%s: Digest: %v", label, err)
-	}
-	ref, err := ds.DigestReference()
-	if err != nil {
-		t.Fatalf("%s: DigestReference: %v", label, err)
-	}
-	if fast != ref {
-		t.Fatalf("%s: incremental digest %s != reference digest %s", label, fast, ref)
-	}
-	return fast
+type digestEntry struct {
+	class, label string
+	ds           *store.Dataset
 }
 
-// TestDigestEquivalence proves Digest == DigestReference across seeds and
-// worker counts on clean (fault-free) datasets, and additionally that the
-// digest stays worker-independent when computed through the incremental
-// path alone.
+// checkDigestClasses fails the test unless the new and the former digest
+// induce the same equality classes on entries, and those classes are
+// exactly the entries' expected classes.
+func checkDigestClasses(t *testing.T, entries []digestEntry) {
+	t.Helper()
+	classOf := map[string]string{} // new digest -> expected class
+	oldOf := map[string]string{}   // new digest -> old digest
+	newOf := map[string]string{}   // old digest -> new digest
+	for _, e := range entries {
+		d, err := e.ds.Digest()
+		if err != nil {
+			t.Fatalf("%s: %v", e.label, err)
+		}
+		old := jsonMirrorDigest(t, e.ds)
+		if c, ok := classOf[d]; ok && c != e.class {
+			t.Errorf("%s (class %s) shares digest %s with class %s", e.label, e.class, d, c)
+		}
+		classOf[d] = e.class
+		if o, ok := oldOf[d]; ok && o != old {
+			t.Errorf("%s: equal new digests, different old digests", e.label)
+		}
+		oldOf[d] = old
+		if n, ok := newOf[old]; ok && n != d {
+			t.Errorf("%s: equal old digests, different new digests", e.label)
+		}
+		newOf[old] = d
+	}
+	classes := map[string]bool{}
+	for _, e := range entries {
+		classes[e.class] = true
+	}
+	if len(classOf) != len(classes) {
+		t.Errorf("%d distinct digests for %d classes", len(classOf), len(classes))
+	}
+}
+
+// jsonMirrorDigest is the digest's former definition: the SHA-256 of the
+// uncompressed gzip-JSON encoding of the dataset's runs.
+func jsonMirrorDigest(t *testing.T, ds *store.Dataset) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := store.Save(&buf, &store.Dataset{Runs: ds.Runs}, store.FormatJSON); err != nil {
+		t.Fatal(err)
+	}
+	gz, err := gzip.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if _, err := io.Copy(h, gz); err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func digestOptions(seed int64, j int) Options {
+	return Options{Seed: seed, Scale: 0.04, ProbeWatch: 20 * time.Second, Parallelism: j, Shards: 4}
+}
+
+func measureForDigest(t *testing.T, label string, opts Options) *store.Dataset {
+	t.Helper()
+	study, err := NewStudyChecked(opts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	ds, err := study.ExecuteRuns()
+	if err != nil && !DegradedOnly(err) {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if ds == nil {
+		t.Fatalf("%s: no dataset", label)
+	}
+	return ds
+}
+
+// TestDigestEquivalence: over 3 seeds × j=1/2/4/8 on clean (fault-free)
+// campaigns, the digest is worker-independent, distinct per seed, and
+// classes the datasets as the former digest does.
 func TestDigestEquivalence(t *testing.T) {
+	var entries []digestEntry
 	for _, seed := range []int64{1, 321, 77} {
-		var base string
 		for _, j := range []int{1, 2, 4, 8} {
 			label := fmt.Sprintf("seed=%d/j=%d", seed, j)
-			study := NewStudy(Options{
-				Seed: seed, Scale: 0.04,
-				ProbeWatch:  20 * time.Second,
-				Parallelism: j,
-				Shards:      4,
-			})
-			ds, err := study.ExecuteRuns()
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			d := digestBothWays(t, ds, label)
-			if base == "" {
-				base = d
-			} else if d != base {
-				t.Fatalf("%s: digest %s != j=1 digest %s", label, d, base)
-			}
+			entries = append(entries, digestEntry{fmt.Sprintf("seed=%d", seed), label, measureForDigest(t, label, digestOptions(seed, j))})
 		}
 	}
+	checkDigestClasses(t, entries)
 }
 
-// TestDigestEquivalenceDegraded repeats the equivalence proof on
-// fault-injected datasets: degraded runs exercise the encoder paths a
-// clean study never hits (failed-channel outcomes, recovered panics,
-// truncated bodies, channels with zero flows).
+// TestDigestEquivalenceDegraded repeats the proof on fault-injected
+// campaigns, which exercise the encoder paths a clean study never hits
+// (failed-channel outcomes, recovered panics, truncated bodies, channels
+// with zero flows); the clean campaign of the same seed is a class of its
+// own.
 func TestDigestEquivalenceDegraded(t *testing.T) {
-	var base string
+	entries := []digestEntry{{"clean", "clean/j=1", measureForDigest(t, "clean/j=1", digestOptions(321, 1))}}
 	for _, j := range []int{1, 2, 4, 8} {
+		opts := digestOptions(321, j)
+		opts.Faults = &faults.Config{Seed: 11, Rate: 0.25}
+		opts.Retry = core.RetryPolicy{
+			MaxAttempts:     2,
+			Backoff:         2 * time.Second,
+			VisitDeadline:   5 * time.Minute,
+			QuarantineAfter: 2,
+		}
 		label := fmt.Sprintf("faults/j=%d", j)
-		study, err := NewStudyChecked(Options{
-			Seed: 321, Scale: 0.04,
-			ProbeWatch:  20 * time.Second,
-			Parallelism: j,
-			Shards:      4,
-			Faults:      &faults.Config{Seed: 11, Rate: 0.25},
-			Retry: core.RetryPolicy{
-				MaxAttempts:     2,
-				Backoff:         2 * time.Second,
-				VisitDeadline:   5 * time.Minute,
-				QuarantineAfter: 2,
-			},
-		})
+		entries = append(entries, digestEntry{"faults", label, measureForDigest(t, label, opts)})
+	}
+	checkDigestClasses(t, entries)
+}
+
+// TestDigestEquivalenceEmpty covers the degenerate encodings: no runs, and
+// one run without channels or flows. Each is its own class, and each
+// digest is the hash of the snapshot Save writes for the runs.
+func TestDigestEquivalenceEmpty(t *testing.T) {
+	entries := []digestEntry{
+		{"empty", "empty", &store.Dataset{}},
+		{"one-empty-run", "one-empty-run", &store.Dataset{Runs: []*store.RunData{{Name: store.AllRuns[0]}}}},
+	}
+	checkDigestClasses(t, entries)
+	for _, e := range entries {
+		var buf bytes.Buffer
+		if err := store.Save(&buf, e.ds, store.FormatSnapshot); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		d, err := e.ds.Digest()
 		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+			t.Fatal(err)
 		}
-		ds, err := study.ExecuteRuns()
-		if err != nil && !DegradedOnly(err) {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if ds == nil {
-			t.Fatalf("%s: no dataset", label)
-		}
-		d := digestBothWays(t, ds, label)
-		if base == "" {
-			base = d
-		} else if d != base {
-			t.Fatalf("%s: digest %s != j=1 digest %s", label, d, base)
+		if want := hex.EncodeToString(sum[:]); d != want {
+			t.Errorf("%s: digest %s, sha256 of the snapshot %s", e.label, d, want)
 		}
 	}
 }
 
-// TestDigestEquivalenceEmpty covers the degenerate encodings (no runs,
-// telemetry-only) where the hand-written punctuation is most likely to
-// drift from encoding/json's.
-func TestDigestEquivalenceEmpty(t *testing.T) {
-	digestBothWays(t, &store.Dataset{}, "empty")
-	digestBothWays(t, &store.Dataset{Runs: []*store.RunData{{Name: store.AllRuns[0]}}}, "one-empty-run")
+// TestDigestTransition covers the identities the equivalence tests do not:
+// a 2-way fleet, each collector on a fresh study, merges to the
+// single-process campaign with the same shard count, and a dataset saved
+// as gzip-JSON, loaded, saved as a snapshot and loaded again keeps its
+// identity.
+func TestDigestTransition(t *testing.T) {
+	fleet := digestOptions(321, 2)
+	fleet.Shards = 2
+	entries := []digestEntry{{"fleet", "fleet/single", measureForDigest(t, "fleet/single", fleet)}}
+	var shards []*store.Dataset
+	for i := 0; i < 2; i++ {
+		study, err := NewStudyChecked(fleet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := study.ExecuteShard(i, 2)
+		if err != nil {
+			t.Fatalf("shard %d/2: %v", i, err)
+		}
+		shards = append(shards, ds)
+	}
+	merged, err := Merge(shards...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries = append(entries, digestEntry{"fleet", "fleet/merged", merged})
+
+	reloaded := measureForDigest(t, "seed=1/j=1", digestOptions(1, 1))
+	entries = append(entries, digestEntry{"seed=1", "seed=1/j=1", reloaded})
+	for _, format := range []store.Format{store.FormatJSON, store.FormatSnapshot} {
+		var buf bytes.Buffer
+		if err := store.Save(&buf, reloaded, format); err != nil {
+			t.Fatal(err)
+		}
+		if reloaded, err = store.Load(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries = append(entries, digestEntry{"seed=1", "seed=1/json→snapshot", reloaded})
+	checkDigestClasses(t, entries)
 }

@@ -42,7 +42,7 @@ func ExampleStudy_Run() {
 	}
 	defer os.Remove(f.Name())
 	ds := &store.Dataset{Runs: []*store.RunData{red}}
-	if err := ds.Save(f); err != nil {
+	if err := store.Save(f, ds, store.FormatJSON); err != nil {
 		panic(err)
 	}
 	_ = f.Close()

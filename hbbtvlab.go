@@ -377,7 +377,7 @@ func (s *Study) campaign(ctx context.Context, specs []core.RunSpec, shards, flee
 
 // attachTelemetry embeds the engine's final telemetry snapshot and span
 // trace in the dataset (a no-op when telemetry is disabled). Both ride
-// along in Dataset.Save but are excluded from Dataset.Digest.
+// along in store.Save but are excluded from Dataset.Digest.
 func (s *Study) attachTelemetry(ds *store.Dataset) {
 	if ds != nil && s.opts.Telemetry != nil {
 		ds.Telemetry = s.opts.Telemetry.Snapshot()

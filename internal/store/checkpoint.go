@@ -1,13 +1,10 @@
 package store
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 
-	"github.com/hbbtvlab/hbbtvlab/internal/appmodel"
-	"github.com/hbbtvlab/hbbtvlab/internal/intern"
 	"github.com/hbbtvlab/hbbtvlab/internal/webos"
 )
 
@@ -24,12 +21,13 @@ import (
 // engine is deterministic, replaying the cell data and restoring the cell
 // state is indistinguishable from having measured the prefix.
 //
-// On disk a checkpoint is an ordinary snapshot container (same magic,
-// version, and section framing as snapshot.go): a secCheckpoint section
-// holding the JSON metadata — study params fingerprint, topology, channel
-// order, and the per-cell states — followed by one secRun section per
-// cell carrying its RunData through the exact encoder the dataset
-// snapshot uses. Readers that don't know the checkpoint tag skip it, so
+// On disk a checkpoint is an ordinary snapshot container, written and read
+// by the same writeContainer and readContainer as a dataset snapshot
+// (snapshot.go). Its lead section is secCheckpoint, holding the JSON
+// metadata — study params fingerprint, topology, channel order, and the
+// per-cell states — and one secRun section per cell carries its RunData.
+// The metadata must stay the first section: it puts the identity block at
+// a fixed offset. The dataset loader ignores the checkpoint tag, so
 // store.Load opens a checkpoint file as a plain dataset of its cell runs.
 //
 // The sidecar journal (journal.go) appends one single-cell checkpoint
@@ -178,55 +176,14 @@ func (cp *Checkpoint) checkCell(c *CheckpointCell) error {
 // per cell in cell order. The output is deterministic for a given
 // checkpoint.
 func WriteCheckpoint(w io.Writer, cp *Checkpoint) error {
-	for _, c := range cp.Cells {
+	runs := make([]*RunData, len(cp.Cells))
+	for i, c := range cp.Cells {
 		if c.Data == nil {
 			return fmt.Errorf("store: checkpoint: cell (shard %d, run %s) has no data", c.Shard, c.Run)
 		}
+		runs[i] = c.Data
 	}
-
-	tab := intern.NewStrings(1024)
-	tab.Intern("") // ID 0 is the empty string
-	blobs := newBlobTable()
-	scratch := flowSnapScratch{reqTab: newHeaderTable(), respTab: newHeaderTable()}
-	runSecs := make([][]byte, 0, len(cp.Cells))
-	for _, c := range cp.Cells {
-		sec, err := encodeRunSnapshot(c.Data, tab, blobs, &scratch)
-		if err != nil {
-			return err
-		}
-		runSecs = append(runSecs, sec)
-	}
-
-	meta, err := json.Marshal(cp)
-	if err != nil {
-		return fmt.Errorf("store: checkpoint: marshal metadata: %w", err)
-	}
-
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeSnapshotHeader(bw); err != nil {
-		return err
-	}
-	if err := writeSection(bw, secCheckpoint, meta); err != nil {
-		return err
-	}
-	if err := writeSnapshotTables(bw, tab, blobs, &scratch); err != nil {
-		return err
-	}
-	for _, sec := range runSecs {
-		if err := writeSection(bw, secRun, sec); err != nil {
-			return err
-		}
-	}
-	// End marker, same contract as the dataset snapshot: it lets both the
-	// checkpoint reader and the plain dataset loader detect a file cut at
-	// a section boundary.
-	if err := writeSection(bw, secEnd, nil); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
-	}
-	return nil
+	return writeContainer(w, []jsonSection{{secCheckpoint, cp}}, runs, nil)
 }
 
 // ReadCheckpoint reads a checkpoint container written by WriteCheckpoint,
@@ -244,81 +201,25 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // decodeCheckpoint decodes a checkpoint container from memory (the
 // journal reader calls this once per frame).
 func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
-	if len(raw) < len(snapshotMagic)+1 || string(raw[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("store: checkpoint: bad magic")
+	runs, other, err := readContainer(raw, nil)
+	if err != nil {
+		return nil, err
 	}
-	if ver := raw[len(snapshotMagic)]; ver != snapshotVer {
-		return nil, fmt.Errorf("store: checkpoint: unsupported snapshot version %d", ver)
-	}
-	sr := &snapReader{b: raw, off: len(snapshotMagic) + 1}
-
-	dec := &snapDecoder{overlays: make(map[uint64]*appmodel.OverlaySpec, 16)}
-	var cp *Checkpoint
-	var runs []*RunData
-	sawEnd := false
-	for sr.err == nil && sr.off < len(sr.b) {
-		tag := sr.byte()
-		payload := sr.bytes()
-		if sr.err != nil {
-			break
-		}
-		ps := &snapReader{b: payload}
-		switch tag {
-		case secCheckpoint:
-			cp = &Checkpoint{}
-			if err := json.Unmarshal(payload, cp); err != nil {
-				return nil, fmt.Errorf("store: checkpoint: metadata: %w", err)
-			}
-		case secStrings:
-			n := ps.uvarint()
-			if n > uint64(len(payload)) {
-				return nil, fmt.Errorf("store: snapshot: implausible string count %d", n)
-			}
-			dec.strs = make([]string, 0, n)
-			for i := uint64(0); i < n && ps.err == nil; i++ {
-				dec.strs = append(dec.strs, string(ps.bytes()))
-			}
-		case secBlobs:
-			n := ps.uvarint()
-			if n > uint64(len(payload)) {
-				return nil, fmt.Errorf("store: snapshot: implausible blob count %d", n)
-			}
-			dec.blobs = make([][]byte, 0, n)
-			for i := uint64(0); i < n && ps.err == nil; i++ {
-				dec.blobs = append(dec.blobs, ps.bytes())
-			}
-		case secReqHdrs:
-			dec.reqList = dec.decodeHeaderTable(ps, false)
-		case secRespHdrs:
-			dec.respList = dec.decodeHeaderTable(ps, true)
-		case secRun:
-			run, err := dec.decodeRun(ps)
-			if err != nil {
-				return nil, err
-			}
-			runs = append(runs, run)
-		case secEnd:
-			sawEnd = true
-		default:
-			// Unknown section from a newer writer: skip.
-		}
-		if ps.err != nil {
-			return nil, ps.err
-		}
-	}
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	if cp == nil {
+	meta, ok := other[secCheckpoint]
+	if !ok {
 		return nil, fmt.Errorf("store: checkpoint: no checkpoint section (not a checkpoint file?)")
 	}
-	if !sawEnd {
-		return nil, fmt.Errorf("store: checkpoint: truncated: missing end-of-snapshot marker")
+	cp := &Checkpoint{}
+	if err := json.Unmarshal(meta, cp); err != nil {
+		return nil, fmt.Errorf("store: checkpoint: metadata: %w", err)
 	}
 	if len(runs) != len(cp.Cells) {
 		return nil, fmt.Errorf("store: checkpoint: truncated: metadata promises %d cells, found %d run sections", len(cp.Cells), len(runs))
 	}
 	for i, c := range cp.Cells {
+		if c == nil {
+			return nil, fmt.Errorf("store: checkpoint: metadata: cell %d is null", i)
+		}
 		c.Data = runs[i]
 		if err := cp.checkCell(c); err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -212,6 +213,19 @@ func TestCheckpointCorruptedMetadata(t *testing.T) {
 		t.Fatal("corrupted metadata accepted")
 	} else if !strings.Contains(err.Error(), "metadata") {
 		t.Fatalf("error %q does not name the metadata section", err)
+	}
+}
+
+// TestCheckpointNullCellRejected: a null entry in the metadata's cell list
+// is reported as a metadata error instead of crashing the reader.
+func TestCheckpointNullCellRejected(t *testing.T) {
+	var buf bytes.Buffer
+	meta := jsonSection{secCheckpoint, json.RawMessage(`{"cells":[null]}`)}
+	if err := writeContainer(&buf, []jsonSection{meta}, sampleDataset().Runs[:1], nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadCheckpoint(&buf); err == nil || !strings.Contains(err.Error(), "metadata") {
+		t.Fatalf("err = %v, want a metadata error", err)
 	}
 }
 

@@ -71,8 +71,8 @@ type Columns struct {
 	// PartyOfHost maps HostID -> PartyID (eTLD+1 computed once per host).
 	PartyOfHost []int32
 	// URLKind maps URLID -> the URL-determined classifier bits (filter
-	// list hits), evaluated once per distinct URL. Nil when the index was
-	// built with a legacy whole-flow classifier.
+	// list hits), evaluated once per distinct URL. Nil when the config has
+	// no ClassifyURL.
 	URLKind []FlowKind
 }
 
@@ -229,8 +229,6 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 	}
 	stats := &BuildStats{Rows: rows, Chunks: nChunks, Workers: workers}
 
-	legacy := cfg.Classify != nil && cfg.ClassifyURL == nil && cfg.ClassifyFlow == nil
-
 	// Phase 1: parallel chunk scan. Chunk-local string tables; per-row
 	// typed fields land directly in the global columns (disjoint ranges).
 	locals := make([]chunkLocal, nChunks)
@@ -257,9 +255,7 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 			}
 			c.TimeNS[i] = f.Time.UnixNano()
 			c.HTTPS[i] = f.HTTPS
-			if legacy {
-				c.Kind[i] = cfg.Classify(f, url)
-			} else if cfg.ClassifyFlow != nil {
+			if cfg.ClassifyFlow != nil {
 				c.Kind[i] = cfg.ClassifyFlow(f)
 			}
 			if cs := f.SetCookies(); len(cs) > 0 {
@@ -306,7 +302,7 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 
 	// URL-determined classifier bits once per distinct URL (parallel over
 	// the URL table; each ID computed exactly once into its own slot).
-	if !legacy && cfg.ClassifyURL != nil {
+	if cfg.ClassifyURL != nil {
 		c.URLKind = make([]FlowKind, c.URLs.Len())
 		urls := c.URLs.All()
 		const urlChunk = 64

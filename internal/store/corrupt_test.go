@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"strings"
@@ -117,5 +118,26 @@ func TestJSONTruncatedFailsWrapped(t *testing.T) {
 		if !strings.Contains(err.Error(), "store:") {
 			t.Fatalf("gzip-JSON truncation at %d: error %q lacks store context", cut, err)
 		}
+	}
+}
+
+// TestSnapshotImplausibleHeaderCount: a header block claiming more entries
+// than it has bytes fails before anything is sized from the claim.
+func TestSnapshotImplausibleHeaderCount(t *testing.T) {
+	var block, table snapWriter
+	block.uvarint(1 << 40)
+	table.uvarint(1)
+	table.bytes(block.buf)
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	bw.WriteString(snapshotMagic)
+	bw.WriteByte(snapshotVer)
+	writeSection(bw, secReqHdrs, table.buf)
+	writeSection(bw, secEnd, nil)
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "implausible count") {
+		t.Fatalf("err = %v, want an implausible-count error", err)
 	}
 }

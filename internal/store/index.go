@@ -57,13 +57,11 @@ func (k FlowKind) Tracking() bool { return k&flowTrackingMask != 0 }
 // package cycle: the tracking package (which imports store) supplies the
 // classification as closures.
 //
-// The classifier comes in two shapes. The split form — ClassifyURL for
-// bits that are a pure function of the URL string (filter-list matches)
-// plus ClassifyFlow for bits that need the full flow (response-size and
-// body heuristics) — lets the columnar build evaluate the URL part once
-// per distinct URL, which is where nearly all indexing time went. The
-// legacy whole-flow Classify form is still honored (evaluated once per
-// flow) when neither split field is set.
+// The classifier is split: ClassifyURL for bits that are a pure function
+// of the URL string (filter-list matches) plus ClassifyFlow for bits that
+// need the full flow (response-size and body heuristics). The split lets
+// the columnar build evaluate the URL part once per distinct URL, which is
+// where nearly all indexing time went.
 type IndexConfig struct {
 	// ClassifyURL returns the kind bits determined by the URL alone.
 	// Evaluated once per distinct URL; must be safe for concurrent use.
@@ -72,10 +70,6 @@ type IndexConfig struct {
 	// (status, response size, body). Evaluated once per flow; must be
 	// safe for concurrent use.
 	ClassifyFlow func(f *proxy.Flow) FlowKind
-	// Classify is the legacy whole-flow classifier: url is the flow's
-	// pre-rendered URL string. Used only when both split fields are nil;
-	// nil classifies every flow as 0. Must be safe for concurrent use.
-	Classify func(f *proxy.Flow, url string) FlowKind
 	// KnownTrackerMask excludes flows from first-party candidacy: a flow
 	// whose kind intersects the mask is skipped by the Section V-A
 	// first-party rule (the filter-list correction for trackers encoded

@@ -34,9 +34,8 @@ type flowMeta struct {
 // BuildIndexReference builds an Index with the pre-columnar row-oriented
 // pipeline. The returned index answers every accessor and holds every
 // exported aggregate exactly as BuildIndex does — the differential suite
-// asserts deep equality between the two. Configs using the split
-// ClassifyURL/ClassifyFlow classifiers are evaluated per flow here (the
-// reference has no memoization).
+// asserts deep equality between the two. Both classifiers are evaluated
+// per flow here (the reference has no memoization).
 func BuildIndexReference(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Index, error) {
 	var flows []*proxy.Flow
 	for _, r := range ds.Runs {
@@ -44,22 +43,17 @@ func BuildIndexReference(ctx context.Context, ds *Dataset, cfg IndexConfig) (*In
 	}
 	meta := make([]flowMeta, len(flows))
 
-	legacy := cfg.Classify != nil && cfg.ClassifyURL == nil && cfg.ClassifyFlow == nil
 	classify := func(i int) {
 		f := flows[i]
 		m := &meta[i]
 		m.url = f.URL.String()
 		m.host = f.Host()
 		m.party = etld.MustRegistrableDomain(m.host)
-		if legacy {
-			m.kind = cfg.Classify(f, m.url)
-		} else {
-			if cfg.ClassifyFlow != nil {
-				m.kind = cfg.ClassifyFlow(f)
-			}
-			if cfg.ClassifyURL != nil {
-				m.kind |= cfg.ClassifyURL(m.url)
-			}
+		if cfg.ClassifyFlow != nil {
+			m.kind = cfg.ClassifyFlow(f)
+		}
+		if cfg.ClassifyURL != nil {
+			m.kind |= cfg.ClassifyURL(m.url)
 		}
 		m.cookies = f.SetCookies()
 	}

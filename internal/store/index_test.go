@@ -39,7 +39,7 @@ func indexDataset() *Dataset {
 // request (Pi-hole bit) and as a known tracker for first-party candidacy.
 func testIndexConfig(parallelism int) IndexConfig {
 	return IndexConfig{
-		Classify: func(f *proxy.Flow, url string) FlowKind {
+		ClassifyURL: func(url string) FlowKind {
 			if strings.Contains(url, "tracker.example") {
 				return FlowOnPiHole
 			}

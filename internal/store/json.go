@@ -3,8 +3,6 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,19 +18,20 @@ import (
 	"github.com/hbbtvlab/hbbtvlab/internal/webos"
 )
 
-// This file implements full dataset persistence, so that data collection
-// (cmd/hbbtv-measure) and analysis (cmd/hbbtv-analyze) can run as separate
-// processes — the study's collection machine pushed to BigQuery and the
-// analyses ran later. The format is gzip-compressed JSON with flows
-// flattened into a portable schema.
+// This file holds the dataset's format-agnostic entry points (Save, Load)
+// and the gzip-JSON format, so that data collection (cmd/hbbtv-measure)
+// and analysis (cmd/hbbtv-analyze) can run as separate processes — the
+// study's collection machine pushed to BigQuery and the analyses ran
+// later. Gzip-JSON flattens flows into a portable, self-explaining schema;
+// it is an export format, and the dataset's identity (Dataset.Digest) is
+// defined over the binary snapshot instead (snapshot.go).
 //
-// Encoding is incremental: instead of materializing the whole dataset as a
-// []flowJSON mirror and marshaling it in one shot, Save and Digest stream
-// flow records one at a time into the writer/hash. The emitted bytes are
-// identical — encoding/json produces element-wise output for slices, so
-// writing "[", the marshaled elements joined by ",", and "]" reproduces the
-// one-shot encoding exactly. DigestReference keeps the materializing path
-// alive as the oracle the differential tests compare against.
+// Encoding is incremental: Save streams flow records one at a time into
+// the writer instead of materializing a []flowJSON mirror. The bytes are
+// what encoding/json emits for the datasetJSON mirror — it produces
+// element-wise output for slices, so writing "[", the marshaled elements
+// joined by ",", and "]" reproduces the one-shot encoding exactly — which
+// keeps files written by earlier versions loadable and unchanged.
 
 // datasetJSON is the serialized form of a Dataset.
 type datasetJSON struct {
@@ -160,9 +159,8 @@ func ParseFormat(s string) (Format, error) {
 }
 
 // Save writes the dataset to w in the chosen format, including the
-// telemetry snapshot and shard manifest when attached. It replaces the
-// old Save-method/SaveSnapshot-method pair with one symmetric entry
-// point; Load sniffs the format back.
+// telemetry snapshot, shard manifest and span trace when attached; Load
+// sniffs the format back.
 func Save(w io.Writer, d *Dataset, f Format) error {
 	switch f {
 	case FormatJSON:
@@ -173,57 +171,13 @@ func Save(w io.Writer, d *Dataset, f Format) error {
 	return fmt.Errorf("store: save: unknown format %v", f)
 }
 
-// Save writes the dataset as gzip-compressed JSON.
-//
-// Deprecated: call Save(w, d, FormatJSON); this method remains as a thin
-// wrapper for older call sites.
-func (d *Dataset) Save(w io.Writer) error { return d.saveJSON(w) }
-
-// saveJSON writes the dataset as gzip-compressed JSON, including the
-// telemetry snapshot and shard manifest when attached.
+// saveJSON writes the dataset as gzip-compressed JSON.
 func (d *Dataset) saveJSON(w io.Writer) error {
 	gz := gzip.NewWriter(w)
-	if err := d.encodeStream(gz, true); err != nil {
+	if err := d.encodeStream(gz); err != nil {
 		return err
 	}
 	return gz.Close()
-}
-
-// Digest returns a hex SHA-256 over the dataset's canonical JSON encoding
-// of the measurement data (runs, flows, cookies, storage, screenshots,
-// logs). Two datasets with equal digests are measurement-identical and
-// therefore analysis-identical; the parallel measurement engine uses this
-// to prove that sharded execution matches for every worker count.
-//
-// The digest is computed incrementally: flow records are folded into the
-// hash one at a time, in the canonical (shard-merged) flow order, without
-// ever materializing the dataset's JSON mirror. DigestReference computes
-// the same value through the original one-shot encoding; the digest
-// equivalence tests hold the two paths equal.
-//
-// The telemetry snapshot is deliberately excluded: it is observability
-// metadata about the engine, not measurement data, so running with
-// telemetry on or off yields the same digest (proven by
-// TestTelemetryDigestInvariance).
-func (d *Dataset) Digest() (string, error) {
-	h := sha256.New()
-	if err := d.encodeStream(h, false); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// DigestReference computes Digest through the original materialize-then-
-// marshal encoding. It exists as the oracle for the incremental encoder:
-// TestDigestEquivalence proves Digest == DigestReference across seeds,
-// worker counts, and fault-degraded datasets. Production code should call
-// Digest.
-func (d *Dataset) DigestReference() (string, error) {
-	h := sha256.New()
-	if err := d.encodeJSON(h, false); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // streamEncoder writes canonical JSON incrementally, capturing the first
@@ -260,16 +214,13 @@ func (e *streamEncoder) val(v any) {
 	e.bytes(b)
 }
 
-// encodeStream writes the canonical (deterministic) JSON form of the
-// dataset incrementally; withTelemetry selects whether the telemetry
-// snapshot is included (Save) or stripped (Digest). The output is
-// byte-identical to encodeJSON's.
-func (d *Dataset) encodeStream(w io.Writer, withTelemetry bool) error {
+// encodeStream writes the dataset's JSON form incrementally, byte for byte
+// what encoding/json emits for the datasetJSON mirror.
+func (d *Dataset) encodeStream(w io.Writer) error {
 	e := &streamEncoder{w: w}
 	e.raw(`{"version":1,"runs":`)
 	if len(d.Runs) == 0 {
-		// encodeJSON builds the run slice with append, so no runs encode as
-		// JSON null, not [].
+		// The format has always encoded no runs as null, not [].
 		e.raw("null")
 	} else {
 		e.raw("[")
@@ -281,18 +232,15 @@ func (d *Dataset) encodeStream(w io.Writer, withTelemetry bool) error {
 		}
 		e.raw("]")
 	}
-	if withTelemetry && d.Telemetry != nil {
+	if d.Telemetry != nil {
 		e.raw(`,"telemetry":`)
 		e.val(d.Telemetry)
 	}
-	// The shard manifest rides with the telemetry snapshot: persisted by
-	// Save, stripped from the Digest (merged digests must equal the
-	// single-process run's).
-	if withTelemetry && d.Shard != nil {
+	if d.Shard != nil {
 		e.raw(`,"shard":`)
 		e.val(d.Shard)
 	}
-	if withTelemetry && d.Trace != nil {
+	if d.Trace != nil {
 		e.raw(`,"trace":`)
 		e.val(d.Trace)
 	}
@@ -309,8 +257,8 @@ func (e *streamEncoder) run(run *RunData) {
 	e.val(run.Name)
 	e.raw(`,"date":`)
 	e.val(run.Date)
-	// Channels passes through as-is in the reference encoding (nil stays
-	// nil, empty stays empty), so marshal the slice directly.
+	// Channels passes through as-is (nil stays null, empty stays []), so
+	// marshal the slice directly.
 	e.raw(`,"channels":`)
 	e.val(run.Channels)
 	e.raw(`,"flows":`)
@@ -337,8 +285,8 @@ func (e *streamEncoder) run(run *RunData) {
 	e.raw("}")
 }
 
-// listElems streams a JSON array element-wise. n == 0 emits null, matching
-// the reference encoder's append-built (hence nil) slices.
+// listElems streams a JSON array element-wise. n == 0 emits null, as the
+// format has always encoded empty lists.
 func listElems(e *streamEncoder, n int, elem func(i int) any) {
 	if n == 0 {
 		e.raw("null")
@@ -355,7 +303,7 @@ func listElems(e *streamEncoder, n int, elem func(i int) any) {
 }
 
 // screenshots streams the screenshot list, pre-marshaling overlays into
-// raw messages exactly like the reference encoder.
+// raw messages.
 func (e *streamEncoder) screenshots(shots []webos.Screenshot) {
 	if len(shots) == 0 {
 		e.raw("null")
@@ -395,9 +343,9 @@ const flowChunk = 256
 const flowFlushThreshold = 64 << 10
 
 // flows streams the flow list. Large lists are marshaled by GOMAXPROCS
-// workers in chunks and folded into the writer in order, so the digest
-// still sees the canonical byte sequence while the JSON encoding work — the
-// dominant cost — runs data-parallel.
+// workers in chunks and folded into the writer in order, so the output is
+// the canonical byte sequence while the JSON encoding work — the dominant
+// cost — runs data-parallel.
 func (e *streamEncoder) flows(flows []*proxy.Flow) {
 	if len(flows) == 0 {
 		e.raw("null")
@@ -491,9 +439,8 @@ func (e *streamEncoder) flowsParallel(flows []*proxy.Flow, workers int) {
 }
 
 // flowEncoder marshals flows one at a time, reusing its buffer, its
-// flowJSON scratch record, and the two flattened header maps across calls —
-// the per-flow map allocations the one-shot encoder paid are gone
-// (TestFlattenFlowAllocations pins this).
+// flowJSON scratch record, and the two flattened header maps across calls,
+// so no maps are allocated per flow (TestFlattenFlowAllocations pins this).
 type flowEncoder struct {
 	buf  bytes.Buffer
 	enc  *json.Encoder
@@ -535,7 +482,8 @@ func (fe *flowEncoder) append(f *proxy.Flow) error {
 	return nil
 }
 
-// flattenInto is flattenHeader reusing a caller-owned scratch map.
+// flattenInto flattens h into the caller-owned scratch map dst, joining
+// multi-valued entries with "\n"; an empty header flattens to nil.
 func flattenInto(dst map[string]string, h http.Header) map[string]string {
 	if len(h) == 0 {
 		return nil
@@ -549,93 +497,6 @@ func flattenInto(dst map[string]string, h http.Header) map[string]string {
 		dst[k] = strings.Join(vs, "\n")
 	}
 	return dst
-}
-
-// encodeJSON writes the canonical (deterministic) JSON form of the dataset
-// by materializing the full datasetJSON mirror and marshaling it in one
-// shot — the original encoder, retained as DigestReference's oracle.
-func (d *Dataset) encodeJSON(w io.Writer, withTelemetry bool) error {
-	enc := json.NewEncoder(w)
-	out := datasetJSON{Version: 1}
-	if withTelemetry {
-		out.Telemetry = d.Telemetry
-		out.Shard = d.Shard
-		out.Trace = d.Trace
-	}
-	for _, run := range d.Runs {
-		rj := runJSON{
-			Name: run.Name, Date: run.Date,
-			Channels:        run.Channels,
-			RecoveredPanics: run.RecoveredPanics,
-		}
-		for _, f := range run.Flows {
-			rj.Flows = append(rj.Flows, encodeFlow(f))
-		}
-		for _, c := range run.Cookies {
-			rj.Cookies = append(rj.Cookies, cookieJSON(c))
-		}
-		for _, s := range run.Storage {
-			rj.Storage = append(rj.Storage, storageJSON(s))
-		}
-		for _, s := range run.Screenshots {
-			sj := screenshotJSON{
-				Time: s.Time, Channel: s.Channel, ChannelID: s.ChannelID,
-				HasSignal: s.HasSignal, Show: s.Show,
-			}
-			if s.Overlay != nil {
-				raw, err := json.Marshal(s.Overlay)
-				if err != nil {
-					return fmt.Errorf("store: marshal overlay: %w", err)
-				}
-				ov := appmodelOverlayJSON(raw)
-				sj.Overlay = &ov
-			}
-			rj.Screenshots = append(rj.Screenshots, sj)
-		}
-		for _, l := range run.Logs {
-			rj.Logs = append(rj.Logs, logJSON{Time: l.Time, Kind: l.Kind, Detail: l.Detail})
-		}
-		for _, o := range run.Outcomes {
-			rj.Outcomes = append(rj.Outcomes, outcomeJSON(o))
-		}
-		out.Runs = append(out.Runs, rj)
-	}
-	if err := enc.Encode(&out); err != nil {
-		return fmt.Errorf("store: save: %w", err)
-	}
-	return nil
-}
-
-func encodeFlow(f *proxy.Flow) flowJSON {
-	fj := flowJSON{
-		ID: f.ID, Time: f.Time, Method: f.Method,
-		URL: f.URL.String(), HTTPS: f.HTTPS,
-		ReqBody: f.RequestBody,
-		Status:  f.StatusCode, RespSize: f.ResponseSize,
-		RespBody: f.ResponseBody,
-		Channel:  f.Channel, ChannelID: f.ChannelID,
-	}
-	fj.ReqHdr = flattenHeader(f.RequestHeaders)
-	fj.RespHdr = flattenHeader(f.ResponseHeaders)
-	// Set-Cookie is multi-valued and analysis-critical: keep every value.
-	fj.SetCookie = f.ResponseHeaders.Values("Set-Cookie")
-	delete(fj.RespHdr, "Set-Cookie")
-	return fj
-}
-
-func flattenHeader(h http.Header) map[string]string {
-	if len(h) == 0 {
-		return nil
-	}
-	out := make(map[string]string, len(h))
-	for k, vs := range h {
-		if len(vs) == 1 {
-			out[k] = vs[0]
-			continue
-		}
-		out[k] = strings.Join(vs, "\n")
-	}
-	return out
 }
 
 // expandHeader rebuilds a header map, interning names and values in tab so
@@ -683,7 +544,7 @@ func LoadDedup(r io.Reader, dd *Dedup) (*Dataset, error) {
 
 func loadDedup(r io.Reader, dd *Dedup) (*Dataset, error) {
 	// Seekable inputs (files, bytes.Reader) sniff without a buffering
-	// wrapper, so LoadSnapshot still sees the Seeker and can size its read
+	// wrapper, so loadSnapshot still sees the Seeker and can size its read
 	// exactly instead of growing a buffer through io.ReadAll.
 	if rs, ok := r.(io.ReadSeeker); ok {
 		var magic [2]byte

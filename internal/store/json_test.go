@@ -53,7 +53,7 @@ func persistedDataset() *Dataset {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	want := persistedDataset()
 	var buf bytes.Buffer
-	if err := want.Save(&buf); err != nil {
+	if err := Save(&buf, want, FormatJSON); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(&buf)

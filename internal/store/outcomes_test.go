@@ -30,7 +30,7 @@ func outcomeDataset() *Dataset {
 func TestOutcomeSaveLoadRoundTrip(t *testing.T) {
 	ds := outcomeDataset()
 	var buf bytes.Buffer
-	if err := ds.Save(&buf); err != nil {
+	if err := Save(&buf, ds, FormatJSON); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(&buf)
@@ -46,7 +46,7 @@ func TestOutcomeSaveLoadRoundTrip(t *testing.T) {
 	// Pre-outcome dataset: no outcomes in, none out.
 	plain := sampleDataset()
 	buf.Reset()
-	if err := plain.Save(&buf); err != nil {
+	if err := Save(&buf, plain, FormatJSON); err != nil {
 		t.Fatal(err)
 	}
 	reloaded, err := Load(&buf)

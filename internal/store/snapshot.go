@@ -2,14 +2,16 @@ package store
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,22 +21,29 @@ import (
 	"github.com/hbbtvlab/hbbtvlab/internal/dvb"
 	"github.com/hbbtvlab/hbbtvlab/internal/intern"
 	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
-	"github.com/hbbtvlab/hbbtvlab/internal/telemetry"
 	"github.com/hbbtvlab/hbbtvlab/internal/webos"
 )
 
-// This file implements the binary snapshot format — the fast on-disk twin
-// of the gzip-JSON format in json.go. Every string a dataset repeats (hosts,
-// header names and values, channel names, log details) is stored once in a
-// shared table, every body once in a deduplicated blob table, and records
-// reference them by dense integer ID. Loading a snapshot rebuilds the
-// dataset by table lookup instead of JSON decoding and URL re-parsing,
-// which is what makes paper-scale loads land at a fraction of the gzip-JSON
-// cost.
+// This file implements the binary snapshot format: the container the
+// engine persists in, and the bytes Dataset.Digest hashes. Every string a
+// dataset repeats (hosts, header names and values, channel names, log
+// details) is stored once in a shared table, every body once in a
+// deduplicated blob table, and records reference them by dense integer
+// ID. Loading a snapshot rebuilds the dataset by table lookup instead of
+// JSON decoding and URL re-parsing, which is what makes paper-scale loads
+// land at a fraction of the gzip-JSON cost.
+//
+// The container has one writer, writeContainer, and one reader,
+// readContainer. Dataset snapshots (saveSnapshot, loadSnapshot),
+// checkpoints (WriteCheckpoint, decodeCheckpoint in checkpoint.go) and
+// Digest are thin callers that differ only in the JSON sections they put
+// around the runs.
 //
 // Layout (all integers are varints, "uv" = unsigned, "v" = signed; strings
-// are uv IDs into the string table; times are a presence byte + v unix
-// nanoseconds, absent = the zero time):
+// are uv IDs into the string table; a time is a presence byte: 0 = the
+// zero time, 1 = v unix nanoseconds follow, 2 = v unix seconds and uv
+// nanoseconds follow, used only for times UnixNano cannot hold — before
+// 1678 or after 2262):
 //
 //	magic "HBTV", version byte
 //	sections, each: tag byte, uv payload length, payload
@@ -60,32 +69,35 @@ import (
 //	  tag 5  request-header table:  uv count, per block uv len + bytes
 //	  tag 6  response-header table: uv count, per block uv len + bytes
 //	  tag 7  shard manifest: ShardManifest as JSON (fleet shard datasets
-//	         only; written before every other section so fleet tooling can
-//	         read a shard's identity without decoding the data)
+//	         only)
 //	  tag 8  span trace:     telemetry.Trace as JSON
 //	  tag 9  checkpoint:     Checkpoint metadata as JSON (checkpoint files
-//	         only — see checkpoint.go; written first, one tag-3 run section
-//	         follows per cell; the dataset loader skips it)
+//	         only — see checkpoint.go; one tag-3 run section follows per
+//	         cell; the dataset loader ignores it)
 //	  tag 10 end marker:     empty payload, always the last section; its
 //	         absence tells the loader the file was cut at a section
 //	         boundary (mid-section cuts fail the section framing itself)
 //
-// Flow records are framed in length-prefixed chunks so the loader can
-// decode chunks concurrently — records themselves are variable-length, and
-// without the frame a reader could not split the stream without scanning
-// every varint serially.
+// Section order: the lead JSON section (a shard manifest or checkpoint
+// metadata, so tooling reads a file's identity from its first section),
+// the tables 1, 2, 5 and 6, the runs, the trailing JSON sections
+// (telemetry, then trace), the end marker. Flow records are framed in
+// length-prefixed chunks so the loader can decode chunks concurrently —
+// records themselves are variable-length, and without the frame a reader
+// could not split the stream without scanning every varint serially.
 //
 // Unknown tags are skipped on read — the length prefix makes every section
 // self-delimiting, so the format can grow without breaking old readers.
-// Both tables are written before the first run section; string and blob
-// IDs are first-occurrence dense indices, so a snapshot of a given dataset
-// is byte-deterministic.
+// String and blob IDs are first-occurrence dense indices, so a snapshot of
+// a given dataset is byte-deterministic.
 //
 // Flow record:
 //
-//	flags byte: bit0 HTTPS, bit1 URL stored decomposed, bit2 time non-zero
+//	flags byte: bit0 HTTPS, bit1 URL stored decomposed, bit2 time non-zero,
+//	            bit3 time outside UnixNano's range
 //	v  id
-//	v  time (unix nanoseconds; only when flags bit2)
+//	time (only when flags bit2): v unix nanoseconds, or with bit3 v unix
+//	     seconds and uv nanoseconds
 //	uv method string ID
 //	URL: decomposed (uv scheme, host, path, rawquery IDs) when bit1,
 //	     else uv full-URL string ID
@@ -106,8 +118,8 @@ import (
 // reconstruction into one index lookup at load time. A flow's URL is
 // stored decomposed only when reassembling scheme://host/path?query is
 // provably identical to re-parsing the URL's string form — so a snapshot
-// load is indistinguishable from a JSON load, field for field. The digest
-// equivalence of the two formats is enforced by TestSnapshotRoundTrip.
+// load is indistinguishable from a JSON load, field for field, which
+// TestSnapshotRoundTrip enforces.
 
 const (
 	snapshotMagic0 = 'H'
@@ -129,6 +141,9 @@ const (
 	flowFlagHTTPS   = 1 << 0
 	flowFlagFastURL = 1 << 1
 	flowFlagHasTime = 1 << 2
+	// flowFlagWideTime marks a time outside UnixNano's range, stored in
+	// snapWriter.wideTime's form.
+	flowFlagWideTime = 1 << 3
 
 	// snapFlowChunk is how many flow records one length-prefixed chunk
 	// holds — the unit of parallel decoding.
@@ -286,23 +301,28 @@ func (t *headerTable) ref(block []byte) uint64 {
 	return id
 }
 
-// SaveSnapshot writes the dataset in the binary snapshot format.
-//
-// Deprecated: call Save(w, d, FormatSnapshot); this method remains as a
-// thin wrapper for older call sites.
-func (d *Dataset) SaveSnapshot(w io.Writer) error { return d.saveSnapshot(w) }
+// jsonSection is a container section whose payload is a JSON value the
+// container codec carries without interpreting it: the shard manifest,
+// the telemetry snapshot, the span trace, or checkpoint metadata.
+type jsonSection struct {
+	tag byte
+	v   any
+}
 
-// saveSnapshot writes the dataset in the binary snapshot format. The output
-// is deterministic: saving the same dataset twice yields identical bytes.
-func (d *Dataset) saveSnapshot(w io.Writer) error {
+// writeContainer is the one snapshot writer. It emits magic and version,
+// the lead sections, the string, blob and header tables, one run section
+// per run, the trailing sections, and the end marker. The bytes are a
+// deterministic function of its arguments. Dataset snapshots, checkpoints
+// and Digest all go through it.
+func writeContainer(w io.Writer, lead []jsonSection, runs []*RunData, trail []jsonSection) error {
 	tab := intern.NewStrings(1024)
 	tab.Intern("") // ID 0 is the empty string
 	blobs := newBlobTable()
-
-	// Pass 1: encode run sections into memory, building the tables.
-	runSecs := make([][]byte, 0, len(d.Runs))
 	scratch := flowSnapScratch{reqTab: newHeaderTable(), respTab: newHeaderTable()}
-	for _, run := range d.Runs {
+	// The run sections fill the tables, which precede them in the file, so
+	// they are encoded into memory first.
+	runSecs := make([][]byte, 0, len(runs))
+	for _, run := range runs {
 		sec, err := encodeRunSnapshot(run, tab, blobs, &scratch)
 		if err != nil {
 			return err
@@ -310,137 +330,104 @@ func (d *Dataset) saveSnapshot(w io.Writer) error {
 		runSecs = append(runSecs, sec)
 	}
 
-	// Pass 2: emit header, tables, runs, telemetry.
+	// A bufio.Writer keeps its first write error and returns it from every
+	// later call, so only the marshals and the final Flush are checked.
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeSnapshotHeader(bw); err != nil {
+	bw.WriteString(snapshotMagic)
+	bw.WriteByte(snapshotVer)
+	if err := writeJSONSections(bw, lead); err != nil {
 		return err
 	}
-
-	// The shard manifest leads so fleet tooling can identify a shard file
-	// from its first section; readers predating the fleet layer skip the
-	// unknown tag.
-	if d.Shard != nil {
-		raw, err := json.Marshal(d.Shard)
-		if err != nil {
-			return fmt.Errorf("store: snapshot: marshal shard manifest: %w", err)
-		}
-		if err := writeSection(bw, secShard, raw); err != nil {
-			return err
-		}
-	}
-
-	if err := writeSnapshotTables(bw, tab, blobs, &scratch); err != nil {
-		return err
-	}
-
+	var sw snapWriter
+	writeTable(bw, &sw, secStrings, tab.All())
+	writeTable(bw, &sw, secBlobs, blobs.blobs)
+	writeTable(bw, &sw, secReqHdrs, scratch.reqTab.blocks)
+	writeTable(bw, &sw, secRespHdrs, scratch.respTab.blocks)
 	for _, sec := range runSecs {
-		if err := writeSection(bw, secRun, sec); err != nil {
-			return err
-		}
+		writeSection(bw, secRun, sec)
 	}
-
-	if d.Telemetry != nil {
-		raw, err := json.Marshal(d.Telemetry)
-		if err != nil {
-			return fmt.Errorf("store: snapshot: marshal telemetry: %w", err)
-		}
-		if err := writeSection(bw, secTelemetry, raw); err != nil {
-			return err
-		}
-	}
-	if d.Trace != nil {
-		raw, err := json.Marshal(d.Trace)
-		if err != nil {
-			return fmt.Errorf("store: snapshot: marshal trace: %w", err)
-		}
-		if err := writeSection(bw, secTrace, raw); err != nil {
-			return err
-		}
+	if err := writeJSONSections(bw, trail); err != nil {
+		return err
 	}
 	// The end marker makes truncation at a section boundary detectable —
 	// without it a file cut between sections loads "cleanly" with runs
 	// silently missing.
-	if err := writeSection(bw, secEnd, nil); err != nil {
-		return err
-	}
+	writeSection(bw, secEnd, nil)
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
 	return nil
 }
 
-// writeSnapshotHeader emits the container preamble: magic and version.
-func writeSnapshotHeader(bw *bufio.Writer) error {
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
-	}
-	if err := bw.WriteByte(snapshotVer); err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
-	}
-	return nil
-}
-
-// writeSnapshotTables emits the shared string, blob, and header tables,
-// which every run section written after them references by dense ID. The
-// checkpoint writer shares this path with saveSnapshot, so checkpoint
-// files are ordinary snapshot containers.
-func writeSnapshotTables(bw *bufio.Writer, tab *intern.Strings, blobs *blobTable, scratch *flowSnapScratch) error {
-	var sw snapWriter
-	sw.uvarint(uint64(tab.Len()))
-	for _, s := range tab.All() {
-		sw.uvarint(uint64(len(s)))
-		sw.buf = append(sw.buf, s...)
-	}
-	if err := writeSection(bw, secStrings, sw.buf); err != nil {
-		return err
-	}
-
+// writeTable writes a table section: uv count, then per entry uv length
+// and bytes.
+func writeTable[T string | []byte](bw *bufio.Writer, sw *snapWriter, tag byte, entries []T) {
 	sw.buf = sw.buf[:0]
-	sw.uvarint(uint64(len(blobs.blobs)))
-	for _, b := range blobs.blobs {
-		sw.bytes(b)
+	sw.uvarint(uint64(len(entries)))
+	for _, e := range entries {
+		sw.uvarint(uint64(len(e)))
+		sw.buf = append(sw.buf, e...)
 	}
-	if err := writeSection(bw, secBlobs, sw.buf); err != nil {
-		return err
-	}
+	writeSection(bw, tag, sw.buf)
+}
 
-	for _, ht := range []struct {
-		tag byte
-		tab *headerTable
-	}{{secReqHdrs, scratch.reqTab}, {secRespHdrs, scratch.respTab}} {
-		sw.buf = sw.buf[:0]
-		sw.uvarint(uint64(len(ht.tab.blocks)))
-		for _, b := range ht.tab.blocks {
-			sw.uvarint(uint64(len(b)))
-			sw.buf = append(sw.buf, b...)
+// writeJSONSections marshals each section and writes it, in order.
+func writeJSONSections(bw *bufio.Writer, secs []jsonSection) error {
+	for _, s := range secs {
+		raw, err := json.Marshal(s.v)
+		if err != nil {
+			return fmt.Errorf("store: snapshot: marshal section %d: %w", s.tag, err)
 		}
-		if err := writeSection(bw, ht.tag, sw.buf); err != nil {
-			return err
-		}
+		writeSection(bw, s.tag, raw)
 	}
 	return nil
 }
 
-func writeSection(w *bufio.Writer, tag byte, payload []byte) error {
-	if err := w.WriteByte(tag); err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
-	}
+func writeSection(bw *bufio.Writer, tag byte, payload []byte) {
+	bw.WriteByte(tag)
 	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
+	bw.Write(hdr[:binary.PutUvarint(hdr[:], uint64(len(payload)))])
+	bw.Write(payload)
+}
+
+// saveSnapshot writes the dataset in the binary snapshot format. The shard
+// manifest leads so fleet tooling can identify a shard file from its first
+// section; telemetry and the span trace trail the runs.
+func (d *Dataset) saveSnapshot(w io.Writer) error {
+	var lead, trail []jsonSection
+	if d.Shard != nil {
+		lead = append(lead, jsonSection{secShard, d.Shard})
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("store: snapshot: %w", err)
+	if d.Telemetry != nil {
+		trail = append(trail, jsonSection{secTelemetry, d.Telemetry})
 	}
-	return nil
+	if d.Trace != nil {
+		trail = append(trail, jsonSection{secTrace, d.Trace})
+	}
+	return writeContainer(w, lead, d.Runs, trail)
+}
+
+// Digest returns the dataset's identity: the hex SHA-256 of the snapshot
+// container holding its runs and nothing else, byte for byte what
+// Save(w, &Dataset{Runs: d.Runs}, FormatSnapshot) writes. Two datasets
+// with equal digests are measurement-identical and therefore
+// analysis-identical; every worker-count, fleet, fault and kill/resume
+// parity proof compares digests.
+//
+// Telemetry, Shard and Trace are left out: they describe the engine, the
+// fleet partition and where virtual time went, not the measurement, so
+// enabling observability or merging a fleet never changes the digest.
+func (d *Dataset) Digest() (string, error) {
+	h := sha256.New()
+	if err := writeContainer(h, nil, d.Runs, nil); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // flowSnapScratch is the per-save reusable state for flow encoding.
 type flowSnapScratch struct {
-	req     map[string]string
-	resp    map[string]string
-	keys    []string
+	fields  []headerField
 	hw      snapWriter
 	reqTab  *headerTable
 	respTab *headerTable
@@ -451,25 +438,37 @@ func (w *snapWriter) str(tab *intern.Strings, s string) {
 	w.uvarint(uint64(tab.Intern(s)))
 }
 
-// time writes a presence byte and, for non-zero times, the unix
-// nanoseconds. The zero time has no representable UnixNano (year 1
-// overflows int64), hence the sentinel.
+// time writes a presence byte and the time: 0 for the zero time, 1 and
+// the unix nanoseconds when UnixNano holds the time exactly, else 2 and
+// the wide form (a far-future cookie expiry, say).
 func (w *snapWriter) time(t time.Time) {
-	if t.IsZero() {
+	switch {
+	case t.IsZero():
 		w.byte(0)
-		return
+	case fitsUnixNano(t):
+		w.byte(1)
+		w.varint(t.UnixNano())
+	default:
+		w.byte(2)
+		w.wideTime(t)
 	}
-	w.byte(1)
-	w.varint(t.UnixNano())
+}
+
+// wideTime writes v unix seconds and uv nanoseconds within the second.
+func (w *snapWriter) wideTime(t time.Time) {
+	w.varint(t.Unix())
+	w.uvarint(uint64(t.Nanosecond()))
+}
+
+// fitsUnixNano reports whether t.UnixNano is exact, which holds from 1678
+// through 2262; outside that range it overflows int64.
+func fitsUnixNano(t time.Time) bool {
+	return time.Unix(0, t.UnixNano()).Equal(t)
 }
 
 // encodeRunSnapshot encodes one run section: binary metadata over the
 // string table, then the binary flow records.
 func encodeRunSnapshot(run *RunData, tab *intern.Strings, blobs *blobTable, scratch *flowSnapScratch) ([]byte, error) {
-	if scratch.req == nil {
-		scratch.req = make(map[string]string, 8)
-		scratch.resp = make(map[string]string, 8)
-	}
 	var w snapWriter
 	w.str(tab, string(run.Name))
 	w.time(run.Date)
@@ -571,13 +570,17 @@ func encodeRunSnapshot(run *RunData, tab *intern.Strings, blobs *blobTable, scra
 }
 
 func encodeFlowSnapshot(w *snapWriter, f *proxy.Flow, tab *intern.Strings, blobs *blobTable, scratch *flowSnapScratch) {
-	urlStr := f.URL.String()
+	// The URL is stored decomposed when reassembling its four components
+	// is provably identical to re-parsing its string form, so the loader
+	// can skip url.Parse. plainURL settles that without the round trip for
+	// nearly every recorded flow.
 	fast := url.URL{Scheme: f.URL.Scheme, Host: f.URL.Host, Path: f.URL.Path, RawQuery: f.URL.RawQuery}
-	fastOK := false
-	if reparsed, err := url.Parse(urlStr); err == nil && *reparsed == fast {
-		// Reassembling the four components is provably identical to
-		// re-parsing the string form, so the loader can skip url.Parse.
-		fastOK = true
+	fastOK := *f.URL == fast && plainURL(&fast)
+	var urlStr string
+	if !fastOK {
+		urlStr = f.URL.String()
+		reparsed, err := url.Parse(urlStr)
+		fastOK = err == nil && *reparsed == fast
 	}
 
 	var flags byte
@@ -589,10 +592,16 @@ func encodeFlowSnapshot(w *snapWriter, f *proxy.Flow, tab *intern.Strings, blobs
 	}
 	if !f.Time.IsZero() {
 		flags |= flowFlagHasTime
+		if !fitsUnixNano(f.Time) {
+			flags |= flowFlagWideTime
+		}
 	}
 	w.byte(flags)
 	w.varint(f.ID)
-	if !f.Time.IsZero() {
+	switch {
+	case flags&flowFlagWideTime != 0:
+		w.wideTime(f.Time)
+	case flags&flowFlagHasTime != 0:
 		w.varint(f.Time.UnixNano())
 	}
 	w.uvarint(uint64(tab.Intern(f.Method)))
@@ -605,16 +614,12 @@ func encodeFlowSnapshot(w *snapWriter, f *proxy.Flow, tab *intern.Strings, blobs
 		w.uvarint(uint64(tab.Intern(urlStr)))
 	}
 	scratch.hw.buf = scratch.hw.buf[:0]
-	encodeSnapHeader(&scratch.hw, flattenInto(scratch.req, f.RequestHeaders), tab, scratch)
+	encodeSnapHeader(&scratch.hw, f.RequestHeaders, false, tab, scratch)
 	w.uvarint(scratch.reqTab.ref(scratch.hw.buf))
 	w.uvarint(blobs.ref(f.RequestBody))
 	w.varint(int64(f.StatusCode))
-	respHdr := flattenInto(scratch.resp, f.ResponseHeaders)
-	if respHdr != nil {
-		delete(respHdr, "Set-Cookie")
-	}
 	scratch.hw.buf = scratch.hw.buf[:0]
-	encodeSnapHeader(&scratch.hw, respHdr, tab, scratch)
+	encodeSnapHeader(&scratch.hw, f.ResponseHeaders, true, tab, scratch)
 	setCookies := f.ResponseHeaders.Values("Set-Cookie")
 	scratch.hw.uvarint(uint64(len(setCookies)))
 	for _, sc := range setCookies {
@@ -627,22 +632,61 @@ func encodeFlowSnapshot(w *snapWriter, f *proxy.Flow, tab *intern.Strings, blobs
 	w.uvarint(uint64(tab.Intern(f.ChannelID)))
 }
 
-// encodeSnapHeader writes a flattened header map in sorted key order so the
-// snapshot bytes are deterministic.
-func encodeSnapHeader(w *snapWriter, m map[string]string, tab *intern.Strings, scratch *flowSnapScratch) {
-	w.uvarint(uint64(len(m)))
-	if len(m) == 0 {
-		return
+// plainURL reports whether u is an http(s) URL with a plain host (letters,
+// digits and "-._~", optionally a numeric port), an empty or absolute
+// path, and a query free of '#' and control bytes. Such a URL's four
+// components survive String and Parse unchanged. Only those four fields
+// are looked at.
+func plainURL(u *url.URL) bool {
+	if u.Scheme != "http" && u.Scheme != "https" || u.Host == "" ||
+		u.Path != "" && u.Path[0] != '/' {
+		return false
 	}
-	keys := scratch.keys[:0]
-	for k := range m {
-		keys = append(keys, k)
+	for i := 0; i < len(u.Host); i++ {
+		c := u.Host[i]
+		if c == ':' {
+			return strings.Trim(u.Host[i+1:], "0123456789") == ""
+		}
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+			c == '-' || c == '.' || c == '_' || c == '~') {
+			return false
+		}
 	}
-	sort.Strings(keys)
-	scratch.keys = keys
-	for _, k := range keys {
-		w.uvarint(uint64(tab.Intern(k)))
-		w.uvarint(uint64(tab.Intern(m[k])))
+	for i := 0; i < len(u.RawQuery); i++ {
+		if c := u.RawQuery[i]; c == '#' || c < ' ' || c == 0x7f {
+			return false
+		}
+	}
+	return true
+}
+
+// headerField is one header entry of a block being encoded.
+type headerField struct {
+	name   string
+	values []string
+}
+
+// encodeSnapHeader writes h in the flattened form the JSON format uses:
+// entries in sorted name order, so the bytes are deterministic, with
+// multiple values joined by "\n". A response block leaves Set-Cookie out;
+// the caller appends it as a list.
+func encodeSnapHeader(w *snapWriter, h http.Header, response bool, tab *intern.Strings, scratch *flowSnapScratch) {
+	fields := scratch.fields[:0]
+	for name, values := range h {
+		if !response || name != "Set-Cookie" {
+			fields = append(fields, headerField{name, values})
+		}
+	}
+	slices.SortFunc(fields, func(a, b headerField) int { return strings.Compare(a.name, b.name) })
+	scratch.fields = fields
+	w.uvarint(uint64(len(fields)))
+	for _, f := range fields {
+		w.str(tab, f.name)
+		if len(f.values) == 1 {
+			w.str(tab, f.values[0])
+		} else {
+			w.str(tab, strings.Join(f.values, "\n"))
+		}
 	}
 }
 
@@ -668,34 +712,50 @@ func readAllSized(r io.Reader) ([]byte, error) {
 	return io.ReadAll(r)
 }
 
-// LoadSnapshot reads a dataset written in FormatSnapshot.
-func LoadSnapshot(r io.Reader) (*Dataset, error) {
-	return loadSnapshot(r, nil)
-}
-
-// loadSnapshot reads a snapshot, optionally canonicalizing bodies and
-// header blocks through a shared dedup table (see LoadDedup). Dedup
-// happens at table-decode time — once per distinct blob/block, not once
-// per flow — so the cost is proportional to the snapshot's content
-// cardinality, and the parallel flow decode is untouched.
+// loadSnapshot reads a dataset written in FormatSnapshot, optionally
+// canonicalizing bodies and header blocks through a shared dedup table
+// (see LoadDedup). A checkpoint container loads as the dataset of its cell
+// runs: the checkpoint metadata is not a dataset field and stays unread.
 func loadSnapshot(r io.Reader, dd *Dedup) (*Dataset, error) {
 	raw, err := readAllSized(r)
 	if err != nil {
 		return nil, fmt.Errorf("store: snapshot: %w", err)
 	}
+	runs, other, err := readContainer(raw, dd)
+	if err != nil {
+		return nil, err
+	}
+	d := &Dataset{Runs: runs}
+	for _, s := range []jsonSection{{secShard, &d.Shard}, {secTelemetry, &d.Telemetry}, {secTrace, &d.Trace}} {
+		if payload, ok := other[s.tag]; ok {
+			if err := json.Unmarshal(payload, s.v); err != nil {
+				return nil, fmt.Errorf("store: snapshot: section %d: %w", s.tag, err)
+			}
+		}
+	}
+	return d, nil
+}
+
+// readContainer is the one snapshot reader. It decodes the container in
+// raw and returns its runs in section order plus, by tag, the payload of
+// every section it does not interpret (a repeated tag keeps its last
+// payload) for the caller to decode. dd, when set, canonicalizes blobs and
+// header blocks at table-decode time — once per distinct entry, not once
+// per flow — so the parallel flow decode is untouched.
+func readContainer(raw []byte, dd *Dedup) ([]*RunData, map[byte][]byte, error) {
 	if len(raw) < len(snapshotMagic)+1 || string(raw[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("store: snapshot: bad magic")
+		return nil, nil, fmt.Errorf("store: snapshot: bad magic")
 	}
 	if ver := raw[len(snapshotMagic)]; ver != snapshotVer {
-		return nil, fmt.Errorf("store: unsupported snapshot version %d", ver)
+		return nil, nil, fmt.Errorf("store: unsupported snapshot version %d", ver)
 	}
 	sr := &snapReader{b: raw, off: len(snapshotMagic) + 1}
-
 	dec := &snapDecoder{
 		overlays: make(map[uint64]*appmodel.OverlaySpec, 16),
 		dd:       dd,
 	}
-	d := &Dataset{}
+	var runs []*RunData
+	other := make(map[byte][]byte)
 	sawEnd := false
 	for sr.err == nil && sr.off < len(sr.b) {
 		tag := sr.byte()
@@ -706,19 +766,13 @@ func loadSnapshot(r io.Reader, dd *Dedup) (*Dataset, error) {
 		ps := &snapReader{b: payload}
 		switch tag {
 		case secStrings:
-			n := ps.uvarint()
-			if n > uint64(len(payload)) {
-				return nil, fmt.Errorf("store: snapshot: implausible string count %d", n)
-			}
+			n := ps.count()
 			dec.strs = make([]string, 0, n)
 			for i := uint64(0); i < n && ps.err == nil; i++ {
 				dec.strs = append(dec.strs, string(ps.bytes()))
 			}
 		case secBlobs:
-			n := ps.uvarint()
-			if n > uint64(len(payload)) {
-				return nil, fmt.Errorf("store: snapshot: implausible blob count %d", n)
-			}
+			n := ps.count()
 			dec.blobs = make([][]byte, 0, n)
 			for i := uint64(0); i < n && ps.err == nil; i++ {
 				b := ps.bytes()
@@ -736,47 +790,26 @@ func loadSnapshot(r io.Reader, dd *Dedup) (*Dataset, error) {
 		case secRun:
 			run, err := dec.decodeRun(ps)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			d.Runs = append(d.Runs, run)
-		case secTelemetry:
-			var snap telemetry.Snapshot
-			if err := json.Unmarshal(payload, &snap); err != nil {
-				return nil, fmt.Errorf("store: snapshot: telemetry: %w", err)
-			}
-			d.Telemetry = &snap
-		case secShard:
-			var m ShardManifest
-			if err := json.Unmarshal(payload, &m); err != nil {
-				return nil, fmt.Errorf("store: snapshot: shard manifest: %w", err)
-			}
-			d.Shard = &m
-		case secTrace:
-			var tr telemetry.Trace
-			if err := json.Unmarshal(payload, &tr); err != nil {
-				return nil, fmt.Errorf("store: snapshot: trace: %w", err)
-			}
-			d.Trace = &tr
-		case secCheckpoint:
-			// Checkpoint metadata (see checkpoint.go). A checkpoint file is
-			// an ordinary snapshot container; the dataset loader skips the
-			// resume bookkeeping and yields the cell runs as data.
+			runs = append(runs, run)
 		case secEnd:
 			sawEnd = true
 		default:
-			// Unknown section from a newer writer: skip.
+			// JSON sections, and unknown sections from a newer writer.
+			other[tag] = payload
 		}
 		if ps.err != nil {
-			return nil, ps.err
+			return nil, nil, ps.err
 		}
 	}
 	if sr.err != nil {
-		return nil, sr.err
+		return nil, nil, sr.err
 	}
 	if !sawEnd {
-		return nil, fmt.Errorf("store: snapshot: truncated: missing end-of-snapshot marker (file cut at a section boundary?)")
+		return nil, nil, fmt.Errorf("store: snapshot: truncated: missing end-of-snapshot marker (file cut at a section boundary?)")
 	}
-	return d, nil
+	return runs, other, nil
 }
 
 // snapDecoder carries the per-load decode state. Each distinct header block
@@ -835,15 +868,29 @@ func (d *snapDecoder) overlay(id uint64) (*appmodel.OverlaySpec, error) {
 	return ov, nil
 }
 
-// time reads a presence byte + unix nanoseconds; absent = the zero time.
-// time.Unix(0, ns).UTC() normalizes its location exactly like parsing the
-// JSON format's "Z"-suffixed timestamps does, so both loaders produce
-// deep-equal times.
+// time reads what snapWriter.time wrote. The UTC() normalization matches
+// what parsing the JSON format's "Z"-suffixed timestamps yields, so both
+// loaders produce deep-equal times.
 func (r *snapReader) time() time.Time {
-	if r.byte() == 0 {
+	switch r.byte() {
+	case 0:
+		return time.Time{}
+	case 1:
+		return time.Unix(0, r.varint()).UTC()
+	case 2:
+		return r.wideTime()
+	}
+	r.fail("bad time presence byte at offset %d", r.off-1)
+	return time.Time{}
+}
+
+func (r *snapReader) wideTime() time.Time {
+	sec, ns := r.varint(), r.uvarint()
+	if ns >= uint64(time.Second) {
+		r.fail("nanoseconds %d out of range at offset %d", ns, r.off)
 		return time.Time{}
 	}
-	return time.Unix(0, r.varint()).UTC()
+	return time.Unix(sec, int64(ns)).UTC()
 }
 
 // count reads a length prefix and fails on values no well-formed payload
@@ -1039,7 +1086,10 @@ func (d *snapDecoder) decodeFlowChunks(flows []*proxy.Flow, chunks [][]byte) err
 func (d *snapDecoder) decodeFlow(sr *snapReader, f *proxy.Flow, uslot *url.URL) {
 	flags := sr.byte()
 	f.ID = sr.varint()
-	if flags&flowFlagHasTime != 0 {
+	switch {
+	case flags&flowFlagWideTime != 0:
+		f.Time = sr.wideTime()
+	case flags&flowFlagHasTime != 0:
 		f.Time = time.Unix(0, sr.varint()).UTC()
 	}
 	f.Method = sr.str(d.strs)
@@ -1048,6 +1098,14 @@ func (d *snapDecoder) decodeFlow(sr *snapReader, f *proxy.Flow, uslot *url.URL) 
 		uslot.Host = sr.str(d.strs)
 		uslot.Path = sr.str(d.strs)
 		uslot.RawQuery = sr.str(d.strs)
+		// The writer decomposes only URLs that re-parse to themselves;
+		// anything else would not re-save to the same bytes.
+		if !plainURL(uslot) {
+			if r, err := url.Parse(uslot.String()); err != nil || *r != *uslot {
+				sr.fail("flow url %q cannot be stored decomposed", uslot.String())
+				return
+			}
+		}
 	} else {
 		u, err := url.Parse(sr.str(d.strs))
 		if err != nil {
@@ -1100,7 +1158,7 @@ func headerRef(sr *snapReader, list []http.Header) http.Header {
 // buildHeader rebuilds a header from its flattened snapshot form, splitting
 // multi-valued entries exactly like the JSON loader.
 func (d *snapDecoder) buildHeader(sr *snapReader, withSetCookie bool) http.Header {
-	n := sr.uvarint()
+	n := sr.count()
 	h := make(http.Header, n)
 	for i := uint64(0); i < n && sr.err == nil; i++ {
 		k := sr.str(d.strs)
@@ -1112,7 +1170,7 @@ func (d *snapDecoder) buildHeader(sr *snapReader, withSetCookie bool) http.Heade
 		h[k] = strings.Split(joined, "\n")
 	}
 	if withSetCookie {
-		if nsc := sr.uvarint(); nsc > 0 && sr.err == nil {
+		if nsc := sr.count(); nsc > 0 {
 			scs := make([]string, 0, nsc)
 			for i := uint64(0); i < nsc; i++ {
 				scs = append(scs, sr.str(d.strs))

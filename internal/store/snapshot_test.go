@@ -17,10 +17,10 @@ import (
 func loadBoth(t *testing.T, ds *Dataset) (fromJSON, fromSnap *Dataset) {
 	t.Helper()
 	var jb, sb bytes.Buffer
-	if err := ds.Save(&jb); err != nil {
+	if err := Save(&jb, ds, FormatJSON); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.SaveSnapshot(&sb); err != nil {
+	if err := Save(&sb, ds, FormatSnapshot); err != nil {
 		t.Fatal(err)
 	}
 	var err error
@@ -122,35 +122,35 @@ func TestSnapshotFlowEdgeCases(t *testing.T) {
 // loudly, never panic or return a half-dataset.
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := persistedDataset().SaveSnapshot(&buf); err != nil {
+	if err := Save(&buf, persistedDataset(), FormatSnapshot); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 
-	if _, err := LoadSnapshot(strings.NewReader("nonsense")); err == nil {
+	if _, err := Load(strings.NewReader("HBnonsense")); err == nil {
 		t.Error("bad magic accepted")
 	}
 
 	wrongVer := bytes.Clone(raw)
 	wrongVer[4] = 99
-	if _, err := LoadSnapshot(bytes.NewReader(wrongVer)); err == nil {
+	if _, err := Load(bytes.NewReader(wrongVer)); err == nil {
 		t.Error("wrong version accepted")
 	}
 
 	// The five header bytes alone are a truncated snapshot — the end
 	// marker is missing — and anything cut mid-section must fail too.
-	if _, err := LoadSnapshot(bytes.NewReader(raw[:5])); err == nil {
+	if _, err := Load(bytes.NewReader(raw[:5])); err == nil {
 		t.Error("header-only snapshot accepted despite missing end marker")
 	}
 	for _, cut := range []int{7, len(raw) / 2, len(raw) - 1} {
-		if _, err := LoadSnapshot(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := Load(bytes.NewReader(raw[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
 
 	flipped := bytes.Clone(raw)
 	flipped[6] ^= 0xff // inside the string table section header
-	if _, err := LoadSnapshot(bytes.NewReader(flipped)); err == nil {
+	if _, err := Load(bytes.NewReader(flipped)); err == nil {
 		t.Log("section-header flip still decoded (length happened to stay plausible)")
 	}
 }
@@ -161,16 +161,68 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 func TestSnapshotSkipsUnknownSection(t *testing.T) {
 	ds := persistedDataset()
 	var buf bytes.Buffer
-	if err := ds.SaveSnapshot(&buf); err != nil {
+	if err := Save(&buf, ds, FormatSnapshot); err != nil {
 		t.Fatal(err)
 	}
 	// Append an unknown trailing section: tag 200, 3-byte payload.
 	buf.Write([]byte{200, 3, 0xde, 0xad, 0xbf})
-	got, err := LoadSnapshot(&buf)
+	got, err := Load(&buf)
 	if err != nil {
 		t.Fatalf("unknown section broke the load: %v", err)
 	}
 	if len(got.Runs) != len(ds.Runs) {
 		t.Fatalf("got %d runs, want %d", len(got.Runs), len(ds.Runs))
 	}
+}
+
+// farFutureDataset carries times UnixNano cannot hold: the far-future
+// Expires sentinel servers send (Fri, 31 Dec 9999 23:59:59 GMT), which the
+// TV's jar stores verbatim, a non-zero year-1 expiry, and a year-9999 flow.
+func farFutureDataset() *Dataset {
+	ds := persistedDataset()
+	r := ds.Runs[0]
+	far := time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC)
+	r.Cookies[0].Expires = far
+	early := r.Cookies[0]
+	early.Name, early.Expires = "early", time.Date(1, 1, 1, 0, 0, 1, 500, time.UTC)
+	r.Cookies = append(r.Cookies, early)
+	r.Flows[0].Time = far
+	return ds
+}
+
+// TestSnapshotTimesOutsideUnixNano: times before 1678 or after 2262 survive
+// both formats and the checkpoint container exactly.
+func TestSnapshotTimesOutsideUnixNano(t *testing.T) {
+	ds := farFutureDataset()
+	want := ds.Runs[0]
+	check := func(label string, got *RunData) {
+		t.Helper()
+		for i, c := range want.Cookies {
+			if !got.Cookies[i].Expires.Equal(c.Expires) {
+				t.Errorf("%s: cookie %s expires %v, want %v", label, c.Name, got.Cookies[i].Expires, c.Expires)
+			}
+		}
+		if !got.Flows[0].Time.Equal(want.Flows[0].Time) {
+			t.Errorf("%s: flow time %v, want %v", label, got.Flows[0].Time, want.Flows[0].Time)
+		}
+	}
+	fromJSON, fromSnap := loadBoth(t, ds)
+	check("json", fromJSON.Runs[0])
+	check("snapshot", fromSnap.Runs[0])
+	if mustDigest(t, fromJSON) != mustDigest(t, ds) || mustDigest(t, fromSnap) != mustDigest(t, ds) {
+		t.Error("reloaded dataset changed the digest")
+	}
+
+	cp := sampleCheckpoint()
+	cp.Cells = cp.Cells[1:] // the RunRed cell
+	cp.Cells[0].Data = want
+	var buf bytes.Buffer
+	if err := WriteCheckpoint(&buf, cp); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("checkpoint", got.Cells[0].Data)
 }

@@ -40,21 +40,21 @@ func assertSnapshotRoundTrip(t *testing.T, ds *store.Dataset) {
 	}
 
 	var jsonBuf, snapBuf bytes.Buffer
-	if err := ds.Save(&jsonBuf); err != nil {
+	if err := store.Save(&jsonBuf, ds, store.FormatJSON); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.SaveSnapshot(&snapBuf); err != nil {
+	if err := store.Save(&snapBuf, ds, store.FormatSnapshot); err != nil {
 		t.Fatal(err)
 	}
 	snapBytes := snapBuf.Bytes()
 
 	// Snapshot writing is deterministic.
 	var again bytes.Buffer
-	if err := ds.SaveSnapshot(&again); err != nil {
+	if err := store.Save(&again, ds, store.FormatSnapshot); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(snapBytes, again.Bytes()) {
-		t.Error("SaveSnapshot is not deterministic: two saves differ")
+		t.Error("snapshot save is not deterministic: two saves differ")
 	}
 
 	fromJSON, err := store.Load(&jsonBuf)

@@ -102,7 +102,7 @@ func TestTelemetrySnapshotPersisted(t *testing.T) {
 	ds, digest := studyDigest(t, opts)
 
 	var buf bytes.Buffer
-	if err := ds.Save(&buf); err != nil {
+	if err := store.Save(&buf, ds, store.FormatJSON); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := store.Load(&buf)
