@@ -45,12 +45,15 @@ resume:
 	$(GO) test -race -run 'TestResume|TestChaosProcessKillResumeParity|TestChaosFleetKillResumeMerge|TestChaosResumeMismatchRejectedCLI|TestChaosInterruptGracefulExit' -v .
 
 # Short coverage-guided fuzzing passes (seeded corpora), 30 s each: the
-# binary AIT decoder, and the dataset loader over both formats and the
+# binary AIT decoder, the dataset loader over both formats and the
 # checkpoint container (no panic; an accepted input re-saves as a
-# snapshot to a fixed point with an unchanged digest).
+# snapshot to a fixed point with an unchanged digest), and the policy
+# ad-window parser (no panic; accepted hours lie on the 24-hour clock;
+# the result ignores ASCII letter case).
 fuzz:
 	$(GO) test ./internal/dvb/ -run '^$$' -fuzz FuzzParseAIT -fuzztime 30s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzLoad -fuzztime 30s
+	$(GO) test ./internal/policy/ -run '^$$' -fuzz FuzzParseAdWindow -fuzztime 30s
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -74,7 +77,7 @@ bench-json:
 
 # bench-analyze runs the analysis-engine benchmarks only — serial vs
 # parallel AnalyzeContext at paper scale (ns/op per -j, byte-identity
-# asserted) plus the single-pass-vs-multipass comparison — records the
+# asserted) plus a single-section analysis — records the
 # test2json stream as BENCH_analyze.json for the CI artifact trail, and
 # gates on the committed scaling floors (BENCH_floor.json): j=8 must hit
 # its speedup-vs-serial target, clamped by the runner's gomaxprocs.

@@ -33,13 +33,12 @@ func (c *cancelAfterErrs) Err() error {
 // columnar index, with the given context and pool capacity.
 func columnarEnv(t *testing.T, ds *store.Dataset, ctx context.Context, slots int) *analysisEnv {
 	t.Helper()
-	cls := tracking.NewClassifier()
-	ix, err := store.BuildIndex(context.Background(), ds, cls.IndexConfig())
+	ix, err := store.BuildIndex(context.Background(), ds, tracking.NewClassifier().IndexConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := &chunkPool{slots: make(chan struct{}, slots)}
-	return &analysisEnv{ds: ds, ix: ix, cls: cls, ctx: ctx, pool: pool}
+	return &analysisEnv{ds: ds, ix: ix, ctx: ctx, pool: pool}
 }
 
 // TestAnalyzeContextEmptySectionSelection: an empty (but non-nil) section

@@ -47,7 +47,6 @@ type sectionAnalyzer struct {
 type analysisEnv struct {
 	ds   *store.Dataset
 	ix   *store.Index
-	cls  *tracking.Classifier
 	ctx  context.Context
 	pool *chunkPool
 }
@@ -234,8 +233,7 @@ func AnalyzeContext(ctx context.Context, ds *store.Dataset, opts AnalyzeOptions)
 	}
 	tel := opts.Telemetry.Controller(time.Now)
 
-	cls := tracking.NewClassifier()
-	cfg := cls.IndexConfig()
+	cfg := tracking.NewClassifier().IndexConfig()
 	cfg.Parallelism = opts.Parallelism
 	start := time.Now()
 	ix, err := buildIndexFn(ctx, ds, cfg)
@@ -260,7 +258,7 @@ func AnalyzeContext(ctx context.Context, ds *store.Dataset, opts AnalyzeOptions)
 	// FirstParties is a byproduct of the index and is always populated,
 	// whatever the section selection — several renderers key off it.
 	res := &Results{FirstParties: ix.FirstParty}
-	env := &analysisEnv{ds: ds, ix: ix, cls: cls, ctx: ctx, pool: pool}
+	env := &analysisEnv{ds: ds, ix: ix, ctx: ctx, pool: pool}
 
 	workers := par
 	if workers > len(selected) {

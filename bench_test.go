@@ -21,15 +21,11 @@ import (
 	"time"
 
 	"github.com/hbbtvlab/hbbtvlab/internal/clock"
-	"github.com/hbbtvlab/hbbtvlab/internal/consent"
 	"github.com/hbbtvlab/hbbtvlab/internal/cookies"
 	"github.com/hbbtvlab/hbbtvlab/internal/core"
 	"github.com/hbbtvlab/hbbtvlab/internal/dvb"
-	"github.com/hbbtvlab/hbbtvlab/internal/graphx"
 	"github.com/hbbtvlab/hbbtvlab/internal/hostnet"
-	"github.com/hbbtvlab/hbbtvlab/internal/policy"
 	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
-	"github.com/hbbtvlab/hbbtvlab/internal/stats"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 	"github.com/hbbtvlab/hbbtvlab/internal/synth"
 	"github.com/hbbtvlab/hbbtvlab/internal/telemetry"
@@ -41,10 +37,12 @@ var (
 	benchFunnel  *core.FunnelReport
 	benchDataset *store.Dataset
 	benchResults *Results
-	benchWorld   *synth.World
+	benchEnv     *analysisEnv
 )
 
-// benchFixture runs the paper-scale study once and reuses it everywhere.
+// benchFixture runs the paper-scale study once and reuses it everywhere,
+// together with the section analyzers' environment: the dataset's
+// columnar index and a chunk pool with a single slot.
 func benchFixture(b *testing.B) (*store.Dataset, *Results) {
 	b.Helper()
 	benchOnce.Do(func() {
@@ -58,14 +56,35 @@ func benchFixture(b *testing.B) (*store.Dataset, *Results) {
 		if err != nil {
 			panic(err)
 		}
-		benchWorld = study.World
+		ix, err := store.BuildIndex(context.Background(), ds, tracking.NewClassifier().IndexConfig())
+		if err != nil {
+			panic(err)
+		}
 		benchFunnel = funnel
 		benchDataset = ds
 		benchResults = Analyze(ds)
+		benchEnv = &analysisEnv{
+			ds: ds, ix: ix, ctx: context.Background(),
+			pool: &chunkPool{slots: make(chan struct{}, 1)},
+		}
 		fmt.Fprintf(os.Stderr, "[bench fixture] paper-scale study: %d channels, %d flows, built in %v\n",
 			funnel.FinalCount(), len(ds.AllFlows()), time.Since(start).Round(time.Millisecond))
 	})
 	return benchDataset, benchResults
+}
+
+// benchSection times one section analyzer the way an AnalyzeContext
+// worker runs it, but serially: the caller holds the pool's only slot,
+// so the analyzer's chunk scans recruit no helpers.
+func benchSection(b *testing.B, analyze func(*analysisEnv, *Results)) {
+	b.Helper()
+	benchFixture(b)
+	benchEnv.pool.slots <- struct{}{}
+	defer func() { <-benchEnv.pool.slots }()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analyze(benchEnv, new(Results))
+	}
 }
 
 // BenchmarkChannelFunnel regenerates the Section IV-B funnel (3,575
@@ -90,43 +109,26 @@ func BenchmarkChannelFunnel(b *testing.B) {
 
 // BenchmarkTableI regenerates Table I (per-run data overview).
 func BenchmarkTableI(b *testing.B) {
-	ds, res := benchFixture(b)
+	_, res := benchFixture(b)
 	var totalReq int
 	for _, row := range res.TableI {
 		totalReq += row.HTTPReq + row.HTTPSReq
 	}
 	defer b.ReportMetric(float64(totalReq), "requests")
 	defer b.ReportMetric(res.Stats.RunTraffic.P, "p-run-traffic")
-	fp := res.FirstParties
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, run := range ds.Runs {
-			events := cookies.SetEvents(run, fp)
-			_, _ = cookies.FirstThirdCounts(events)
-			_, _ = run.CountHTTPS()
-		}
-	}
+	benchSection(b, analyzeTableI)
 }
 
 // BenchmarkTableII regenerates Table II (cookie-setting third parties).
 func BenchmarkTableII(b *testing.B) {
-	ds, res := benchFixture(b)
+	_, res := benchFixture(b)
 	defer b.ReportMetric(float64(res.TableII[1].Parties), "red-3ps")
-	var events []cookies.SetEvent
-	for _, run := range ds.Runs {
-		events = append(events, cookies.SetEvents(run, res.FirstParties)...)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, run := range store.AllRuns {
-			_ = cookies.AnalyzeThirdParty(run, events)
-		}
-	}
+	benchSection(b, analyzeTableII)
 }
 
 // BenchmarkTableIII regenerates Table III (filter lists vs heuristics).
 func BenchmarkTableIII(b *testing.B) {
-	ds, res := benchFixture(b)
+	_, res := benchFixture(b)
 	var pixels, piHole int
 	for _, r := range res.TableIII {
 		pixels += r.TrackingPxl
@@ -134,188 +136,114 @@ func BenchmarkTableIII(b *testing.B) {
 	}
 	defer b.ReportMetric(float64(pixels), "pixels")
 	defer b.ReportMetric(float64(piHole), "pihole-hits")
-	cls := tracking.NewClassifier()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, run := range ds.Runs {
-			_ = cls.ListStats(run)
-		}
-	}
+	benchSection(b, analyzeTableIII)
 }
 
-// BenchmarkTableIV regenerates Table IV (overlay-type distribution).
+// BenchmarkTableIV regenerates Table IV (overlay-type distribution), which
+// the consent section computes.
 func BenchmarkTableIV(b *testing.B) {
-	ds, res := benchFixture(b)
+	_, res := benchFixture(b)
 	defer b.ReportMetric(float64(res.Consent.TableIV[1].MediaLib), "red-medialib")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, run := range ds.Runs {
-			_ = consent.OverlayDistribution(run)
-		}
-	}
+	benchSection(b, analyzeConsent)
 }
 
-// BenchmarkTableV regenerates Table V (privacy-information prevalence).
+// BenchmarkTableV regenerates Table V (privacy-information prevalence),
+// which the consent section computes.
 func BenchmarkTableV(b *testing.B) {
-	ds, res := benchFixture(b)
+	_, res := benchFixture(b)
 	defer b.ReportMetric(float64(res.Consent.ChannelsWithPrivacy), "privacy-channels")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, run := range ds.Runs {
-			_ = consent.PrivacyPrevalence(run)
-		}
-	}
+	benchSection(b, analyzeConsent)
 }
 
 // BenchmarkFigure5 regenerates Fig. 5 (cookie-using third-party long tail).
 func BenchmarkFigure5(b *testing.B) {
-	ds, res := benchFixture(b)
+	_, res := benchFixture(b)
 	if len(res.Fig5.Top) > 0 {
 		defer b.ReportMetric(float64(res.Fig5.Top[0].Degree), "top-party-channels")
 	}
-	var events []cookies.SetEvent
-	for _, run := range ds.Runs {
-		events = append(events, cookies.SetEvents(run, res.FirstParties)...)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = cookies.PartyChannelCounts(events)
-	}
+	benchSection(b, analyzeFig5)
 }
 
 // BenchmarkFigure6 regenerates Fig. 6 (trackers per channel).
 func BenchmarkFigure6(b *testing.B) {
-	ds, res := benchFixture(b)
+	_, res := benchFixture(b)
 	defer b.ReportMetric(res.Fig6.Requests.Mean, "mean-tracking-req")
 	defer b.ReportMetric(res.Fig6.Requests.Max, "max-tracking-req")
-	cls := tracking.NewClassifier()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = cls.PerChannel(ds.Runs)
-	}
+	benchSection(b, analyzeFig6)
 }
 
 // BenchmarkFigure7 regenerates Fig. 7 (trackers by channel category).
 func BenchmarkFigure7(b *testing.B) {
-	ds, res := benchFixture(b)
+	_, res := benchFixture(b)
 	if len(res.Fig7) > 0 {
 		defer b.ReportMetric(float64(res.Fig7[0].TrackingRequests), "top-category-req")
 	}
-	cls := tracking.NewClassifier()
-	byChannel := cls.PerChannel(ds.Runs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tracking.PerCategory(byChannel, ds, 10)
-	}
+	benchSection(b, analyzeFig7)
 }
 
 // BenchmarkFigure8 regenerates Fig. 8 (ecosystem graph metrics).
 func BenchmarkFigure8(b *testing.B) {
-	ds, res := benchFixture(b)
+	_, res := benchFixture(b)
 	defer b.ReportMetric(float64(res.Fig8.Nodes), "nodes")
 	defer b.ReportMetric(float64(res.Fig8.Edges), "edges")
 	defer b.ReportMetric(res.Fig8.AvgPathLength, "avg-path-len")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := graphx.FromDataset(ds, res.FirstParties)
-		_ = g.AveragePathLength()
-		_ = g.MeanNeighborDegree()
-	}
+	benchSection(b, analyzeFig8)
 }
 
 // BenchmarkLeakage regenerates the Section V-B personal-data search.
 func BenchmarkLeakage(b *testing.B) {
-	ds, res := benchFixture(b)
+	_, res := benchFixture(b)
 	defer b.ReportMetric(float64(res.Leaks.TechnicalChannels), "tech-channels")
 	defer b.ReportMetric(float64(res.Leaks.TechnicalParties), "tech-parties")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		leaks := tracking.FindLeaks(ds, res.FirstParties, tracking.LGNeedles)
-		_ = tracking.Summarize(leaks, res.FirstParties)
-	}
+	benchSection(b, analyzeLeaks)
 }
 
-// BenchmarkCookieSync regenerates the Section V-C3 syncing detection.
+// BenchmarkCookieSync regenerates Section V-C, whose heavy half is the
+// V-C3 syncing detection.
 func BenchmarkCookieSync(b *testing.B) {
-	ds, res := benchFixture(b)
+	_, res := benchFixture(b)
 	defer b.ReportMetric(float64(res.Cookies.SyncParties), "sync-parties")
-	var events []cookies.SetEvent
-	for _, run := range ds.Runs {
-		events = append(events, cookies.SetEvents(run, res.FirstParties)...)
-	}
-	lo := time.Date(2023, 8, 1, 0, 0, 0, 0, time.UTC)
-	hi := time.Date(2023, 12, 31, 0, 0, 0, 0, time.UTC)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = cookies.DetectSyncing(ds.Runs, events, lo, hi)
-	}
+	benchSection(b, analyzeCookies)
 }
 
 // BenchmarkChildrenCaseStudy regenerates Section V-D5.
 func BenchmarkChildrenCaseStudy(b *testing.B) {
-	ds, res := benchFixture(b)
+	_, res := benchFixture(b)
 	defer b.ReportMetric(float64(len(res.Children.Channels)), "children-channels")
 	defer b.ReportMetric(float64(res.Children.TrackingRequests), "tracking-req")
 	defer b.ReportMetric(res.Children.MWU.P, "mwu-p")
-	cls := tracking.NewClassifier()
-	byChannel := cls.PerChannel(ds.Runs)
-	var child, other []float64
-	for _, name := range ds.ChannelNames() {
-		n := 0.0
-		if cs := byChannel[name]; cs != nil {
-			n = float64(cs.TrackerCount())
-		}
-		if info := ds.ChannelInfo(name); info != nil && info.TargetsChildren() {
-			child = append(child, n)
-		} else {
-			other = append(other, n)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := stats.MannWhitney(child, other); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSection(b, analyzeChildren)
 }
 
-// BenchmarkConsentNotices regenerates the Section VI notice inventory.
+// BenchmarkConsentNotices regenerates Section VI, the notice inventory
+// included.
 func BenchmarkConsentNotices(b *testing.B) {
-	ds, res := benchFixture(b)
+	_, res := benchFixture(b)
 	defer b.ReportMetric(float64(len(res.Consent.Styles)), "stylings")
 	defer b.ReportMetric(float64(res.Consent.Nudging.DefaultIsAccept), "default-accept")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = consent.NoticeInventory(ds)
-	}
+	benchSection(b, analyzeConsent)
 }
 
-// BenchmarkPolicyPipeline regenerates the Section VII corpus pipeline.
+// BenchmarkPolicyPipeline regenerates the Section VII corpus pipeline and
+// the policy findings built on it.
 func BenchmarkPolicyPipeline(b *testing.B) {
-	ds, res := benchFixture(b)
+	_, res := benchFixture(b)
 	defer b.ReportMetric(float64(res.Policies.Corpus.Occurrences), "occurrences")
 	defer b.ReportMetric(float64(len(res.Policies.Corpus.Unique)), "unique")
 	defer b.ReportMetric(float64(len(res.Policies.Corpus.NearDuplicateGroups)), "neardup-groups")
 	defer b.ReportMetric(float64(len(res.Policies.WindowViolations)), "window-violations")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = policy.Collect(ds)
-	}
+	benchSection(b, analyzePolicies)
 }
 
 // BenchmarkDerivedRules regenerates the future-work extension: filter
 // rules derived from observed traffic, and the coverage they add over the
 // Pi-hole base list.
 func BenchmarkDerivedRules(b *testing.B) {
-	ds, res := benchFixture(b)
+	_, res := benchFixture(b)
 	defer b.ReportMetric(float64(len(res.DerivedRules)), "rules")
 	defer b.ReportMetric(res.Extension.CoverageBefore()*100, "coverage-before-pct")
 	defer b.ReportMetric(res.Extension.CoverageAfter()*100, "coverage-after-pct")
-	cls := tracking.NewClassifier()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = cls.DeriveFilterRules(ds, res.FirstParties, cls.PiHole)
-	}
+	benchSection(b, analyzeExtension)
 }
 
 // BenchmarkAnalyze measures the full analysis engine at paper scale for
@@ -373,49 +301,6 @@ func BenchmarkAnalyzeSections(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAnalyzeSinglePass quantifies the engine's core optimisation —
-// classifying every flow once in the shared index instead of once per
-// analysis — by comparing the indexed engine against the multi-pass
-// equivalent built from the retained standalone helpers (each of which
-// re-classifies the flows it needs, as the pre-engine Analyze did). The
-// speedup-vs-multipass metric holds on any core count: it measures work
-// eliminated, not work overlapped.
-func BenchmarkAnalyzeSinglePass(b *testing.B) {
-	ds, _ := benchFixture(b)
-	var indexedTime time.Duration
-	b.Run("indexed", func(b *testing.B) {
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			if _, err := AnalyzeContext(context.Background(), ds, AnalyzeOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		indexedTime = time.Since(start) / time.Duration(b.N)
-	})
-	b.Run("multipass", func(b *testing.B) {
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			cls := tracking.NewClassifier()
-			fp := tracking.FirstParties(ds.Runs, cls.EasyList)
-			var events []cookies.SetEvent
-			for _, run := range ds.Runs {
-				events = append(events, cookies.SetEvents(run, fp)...)
-				_ = cls.ListStats(run) // Table III: one list pass per run
-			}
-			byChannel := cls.PerChannel(ds.Runs) // Fig. 6/7: classify again
-			_ = tracking.PerCategory(byChannel, ds, 10)
-			rules := cls.DeriveFilterRules(ds, fp, cls.PiHole) // classify again
-			if _, err := cls.EvaluateExtension(ds, cls.PiHole, rules); err != nil {
-				b.Fatal(err) // and again
-			}
-		}
-		elapsed := time.Since(start) / time.Duration(b.N)
-		if indexedTime > 0 {
-			b.ReportMetric(float64(elapsed)/float64(indexedTime), "speedup-vs-multipass")
-		}
-	})
 }
 
 // BenchmarkPoolParallelism measures the sharded measurement engine at
@@ -513,40 +398,45 @@ func BenchmarkTransportModes(b *testing.B) {
 }
 
 // BenchmarkFirstPartyRule compares the paper's filter-list-corrected
-// first-party identification against the naive first-request rule.
+// first-party identification against the naive first-request rule: the
+// index build with the engine's known-tracker mask against the same build
+// with no mask.
 func BenchmarkFirstPartyRule(b *testing.B) {
-	ds, _ := benchFixture(b)
-	cls := tracking.NewClassifier()
-	corrected := tracking.FirstParties(ds.Runs, cls.EasyList)
-	naive := tracking.NaiveFirstParties(ds.Runs)
+	ds, res := benchFixture(b)
+	corrected := tracking.NewClassifier().IndexConfig()
+	naive := corrected
+	naive.KnownTrackerMask = 0
+	naiveIx, err := store.BuildIndex(context.Background(), ds, naive)
+	if err != nil {
+		b.Fatal(err)
+	}
 	diff := 0
-	for ch, fp := range corrected {
-		if naive[ch] != fp {
+	for ch, fp := range res.FirstParties {
+		if naiveIx.FirstParty[ch] != fp {
 			diff++
 		}
 	}
 	defer b.ReportMetric(float64(diff), "channels-misclassified-by-naive")
-	b.Run("corrected", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = tracking.FirstParties(ds.Runs, cls.EasyList)
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = tracking.NaiveFirstParties(ds.Runs)
-		}
-	})
+	for _, v := range []struct {
+		name string
+		cfg  store.IndexConfig
+	}{{"corrected", corrected}, {"naive", naive}} {
+		b.Run(v.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := store.BuildIndex(context.Background(), ds, v.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkIDHeuristic compares the paper's ID heuristic (length band +
 // timestamp exclusion) against the length-only variant, reporting the
 // timestamp false positives the exclusion removes.
 func BenchmarkIDHeuristic(b *testing.B) {
-	ds, res := benchFixture(b)
-	var events []cookies.SetEvent
-	for _, run := range ds.Runs {
-		events = append(events, cookies.SetEvents(run, res.FirstParties)...)
-	}
+	benchFixture(b)
+	events := benchEnv.ix.SetEvents
 	lo := time.Date(2023, 8, 1, 0, 0, 0, 0, time.UTC)
 	hi := time.Date(2023, 12, 31, 0, 0, 0, 0, time.UTC)
 	full, lenOnly := 0, 0

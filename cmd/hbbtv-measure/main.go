@@ -71,6 +71,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -352,23 +353,13 @@ func run(args []string) error {
 	}
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := ds.ExportFlows(f); err != nil {
+		if err := exportFile(*out, ds.ExportFlows); err != nil {
 			return err
 		}
 		fmt.Printf("flows written to %s\n", *out)
 	}
 	if *har != "" {
-		f, err := os.Create(*har)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := ds.ExportHAR(f); err != nil {
+		if err := exportFile(*har, ds.ExportHAR); err != nil {
 			return err
 		}
 		fmt.Printf("HAR written to %s\n", *har)
@@ -380,6 +371,20 @@ func run(args []string) error {
 		return err
 	}
 	return failuresError(ds, *maxChanFail)
+}
+
+// exportFile writes path with export and closes it, returning the close
+// error too: a write the OS buffered can still fail there.
+func exportFile(path string, export func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := export(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // interruptedError maps a cancellation caused by the signal handler to

@@ -33,18 +33,24 @@ func run(args []string) error {
 		return err
 	}
 
-	var w io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if *outPath == "" {
+		return writeReport(os.Stdout, *seed, *scale)
 	}
+	f, err := os.Create(*outPath)
+	if err != nil {
+		return err
+	}
+	if err := writeReport(f, *seed, *scale); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
+// writeReport measures the study and writes the full report to w.
+func writeReport(w io.Writer, seed int64, scale float64) error {
 	start := time.Now()
-	study := hbbtvlab.NewStudy(hbbtvlab.Options{Seed: *seed, Scale: *scale})
+	study := hbbtvlab.NewStudy(hbbtvlab.Options{Seed: seed, Scale: scale})
 	funnel, err := study.SelectChannels()
 	if err != nil {
 		return err
@@ -58,7 +64,7 @@ func run(args []string) error {
 	// The timing goes to stderr so the report itself is a byte-stable
 	// oracle that CI regenerates and diffs.
 	fmt.Fprintf(os.Stderr, "hbbtv-report: generated in %v\n", time.Since(start).Round(time.Millisecond))
-	fmt.Fprintf(w, "hbbtvlab full report (seed=%d scale=%.2f)\n\n", *seed, *scale)
+	fmt.Fprintf(w, "hbbtvlab full report (seed=%d scale=%.2f)\n\n", seed, scale)
 	if err := hbbtvlab.RenderFunnel(w, funnel); err != nil {
 		return err
 	}

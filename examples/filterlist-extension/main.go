@@ -18,6 +18,7 @@ import (
 
 	hbbtvlab "github.com/hbbtvlab/hbbtvlab"
 	"github.com/hbbtvlab/hbbtvlab/internal/report"
+	"github.com/hbbtvlab/hbbtvlab/internal/store"
 	"github.com/hbbtvlab/hbbtvlab/internal/tracking"
 )
 
@@ -41,10 +42,10 @@ func main() {
 			break
 		}
 		kind := ""
-		if r.Kinds&tracking.KindPixel != 0 {
+		if r.Kinds&store.FlowPixel != 0 {
 			kind += " pixel"
 		}
-		if r.Kinds&tracking.KindFingerprint != 0 {
+		if r.Kinds&store.FlowFingerprint != 0 {
 			kind += " fingerprint"
 		}
 		fmt.Printf("  %-28s %7s requests (%s)\n", r.Rule, report.Int(r.Requests), kind[1:])

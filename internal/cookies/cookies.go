@@ -123,40 +123,9 @@ func IsLikelyIDLenOnly(value string) bool {
 }
 
 // SetEvent is one observed Set-Cookie, attributed to a channel and party.
-// It is an alias of store.CookieSetEvent so the single-pass dataset index
-// (store.BuildIndex) can collect events directly; SetEvents remains the
-// standalone extractor for callers without an index.
+// It is an alias of store.CookieSetEvent: the single-pass dataset index
+// (store.BuildIndex) collects the events as Index.SetEvents.
 type SetEvent = store.CookieSetEvent
-
-// SetEvents extracts every Set-Cookie observation from a run's flows,
-// classifying each as first- or third-party relative to the channel's
-// identified first party. Unattributed flows are skipped.
-func SetEvents(run *store.RunData, firstParty map[string]string) []SetEvent {
-	var out []SetEvent
-	for _, f := range run.Flows {
-		if f.Channel == "" {
-			continue
-		}
-		cs := f.SetCookies()
-		if len(cs) == 0 {
-			continue
-		}
-		party := etld.MustRegistrableDomain(f.Host())
-		fp := firstParty[f.Channel]
-		for _, c := range cs {
-			out = append(out, SetEvent{
-				Run:        run.Name,
-				Channel:    f.Channel,
-				Party:      party,
-				Host:       f.Host(),
-				Name:       c.Name,
-				Value:      c.Value,
-				ThirdParty: fp != "" && party != fp,
-			})
-		}
-	}
-	return out
-}
 
 // DistinctCookies counts distinct (party, name) cookies among events.
 func DistinctCookies(events []SetEvent) int {

@@ -1,8 +1,10 @@
 package cookies
 
 import (
+	"context"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -96,12 +98,15 @@ func plainFlow(rawURL, channel string) *proxy.Flow {
 	}
 }
 
+// testRun's first request per channel goes to the channel's own app host,
+// so the index identifies testFirstParty.
 func testRun() *store.RunData {
 	return &store.RunData{
 		Name: store.RunRed,
 		Flows: []*proxy.Flow{
 			flowWithCookie("http://hbbtv.ard.de/app", "Das Erste", "fpid", "aaaaaaaaaa11"),
 			flowWithCookie("http://xiti.com/px", "Das Erste", "xtuid", "bbbbbbbbbb22"),
+			plainFlow("http://hbbtv.zdf.de/app", "ZDF"),
 			flowWithCookie("http://xiti.com/px", "ZDF", "xtuid", "cccccccccc33"),
 			flowWithCookie("http://tvping.com/t", "ZDF", "tvp", "dddddddddd44"),
 			plainFlow("http://cdn.ard.de/app.js", "Das Erste"),
@@ -112,8 +117,23 @@ func testRun() *store.RunData {
 
 var testFirstParty = map[string]string{"Das Erste": "ard.de", "ZDF": "zdf.de"}
 
+// buildIndex indexes one run; the cookie events and the first parties
+// they are classified against come from the index's single pass.
+func buildIndex(t *testing.T, run *store.RunData) *store.Index {
+	t.Helper()
+	ix, err := store.BuildIndex(context.Background(), &store.Dataset{Runs: []*store.RunData{run}}, store.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 func TestSetEvents(t *testing.T) {
-	events := SetEvents(testRun(), testFirstParty)
+	ix := buildIndex(t, testRun())
+	if !reflect.DeepEqual(ix.FirstParty, testFirstParty) {
+		t.Fatalf("first parties = %v, want %v", ix.FirstParty, testFirstParty)
+	}
+	events := ix.SetEvents
 	if len(events) != 4 {
 		t.Fatalf("events = %d, want 4 (unattributed skipped)", len(events))
 	}
@@ -126,7 +146,7 @@ func TestSetEvents(t *testing.T) {
 }
 
 func TestFirstThirdCounts(t *testing.T) {
-	events := SetEvents(testRun(), testFirstParty)
+	events := buildIndex(t, testRun()).SetEvents
 	first, third := FirstThirdCounts(events)
 	if first != 1 {
 		t.Errorf("first = %d, want 1", first)
@@ -140,7 +160,7 @@ func TestFirstThirdCounts(t *testing.T) {
 }
 
 func TestAnalyzeThirdParty(t *testing.T) {
-	events := SetEvents(testRun(), testFirstParty)
+	events := buildIndex(t, testRun()).SetEvents
 	u := AnalyzeThirdParty(store.RunRed, events)
 	if u.Parties != 2 {
 		t.Errorf("parties = %d, want 2", u.Parties)
@@ -157,7 +177,7 @@ func TestAnalyzeThirdParty(t *testing.T) {
 }
 
 func TestPartyChannelCounts(t *testing.T) {
-	events := SetEvents(testRun(), testFirstParty)
+	events := buildIndex(t, testRun()).SetEvents
 	counts := PartyChannelCounts(events)
 	if counts["xiti.com"] != 2 || counts["tvping.com"] != 1 {
 		t.Errorf("counts = %v", counts)
@@ -175,7 +195,7 @@ func TestDetectSyncing(t *testing.T) {
 		Time: winStart, Method: http.MethodGet, URL: syncURL, StatusCode: 200,
 		Channel: "Das Erste", RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
 	})
-	events := SetEvents(run, testFirstParty)
+	events := buildIndex(t, run).SetEvents
 	syncs := DetectSyncing([]*store.RunData{run}, events, winStart, winEnd)
 	if len(syncs) != 1 {
 		t.Fatalf("syncs = %+v, want 1", syncs)
@@ -194,7 +214,7 @@ func TestDetectSyncingIgnoresSameParty(t *testing.T) {
 		Time: winStart, Method: http.MethodGet, URL: selfURL, StatusCode: 200,
 		Channel: "Das Erste", RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
 	})
-	events := SetEvents(run, testFirstParty)
+	events := buildIndex(t, run).SetEvents
 	if syncs := DetectSyncing([]*store.RunData{run}, events, winStart, winEnd); len(syncs) != 0 {
 		t.Errorf("self-send flagged as sync: %+v", syncs)
 	}
@@ -208,10 +228,51 @@ func TestDetectSyncingInPOSTBody(t *testing.T) {
 		Channel: "ZDF", RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
 		RequestBody: []byte(`{"partner_uid":"dddddddddd44"}`),
 	})
-	events := SetEvents(run, testFirstParty)
+	events := buildIndex(t, run).SetEvents
 	syncs := DetectSyncing([]*store.RunData{run}, events, winStart, winEnd)
 	if len(syncs) != 1 || syncs[0].FromParty != "tvping.com" {
 		t.Errorf("POST-body sync = %+v", syncs)
+	}
+}
+
+// TestScanSyncingSplitInvariance: the cookies section scans row chunks
+// with chunk-local dedup and merges them in row order. For every split
+// point the merge must equal the whole-range scan and the reference
+// DetectSyncing, including the attribution of a sync triple seen twice.
+func TestScanSyncingSplitInvariance(t *testing.T) {
+	run := testRun()
+	syncURL, _ := url.Parse("http://partner.de/match?puid=bbbbbbbbbb22&src=xiti.com")
+	bodyURL, _ := url.Parse("http://dmp.example.com/ingest")
+	run.Flows = append(run.Flows,
+		&proxy.Flow{
+			Time: winStart, Method: http.MethodGet, URL: syncURL, StatusCode: 200,
+			Channel: "Das Erste", RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
+		},
+		&proxy.Flow{ // same triple again: the earlier flow keeps the attribution
+			Time: winStart, Method: http.MethodGet, URL: syncURL, StatusCode: 200,
+			Channel: "ZDF", RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
+		},
+		&proxy.Flow{
+			Time: winStart, Method: http.MethodPost, URL: bodyURL, StatusCode: 200,
+			Channel: "ZDF", RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
+			RequestBody: []byte(`{"partner_uid":"dddddddddd44"}`),
+		},
+	)
+	ix := buildIndex(t, run)
+	ids := MintedIDs(ix.SetEvents, winStart, winEnd)
+	n := ix.FlowCount()
+	whole := ScanSyncing(ids, ix, 0, n)
+	if len(whole) != 2 || whole[0].Channel != "Das Erste" {
+		t.Fatalf("whole-range syncs = %+v", whole)
+	}
+	for k := 0; k <= n; k++ {
+		got := MergeSyncEvents([][]SyncEvent{ScanSyncing(ids, ix, 0, k), ScanSyncing(ids, ix, k, n)})
+		if !reflect.DeepEqual(got, whole) {
+			t.Errorf("split at %d: %+v, want %+v", k, got, whole)
+		}
+	}
+	if ref := DetectSyncing(ix.Dataset.Runs, ix.SetEvents, winStart, winEnd); !reflect.DeepEqual(ref, whole) {
+		t.Errorf("scanned syncs = %+v, reference = %+v", whole, ref)
 	}
 }
 
@@ -220,7 +281,7 @@ func TestPotentialIDs(t *testing.T) {
 	// Add a timestamp cookie that must NOT count.
 	run.Flows = append(run.Flows,
 		flowWithCookie("http://cmp.de/c", "ZDF", "ctime", strconv.FormatInt(winStart.Add(time.Hour).Unix(), 10)))
-	events := SetEvents(run, testFirstParty)
+	events := buildIndex(t, run).SetEvents
 	if got := PotentialIDs(events, winStart, winEnd); got != 4 {
 		t.Errorf("PotentialIDs = %d, want 4", got)
 	}
@@ -250,7 +311,7 @@ func TestAnalyzePurposes(t *testing.T) {
 		flowWithCookie("http://ads.net/px", "ZDF", "uuid2", "ffffffffff99"),
 		flowWithCookie("http://hbbtv.ard.de/app", "Das Erste", "consent", "all-1692615600"),
 	)
-	events := SetEvents(run, testFirstParty)
+	events := buildIndex(t, run).SetEvents
 	d := AnalyzePurposes(store.RunRed, events)
 	if d.Total != 5 {
 		t.Fatalf("total = %d, want 5 distinct cookies", d.Total)

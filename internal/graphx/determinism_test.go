@@ -31,9 +31,6 @@ func TestMetricsDeterministic(t *testing.T) {
 	if mean1 != mean2 || sd1 != sd2 {
 		t.Errorf("DegreeStats: (%v,%v) vs (%v,%v)", mean1, sd1, mean2, sd2)
 	}
-	if a, b := g1.AveragePathLength(), g2.AveragePathLength(); a != b {
-		t.Errorf("AveragePathLength: %v vs %v", a, b)
-	}
 }
 
 func TestSortedNodesSorted(t *testing.T) {

@@ -88,24 +88,6 @@ type NodeDegree struct {
 	Degree int
 }
 
-// TopByDegree returns the n highest-degree nodes, ties broken by name.
-func (g *Graph) TopByDegree(n int) []NodeDegree {
-	all := make([]NodeDegree, 0, len(g.adj))
-	for id, nb := range g.adj {
-		all = append(all, NodeDegree{Node: id, Degree: len(nb)})
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].Degree != all[b].Degree {
-			return all[a].Degree > all[b].Degree
-		}
-		return all[a].Node < all[b].Node
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	return all[:n]
-}
-
 // CountDegreeAtLeast counts nodes with degree >= k.
 func (g *Graph) CountDegreeAtLeast(k int) int {
 	n := 0
@@ -146,27 +128,13 @@ func (g *Graph) Components() [][]string {
 	return comps
 }
 
-// AveragePathLength returns the mean shortest-path length over all
-// connected node pairs (BFS from every node).
-func (g *Graph) AveragePathLength() float64 {
-	var totalDist, pairs int64
-	for src := range g.adj {
-		d, p := g.PathLengthFrom(src)
-		totalDist += d
-		pairs += p
-	}
-	if pairs == 0 {
-		return 0
-	}
-	return float64(totalDist) / float64(pairs)
-}
-
 // PathLengthFrom returns the sum of shortest-path distances from src to
-// every reachable node and the number of such (src, dst) pairs. The graph
-// is read-only during the call, so callers may fan BFS sources out over
-// goroutines; integer sums make the reduction order-independent, so the
-// total — and AveragePathLength computed from it — is identical however
-// the sources are partitioned.
+// every reachable node and the number of such (src, dst) pairs. Summed
+// over every source, the two totals give the average shortest-path length
+// over all connected node pairs. The graph is read-only during the call,
+// so callers may fan BFS sources out over goroutines; integer sums make
+// the reduction order-independent, so the total — and the average
+// computed from it — is identical however the sources are partitioned.
 func (g *Graph) PathLengthFrom(src string) (totalDist, pairs int64) {
 	dist := g.bfs(src)
 	for dst, d := range dist {

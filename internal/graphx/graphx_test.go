@@ -48,14 +48,20 @@ func TestComponents(t *testing.T) {
 	}
 }
 
-func TestAveragePathLength(t *testing.T) {
-	// Path a-b-c: pairs (a,b)=1 (b,c)=1 (a,c)=2 → mean 4/3.
+func TestPathLengthFrom(t *testing.T) {
+	// Path a-b-c: from a 1+2, from b 1+1, from c 1+2, each over 2 pairs,
+	// so the all-pairs mean is 8/6.
 	g := buildPath("a", "b", "c")
-	if got := g.AveragePathLength(); math.Abs(got-4.0/3) > 1e-9 {
-		t.Errorf("APL = %v, want 1.333", got)
+	want := map[string][2]int64{"a": {3, 2}, "b": {2, 2}, "c": {3, 2}}
+	for _, src := range g.Nodes() {
+		d, p := g.PathLengthFrom(src)
+		if got := [2]int64{d, p}; got != want[src] {
+			t.Errorf("PathLengthFrom(%s) = %v, want %v", src, got, want[src])
+		}
 	}
-	if New().AveragePathLength() != 0 {
-		t.Error("empty graph APL should be 0")
+	g.AddNode("lonely", NodeDomain)
+	if d, p := g.PathLengthFrom("lonely"); d != 0 || p != 0 {
+		t.Errorf("isolated node reaches %d pairs at distance %d", p, d)
 	}
 }
 
@@ -72,21 +78,17 @@ func TestMeanNeighborDegreeHub(t *testing.T) {
 	}
 }
 
-func TestTopByDegreeAndThresholds(t *testing.T) {
+func TestDegreeThresholds(t *testing.T) {
 	g := New()
 	for i := 0; i < 5; i++ {
 		g.AddEdge("hub", string(rune('a'+i)))
 	}
 	g.AddEdge("a", "b")
-	top := g.TopByDegree(2)
-	if top[0].Node != "hub" || top[0].Degree != 5 {
-		t.Errorf("top = %+v", top)
-	}
 	if got := g.CountDegreeAtLeast(2); got != 3 { // hub, a, b
 		t.Errorf("CountDegreeAtLeast(2) = %d", got)
 	}
-	if got := g.TopByDegree(100); len(got) != g.NodeCount() {
-		t.Errorf("TopByDegree(100) = %d entries", len(got))
+	if got := g.CountDegreeAtLeast(6); got != 0 {
+		t.Errorf("CountDegreeAtLeast(6) = %d", got)
 	}
 }
 

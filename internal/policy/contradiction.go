@@ -2,6 +2,8 @@ package policy
 
 import (
 	"regexp"
+	"strconv"
+	"strings"
 	"time"
 
 	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
@@ -41,37 +43,47 @@ var (
 
 // ParseAdWindow extracts a declared time window from policy text, handling
 // German 24h phrasing ("von 17 Uhr bis 6 Uhr") and English am/pm phrasing
-// ("from 5 pm to 6 am").
+// ("from 5 pm to 6 am"). A phrase naming an hour its clock does not have
+// ("25 Uhr", "13 pm") declares no window.
 func ParseAdWindow(text string) (AdWindow, bool) {
 	if m := windowDE.FindStringSubmatch(text); m != nil {
-		return AdWindow{StartHour: atoiHour(m[1]), EndHour: atoiHour(m[2])}, true
+		start, okStart := hour24(m[1])
+		end, okEnd := hour24(m[2])
+		if okStart && okEnd {
+			return AdWindow{StartHour: start, EndHour: end}, true
+		}
 	}
 	if m := windowEN.FindStringSubmatch(text); m != nil {
-		return AdWindow{
-			StartHour: meridiem(atoiHour(m[1]), m[2]),
-			EndHour:   meridiem(atoiHour(m[3]), m[4]),
-		}, true
+		start, okStart := hour12(m[1], m[2])
+		end, okEnd := hour12(m[3], m[4])
+		if okStart && okEnd {
+			return AdWindow{StartHour: start, EndHour: end}, true
+		}
 	}
 	return AdWindow{}, false
 }
 
-func atoiHour(s string) int {
-	n := 0
-	for i := 0; i < len(s); i++ {
-		n = n*10 + int(s[i]-'0')
+// hour24 reads a 24-hour clock hour (0-24, where 24 is midnight).
+func hour24(digits string) (int, bool) {
+	h, err := strconv.Atoi(digits)
+	if err != nil || h > 24 {
+		return 0, false
 	}
-	return n % 24
+	return h % 24, true
 }
 
-func meridiem(h int, suffix string) int {
-	if suffix == "pm" || suffix == "PM" || suffix == "Pm" {
-		if h < 12 {
-			h += 12
-		}
-	} else if h == 12 {
-		h = 0
+// hour12 converts a 12-hour clock hour (1-12) with its am/pm suffix to
+// 0-23. The suffix matched case-insensitively, so it compares the same way.
+func hour12(digits, suffix string) (int, bool) {
+	h, err := strconv.Atoi(digits)
+	if err != nil || h < 1 || h > 12 {
+		return 0, false
 	}
-	return h % 24
+	h %= 12
+	if strings.EqualFold(suffix, "pm") {
+		h += 12
+	}
+	return h, true
 }
 
 // WindowViolation is one tracking request observed outside the declared

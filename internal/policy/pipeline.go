@@ -228,14 +228,3 @@ func (c *Corpus) Texts() []string {
 	}
 	return out
 }
-
-// CountWhere counts unique policies satisfying pred.
-func (c *Corpus) CountWhere(pred func(*Doc) bool) int {
-	n := 0
-	for _, d := range c.Unique {
-		if pred(d) {
-			n++
-		}
-	}
-	return n
-}

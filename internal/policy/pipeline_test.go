@@ -1,8 +1,10 @@
 package policy
 
 import (
+	"context"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -146,8 +148,32 @@ func TestCorpusHelpers(t *testing.T) {
 	if got := len(c.Texts()); got != len(c.Unique) {
 		t.Errorf("Texts() = %d", got)
 	}
-	n := c.CountWhere(func(d *Doc) bool { return d.Language == LangGerman })
-	if n != 2 {
-		t.Errorf("CountWhere(German) = %d", n)
+}
+
+// TestScanFlowsSplitInvariance: the policies section scans columnar row
+// chunks and merges them in row order. For every split point the merged
+// corpus must equal the whole-range scan and the reference Collect,
+// including the cross-chunk dedup of the repeated policy.
+func TestScanFlowsSplitInvariance(t *testing.T) {
+	ds := pipelineDataset()
+	ix, err := store.BuildIndex(context.Background(), ds, store.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := ix.Columns()
+	n := cols.Rows()
+	scan := func(lo, hi int) *Partial { return ScanFlows(cols.Flows, cols.RunName, lo, hi) }
+	whole := MergePartials([]*Partial{scan(0, n)})
+	if whole.Occurrences != 5 {
+		t.Fatalf("whole-range occurrences = %d, want 5", whole.Occurrences)
+	}
+	for k := 0; k <= n; k++ {
+		got := MergePartials([]*Partial{scan(0, k), scan(k, n)})
+		if !reflect.DeepEqual(got, whole) {
+			t.Errorf("split at %d: corpus differs from the whole-range scan", k)
+		}
+	}
+	if ref := Collect(ds); !reflect.DeepEqual(ref, whole) {
+		t.Error("scanned corpus differs from Collect")
 	}
 }

@@ -202,6 +202,30 @@ func TestParseAdWindow(t *testing.T) {
 	if _, ok := ParseAdWindow(miscText); ok {
 		t.Error("window parsed from misc text")
 	}
+	for _, tt := range adWindowCases {
+		w, ok := ParseAdWindow(tt.text)
+		if ok != tt.ok || (ok && w != tt.want) {
+			t.Errorf("ParseAdWindow(%q) = %+v, %v; want %+v, %v", tt.text, w, ok, tt.want, tt.ok)
+		}
+	}
+}
+
+// adWindowCases cover the am/pm suffix in any letter case and the clock
+// bounds: German hours 0-24 (24 is midnight), English hours 1-12.
+var adWindowCases = []struct {
+	text string
+	want AdWindow
+	ok   bool
+}{
+	{"from 5 pM to 6 am", AdWindow{StartHour: 17, EndHour: 6}, true},
+	{"FROM 5 PM UNTIL 6 AM", AdWindow{StartHour: 17, EndHour: 6}, true},
+	{"from 12 am to 12 pm", AdWindow{StartHour: 0, EndHour: 12}, true},
+	{"von 24 Uhr bis 6 Uhr", AdWindow{StartHour: 0, EndHour: 6}, true},
+	{"VON 17:00 UHR BIS 6 UHR", AdWindow{StartHour: 17, EndHour: 6}, true},
+	{"von 99 Uhr bis 6 Uhr", AdWindow{}, false},
+	{"von 17 Uhr bis 25 Uhr", AdWindow{}, false},
+	{"from 13 pm to 6 am", AdWindow{}, false},
+	{"from 0 am to 6 am", AdWindow{}, false},
 }
 
 func TestAdWindowContains(t *testing.T) {

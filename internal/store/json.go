@@ -620,9 +620,8 @@ func loadJSON(r io.Reader, dd *Dedup) (*Dataset, error) {
 	return d, nil
 }
 
-// runFromJSON rebuilds a run's non-flow fields from its JSON form. Shared
-// between the JSON loader and the snapshot loader (whose run metadata is
-// the same schema); flows are decoded separately by each format.
+// runFromJSON rebuilds a run's non-flow fields from its JSON form for the
+// JSON loader, which decodes the flows separately.
 func runFromJSON(rj *runJSON) (*RunData, error) {
 	run := &RunData{
 		Name: rj.Name, Date: rj.Date, Channels: rj.Channels,

@@ -141,19 +141,6 @@ func (r *RunData) Channel(name string) *ChannelInfo {
 	return nil
 }
 
-// FlowsByChannel groups the run's attributed flows by channel name.
-// Unattributed flows are dropped, as in the paper's mapping procedure.
-func (r *RunData) FlowsByChannel() map[string][]*proxy.Flow {
-	out := make(map[string][]*proxy.Flow)
-	for _, f := range r.Flows {
-		if f.Channel == "" {
-			continue
-		}
-		out[f.Channel] = append(out[f.Channel], f)
-	}
-	return out
-}
-
 // CountHTTPS returns (plain, https) request counts.
 func (r *RunData) CountHTTPS() (plain, https int) {
 	for _, f := range r.Flows {
@@ -214,24 +201,6 @@ func (d *Dataset) AllFlows() []*proxy.Flow {
 	var out []*proxy.Flow
 	for _, r := range d.Runs {
 		out = append(out, r.Flows...)
-	}
-	return out
-}
-
-// AllScreenshots returns every screenshot across runs.
-func (d *Dataset) AllScreenshots() []webos.Screenshot {
-	var out []webos.Screenshot
-	for _, r := range d.Runs {
-		out = append(out, r.Screenshots...)
-	}
-	return out
-}
-
-// AllCookies returns every cookie-jar entry across runs.
-func (d *Dataset) AllCookies() []webos.StoredCookie {
-	var out []webos.StoredCookie
-	for _, r := range d.Runs {
-		out = append(out, r.Cookies...)
 	}
 	return out
 }

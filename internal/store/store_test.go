@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/url"
@@ -67,8 +68,11 @@ func TestRunLookupAndChannel(t *testing.T) {
 }
 
 func TestFlowsByChannelDropsUnattributed(t *testing.T) {
-	r := sampleDataset().Run(RunGeneral)
-	by := r.FlowsByChannel()
+	ix, err := BuildIndex(context.Background(), sampleDataset(), IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	by := ix.Runs[0].FlowsByChannel
 	if len(by) != 2 {
 		t.Fatalf("groups = %d", len(by))
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/hbbtvlab/hbbtvlab/internal/etld"
 	"github.com/hbbtvlab/hbbtvlab/internal/filterlist"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
@@ -24,75 +23,19 @@ type DerivedRule struct {
 	Domain string
 	// Requests is how many tracking requests the rule's evidence covers.
 	Requests int
-	// Kinds aggregates why the domain was flagged.
-	Kinds Kind
+	// Kinds aggregates why the domain was flagged: the FlowPixel and
+	// FlowFingerprint bits of its evidence.
+	Kinds store.FlowKind
 }
 
-// DeriveFilterRules scans a dataset for heuristically-detected tracking
-// requests that the base list misses and emits one rule per blockable
-// scope, most-evidenced first.
-func (c *Classifier) DeriveFilterRules(ds *store.Dataset, firstParty map[string]string, base *filterlist.List) []DerivedRule {
-	firstParties := make(map[string]struct{}, len(firstParty))
-	for _, fp := range firstParty {
-		firstParties[fp] = struct{}{}
-	}
-	type evidence struct {
-		requests int
-		kinds    Kind
-	}
-	byScope := make(map[string]*evidence)
-	for _, run := range ds.Runs {
-		for _, f := range run.Flows {
-			kinds := c.Classify(f)
-			if kinds&(KindPixel|KindFingerprint) == 0 {
-				continue // only heuristic detections feed derivation
-			}
-			if base != nil && base.MatchURL(f.URL.String()) {
-				continue // already covered
-			}
-			host := f.Host()
-			party := etld.MustRegistrableDomain(host)
-			scope := party
-			if _, isFP := firstParties[party]; isFP {
-				// Block only the measurement host, never the app platform.
-				scope = hostScope(host)
-				if scope == "" {
-					continue
-				}
-			}
-			ev := byScope[scope]
-			if ev == nil {
-				ev = &evidence{}
-				byScope[scope] = ev
-			}
-			ev.requests++
-			ev.kinds |= kinds
-		}
-	}
-	rules := make([]DerivedRule, 0, len(byScope))
-	for scope, ev := range byScope {
-		rules = append(rules, DerivedRule{
-			Rule:     fmt.Sprintf("||%s^", scope),
-			Domain:   scope,
-			Requests: ev.requests,
-			Kinds:    ev.kinds,
-		})
-	}
-	sort.Slice(rules, func(a, b int) bool {
-		if rules[a].Requests != rules[b].Requests {
-			return rules[a].Requests > rules[b].Requests
-		}
-		return rules[a].Domain < rules[b].Domain
-	})
-	return rules
-}
-
-// DeriveRulesFromIndex is DeriveFilterRules over a prebuilt dataset index:
-// the per-flow classification and the Pi-hole base-list coverage come from
-// the index's single pass instead of being recomputed per flow. It works
-// on either index representation (the accessors answer for both); callers
-// holding a columnar index can instead chunk ScanRuleEvidence over row
-// ranges and feed the merge into RulesFromEvidence for the same rules.
+// DeriveRulesFromIndex scans a dataset index for heuristically detected
+// tracking requests that the Pi-hole base list misses and emits one rule
+// per blockable scope, most-evidenced first. The per-flow classification
+// and the base-list coverage come from the index's single pass. It works
+// on either index representation (the accessors answer for both) and is
+// the differential suite's reference; callers holding a columnar index
+// chunk ScanRuleEvidence over row ranges and feed the merge into
+// RulesFromEvidence for the same rules.
 func DeriveRulesFromIndex(ix *store.Index) []DerivedRule {
 	firstParties := FirstPartySet(ix.FirstParty)
 	byScope := make(map[string]RuleEvidence)
@@ -116,7 +59,7 @@ func DeriveRulesFromIndex(ix *store.Index) []DerivedRule {
 			}
 			ev := byScope[scope]
 			ev.Requests++
-			ev.Kinds |= KindOf(k)
+			ev.Kinds |= k & (store.FlowPixel | store.FlowFingerprint)
 			byScope[scope] = ev
 		}
 	}
@@ -129,7 +72,7 @@ func DeriveRulesFromIndex(ix *store.Index) []DerivedRule {
 // maps from disjoint row ranges merge to the same result in any order.
 type RuleEvidence struct {
 	Requests int
-	Kinds    Kind
+	Kinds    store.FlowKind
 }
 
 // FirstPartySet inverts a channel -> first-party map into the party set
@@ -167,7 +110,7 @@ func ScanRuleEvidence(ix *store.Index, firstParties map[string]struct{}, lo, hi 
 		}
 		ev := byScope[scope]
 		ev.Requests++
-		ev.Kinds |= KindOf(k)
+		ev.Kinds |= k & (store.FlowPixel | store.FlowFingerprint)
 		byScope[scope] = ev
 	}
 	return byScope
@@ -261,9 +204,12 @@ func ExtendedList(rules []DerivedRule) (*filterlist.List, error) {
 	return extended, nil
 }
 
-// EvaluateExtensionFromIndex is EvaluateExtension over a prebuilt dataset
-// index, with the base list fixed to Pi-hole (the index's FlowOnPiHole
-// bit): only the derived rules are matched per flow.
+// EvaluateExtensionFromIndex measures the Pi-hole base list's coverage of
+// heuristic tracking requests before and after appending the derived
+// rules. The base-list hits come from the index's FlowOnPiHole bit, so
+// only the derived rules are matched per flow. It works on either index
+// representation and is the differential suite's reference; callers
+// holding a columnar index sum EvaluateExtensionRange over row ranges.
 func EvaluateExtensionFromIndex(ix *store.Index, rules []DerivedRule) (ExtensionResult, error) {
 	extended, err := ExtendedList(rules)
 	if err != nil {
@@ -318,33 +264,4 @@ func (r *ExtensionResult) Add(o ExtensionResult) {
 	r.TrackingRequests += o.TrackingRequests
 	r.BlockedBefore += o.BlockedBefore
 	r.BlockedAfter += o.BlockedAfter
-}
-
-// EvaluateExtension measures base-list coverage of heuristic tracking
-// requests before and after appending the derived rules.
-func (c *Classifier) EvaluateExtension(ds *store.Dataset, base *filterlist.List, rules []DerivedRule) (ExtensionResult, error) {
-	extended := filterlist.MustParseHosts("base-copy", "")
-	// Rebuild the extended list: base rules are not clonable, so evaluate
-	// base and extension separately.
-	if err := extended.Append(RulesText(rules)); err != nil {
-		return ExtensionResult{}, err
-	}
-	var res ExtensionResult
-	for _, run := range ds.Runs {
-		for _, f := range run.Flows {
-			if c.Classify(f)&(KindPixel|KindFingerprint) == 0 {
-				continue
-			}
-			res.TrackingRequests++
-			u := f.URL.String()
-			inBase := base != nil && base.MatchURL(u)
-			if inBase {
-				res.BlockedBefore++
-			}
-			if inBase || extended.MatchURL(u) {
-				res.BlockedAfter++
-			}
-		}
-	}
-	return res, nil
 }

@@ -30,10 +30,15 @@ func deriveDataset() *store.Dataset {
 
 var deriveFirstParties = map[string]string{"A": "ard.de", "B": "ard.de"}
 
+// deriveRules runs the engine's derivation over the whole fixture: the
+// evidence scan of every row with deriveFirstParties as the first-party
+// set, rendered as rules. Pi-hole is the base list.
+func deriveRules(ix *store.Index) []DerivedRule {
+	return RulesFromEvidence(ScanRuleEvidence(ix, FirstPartySet(deriveFirstParties), 0, ix.FlowCount()))
+}
+
 func TestDeriveFilterRules(t *testing.T) {
-	ds := deriveDataset()
-	cls := NewClassifier()
-	rules := cls.DeriveFilterRules(ds, deriveFirstParties, cls.EasyPrivacy)
+	rules := deriveRules(buildIndex(t, deriveDataset().Runs...))
 
 	byDomain := map[string]DerivedRule{}
 	for _, r := range rules {
@@ -44,7 +49,7 @@ func TestDeriveFilterRules(t *testing.T) {
 		t.Errorf("tvping rule = %+v", byDomain["tvping.com"])
 	}
 	// The fingerprinter is derived with the fingerprint kind.
-	if r, ok := byDomain["metrixfp01.de"]; !ok || r.Kinds&KindFingerprint == 0 {
+	if r, ok := byDomain["metrixfp01.de"]; !ok || r.Kinds != store.FlowFingerprint {
 		t.Errorf("fingerprinter rule = %+v", byDomain["metrixfp01.de"])
 	}
 	// The first-party measurement host is blocked at HOST scope, so the
@@ -66,10 +71,7 @@ func TestDeriveFilterRules(t *testing.T) {
 }
 
 func TestRulesTextParses(t *testing.T) {
-	ds := deriveDataset()
-	cls := NewClassifier()
-	rules := cls.DeriveFilterRules(ds, deriveFirstParties, cls.EasyPrivacy)
-	text := RulesText(rules)
+	text := RulesText(deriveRules(buildIndex(t, deriveDataset().Runs...)))
 	if !strings.HasPrefix(text, "!") {
 		t.Error("rules text missing header comment")
 	}
@@ -89,19 +91,17 @@ func TestRulesTextParses(t *testing.T) {
 }
 
 func TestEvaluateExtension(t *testing.T) {
-	ds := deriveDataset()
-	cls := NewClassifier()
-	base := cls.EasyPrivacy
-	rules := cls.DeriveFilterRules(ds, deriveFirstParties, base)
-	res, err := cls.EvaluateExtension(ds, base, rules)
+	ix := buildIndex(t, deriveDataset().Runs...)
+	extended, err := ExtendedList(deriveRules(ix))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := EvaluateExtensionRange(ix, extended, 0, ix.FlowCount())
 	// 7 heuristic tracking requests (3 tvping + 1 fp + 2 stats + 1 GA).
 	if res.TrackingRequests != 7 {
 		t.Errorf("tracking requests = %d", res.TrackingRequests)
 	}
-	if res.BlockedBefore != 1 { // only GA is on EasyPrivacy
+	if res.BlockedBefore != 1 { // only GA is on Pi-hole
 		t.Errorf("blocked before = %d", res.BlockedBefore)
 	}
 	if res.BlockedAfter != 7 {

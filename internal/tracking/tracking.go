@@ -1,16 +1,16 @@
 // Package tracking implements the user-tracking analyses of Section V:
-// first/third-party identification (with the filter-list correction for
-// trackers encoded directly into the HbbTV signal), the tracking-pixel
-// heuristic, fingerprint-script detection, personal-data leakage search,
-// and the per-channel / per-category tracking statistics behind Table III
-// and Figures 6 and 7.
+// the flow classification that store.BuildIndex applies once per dataset
+// (filter-list hits, the tracking-pixel heuristic, fingerprint-script
+// detection, and the first-party filter-list correction for trackers
+// encoded directly into the HbbTV signal), personal-data leakage search,
+// the per-category tracking statistics behind Figure 7, and the derived
+// filter rules of the paper's future-work proposal.
 package tracking
 
 import (
 	"sort"
 	"strings"
 
-	"github.com/hbbtvlab/hbbtvlab/internal/etld"
 	"github.com/hbbtvlab/hbbtvlab/internal/filterlist"
 	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
@@ -19,48 +19,6 @@ import (
 // PixelMaxBytes is the tracking-pixel size threshold: responses smaller
 // than this (roughly an empty image) count as pixels.
 const PixelMaxBytes = 45
-
-// FirstParties identifies the first party of every channel across runs,
-// following Section V-A: the earliest attributed request that loads
-// content, skipping requests flagged by the known-tracker list so that
-// third-party endpoints encoded directly into the broadcast signal are not
-// misclassified. Returns channel name -> eTLD+1.
-func FirstParties(runs []*store.RunData, known *filterlist.List) map[string]string {
-	return firstParties(runs, known)
-}
-
-// NaiveFirstParties applies the uncorrected rule (first request wins) —
-// the ablation baseline showing why the filter-list correction matters.
-func NaiveFirstParties(runs []*store.RunData) map[string]string {
-	return firstParties(runs, nil)
-}
-
-func firstParties(runs []*store.RunData, known *filterlist.List) map[string]string {
-	type cand struct {
-		t    int64
-		host string
-	}
-	best := make(map[string]cand)
-	for _, run := range runs {
-		for _, f := range run.Flows {
-			if f.Channel == "" {
-				continue
-			}
-			if known != nil && known.MatchURL(f.URL.String()) {
-				continue
-			}
-			ts := f.Time.UnixNano()
-			if b, ok := best[f.Channel]; !ok || ts < b.t {
-				best[f.Channel] = cand{t: ts, host: f.Host()}
-			}
-		}
-	}
-	out := make(map[string]string, len(best))
-	for ch, c := range best {
-		out[ch] = etld.MustRegistrableDomain(c.host)
-	}
-	return out
-}
 
 // IsTrackingPixel implements the Section V-D1 heuristic: the response is an
 // image, smaller than 45 bytes, with status 200.
@@ -105,16 +63,6 @@ func IsFingerprintScript(f *proxy.Flow) bool {
 	return false
 }
 
-// Kind classifies why a flow counts as a tracking request.
-type Kind int
-
-// Tracking-request kinds (bit flags).
-const (
-	KindPixel Kind = 1 << iota
-	KindFingerprint
-	KindListed // flagged by a filter list
-)
-
 // Classifier bundles the filter lists used to label tracking requests.
 type Classifier struct {
 	EasyList    *filterlist.List
@@ -130,28 +78,6 @@ func NewClassifier() *Classifier {
 		PiHole:      filterlist.PiHole(),
 	}
 }
-
-// Classify returns the tracking kinds of a flow (0 = not tracking).
-func (c *Classifier) Classify(f *proxy.Flow) Kind {
-	var k Kind
-	if IsTrackingPixel(f) {
-		k |= KindPixel
-	}
-	if IsFingerprintScript(f) {
-		k |= KindFingerprint
-	}
-	u := f.URL.String()
-	if (c.EasyList != nil && c.EasyList.MatchURL(u)) ||
-		(c.EasyPrivacy != nil && c.EasyPrivacy.MatchURL(u)) ||
-		(c.PiHole != nil && c.PiHole.MatchURL(u)) {
-		k |= KindListed
-	}
-	return k
-}
-
-// IsTracking reports whether the flow is a tracking request under any
-// heuristic or list.
-func (c *Classifier) IsTracking(f *proxy.Flow) bool { return c.Classify(f) != 0 }
 
 // IndexConfig wires this classifier into store.BuildIndex, split along the
 // index's memoization boundary: ClassifyURL carries every filter-list
@@ -199,23 +125,6 @@ func (c *Classifier) IndexConfig() store.IndexConfig {
 	}
 }
 
-// KindOf converts indexed FlowKind bits back to the classifier's Kind
-// flags (the smart-TV comparison bits do not map — they are baselines,
-// not part of the tracking definition).
-func KindOf(k store.FlowKind) Kind {
-	var out Kind
-	if k&store.FlowPixel != 0 {
-		out |= KindPixel
-	}
-	if k&store.FlowFingerprint != 0 {
-		out |= KindFingerprint
-	}
-	if k&(store.FlowOnEasyList|store.FlowOnEasyPrivacy|store.FlowOnPiHole) != 0 {
-		out |= KindListed
-	}
-	return out
-}
-
 // RunListStats is one row of Table III: filter-list hits and heuristic
 // detections for one measurement run.
 type RunListStats struct {
@@ -227,56 +136,10 @@ type RunListStats struct {
 	Fingerprints int
 }
 
-// ListStats computes Table III for a run.
-func (c *Classifier) ListStats(run *store.RunData) RunListStats {
-	s := RunListStats{Run: run.Name}
-	for _, f := range run.Flows {
-		u := f.URL.String()
-		if c.PiHole.MatchURL(u) {
-			s.OnPiHole++
-		}
-		if c.EasyList.MatchURL(u) {
-			s.OnEasyList++
-		}
-		if c.EasyPrivacy.MatchURL(u) {
-			s.OnEasyPriv++
-		}
-		if IsTrackingPixel(f) {
-			s.TrackingPxl++
-		}
-		if IsFingerprintScript(f) {
-			s.Fingerprints++
-		}
-	}
-	return s
-}
-
 // ChannelStats aggregates tracking per channel — the basis of Fig. 6 and
-// the channel-level analysis. It is an alias of store.ChannelTracking so
-// the single-pass dataset index computes the same aggregate; PerChannel
-// remains the standalone computation for callers without an index.
+// the channel-level analysis. It is an alias of store.ChannelTracking:
+// the single-pass dataset index computes it as Index.PerChannelTracking.
 type ChannelStats = store.ChannelTracking
-
-// PerChannel computes tracking statistics for every channel with at least
-// one tracking request, across the given runs.
-func (c *Classifier) PerChannel(runs []*store.RunData) map[string]*ChannelStats {
-	out := make(map[string]*ChannelStats)
-	for _, run := range runs {
-		for _, f := range run.Flows {
-			if f.Channel == "" || !c.IsTracking(f) {
-				continue
-			}
-			cs := out[f.Channel]
-			if cs == nil {
-				cs = &ChannelStats{Channel: f.Channel, Trackers: make(map[string]struct{})}
-				out[f.Channel] = cs
-			}
-			cs.TrackingRequests++
-			cs.Trackers[etld.MustRegistrableDomain(f.Host())] = struct{}{}
-		}
-	}
-	return out
-}
 
 // CategoryStats aggregates tracking per channel category (Fig. 7).
 type CategoryStats struct {
@@ -296,7 +159,8 @@ func sortedMapKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// PerCategory groups PerChannel results by the channels' primary category.
+// PerCategory groups per-channel tracking statistics (the index's
+// PerChannelTracking) by the channels' primary category.
 // Channels in categories with fewer than minChannels channels are folded
 // into "Other/Unknown", as in Fig. 7.
 func PerCategory(byChannel map[string]*ChannelStats, ds *store.Dataset, minChannels int) []CategoryStats {

@@ -1,13 +1,13 @@
 package tracking
 
 import (
+	"context"
 	"net/http"
 	"net/url"
 	"testing"
 	"time"
 
 	"github.com/hbbtvlab/hbbtvlab/internal/dvb"
-	"github.com/hbbtvlab/hbbtvlab/internal/filterlist"
 	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
@@ -66,38 +66,51 @@ func TestIsFingerprintScript(t *testing.T) {
 	}
 }
 
+// buildIndex indexes runs with the classifier the analysis engine uses.
+func buildIndex(t *testing.T, runs ...*store.RunData) *store.Index {
+	t.Helper()
+	ix, err := store.BuildIndex(context.Background(), &store.Dataset{Runs: runs}, NewClassifier().IndexConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 func TestFirstPartyIdentification(t *testing.T) {
 	// The earliest request goes to a known tracker (encoded into the
 	// signal); the corrected rule must skip it.
 	run := &store.RunData{Name: store.RunGeneral, Flows: []*proxy.Flow{
-		mkFlow("http://google-analytics.com/collect?v=1&tid=UA-1", "MTV", t0, 200, "image/gif", 35, ""),
+		mkFlow("http://doubleclick.net/ad?id=1", "MTV", t0, 200, "image/gif", 35, ""),
 		mkFlow("http://hbbtv.mtv.de/index.html", "MTV", t0.Add(time.Second), 200, "text/html", 500, "<html>"),
 		mkFlow("http://tvping.com/t", "MTV", t0.Add(2*time.Second), 200, "image/gif", 35, ""),
 	}}
-	known := filterlist.EasyPrivacy()
-
-	got := FirstParties([]*store.RunData{run}, known)
-	if got["MTV"] != "mtv.de" {
-		t.Errorf("corrected first party = %q, want mtv.de", got["MTV"])
+	if got := buildIndex(t, run).FirstParty["MTV"]; got != "mtv.de" {
+		t.Errorf("corrected first party = %q, want mtv.de", got)
 	}
-	naive := NaiveFirstParties([]*store.RunData{run})
-	if naive["MTV"] != "google-analytics.com" {
-		t.Errorf("naive first party = %q, want google-analytics.com (the known failure)", naive["MTV"])
+	cfg := NewClassifier().IndexConfig()
+	cfg.KnownTrackerMask = 0
+	naive, err := store.BuildIndex(context.Background(), &store.Dataset{Runs: []*store.RunData{run}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := naive.FirstParty["MTV"]; got != "doubleclick.net" {
+		t.Errorf("naive first party = %q, want doubleclick.net (the known failure)", got)
 	}
 }
 
 func TestClassifierKinds(t *testing.T) {
-	c := NewClassifier()
+	const listed = store.FlowOnEasyList | store.FlowOnEasyPrivacy | store.FlowOnPiHole
 	px := mkFlow("http://tvping.com/t", "C", t0, 200, "image/gif", 35, "")
-	if k := c.Classify(px); k&KindPixel == 0 || k&KindListed != 0 {
+	ad := mkFlow("http://doubleclick.net/ad", "C", t0, 200, "text/html", 500, "x")
+	benign := mkFlow("http://hbbtv.ard.de/index.html", "C", t0, 200, "text/html", 500, "<html>")
+	ix := buildIndex(t, &store.RunData{Name: store.RunRed, Flows: []*proxy.Flow{px, ad, benign}})
+	if k := ix.Kind(px); k&store.FlowPixel == 0 || k&listed != 0 {
 		t.Errorf("tvping pixel kind = %b", k)
 	}
-	listed := mkFlow("http://doubleclick.net/ad", "C", t0, 200, "text/html", 500, "x")
-	if k := c.Classify(listed); k&KindListed == 0 {
+	if k := ix.Kind(ad); k&listed == 0 {
 		t.Errorf("doubleclick kind = %b", k)
 	}
-	benign := mkFlow("http://hbbtv.ard.de/index.html", "C", t0, 200, "text/html", 500, "<html>")
-	if c.IsTracking(benign) {
+	if ix.IsTracking(benign) {
 		t.Error("app document classified as tracking")
 	}
 }
@@ -110,11 +123,11 @@ func TestListStats(t *testing.T) {
 		mkFlow("http://fp.de/fp.js", "A", t0, 200, "application/javascript", 80, "toDataURL"), // fingerprint
 		mkFlow("http://hbbtv.a.de/i.html", "A", t0, 200, "text/html", 400, "<html>"),          // clean
 	}}
-	s := NewClassifier().ListStats(run)
-	if s.OnEasyList != 1 || s.OnEasyPriv != 1 || s.OnPiHole != 2 {
+	s := buildIndex(t, run).Runs[0]
+	if s.OnEasyList != 1 || s.OnEasyPrivacy != 1 || s.OnPiHole != 2 {
 		t.Errorf("list hits = %+v", s)
 	}
-	if s.TrackingPxl != 2 || s.Fingerprints != 1 {
+	if s.TrackingPixels != 2 || s.FingerprintScripts != 1 {
 		t.Errorf("heuristics = %+v", s)
 	}
 }
@@ -135,16 +148,15 @@ func TestPerChannelAndCategory(t *testing.T) {
 			mkFlow("http://hbbtv.c.de/i", "C", t0, 200, "text/html", 300, "<html>"),
 		},
 	}}
-	c := NewClassifier()
-	by := c.PerChannel(runs)
+	ix := buildIndex(t, runs...)
+	by := ix.PerChannelTracking
 	if len(by) != 2 {
 		t.Fatalf("channels with tracking = %d, want 2", len(by))
 	}
 	if by["A"].TrackingRequests != 3 || by["A"].TrackerCount() != 2 {
 		t.Errorf("A = %+v", by["A"])
 	}
-	ds := &store.Dataset{Runs: runs}
-	cats := PerCategory(by, ds, 1)
+	cats := PerCategory(by, ix.Dataset, 1)
 	if len(cats) != 3 {
 		t.Fatalf("categories = %+v", cats)
 	}
@@ -170,10 +182,12 @@ func TestPerCategoryFoldsSmall(t *testing.T) {
 	}
 }
 
-func TestFindLeaksAndSummarize(t *testing.T) {
+// leakDataset holds one flow leaking device data and one leaking the
+// watched show and genre.
+func leakDataset() *store.Dataset {
 	u1, _ := url.Parse("http://collector.de/d?manufacturer=LGE&model=43UK6300LLB")
 	u2, _ := url.Parse("http://profiler.com/b?genre=Krimi&uid=x")
-	runs := []*store.RunData{{
+	return &store.Dataset{Runs: []*store.RunData{{
 		Name: store.RunGeneral,
 		Channels: []store.ChannelInfo{
 			{Name: "A", Show: "Tatort", Genre: "Krimi"},
@@ -185,8 +199,11 @@ func TestFindLeaksAndSummarize(t *testing.T) {
 				RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
 				RequestBody: []byte("show=Tatort")},
 		},
-	}}
-	ds := &store.Dataset{Runs: runs}
+	}}}
+}
+
+func TestFindLeaksAndSummarize(t *testing.T) {
+	ds := leakDataset()
 	fp := map[string]string{"A": "a.de"}
 	leaks := FindLeaks(ds, fp, LGNeedles)
 	if len(leaks) < 3 {
