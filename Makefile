@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race chaos resume fuzz bench fmt lint bench-json bench-analyze bench-measure bench-merge bench-span benchgate fleet trace
+.PHONY: build test check race chaos resume fuzz bench fmt lint bench-json bench-analyze bench-measure bench-merge bench-span bench-pipeline benchgate fleet trace
 
 build:
 	$(GO) build ./...
@@ -109,6 +109,19 @@ bench-merge:
 bench-span:
 	$(GO) test -json -bench 'BenchmarkSpanOverhead' -benchtime 1x -run '^$$' . | tee BENCH_span.json
 	$(GO) run ./cmd/hbbtv-benchgate -bench BENCH_span.json -floor BENCH_floor.json -match 'BenchmarkSpanOverhead'
+
+# bench-pipeline runs the end-to-end pipeline benchmark (pipebench, the
+# one BENCHMARK.json declares) on each of its workloads for 25 s at seed 1
+# and appends every run's stamp and result, one JSON object per line, to
+# BENCH_pipeline.json. The stamp names the measured commit and source
+# digest, so the file collects before/after pairs. A run with a failed
+# check stops the target and appends nothing.
+bench-pipeline:
+	mkdir -p .bench_build
+	for w in campaign reanalyze chaos-resume; do \
+		bash pipebench/run.sh --workload $$w --seed 1 --seconds 25 --trace 0 > .bench_build/pipeline.out || exit 1; \
+		sed -n -e '1s/^stamp //p' -e '$$p' .bench_build/pipeline.out >> BENCH_pipeline.json; \
+	done
 
 # benchgate re-checks already recorded BENCH_*.json streams against the
 # committed floors without re-running the (slow) paper-scale benchmarks.

@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -516,13 +517,19 @@ func BenchmarkAttribution(b *testing.B) {
 
 // BenchmarkMeasureThroughput measures the measurement engine end-to-end —
 // synthesis, tuning, watching, recording — at paper scale, reporting
-// flows/s. This is the hot path the interned flow records, arena
-// allocation, and zero-clone header hand-over optimise; the bench-
+// flows/s. This is the hot path the interned hosts and header blocks and
+// the arena-allocated flow records optimise; the bench-
 // regression gate (internal/benchgate) holds the floor, clamped by the
 // gomaxprocs metric so a small CI box is judged against a
 // proportionally smaller target. Every sub-benchmark hard-asserts that
 // its dataset digest equals the j=1 digest: throughput work must never
 // buy speed with bytes.
+//
+// j=1 also reports the campaign's memory next to its snapshot's, each as
+// the live heap after a forced GC less the live heap before the runs (the
+// test binary's own fixtures): live-MB with the last run's dataset still
+// referenced, snapshot-live-MB once that dataset is replaced by its own
+// snapshot, reloaded.
 func BenchmarkMeasureThroughput(b *testing.B) {
 	var baseline string
 	for _, j := range []int{1, 8} {
@@ -531,8 +538,10 @@ func BenchmarkMeasureThroughput(b *testing.B) {
 			var (
 				digest string
 				flows  int
+				ds     *store.Dataset
 			)
 			var elapsed time.Duration
+			base := liveHeapMB()
 			for i := 0; i < b.N; i++ {
 				// Telemetry (spans included) stays on: the throughput floor
 				// is the instrumented engine's, and the digest assert below
@@ -541,7 +550,8 @@ func BenchmarkMeasureThroughput(b *testing.B) {
 				opts.Telemetry = NewTelemetry(opts)
 				study := NewStudy(opts)
 				start := time.Now()
-				ds, err := study.ExecuteRuns()
+				var err error
+				ds, err = study.ExecuteRuns()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -557,6 +567,11 @@ func BenchmarkMeasureThroughput(b *testing.B) {
 			elapsed /= time.Duration(b.N)
 			b.ReportMetric(float64(flows)/elapsed.Seconds(), "flows/s")
 			b.ReportMetric(float64(flows), "flows")
+			if j == 1 {
+				live, snapshotLive := datasetHeapMB(b, &ds)
+				b.ReportMetric(live-base, "live-MB")
+				b.ReportMetric(snapshotLive-base, "snapshot-live-MB")
+			}
 			if baseline == "" {
 				baseline = digest
 			} else if digest != baseline {
@@ -564,6 +579,48 @@ func BenchmarkMeasureThroughput(b *testing.B) {
 			}
 		})
 	}
+}
+
+// liveHeapMB forces a GC and returns the live heap in MB. It collects
+// twice: a sync.Pool keeps its entries through one collection, and
+// encoding/json pools the encode buffer of a saved dataset's trace.
+func liveHeapMB() float64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc) / (1 << 20)
+}
+
+// datasetHeapMB returns the live heap while *ds is referenced, then the
+// live heap after *ds is dropped for the same dataset saved as a snapshot
+// file and loaded back. It clears *ds, so the caller must hold no other
+// reference to the dataset.
+func datasetHeapMB(b *testing.B, ds **store.Dataset) (live, snapshotLive float64) {
+	live = liveHeapMB()
+	path := filepath.Join(b.TempDir(), "dataset.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := store.Save(f, *ds, store.FormatSnapshot); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	*ds = nil
+	if f, err = os.Open(path); err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	loaded, err := store.Load(f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snapshotLive = liveHeapMB()
+	runtime.KeepAlive(loaded)
+	return live, snapshotLive
 }
 
 // BenchmarkSpanOverhead measures the tracer hot path in isolation — one

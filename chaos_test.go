@@ -131,7 +131,7 @@ func TestChaosDeterminism(t *testing.T) {
 // outcomes — and the coverage index must name exactly the channels whose
 // runs are incomplete.
 func TestChaosAnalysisTolerates(t *testing.T) {
-	ds := runChaosStudy(t, chaosOptions(2))
+	ds, _ := chaosWorld(t)
 
 	res := Analyze(ds)
 	if res == nil {

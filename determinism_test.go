@@ -55,7 +55,8 @@ func TestStudyDeterministic(t *testing.T) {
 // procedure, or the analysis that alters the headline numbers fails here
 // until the golden is deliberately regenerated with -update.
 func TestTableIGolden(t *testing.T) {
-	res, _ := runSmallStudy(t, 321)
+	ds, _ := tableIWorld(t)
+	res := Analyze(ds)
 	var buf bytes.Buffer
 	if err := RenderTableI(&buf, res.TableI); err != nil {
 		t.Fatal(err)
@@ -89,11 +90,7 @@ func TestTableIGolden(t *testing.T) {
 // is covered explicitly: its Kruskal-Wallis groupings are built from
 // maps, and an unsorted iteration there once made H/p values drift.
 func TestAnalyzeParallelDeterminism(t *testing.T) {
-	study := NewStudy(Options{Seed: 321, Scale: 0.04, ProbeWatch: 20 * time.Second})
-	ds, err := study.ExecuteRuns()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds, _ := tableIWorld(t)
 	encode := func(parallelism int) []byte {
 		t.Helper()
 		res, err := AnalyzeContext(context.Background(), ds, AnalyzeOptions{Parallelism: parallelism})

@@ -1,9 +1,10 @@
 // Package intern provides dense string-intern tables. It is the shared
 // foundation of two hot paths: the columnar analysis index (internal/store)
 // stores every string-valued flow field once and keeps int32 IDs per row,
-// and the recording proxy (internal/proxy) deduplicates host names and
-// header strings at record time so half a million flows do not allocate
-// half a million copies of "image/gif".
+// and the recording proxy (internal/proxy) interns host names at record
+// time so half a million flows do not hold half a million copies of one
+// host. Header strings need no table of their own: the recorder shares
+// whole header blocks, one read-only map per distinct block.
 //
 // Determinism contract: IDs are assigned in first-occurrence order of the
 // insertion sequence, and merging chunk-local tables (chunks taken in

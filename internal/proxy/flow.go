@@ -13,6 +13,7 @@ package proxy
 import (
 	"net/http"
 	"net/url"
+	"strings"
 	"time"
 )
 
@@ -64,15 +65,17 @@ func (f *Flow) Host() string {
 // the store's loaders use it; h must equal URL.Hostname().
 func (f *Flow) CacheHost(h string) { f.host = h }
 
-// ContentType returns the response media type without parameters.
+// ContentType returns the response media type without parameters, in
+// lower case: type and subtype are case-insensitive (RFC 9110 §8.3.1).
 func (f *Flow) ContentType() string {
 	ct := f.ResponseHeaders.Get("Content-Type")
 	for i := 0; i < len(ct); i++ {
 		if ct[i] == ';' {
-			return trimSpaces(ct[:i])
+			ct = ct[:i]
+			break
 		}
 	}
-	return trimSpaces(ct)
+	return strings.ToLower(trimSpaces(ct))
 }
 
 func trimSpaces(s string) string {

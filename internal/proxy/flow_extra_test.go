@@ -30,6 +30,9 @@ func TestFlowContentTypeVariants(t *testing.T) {
 		{"  image/gif  ", "image/gif"},
 		{"application/javascript;charset=UTF-8", "application/javascript"},
 		{"", ""},
+		// Type and subtype are case-insensitive (RFC 9110 §8.3.1).
+		{"Image/GIF", "image/gif"},
+		{" TEXT/Html ; charset=UTF-8", "text/html"},
 	}
 	for _, tt := range tests {
 		if got := mk(tt.in).ContentType(); got != tt.want {
@@ -51,6 +54,9 @@ func TestIsTextualClassification(t *testing.T) {
 		{"image/gif", false},
 		{"application/octet-stream", false},
 		{"video/mp4", false},
+		{"Text/HTML; charset=UTF-8", true},
+		{"APPLICATION/JSON", true},
+		{"IMAGE/GIF", false},
 	}
 	for _, tt := range tests {
 		if got := isTextual(tt.ct); got != tt.want {

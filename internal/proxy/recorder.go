@@ -2,10 +2,12 @@ package proxy
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -55,6 +57,12 @@ type Recorder struct {
 	flowArena []Flow
 	urlArena  []url.URL
 	strs      *intern.Strings
+	// headers maps each distinct header block (by AppendHeaderKey) to the
+	// one read-only map every flow carrying it shares; keyBuf is the
+	// scratch the key is built in, so a table hit allocates nothing. Both
+	// intern tables live as long as the recorder: Reset keeps them.
+	headers map[string]http.Header
+	keyBuf  []byte
 	// hostsByChannel remembers which hosts each channel contacted, feeding
 	// the Referer-based attribution correction.
 	hostsByChannel map[string]map[string]struct{}
@@ -91,6 +99,7 @@ func NewRecorder(inner http.RoundTripper, clk clock.Clock) *Recorder {
 		clk:            clk,
 		hostsByChannel: make(map[string]map[string]struct{}),
 		strs:           intern.NewStrings(256),
+		headers:        make(map[string]http.Header, 256),
 	}
 }
 
@@ -172,10 +181,10 @@ func (rb *replayBody) Close() error { return nil }
 // RoundTrip implements http.RoundTripper: it forwards the request through
 // the inner transport and records a Flow.
 //
-// The recorded Flow takes ownership of the request and response header maps
-// instead of cloning them: both are per-request maps whose writers are done
-// by the time the flow is recorded (the TV builds a fresh request header per
-// request, and the virtual network hands over the handler's response header).
+// The recorded Flow never holds the caller's header maps: record points it
+// at the recorder's shared copy of each block, so whatever http.Client, the
+// TV or the inner transport later writes to req.Header or to the returned
+// resp.Header cannot reach a recorded flow.
 func (r *Recorder) RoundTrip(req *http.Request) (*http.Response, error) {
 	var reqBody []byte
 	if req.Body != nil && req.Body != http.NoBody {
@@ -227,8 +236,9 @@ func (r *Recorder) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // record moves f into the arena, assigns its ID and attribution, and indexes
-// it. f's URL is arena-cloned and its host interned so that every flow of a
-// shard shares one canonical copy per distinct host string.
+// it. f's URL is arena-cloned, its host interned and its header maps
+// replaced by the recorder's shared blocks, so every flow of a shard shares
+// one canonical copy per distinct host string and per distinct header block.
 func (r *Recorder) record(f *Flow, u *url.URL) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -238,6 +248,8 @@ func (r *Recorder) record(f *Flow, u *url.URL) {
 	r.urlArena = append(r.urlArena, *u)
 	f.URL = &r.urlArena[len(r.urlArena)-1]
 	f.host = r.strs.Canon(f.URL.Hostname())
+	f.RequestHeaders = r.headerLocked(f.RequestHeaders)
+	f.ResponseHeaders = r.headerLocked(f.ResponseHeaders)
 	r.nextID++
 	f.ID = r.nextID
 	f.Channel, f.ChannelID = r.attributeLocked(f)
@@ -276,6 +288,48 @@ func (r *Recorder) record(f *Flow, u *url.URL) {
 		r.burst.AddFlow()
 		r.burstLast = f.Time
 	}
+}
+
+// headerLocked returns the recorder's shared map for h's block, cloning h
+// on first sight; h itself stays the caller's. A nil header stays nil.
+// Callers hold r.mu.
+func (r *Recorder) headerLocked(h http.Header) http.Header {
+	if h == nil {
+		return nil
+	}
+	r.keyBuf = AppendHeaderKey(r.keyBuf[:0], h)
+	if canon, ok := r.headers[string(r.keyBuf)]; ok {
+		return canon
+	}
+	canon := h.Clone()
+	r.headers[string(r.keyBuf)] = canon
+	return canon
+}
+
+// AppendHeaderKey appends the canonical content key of a header block to
+// dst: the names in sorted order, each followed by its value count and
+// values, every string length-prefixed, so two blocks share a key exactly
+// when they hold the same names and values. It is the one block key of the
+// module: the recorder's header table and store.Dedup both use it. Beyond
+// growing dst it allocates nothing for blocks of up to 32 names.
+func AppendHeaderKey(dst []byte, h http.Header) []byte {
+	var stack [32]string
+	names := stack[:0]
+	for name := range h {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		values := h[name]
+		dst = binary.AppendUvarint(dst, uint64(len(name)))
+		dst = append(dst, name...)
+		dst = binary.AppendUvarint(dst, uint64(len(values)))
+		for _, v := range values {
+			dst = binary.AppendUvarint(dst, uint64(len(v)))
+			dst = append(dst, v...)
+		}
+	}
+	return dst
 }
 
 // attributeLocked maps a flow to a channel. Callers hold r.mu.
@@ -319,7 +373,9 @@ func (r *Recorder) Flows() []*Flow {
 }
 
 // Reset discards all recorded flows and channel state. Used between
-// measurement runs ("wipe and power off").
+// measurement runs ("wipe and power off"). The host and header intern
+// tables are kept: they hold only immutable values, so flows recorded
+// after a reset share them with flows recorded before it.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -327,7 +383,6 @@ func (r *Recorder) Reset() {
 	r.flows = nil
 	r.flowArena = nil
 	r.urlArena = nil
-	r.strs = intern.NewStrings(256)
 	r.current = channelEpoch{}
 	r.prev = channelEpoch{}
 	r.hostsByChannel = make(map[string]map[string]struct{})
@@ -341,8 +396,9 @@ func (r *Recorder) Len() int {
 }
 
 // NextID returns the flow-ID counter — the one piece of recorder state
-// that survives Reset (flow IDs run across measurement runs within a
-// shard), so it is part of a checkpoint cell's state.
+// that survives Reset and shows in the dataset (flow IDs run across
+// measurement runs within a shard), so it is part of a checkpoint cell's
+// state.
 func (r *Recorder) NextID() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -363,7 +419,8 @@ func (r *Recorder) RestoreNextID(next int64) error {
 }
 
 // isTextual reports whether a content type is worth retaining for content
-// analyses (scripts, markup, JSON/text payloads).
+// analyses (scripts, markup, JSON/text payloads). Media types compare
+// case-insensitively (RFC 9110 §8.3.1).
 func isTextual(contentType string) bool {
 	ct := contentType
 	for i := 0; i < len(ct); i++ {
@@ -372,6 +429,7 @@ func isTextual(contentType string) bool {
 			break
 		}
 	}
+	ct = strings.ToLower(ct)
 	if strings.HasPrefix(ct, "text/") {
 		return true
 	}

@@ -7,10 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
-	"strings"
 	"time"
 
+	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
 	"github.com/hbbtvlab/hbbtvlab/internal/telemetry"
 )
 
@@ -190,7 +189,7 @@ func ChannelOrderDigest(order []string) string {
 // header blocks, shared across shard-dataset loads so that K shards
 // carrying the same tracker payloads and header shapes collapse to one
 // in-memory copy instead of K. Bodies are keyed by SHA-256 of their
-// content, header blocks by a canonical flattened encoding. The returned
+// content, header blocks by proxy.AppendHeaderKey. The returned
 // canonical copies are shared — loaded datasets are read-only downstream,
 // which is what makes the sharing safe (the snapshot loader already
 // shares header maps between flows on the same grounds).
@@ -200,6 +199,7 @@ func ChannelOrderDigest(order []string) string {
 type Dedup struct {
 	blobs   map[[sha256.Size]byte][]byte
 	headers map[string]http.Header
+	key     []byte // scratch for header-block keys
 	stats   DedupStats
 }
 
@@ -259,39 +259,17 @@ func (d *Dedup) Header(h http.Header) http.Header {
 		return h
 	}
 	d.stats.Headers++
-	key := headerKey(h)
-	if canon, ok := d.headers[key]; ok {
+	d.key = proxy.AppendHeaderKey(d.key[:0], h)
+	if canon, ok := d.headers[string(d.key)]; ok {
 		d.stats.HeadersShared++
 		return canon
 	}
-	d.headers[key] = h
+	d.headers[string(d.key)] = h
 	return h
 }
 
 // Stats returns the table's running tallies.
 func (d *Dedup) Stats() DedupStats { return d.stats }
-
-// headerKey builds the canonical content key of a header block: keys in
-// sorted order, values framed with bytes that cannot appear in header
-// text.
-func headerKey(h http.Header) string {
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte(0x00)
-		for _, v := range h[k] {
-			b.WriteString(v)
-			b.WriteByte(0x01)
-		}
-		b.WriteByte(0x02)
-	}
-	return b.String()
-}
 
 // Apply rewrites a loaded dataset in place so its bodies and header maps
 // reference the table's canonical copies. The snapshot loader dedups

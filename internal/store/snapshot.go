@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -276,28 +277,47 @@ func (t *blobTable) ref(b []byte) uint64 {
 	return id + 1
 }
 
-// headerTable deduplicates encoded header blocks at save time. Blocks are
-// keyed (and stored) by their exact bytes, so identical headers collapse to
-// one dense ID no matter which flow carried them.
+// headerTable deduplicates encoded header blocks at save time, for one role
+// (request or response). Blocks are keyed (and stored) by their exact
+// bytes, so identical headers collapse to one dense ID no matter which flow
+// carried them. byMap records the ID of every map already encoded, by map
+// identity: recorded and loaded datasets share one read-only map per
+// block, so a shared map is flattened, sorted and string-interned once
+// rather than once per flow. Each role needs its own record, since a
+// response block also carries the Set-Cookie list.
 type headerTable struct {
-	ids    map[string]uint64
-	blocks []string
+	response bool
+	ids      map[string]uint64
+	blocks   []string
+	byMap    map[uintptr]uint64
 }
 
-func newHeaderTable() *headerTable {
-	return &headerTable{ids: make(map[string]uint64, 64)}
+func newHeaderTable(response bool) *headerTable {
+	return &headerTable{
+		response: response,
+		ids:      make(map[string]uint64, 64),
+		byMap:    make(map[uintptr]uint64, 64),
+	}
 }
 
-// ref returns the dense ID for the block, copying it on first sight (the
-// caller reuses its scratch buffer).
-func (t *headerTable) ref(block []byte) uint64 {
-	if id, ok := t.ids[string(block)]; ok {
+// ref returns the dense ID of h's block, encoding h only when this map has
+// not been seen before. An encoded block is copied on first sight (the
+// scratch buffer is reused).
+func (t *headerTable) ref(h http.Header, tab *intern.Strings, scratch *flowSnapScratch) uint64 {
+	m := reflect.ValueOf(h).Pointer()
+	if id, ok := t.byMap[m]; ok {
 		return id
 	}
-	id := uint64(len(t.blocks))
-	key := string(block)
-	t.ids[key] = id
-	t.blocks = append(t.blocks, key)
+	scratch.hw.buf = scratch.hw.buf[:0]
+	encodeSnapHeader(&scratch.hw, h, t.response, tab, scratch)
+	id, ok := t.ids[string(scratch.hw.buf)]
+	if !ok {
+		id = uint64(len(t.blocks))
+		block := string(scratch.hw.buf)
+		t.ids[block] = id
+		t.blocks = append(t.blocks, block)
+	}
+	t.byMap[m] = id
 	return id
 }
 
@@ -318,7 +338,7 @@ func writeContainer(w io.Writer, lead []jsonSection, runs []*RunData, trail []js
 	tab := intern.NewStrings(1024)
 	tab.Intern("") // ID 0 is the empty string
 	blobs := newBlobTable()
-	scratch := flowSnapScratch{reqTab: newHeaderTable(), respTab: newHeaderTable()}
+	scratch := flowSnapScratch{reqTab: newHeaderTable(false), respTab: newHeaderTable(true)}
 	// The run sections fill the tables, which precede them in the file, so
 	// they are encoded into memory first.
 	runSecs := make([][]byte, 0, len(runs))
@@ -613,19 +633,10 @@ func encodeFlowSnapshot(w *snapWriter, f *proxy.Flow, tab *intern.Strings, blobs
 	} else {
 		w.uvarint(uint64(tab.Intern(urlStr)))
 	}
-	scratch.hw.buf = scratch.hw.buf[:0]
-	encodeSnapHeader(&scratch.hw, f.RequestHeaders, false, tab, scratch)
-	w.uvarint(scratch.reqTab.ref(scratch.hw.buf))
+	w.uvarint(scratch.reqTab.ref(f.RequestHeaders, tab, scratch))
 	w.uvarint(blobs.ref(f.RequestBody))
 	w.varint(int64(f.StatusCode))
-	scratch.hw.buf = scratch.hw.buf[:0]
-	encodeSnapHeader(&scratch.hw, f.ResponseHeaders, true, tab, scratch)
-	setCookies := f.ResponseHeaders.Values("Set-Cookie")
-	scratch.hw.uvarint(uint64(len(setCookies)))
-	for _, sc := range setCookies {
-		scratch.hw.uvarint(uint64(tab.Intern(sc)))
-	}
-	w.uvarint(scratch.respTab.ref(scratch.hw.buf))
+	w.uvarint(scratch.respTab.ref(f.ResponseHeaders, tab, scratch))
 	w.varint(f.ResponseSize)
 	w.uvarint(blobs.ref(f.ResponseBody))
 	w.uvarint(uint64(tab.Intern(f.Channel)))
@@ -668,8 +679,8 @@ type headerField struct {
 
 // encodeSnapHeader writes h in the flattened form the JSON format uses:
 // entries in sorted name order, so the bytes are deterministic, with
-// multiple values joined by "\n". A response block leaves Set-Cookie out;
-// the caller appends it as a list.
+// multiple values joined by "\n". A response block carries Set-Cookie not
+// among the entries but as a trailing list.
 func encodeSnapHeader(w *snapWriter, h http.Header, response bool, tab *intern.Strings, scratch *flowSnapScratch) {
 	fields := scratch.fields[:0]
 	for name, values := range h {
@@ -686,6 +697,13 @@ func encodeSnapHeader(w *snapWriter, h http.Header, response bool, tab *intern.S
 			w.str(tab, f.values[0])
 		} else {
 			w.str(tab, strings.Join(f.values, "\n"))
+		}
+	}
+	if response {
+		setCookies := h.Values("Set-Cookie")
+		w.uvarint(uint64(len(setCookies)))
+		for _, sc := range setCookies {
+			w.str(tab, sc)
 		}
 	}
 }

@@ -2,9 +2,11 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/url"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -225,4 +227,96 @@ func TestSnapshotTimesOutsideUnixNano(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("checkpoint", got.Cells[0].Data)
+}
+
+// TestSnapshotSharedHeaderMaps: the writer encodes each header map once
+// per role and reuses its block ID for every later flow holding the same
+// map. Sharing must be invisible in the output: a dataset whose flows share
+// header maps and a copy in which every flow holds its own clone give the
+// same snapshot bytes and digest, and load back equal. The fixture covers a
+// nil and an empty map, two distinct maps with equal content, and one map
+// (with Set-Cookie entries) serving as one flow's request header and
+// another's response header — a response block also carries the
+// Set-Cookie list, so the two roles must not share one identity record.
+func TestSnapshotSharedHeaderMaps(t *testing.T) {
+	ua := http.Header{"User-Agent": {"HbbTV/1.5.1"}, "Accept": {"text/html", "image/gif"}}
+	gif := http.Header{"Content-Type": {"image/gif"}}
+	both := http.Header{"Content-Type": {"text/html"}, "Set-Cookie": {"uid=1; Path=/", "sess=2"}}
+	empty := http.Header{}
+	headers := [][2]http.Header{
+		{ua, gif},
+		{ua, gif},
+		{both, gif},       // both first seen as a request block...
+		{ua, both},        // ...then as a response block
+		{nil, empty},      // nil request, empty response
+		{empty, empty},    // the empty map in both roles
+		{ua.Clone(), gif}, // a distinct map equal to ua
+		{both, both},
+		{nil, nil},
+	}
+	build := func(clone bool) *Dataset {
+		flows := make([]*proxy.Flow, len(headers))
+		for i, h := range headers {
+			f := mkFlow(fmt.Sprintf("http://t%d.example.de/px", i%3), "A", false)
+			f.ID = int64(i + 1)
+			f.RequestHeaders, f.ResponseHeaders = h[0], h[1]
+			if clone {
+				f.RequestHeaders, f.ResponseHeaders = h[0].Clone(), h[1].Clone()
+			}
+			flows[i] = f
+		}
+		return &Dataset{Runs: []*RunData{
+			{Name: RunRed, Flows: flows[:5]},
+			{Name: RunBlue, Flows: flows[5:]},
+		}}
+	}
+	shared, cloned := build(false), build(true)
+
+	save := func(ds *Dataset) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := Save(&buf, ds, FormatSnapshot); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	sharedBytes, clonedBytes := save(shared), save(cloned)
+	if !bytes.Equal(sharedBytes, clonedBytes) {
+		t.Fatal("shared header maps change the snapshot bytes")
+	}
+	sharedDigest, err := shared.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clonedDigest, err := cloned.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sharedDigest != clonedDigest {
+		t.Fatalf("shared header maps change the digest: %s != %s", sharedDigest, clonedDigest)
+	}
+
+	sharedLoaded, err := Load(bytes.NewReader(sharedBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clonedLoaded, err := Load(bytes.NewReader(clonedBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sharedLoaded, clonedLoaded) {
+		t.Fatal("shared and cloned datasets load back different")
+	}
+	for i, f := range slices.Concat(sharedLoaded.Runs[0].Flows, sharedLoaded.Runs[1].Flows) {
+		if f.RequestHeaders.Get("User-Agent") != headers[i][0].Get("User-Agent") ||
+			!reflect.DeepEqual(f.ResponseHeaders.Values("Set-Cookie"), headers[i][1].Values("Set-Cookie")) ||
+			f.ContentType() != (&proxy.Flow{ResponseHeaders: headers[i][1]}).ContentType() {
+			t.Errorf("flow %d loads back with other headers: %v / %v", i, f.RequestHeaders, f.ResponseHeaders)
+		}
+	}
+	// A re-save of the loaded dataset, whose flows share the decoder's
+	// maps, still writes the same bytes.
+	if !bytes.Equal(save(sharedLoaded), sharedBytes) {
+		t.Error("re-saving the loaded dataset changes the snapshot bytes")
+	}
 }
