@@ -47,13 +47,18 @@ resume:
 # Short coverage-guided fuzzing passes (seeded corpora), 30 s each: the
 # binary AIT decoder, the dataset loader over both formats and the
 # checkpoint container (no panic; an accepted input re-saves as a
-# snapshot to a fixed point with an unchanged digest), and the policy
+# snapshot to a fixed point with an unchanged digest), the policy
 # ad-window parser (no panic; accepted hours lie on the 24-hour clock;
-# the result ignores ASCII letter case).
+# the result ignores ASCII letter case), and two differential targets:
+# the TV jar's one-pass Cookie header against net/http's AddCookie chain,
+# and the tracker's query and cookie scanners against url.ParseQuery and
+# (*http.Request).Cookie.
 fuzz:
 	$(GO) test ./internal/dvb/ -run '^$$' -fuzz FuzzParseAIT -fuzztime 30s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzLoad -fuzztime 30s
 	$(GO) test ./internal/policy/ -run '^$$' -fuzz FuzzParseAdWindow -fuzztime 30s
+	$(GO) test ./internal/webos/ -run '^$$' -fuzz FuzzCookieHeader -fuzztime 30s
+	$(GO) test ./internal/headend/ -run '^$$' -fuzz FuzzTrackerLookups -fuzztime 30s
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

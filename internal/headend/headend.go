@@ -231,37 +231,40 @@ func (t *TrackerService) maybeSetCookie(w http.ResponseWriter, r *http.Request) 
 	if t.cfg.CookieName == "" {
 		return
 	}
-	names := []string{t.cfg.CookieName}
+	t.setCookieUnlessSent(w, r, t.cfg.CookieName)
 	if site := siteParam(r); site != "" {
-		names = append(names, t.cfg.CookieName+"_"+site)
-	}
-	for _, name := range names {
-		if _, err := r.Cookie(name); err == nil {
-			continue
-		}
-		http.SetCookie(w, &http.Cookie{
-			Name:   name,
-			Value:  t.newValue(),
-			Path:   "/",
-			MaxAge: 365 * 24 * 3600,
-		})
+		t.setCookieUnlessSent(w, r, t.cfg.CookieName+"_"+site)
 	}
 }
 
+// setCookieUnlessSent mints the named cookie unless the request carries it.
+func (t *TrackerService) setCookieUnlessSent(w http.ResponseWriter, r *http.Request, name string) {
+	if _, ok := cookieValue(r.Header, name); ok {
+		return
+	}
+	http.SetCookie(w, &http.Cookie{
+		Name:   name,
+		Value:  t.newValue(),
+		Path:   "/",
+		MaxAge: 365 * 24 * 3600,
+	})
+}
+
+// siteParam is the request's site/channel parameter: its first "c" value,
+// or else its first "site" value.
 func siteParam(r *http.Request) string {
-	q := r.URL.Query()
-	if c := q.Get("c"); c != "" {
+	if c := queryValue(r.URL.RawQuery, "c"); c != "" {
 		return c
 	}
-	return q.Get("site")
+	return queryValue(r.URL.RawQuery, "site")
 }
 
 // cookieValueFor returns the client's existing cookie value or mints and
 // sets a new one.
 func (t *TrackerService) cookieValueFor(w http.ResponseWriter, r *http.Request) string {
 	if t.cfg.CookieName != "" {
-		if c, err := r.Cookie(t.cfg.CookieName); err == nil {
-			return c.Value
+		if v, ok := cookieValue(r.Header, t.cfg.CookieName); ok {
+			return v
 		}
 	}
 	v := t.newValue()

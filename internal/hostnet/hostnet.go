@@ -72,8 +72,12 @@ func (in *Internet) HandleFunc(host string, f func(http.ResponseWriter, *http.Re
 // "a.b.example.de" matches "*.example.de".
 func (in *Internet) Lookup(host string) (http.Handler, bool) {
 	host = strings.ToLower(strings.TrimSuffix(host, "."))
-	if h, _, err := net.SplitHostPort(host); err == nil {
-		host = h
+	// Only a host holding a ':' can carry a port; splitting any other host
+	// would fail and allocate the error.
+	if strings.IndexByte(host, ':') >= 0 {
+		if h, _, err := net.SplitHostPort(host); err == nil {
+			host = h
+		}
 	}
 	in.mu.RLock()
 	defer in.mu.RUnlock()

@@ -35,6 +35,8 @@ func TestLookupExactAndWildcard(t *testing.T) {
 		{"a.b.hbbtv.ard.de", "ard-wild", true},
 		{"ARD.DE", "ard", true},
 		{"ard.de:8080", "ard", true},
+		{"hbbtv.ard.de:443", "ard-wild", true},
+		{"[::1]:8080", "", false},
 		{"tvping.com", "tvping", true},
 		{"zdf.de", "", false},
 		{"de", "", false},
@@ -54,6 +56,25 @@ func TestLookupExactAndWildcard(t *testing.T) {
 		if got := rec.header.Get("X-Virtual-Host"); got != tt.want {
 			t.Errorf("Lookup(%q) routed to %q, want %q", tt.host, got, tt.want)
 		}
+	}
+}
+
+// TestLookupPortlessHostAllocatesNothing: a host without a port — every
+// request the TV sends — resolves without building a SplitHostPort error.
+func TestLookupPortlessHostAllocatesNothing(t *testing.T) {
+	in := New()
+	in.Handle("*.ard.de", echoHandler("ard-wild"))
+	in.Handle("::1", echoHandler("loopback"))
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := in.Lookup("hbbtv.ard.de"); !ok {
+			t.Fatal("lookup failed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Lookup of a host without a port allocates %.1f objects, want 0", allocs)
+	}
+	if _, ok := in.Lookup("[::1]:8080"); !ok {
+		t.Error(`Lookup("[::1]:8080") did not strip the port`)
 	}
 }
 

@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -104,6 +105,84 @@ func TestRecorderPostBodyCaptured(t *testing.T) {
 	}
 	if got := string(rec.Flows()[0].RequestBody); got != `{"canvas":"deadbeef"}` {
 		t.Errorf("recorded body = %q", got)
+	}
+}
+
+// failingBody yields n bytes of 'x', then err; it counts its Close calls.
+type failingBody struct {
+	n      int
+	err    error
+	closes int
+}
+
+func (b *failingBody) Read(p []byte) (int, error) {
+	if b.n == 0 {
+		return 0, b.err
+	}
+	k := min(len(p), b.n)
+	for i := range p[:k] {
+		p[i] = 'x'
+	}
+	b.n -= k
+	return k, nil
+}
+
+func (b *failingBody) Close() error {
+	b.closes++
+	return nil
+}
+
+// TestRecorderRequestBodies: the recorder closes the caller's body exactly
+// once and leaves the caller's request alone. A body that fails to read,
+// within the recorded prefix or after it, fails the round trip and records
+// no flow; a body that reads forwards all its bytes and records the first
+// 16 KB of them.
+func TestRecorderRequestBodies(t *testing.T) {
+	errBroken := errors.New("connection reset mid-body")
+	for _, tc := range []struct {
+		name    string
+		body    *failingBody
+		wantErr bool
+	}{
+		{"fails inside the recorded prefix", &failingBody{n: 100, err: errBroken}, true},
+		{"fails after the recorded prefix", &failingBody{n: maxRecordedBody + 100, err: errBroken}, true},
+		{"reads to EOF", &failingBody{n: maxRecordedBody + 100, err: io.EOF}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec, _ := newTestRecorder()
+			req, err := http.NewRequest(http.MethodPost, "http://collector.de/fp", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Body = tc.body
+			resp, err := rec.RoundTrip(req)
+			if tc.body.closes != 1 {
+				t.Errorf("caller's body closed %d times, want 1", tc.body.closes)
+			}
+			if req.Body != tc.body {
+				t.Error("RoundTrip replaced the caller's req.Body")
+			}
+			if tc.wantErr {
+				if !errors.Is(err, errBroken) {
+					t.Fatalf("RoundTrip error = %v, want the body's read error", err)
+				}
+				if n := rec.Len(); n != 0 {
+					t.Errorf("failed body recorded %d flows", n)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if want := fmt.Sprintf("len=%d", maxRecordedBody+100); string(got) != want {
+				t.Errorf("server saw %q, want %q", got, want)
+			}
+			if n := len(rec.Flows()[0].RequestBody); n != maxRecordedBody {
+				t.Errorf("recorded %d body bytes, want %d", n, maxRecordedBody)
+			}
+		})
 	}
 }
 

@@ -182,18 +182,27 @@ func (rb *replayBody) Close() error { return nil }
 // the inner transport and records a Flow.
 //
 // The recorded Flow never holds the caller's header maps: record points it
-// at the recorder's shared copy of each block, so whatever http.Client, the
-// TV or the inner transport later writes to req.Header or to the returned
-// resp.Header cannot reach a recorded flow.
+// at the recorder's shared copy of each block, so whatever the caller or
+// the inner transport later writes to req.Header or to the returned
+// resp.Header — the TV rebuilds its one request header map for its next
+// request — cannot reach a recorded flow.
 func (r *Recorder) RoundTrip(req *http.Request) (*http.Response, error) {
 	var reqBody []byte
 	if req.Body != nil && req.Body != http.NoBody {
-		b, err := io.ReadAll(io.LimitReader(req.Body, maxRecordedBody))
-		if err == nil {
-			reqBody = b
-			rest, _ := io.ReadAll(req.Body)
-			req.Body = io.NopCloser(io.MultiReader(bytes.NewReader(b), bytes.NewReader(rest)))
+		// The recorder consumes and closes the caller's body, as the
+		// RoundTripper contract asks, and forwards a copy of the request
+		// carrying the bytes it read; a body that fails to read is neither
+		// forwarded nor recorded.
+		body, err := io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, fmt.Errorf("proxy: read request body: %w", err)
 		}
+		n := min(len(body), maxRecordedBody)
+		reqBody = body[:n:n]
+		fwd := *req
+		fwd.Body = io.NopCloser(bytes.NewReader(body))
+		req = &fwd
 	}
 	start := r.clk.Now()
 	resp, err := r.inner.RoundTrip(req)

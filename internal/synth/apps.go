@@ -36,6 +36,10 @@ func (w *World) channelRand(slug string) *rand.Rand {
 	return rand.New(rand.NewSource(int64(h) ^ w.Cfg.Seed))
 }
 
+// cdnImage is the body of every cdn.<fp> image: 4 KB of zeros, a genuine
+// content image rather than a pixel. Handlers only read it.
+var cdnImage [4096]byte
+
 func (w *World) ensureGroupServices(g *OperatorGroup) {
 	if w.groupHosts == nil {
 		w.groupHosts = make(map[string]bool)
@@ -58,7 +62,7 @@ func (w *World) ensureGroupServices(g *OperatorGroup) {
 			fmt.Fprintf(wr, "/* %s loader */ function boot(){}", g.FirstParty)
 		default:
 			wr.Header().Set("Content-Type", "image/png")
-			_, _ = wr.Write(make([]byte, 4096))
+			_, _ = wr.Write(cdnImage[:])
 		}
 	})
 	// cdn-secure.<fp>: the HTTPS asset host used by color-button pages.

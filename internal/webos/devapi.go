@@ -2,6 +2,7 @@ package webos
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -200,15 +201,20 @@ func (a *DevAPI) handleState(w http.ResponseWriter, r *http.Request) {
 }
 
 // DevClient is the remote-control client (the PyWebOSTV role): it drives a
-// TV through its DevAPI endpoint.
+// TV through its DevAPI endpoint. The API answers every command itself — no
+// redirects, no cookies — so the client hands each request straight to a
+// transport, under a deadline.
 type DevClient struct {
-	base   string
-	client *http.Client
+	base string
+	rt   http.RoundTripper
 }
+
+// devTimeout bounds one remote-control command.
+const devTimeout = 10 * time.Second
 
 // NewDevClient returns a client for the API at addr ("127.0.0.1:port").
 func NewDevClient(addr string) *DevClient {
-	return &DevClient{base: "http://" + addr, client: &http.Client{Timeout: 10 * time.Second}}
+	return &DevClient{base: "http://" + addr, rt: http.DefaultTransport}
 }
 
 func (c *DevClient) post(path string, body, out any) error {
@@ -216,9 +222,32 @@ func (c *DevClient) post(path string, body, out any) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.client.Post(c.base+path, "application/json", bytes.NewReader(raw))
+	return c.call(http.MethodPost, path, raw, out)
+}
+
+func (c *DevClient) get(path string, out any) error {
+	return c.call(http.MethodGet, path, nil, out)
+}
+
+// call sends one command, with body as its JSON payload when non-nil, and
+// decodes a 2xx answer into out when out is non-nil.
+func (c *DevClient) call(method, path string, body []byte, out any) error {
+	ctx, cancel := context.WithTimeout(context.TODO(), devTimeout)
+	defer cancel()
+	var payload io.Reader
+	if body != nil {
+		payload = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, payload)
 	if err != nil {
 		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.rt.RoundTrip(req)
+	if err != nil {
+		return fmt.Errorf("devapi %s: %w", path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
@@ -230,18 +259,6 @@ func (c *DevClient) post(path string, body, out any) error {
 	}
 	if out == nil {
 		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-func (c *DevClient) get(path string, out any) error {
-	resp, err := c.client.Get(c.base + path)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("devapi %s: status %d", path, resp.StatusCode)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }

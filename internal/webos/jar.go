@@ -3,6 +3,7 @@ package webos
 import (
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -43,7 +44,8 @@ type Jar struct {
 	mu      sync.Mutex
 	byDom   map[string][]*StoredCookie // keyed by StoredCookie.Domain
 	count   int
-	scratch []*StoredCookie // reusable match buffer for Cookies
+	scratch []*StoredCookie // reusable match buffer
+	hdrBuf  []byte          // reusable CookieHeader buffer
 }
 
 var _ http.CookieJar = (*Jar)(nil)
@@ -91,7 +93,9 @@ func (j *Jar) SetCookies(u *url.URL, cookies []*http.Cookie) {
 			Created: now,
 			SetBy:   host,
 		}
-		if sc.Path == "" {
+		if sc.Path == "" || sc.Path[0] != '/' {
+			// RFC 6265 §5.2.4: a path attribute that does not start
+			// with "/" is ignored in favour of the default path.
 			sc.Path = defaultPath(u.Path)
 		}
 		domain := strings.TrimPrefix(strings.ToLower(c.Domain), ".")
@@ -137,16 +141,57 @@ func (j *Jar) SetCookies(u *url.URL, cookies []*http.Cookie) {
 
 // Cookies implements http.CookieJar.
 func (j *Jar) Cookies(u *url.URL) []*http.Cookie {
+	now := j.clk.Now()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	matched := j.matchLocked(u, now)
+	if len(matched) == 0 {
+		return nil
+	}
+	out := make([]*http.Cookie, len(matched))
+	cs := make([]http.Cookie, len(matched))
+	for i, sc := range matched {
+		cs[i] = http.Cookie{Name: sc.Name, Value: sc.Value}
+		out[i] = &cs[i]
+	}
+	return out
+}
+
+// CookieHeader returns the Cookie header a request for u carries: the
+// cookies Cookies returns, in its order, each written the way
+// (*http.Request).AddCookie writes one and joined by "; ". It is what
+// adding Cookies(u) one by one to a request leaves in its Cookie header,
+// built in one pass; "" means the request carries no Cookie header.
+func (j *Jar) CookieHeader(u *url.URL) string {
+	now := j.clk.Now()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	matched := j.matchLocked(u, now)
+	if len(matched) == 0 {
+		return ""
+	}
+	buf := j.hdrBuf[:0]
+	for i, sc := range matched {
+		if i > 0 {
+			buf = append(buf, "; "...)
+		}
+		buf = appendCookie(buf, sc.Name, sc.Value)
+	}
+	j.hdrBuf = buf
+	return string(buf)
+}
+
+// matchLocked returns the unexpired cookies a request for u carries, in
+// RFC 6265 §5.4 order, in the jar's scratch buffer: the slice is valid
+// until the caller releases j.mu.
+func (j *Jar) matchLocked(u *url.URL, now time.Time) []*StoredCookie {
+	if len(j.byDom) == 0 {
+		return nil
+	}
 	host := strings.ToLower(u.Hostname())
 	path := u.Path
 	if path == "" {
 		path = "/"
-	}
-	now := j.clk.Now()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if len(j.byDom) == 0 {
-		return nil
 	}
 	// Walk the host's domain-suffix chain: the host's own bucket may hold
 	// host-only and domain cookies; parent buckets hold domain cookies only.
@@ -174,37 +219,69 @@ func (j *Jar) Cookies(u *url.URL) []*http.Cookie {
 		exact = false
 	}
 	j.scratch = matched[:0]
-	if len(matched) == 0 {
-		return nil
+	slices.SortFunc(matched, cookieOrder)
+	return matched
+}
+
+// cookieOrder is RFC 6265 §5.4's order: longer paths first, then earlier
+// creation times. On the virtual clock many cookies share one creation
+// instant, so remaining ties break by (domain, path, name), which is unique
+// in the jar — without this the header order would inherit the map's
+// random iteration order, which breaks the byte-level reproducibility the
+// parallel engine's digests verify.
+func cookieOrder(a, b *StoredCookie) int {
+	if len(a.Path) != len(b.Path) {
+		return len(b.Path) - len(a.Path)
 	}
-	// RFC 6265 §5.4: longer paths first, then earlier creation times. On
-	// the virtual clock many cookies share one creation instant, so break
-	// remaining ties by (domain, path, name) — without this the header
-	// order inherits the map's random iteration order, which breaks the
-	// byte-level reproducibility the parallel engine's digests verify.
-	sort.Slice(matched, func(a, b int) bool {
-		ca, cb := matched[a], matched[b]
-		if len(ca.Path) != len(cb.Path) {
-			return len(ca.Path) > len(cb.Path)
-		}
-		if !ca.Created.Equal(cb.Created) {
-			return ca.Created.Before(cb.Created)
-		}
-		if ca.Domain != cb.Domain {
-			return ca.Domain < cb.Domain
-		}
-		if ca.Path != cb.Path {
-			return ca.Path < cb.Path
-		}
-		return ca.Name < cb.Name
-	})
-	out := make([]*http.Cookie, len(matched))
-	cs := make([]http.Cookie, len(matched))
-	for i, sc := range matched {
-		cs[i] = http.Cookie{Name: sc.Name, Value: sc.Value}
-		out[i] = &cs[i]
+	if c := a.Created.Compare(b.Created); c != 0 {
+		return c
 	}
-	return out
+	if c := strings.Compare(a.Domain, b.Domain); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Path, b.Path); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Name, b.Name)
+}
+
+// appendCookie appends name=value to dst as (*http.Request).AddCookie
+// renders a cookie: CR and LF in the name become '-', the value loses the
+// bytes net/http rejects (controls, DEL, non-ASCII, '"', ';' and '\'),
+// and a value holding a space or a comma is double-quoted.
+func appendCookie(dst []byte, name, value string) []byte {
+	for i := 0; i < len(name); i++ {
+		b := name[i]
+		if b == '\r' || b == '\n' {
+			b = '-'
+		}
+		dst = append(dst, b)
+	}
+	dst = append(dst, '=')
+	quote := false
+	for i := 0; i < len(value); i++ {
+		if b := value[i]; b == ' ' || b == ',' {
+			quote = true
+			break
+		}
+	}
+	if quote {
+		dst = append(dst, '"')
+	}
+	for i := 0; i < len(value); i++ {
+		if b := value[i]; validCookieValueByte(b) {
+			dst = append(dst, b)
+		}
+	}
+	if quote {
+		dst = append(dst, '"')
+	}
+	return dst
+}
+
+// validCookieValueByte reports whether net/http keeps b in a cookie value.
+func validCookieValueByte(b byte) bool {
+	return 0x20 <= b && b < 0x7f && b != '"' && b != ';' && b != '\\'
 }
 
 // All returns a snapshot of every unexpired cookie, sorted by domain, path,

@@ -3,6 +3,7 @@ package webos
 import (
 	"net/http"
 	"net/url"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -93,26 +94,59 @@ func TestJarNegativeMaxAgeDeletes(t *testing.T) {
 	}
 }
 
+// TestJarPathMatching: a cookie scoped to /app reaches /app and below only.
+// A path attribute that does not start with "/" is ignored for the default
+// path (RFC 6265 §5.2.4), here also /app.
 func TestJarPathMatching(t *testing.T) {
+	for _, attr := range []string{"/app", "app"} {
+		vc := clock.NewVirtual(time.Date(2023, 8, 21, 12, 0, 0, 0, time.UTC))
+		j := NewJar(vc)
+		u := mustURL(t, "http://x.de/app/page")
+		j.SetCookies(u, []*http.Cookie{{Name: "scoped", Value: "1", Path: attr}})
+
+		tests := []struct {
+			path string
+			want int
+		}{
+			{"/app", 1},
+			{"/app/deeper", 1},
+			{"/application", 0},
+			{"/", 0},
+		}
+		for _, tt := range tests {
+			got := j.Cookies(mustURL(t, "http://x.de"+tt.path))
+			if len(got) != tt.want {
+				t.Errorf("Path=%q, request path %q: got %d cookies, want %d", attr, tt.path, len(got), tt.want)
+			}
+		}
+	}
+}
+
+// TestJarCookieOrder: RFC 6265 §5.4 order — longer paths first, then
+// earlier creation — with cookies created at one instant ordered by
+// domain, path and name, whatever order they were stored in.
+func TestJarCookieOrder(t *testing.T) {
 	vc := clock.NewVirtual(time.Date(2023, 8, 21, 12, 0, 0, 0, time.UTC))
 	j := NewJar(vc)
-	u := mustURL(t, "http://x.de/app/page")
-	j.SetCookies(u, []*http.Cookie{{Name: "scoped", Value: "1", Path: "/app"}})
-
-	tests := []struct {
-		path string
-		want int
-	}{
-		{"/app", 1},
-		{"/app/deeper", 1},
-		{"/application", 0},
-		{"/", 0},
+	u := mustURL(t, "http://www.x.de/a/b")
+	j.SetCookies(u, []*http.Cookie{{Name: "old", Value: "1", Path: "/"}})
+	vc.Advance(time.Minute)
+	j.SetCookies(u, []*http.Cookie{
+		{Name: "z", Value: "1", Path: "/"},
+		{Name: "dom", Value: "1", Path: "/", Domain: "x.de"},
+		{Name: "a", Value: "1", Path: "/"},
+		{Name: "deep", Value: "1", Path: "/a"},
+	})
+	var got []string
+	for _, c := range j.Cookies(u) {
+		got = append(got, c.Name)
 	}
-	for _, tt := range tests {
-		got := j.Cookies(mustURL(t, "http://x.de"+tt.path))
-		if len(got) != tt.want {
-			t.Errorf("path %q: got %d cookies, want %d", tt.path, len(got), tt.want)
-		}
+	want := []string{"deep", "old", "a", "z", "dom"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Cookies order = %v, want %v", got, want)
+	}
+	if h := j.CookieHeader(u); h != "deep=1; old=1; a=1; z=1; dom=1" {
+		t.Errorf("CookieHeader = %q", h)
 	}
 }
 

@@ -9,6 +9,7 @@
 package webos
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -113,9 +114,8 @@ type Screenshot struct {
 
 // TV is the simulated measurement device.
 type TV struct {
-	cfg    Config
-	clk    clock.Clock
-	client *http.Client
+	cfg Config
+	clk clock.Clock
 
 	jar     *Jar
 	storage *LocalStorage
@@ -145,6 +145,17 @@ type TV struct {
 	logs    []LogEntry
 
 	eventScratch []beaconEvent
+
+	// req and hdr are the one request, and its header map, the TV sends:
+	// send rebuilds both for every hop. hdrVals backs the header's
+	// single-value slices, uaValue is the constant User-Agent line and
+	// reqURL the URL a beacon is built in. The recorder copies what it
+	// keeps, so none of them outlives the request.
+	req     http.Request
+	hdr     http.Header
+	hdrVals [3]string
+	uaValue []string
+	reqURL  url.URL
 }
 
 // runningApp is the state of the loaded HbbTV application.
@@ -216,7 +227,8 @@ func New(cfg Config) *TV {
 	tv.userAgent = fmt.Sprintf(
 		"Mozilla/5.0 (Web0S; Linux/SmartTV) AppleWebKit/537.36 HbbTV/1.5.1 (+DRM; %s; %s; %s;)",
 		cfg.Device.Manufacturer, cfg.Device.Model, cfg.Device.OS)
-	tv.client = &http.Client{Transport: cfg.Transport, Jar: tv.jar}
+	tv.hdr = make(http.Header, 4)
+	tv.uaValue = []string{tv.userAgent}
 	tv.metrics = tvMetrics{
 		tunes:       cfg.Telemetry.Counter("webos_tunes"),
 		keyPresses:  cfg.Telemetry.Counter("webos_key_presses"),
@@ -240,12 +252,7 @@ func (tv *TV) PowerOn() {
 	if tv.cfg.PlatformTraffic {
 		// The TV itself phones home; the study disabled this and excluded
 		// lge.com traffic. Modeled so the exclusion has something to drop.
-		req, err := http.NewRequest(http.MethodGet, "http://snu.lge.com/checkupdate?model="+url.QueryEscape(tv.cfg.Device.Model), nil)
-		if err == nil {
-			if resp, err := tv.client.Do(req); err == nil {
-				drain(resp)
-			}
-		}
+		_, _ = tv.get("http://snu.lge.com/checkupdate?model="+url.QueryEscape(tv.cfg.Device.Model), "")
 	}
 	tv.logf(LogApp, "power on (session %s)", tv.sessionID)
 }
@@ -456,7 +463,7 @@ func (tv *TV) loadApp(entry string) error {
 	if err != nil {
 		return fmt.Errorf("parse entry URL: %w", err)
 	}
-	body, _, err := tv.get(entry, "")
+	body, err := tv.get(entry, "")
 	if err != nil {
 		return err
 	}
@@ -476,7 +483,7 @@ func (tv *TV) loadApp(entry string) error {
 			continue
 		}
 		u := resolveRef(base, res.URL)
-		if _, _, err := tv.get(u, base.String()); err != nil {
+		if _, err := tv.get(u, base.String()); err != nil {
 			tv.logf(LogError, "subresource %s: %v", u, err)
 		}
 	}
@@ -504,14 +511,14 @@ func (tv *TV) loadApp(entry string) error {
 	for _, res := range doc.Resources {
 		if res.Kind == appmodel.ResXHR {
 			u := resolveRef(base, res.URL)
-			if _, _, err := tv.get(u, base.String()); err != nil {
+			if _, err := tv.get(u, base.String()); err != nil {
 				tv.logf(LogError, "xhr %s: %v", u, err)
 			}
 		}
 	}
 	// Fingerprinting: fetch the script, then report collected properties.
 	if fp := spec.Fingerprint; fp != nil {
-		if _, _, err := tv.get(resolveRef(base, fp.ScriptURL), base.String()); err == nil {
+		if _, err := tv.get(resolveRef(base, fp.ScriptURL), base.String()); err == nil {
 			report := map[string]any{
 				"apis":         fp.APIs,
 				"manufacturer": tv.cfg.Device.Manufacturer,
@@ -535,7 +542,7 @@ func (tv *TV) loadApp(entry string) error {
 			"language":     {tv.cfg.Device.Language},
 			"localtime":    {app.vars.LocalTime},
 		})
-		if _, _, err := tv.get(u, base.String()); err != nil {
+		if _, err := tv.get(u, base.String()); err != nil {
 			tv.logf(LogError, "leak technical %s: %v", u, err)
 		}
 	}
@@ -546,7 +553,7 @@ func (tv *TV) loadApp(entry string) error {
 			"genre":   {app.vars.Genre},
 			"uid":     {tv.userID},
 		})
-		if _, _, err := tv.get(u, base.String()); err != nil {
+		if _, err := tv.get(u, base.String()); err != nil {
 			tv.logf(LogError, "leak behavioral %s: %v", u, err)
 		}
 	}
@@ -658,7 +665,7 @@ func (tv *TV) fireBeacon(bi int) {
 			q.Set(k, vars.Expand(v))
 		}
 		u := addQuery(st.resolve, q)
-		if _, _, err := tv.get(u, app.baseStr); err != nil {
+		if _, err := tv.get(u, app.baseStr); err != nil {
 			tv.logf(LogError, "beacon %s: %v", u, err)
 		}
 		return
@@ -674,9 +681,10 @@ func (tv *TV) fireBeacon(bi int) {
 		sb.WriteByte('=')
 		sb.WriteString(url.QueryEscape(vars.Expand(p.template)))
 	}
-	u := st.base // copy; the recorder may hold on to it
+	u := &tv.reqURL
+	*u = st.base
 	u.RawQuery = sb.String()
-	if err := tv.getURL(&u, app.baseStr); err != nil {
+	if err := tv.getURL(u, app.baseStr); err != nil {
 		tv.logf(LogError, "beacon %s: %v", u.String(), err)
 	}
 }
@@ -701,34 +709,23 @@ func readBody(resp *http.Response) []byte {
 	return body
 }
 
-// get performs a GET with the TV's HTTP stack.
-func (tv *TV) get(rawURL, referer string) ([]byte, *http.Response, error) {
-	req, err := http.NewRequest(http.MethodGet, rawURL, nil)
+// get performs a GET of rawURL and returns the response body.
+func (tv *TV) get(rawURL, referer string) ([]byte, error) {
+	u, err := parseRequestURL(rawURL)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	tv.decorate(req, referer)
-	resp, err := tv.client.Do(req)
+	resp, err := tv.send(http.MethodGet, u, referer, "", nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return readBody(resp), resp, nil
+	return readBody(resp), nil
 }
 
-// getURL is get for a URL that is already parsed — the beacon fast path.
-// Constructing the request directly skips http.NewRequest's re-parse of a
-// string we just built from a parsed URL.
+// getURL is get for a URL that is already parsed — the beacon fast path —
+// discarding the body.
 func (tv *TV) getURL(u *url.URL, referer string) error {
-	req := &http.Request{
-		Method:     http.MethodGet,
-		URL:        u,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     make(http.Header, 2),
-	}
-	tv.decorate(req, referer)
-	resp, err := tv.client.Do(req)
+	resp, err := tv.send(http.MethodGet, u, referer, "", nil)
 	if err != nil {
 		return err
 	}
@@ -737,13 +734,11 @@ func (tv *TV) getURL(u *url.URL, referer string) error {
 }
 
 func (tv *TV) post(rawURL, referer, contentType string, body []byte) {
-	req, err := http.NewRequest(http.MethodPost, rawURL, strings.NewReader(string(body)))
+	u, err := parseRequestURL(rawURL)
 	if err != nil {
 		return
 	}
-	req.Header.Set("Content-Type", contentType)
-	tv.decorate(req, referer)
-	resp, err := tv.client.Do(req)
+	resp, err := tv.send(http.MethodPost, u, referer, contentType, body)
 	if err != nil {
 		tv.logf(LogError, "post %s: %v", rawURL, err)
 		return
@@ -751,11 +746,128 @@ func (tv *TV) post(rawURL, referer, contentType string, body []byte) {
 	drain(resp)
 }
 
-func (tv *TV) decorate(req *http.Request, referer string) {
-	if referer != "" {
-		req.Header.Set("Referer", referer)
+// parseRequestURL parses a request URL as http.NewRequest does, dropping
+// an empty port (RFC 3986 §6.2.3).
+func parseRequestURL(rawURL string) (*url.URL, error) {
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return nil, err
 	}
-	req.Header.Set("User-Agent", tv.userAgent)
+	u.Host = strings.TrimSuffix(u.Host, ":")
+	return u, nil
+}
+
+// maxRedirects is net/http.Client's default redirect limit: a request
+// fails on its tenth redirect response instead of sending an eleventh hop.
+const maxRedirects = 10
+
+// send is the TV's HTTP stack: it sends a request through the configured
+// transport and follows redirects, with the cookie jar in the loop. For
+// the TV's requests it does what net/http.Client with the jar did, to the
+// byte (TestTVRequestMatchesClient holds it to that):
+//
+//   - each hop carries the jar's cookies for its URL in one Cookie header,
+//     and every response's Set-Cookie lines are stored before the next hop;
+//   - 301, 302 and 303 turn a POST into a GET without a body, while 307
+//     and 308 re-send the method and body; a 3xx without a Location is the
+//     final response, and the tenth redirect fails;
+//   - a hop repeats the first request's headers, and sends the previous
+//     hop's URL as Referer unless the first request set one or the hop
+//     goes from https to http;
+//   - errors are *url.Error values with the client's operation, URL and
+//     message, which the TV's logs carry.
+//
+// The client's handling of user info in URLs (an Authorization header, a
+// masked password in errors) has no counterpart: no HbbTV app request
+// carries user info.
+//
+// Unlike the client it allocates no request or header map per hop: it
+// rebuilds the TV's one request in place. The RoundTripper contract
+// allows the reuse, because the transport may use a request only until
+// the response body is closed, and send closes each hop's body before it
+// sends the next. The caller reads and closes the returned body before
+// the TV sends again.
+func (tv *TV) send(method string, u *url.URL, referer, contentType string, body []byte) (*http.Response, error) {
+	hopMethod, hopBody := method, body
+	var resp *http.Response
+	for hop := 0; ; hop++ {
+		hopReferer := referer
+		if hop > 0 {
+			loc := resp.Header.Get("Location")
+			if loc == "" {
+				return resp, nil
+			}
+			resp.Body.Close()
+			next, err := u.Parse(loc)
+			if err != nil {
+				at := u
+				if resp.Request != nil {
+					at = resp.Request.URL
+				}
+				return nil, urlError(method, at.String(), fmt.Errorf("failed to parse Location header %q: %v", loc, err))
+			}
+			if hopReferer == "" && !(u.Scheme == "https" && next.Scheme == "http") {
+				hopReferer = u.String()
+			}
+			if hop >= maxRedirects {
+				return nil, urlError(method, loc, fmt.Errorf("stopped after %d redirects", maxRedirects))
+			}
+			u = next
+		}
+		req := tv.request(hopMethod, u, hopReferer, contentType, hopBody)
+		var err error
+		if resp, err = tv.cfg.Transport.RoundTrip(req); err != nil {
+			return nil, urlError(method, u.String(), err)
+		}
+		if rc := resp.Cookies(); len(rc) > 0 {
+			tv.jar.SetCookies(u, rc)
+		}
+		switch resp.StatusCode {
+		case http.StatusMovedPermanently, http.StatusFound, http.StatusSeeOther:
+			if hopMethod != http.MethodGet && hopMethod != http.MethodHead {
+				hopMethod = http.MethodGet
+			}
+			hopBody = nil
+		case http.StatusTemporaryRedirect, http.StatusPermanentRedirect:
+		default:
+			return resp, nil
+		}
+	}
+}
+
+// request rebuilds the TV's one request for a hop to u.
+func (tv *TV) request(method string, u *url.URL, referer, contentType string, body []byte) *http.Request {
+	h := tv.hdr
+	clear(h)
+	h["User-Agent"] = tv.uaValue
+	vals := tv.hdrVals[:0]
+	set := func(key, value string) {
+		if value != "" {
+			vals = append(vals, value)
+			h[key] = vals[len(vals)-1 : len(vals) : len(vals)]
+		}
+	}
+	set("Referer", referer)
+	set("Content-Type", contentType)
+	set("Cookie", tv.jar.CookieHeader(u))
+	tv.req = http.Request{
+		Method:     method,
+		URL:        u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     h,
+	}
+	if len(body) > 0 {
+		tv.req.Body = io.NopCloser(bytes.NewReader(body))
+		tv.req.ContentLength = int64(len(body))
+	}
+	return &tv.req
+}
+
+// urlError wraps a request failure the way net/http.Client reports one.
+func urlError(method, rawURL string, err error) error {
+	return &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: rawURL, Err: err}
 }
 
 func drain(resp *http.Response) {
