@@ -47,7 +47,9 @@ resume:
 # Short coverage-guided fuzzing passes (seeded corpora), 30 s each: the
 # binary AIT decoder, the dataset loader over both formats and the
 # checkpoint container (no panic; an accepted input re-saves as a
-# snapshot to a fixed point with an unchanged digest), the policy
+# snapshot to a fixed point with an unchanged digest), the interning
+# lemma behind the index build's stitch (chunked interning merged with
+# MergeStrings equals one serial scan, IDs and table alike), the policy
 # ad-window parser (no panic; accepted hours lie on the 24-hour clock;
 # the result ignores ASCII letter case), and two differential targets:
 # the TV jar's one-pass Cookie header against net/http's AddCookie chain,
@@ -56,6 +58,7 @@ resume:
 fuzz:
 	$(GO) test ./internal/dvb/ -run '^$$' -fuzz FuzzParseAIT -fuzztime 30s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzLoad -fuzztime 30s
+	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzInternRoundTrip -fuzztime 30s
 	$(GO) test ./internal/policy/ -run '^$$' -fuzz FuzzParseAdWindow -fuzztime 30s
 	$(GO) test ./internal/webos/ -run '^$$' -fuzz FuzzCookieHeader -fuzztime 30s
 	$(GO) test ./internal/headend/ -run '^$$' -fuzz FuzzTrackerLookups -fuzztime 30s

@@ -322,45 +322,41 @@ func analyzeFig7(env *analysisEnv, res *Results) {
 // length fans its sources out over the pool with int64 distance sums, so
 // the reported float is bit-identical to the serial division.
 func analyzeFig8(env *analysisEnv, res *Results) {
-	var g *graphx.Graph
-	if cols := env.ix.Columns(); cols == nil {
-		g = graphx.FromDataset(env.ds, env.ix.FirstParty)
-	} else {
-		n := cols.Rows()
-		parts := make([]map[string]map[string]struct{}, sectionChunks(n))
-		if !env.scanChunks(n, func(chunk, lo, hi int) {
-			local := make(map[string]map[string]struct{})
-			for i := lo; i < hi; i++ {
-				ch := cols.Flows[i].Channel
-				if ch == "" {
-					continue
-				}
-				set := local[ch]
-				if set == nil {
-					set = make(map[string]struct{})
-					local[ch] = set
-				}
-				set[cols.Party(i)] = struct{}{}
+	cols := env.ix.Columns()
+	n := cols.Rows()
+	parts := make([]map[string]map[string]struct{}, sectionChunks(n))
+	if !env.scanChunks(n, func(chunk, lo, hi int) {
+		local := make(map[string]map[string]struct{})
+		for i := lo; i < hi; i++ {
+			ch := cols.Flows[i].Channel
+			if ch == "" {
+				continue
 			}
-			parts[chunk] = local
-		}) {
-			return
-		}
-		merged := make(map[string]map[string]struct{})
-		for _, part := range parts {
-			for ch, set := range part {
-				dst := merged[ch]
-				if dst == nil {
-					merged[ch] = set
-					continue
-				}
-				for p := range set {
-					dst[p] = struct{}{}
-				}
+			set := local[ch]
+			if set == nil {
+				set = make(map[string]struct{})
+				local[ch] = set
 			}
+			set[cols.Party(i)] = struct{}{}
 		}
-		g = graphx.FromChannelParties(merged, env.ix.FirstParty)
+		parts[chunk] = local
+	}) {
+		return
 	}
+	merged := make(map[string]map[string]struct{})
+	for _, part := range parts {
+		for ch, set := range part {
+			dst := merged[ch]
+			if dst == nil {
+				merged[ch] = set
+				continue
+			}
+			for p := range set {
+				dst[p] = struct{}{}
+			}
+		}
+	}
+	g := graphx.FromChannelParties(merged, env.ix.FirstParty)
 	// One BFS per node is the expensive part; a handful of sources per
 	// chunk keeps a few hundred nodes divisible across workers.
 	nodes := g.Nodes()
@@ -433,13 +429,7 @@ func topDomains(g *graphx.Graph, n int) []graphx.NodeDegree {
 // chunks concurrently and concatenating per-chunk leak lists in chunk
 // order (exactly the serial emission order).
 func analyzeLeaks(env *analysisEnv, res *Results) {
-	cols := env.ix.Columns()
-	if cols == nil {
-		leaks := tracking.FindLeaks(env.ds, env.ix.FirstParty, tracking.LGNeedles)
-		res.Leaks = tracking.Summarize(leaks, env.ix.FirstParty)
-		return
-	}
-	n := cols.Rows()
+	n := env.ix.FlowCount()
 	parts := make([][]tracking.Leak, sectionChunks(n))
 	if !env.scanChunks(n, func(chunk, lo, hi int) {
 		parts[chunk] = tracking.ScanLeaks(env.ix, tracking.LGNeedles, lo, hi)
@@ -498,19 +488,15 @@ func analyzeCookies(env *analysisEnv, res *Results) {
 	// Cookie syncing: the payload token scan is the heavy half, so it
 	// runs over row chunks with chunk-local dedup; MergeSyncEvents
 	// re-applies the global first-occurrence dedup in row order.
-	if cols := env.ix.Columns(); cols == nil {
-		f.SyncEvents = cookies.DetectSyncing(env.ds.Runs, events, lo, hi)
-	} else {
-		ids := cookies.MintedIDs(events, lo, hi)
-		n := cols.Rows()
-		parts := make([][]cookies.SyncEvent, sectionChunks(n))
-		if !env.scanChunks(n, func(chunk, clo, chi int) {
-			parts[chunk] = cookies.ScanSyncing(ids, env.ix, clo, chi)
-		}) {
-			return
-		}
-		f.SyncEvents = cookies.MergeSyncEvents(parts)
+	ids := cookies.MintedIDs(events, lo, hi)
+	n := env.ix.FlowCount()
+	parts := make([][]cookies.SyncEvent, sectionChunks(n))
+	if !env.scanChunks(n, func(chunk, clo, chi int) {
+		parts[chunk] = cookies.ScanSyncing(ids, env.ix, clo, chi)
+	}) {
+		return
 	}
+	f.SyncEvents = cookies.MergeSyncEvents(parts)
 	parties := make(map[string]struct{})
 	channels := make(map[string]struct{})
 	for _, s := range f.SyncEvents {
@@ -602,20 +588,15 @@ func analyzeConsent(env *analysisEnv, res *Results) {
 // section, so it runs as chunked policy.ScanFlows over the columnar rows,
 // merged in row order into the identical corpus.
 func analyzePolicies(env *analysisEnv, res *Results) {
-	var corpus *policy.Corpus
-	if cols := env.ix.Columns(); cols == nil {
-		corpus = policy.Collect(env.ds)
-	} else {
-		n := cols.Rows()
-		parts := make([]*policy.Partial, sectionChunks(n))
-		if !env.scanChunks(n, func(chunk, lo, hi int) {
-			parts[chunk] = policy.ScanFlows(cols.Flows,
-				func(i int) store.RunName { return cols.RunName(i) }, lo, hi)
-		}) {
-			return
-		}
-		corpus = policy.MergePartials(parts)
+	cols := env.ix.Columns()
+	n := cols.Rows()
+	parts := make([]*policy.Partial, sectionChunks(n))
+	if !env.scanChunks(n, func(chunk, lo, hi int) {
+		parts[chunk] = policy.ScanFlows(cols.Flows, cols.RunName, lo, hi)
+	}) {
+		return
 	}
+	corpus := policy.MergePartials(parts)
 	f := PolicyFindings{
 		Corpus:         corpus,
 		RightsCoverage: policy.RightsCoverage(corpus.Texts()),
@@ -656,7 +637,7 @@ func analyzePolicies(env *analysisEnv, res *Results) {
 		covered = append(covered, d.Channels...)
 	}
 	if f.AdWindowDeclared && len(covered) > 0 {
-		f.WindowViolations = policy.CheckAdWindow(env.ds, covered, f.AdWindow, env.ix.IsTracking)
+		f.WindowViolations = policy.CheckAdWindow(cols, covered, f.AdWindow)
 	}
 	res.Policies = f
 }
@@ -671,10 +652,10 @@ func analyzeStats(env *analysisEnv, res *Results) {
 	var trafficGroups [][]float64
 	var cookieGroups [][]float64
 	for i, run := range env.ds.Runs {
-		byChan := env.ix.Runs[i].FlowsByChannel
+		byChan := env.ix.Runs[i].RequestsByChannel
 		var g []float64
 		for _, ch := range sortedKeys(byChan) {
-			g = append(g, float64(len(byChan[ch])))
+			g = append(g, float64(byChan[ch]))
 		}
 		trafficGroups = append(trafficGroups, g)
 		perChanCookies := make(map[string]int)
@@ -738,13 +719,6 @@ func analyzeStats(env *analysisEnv, res *Results) {
 // evaluation — fold row chunks into order-independent accumulators
 // (counts, kind bits), so the chunked merges equal the serial scans.
 func analyzeExtension(env *analysisEnv, res *Results) {
-	if env.ix.Columns() == nil {
-		res.DerivedRules = tracking.DeriveRulesFromIndex(env.ix)
-		if ext, err := tracking.EvaluateExtensionFromIndex(env.ix, res.DerivedRules); err == nil {
-			res.Extension = ext
-		}
-		return
-	}
 	n := env.ix.FlowCount()
 	fp := tracking.FirstPartySet(env.ix.FirstParty)
 	evParts := make([]map[string]tracking.RuleEvidence, sectionChunks(n))

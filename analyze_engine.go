@@ -204,11 +204,6 @@ type AnalyzeOptions struct {
 // microseconds).
 var analyzeDurationBuckets = []int64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}
 
-// buildIndexFn builds the shared dataset index. It is a variable so the
-// columnar differential suite can run the whole engine against
-// store.BuildIndexReference and compare section-by-section.
-var buildIndexFn = store.BuildIndex
-
 // AnalyzeContext reproduces the paper's evaluation over a measured
 // dataset: it builds the shared single-pass index (store.BuildIndex) and
 // then runs the selected section analyzers on a bounded worker pool.
@@ -236,7 +231,7 @@ func AnalyzeContext(ctx context.Context, ds *store.Dataset, opts AnalyzeOptions)
 	cfg := tracking.NewClassifier().IndexConfig()
 	cfg.Parallelism = opts.Parallelism
 	start := time.Now()
-	ix, err := buildIndexFn(ctx, ds, cfg)
+	ix, err := store.BuildIndex(ctx, ds, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -244,10 +239,9 @@ func AnalyzeContext(ctx context.Context, ds *store.Dataset, opts AnalyzeOptions)
 	tel.Counter("analyze.index.flows").Add(uint64(ix.FlowCount()))
 	tel.Histogram("analyze.index.build_us", analyzeDurationBuckets).
 		Observe(time.Since(start).Microseconds())
-	if bs := ix.BuildStats(); bs != nil {
-		tel.Counter("analyze.index.chunks").Add(uint64(bs.Chunks))
-		tel.Counter("analyze.index.unique_urls").Add(uint64(bs.UniqueURLs))
-	}
+	bs := ix.BuildStats()
+	tel.Counter("analyze.index.chunks").Add(uint64(bs.Chunks))
+	tel.Counter("analyze.index.unique_urls").Add(uint64(bs.UniqueURLs))
 
 	par := opts.Parallelism
 	if par < 1 {

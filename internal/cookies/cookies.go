@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/hbbtvlab/hbbtvlab/internal/etld"
 	"github.com/hbbtvlab/hbbtvlab/internal/stats"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
@@ -287,23 +286,6 @@ type SyncEvent struct {
 	Run       store.RunName
 }
 
-// DetectSyncing finds identifier cookie values that were transmitted to a
-// different party in a URL or request body — the paper's two-step syncing
-// definition. windowStart/windowEnd bound the timestamp exclusion.
-func DetectSyncing(runs []*store.RunData, events []SetEvent, windowStart, windowEnd time.Time) []SyncEvent {
-	idOwners := MintedIDs(events, windowStart, windowEnd)
-	var out []SyncEvent
-	seen := make(map[[3]string]struct{})
-	for _, run := range runs {
-		for _, f := range run.Flows {
-			scanFlowSyncs(idOwners, f.URL.RawQuery, f.RequestBody,
-				func() string { return etld.MustRegistrableDomain(f.Host()) },
-				f.Channel, run.Name, seen, &out)
-		}
-	}
-	return out
-}
-
 // MintedIDs indexes potential-identifier cookie values by the parties that
 // minted them — step one of the syncing definition.
 func MintedIDs(events []SetEvent, windowStart, windowEnd time.Time) map[string][]string {
@@ -326,13 +308,13 @@ func MintedIDs(events []SetEvent, windowStart, windowEnd time.Time) map[string][
 	return idOwners
 }
 
-// scanFlowSyncs runs step two of the syncing definition for one flow,
-// appending deduplicated sync events to out. seen carries the
-// (owner, target, value) dedup state across flows; the first flow — in
-// whatever order the caller iterates — wins the Channel/Run attribution
-// of a sync triple.
+// scanFlowSyncs runs step two of the syncing definition for one flow
+// sent to the target party, appending deduplicated sync events to out.
+// seen carries the (owner, target, value) dedup state across flows; the
+// first flow — in whatever order the caller iterates — wins the
+// Channel/Run attribution of a sync triple.
 func scanFlowSyncs(idOwners map[string][]string, rawQuery string, body []byte,
-	targetParty func() string, channel string, run store.RunName,
+	target, channel string, run store.RunName,
 	seen map[[3]string]struct{}, out *[]SyncEvent) {
 	haystack := rawQuery
 	if len(body) > 0 {
@@ -341,7 +323,6 @@ func scanFlowSyncs(idOwners map[string][]string, rawQuery string, body []byte,
 	if haystack == "" {
 		return
 	}
-	target := ""
 	// Identifiers travel as URL/body parameter values; match whole
 	// tokens against the minted-ID index rather than scanning every
 	// known value as a substring.
@@ -349,9 +330,6 @@ func scanFlowSyncs(idOwners map[string][]string, rawQuery string, body []byte,
 		owners, ok := idOwners[token]
 		if !ok {
 			return
-		}
-		if target == "" {
-			target = targetParty()
 		}
 		for _, owner := range owners {
 			if owner == target {
@@ -373,20 +351,19 @@ func scanFlowSyncs(idOwners map[string][]string, rawQuery string, body []byte,
 	})
 }
 
-// ScanSyncing is the chunked form of DetectSyncing's flow scan: it runs
-// step two over rows [lo, hi) of a columnar index with chunk-local dedup
-// only. Chunks must be merged in row order with MergeSyncEvents, which
-// re-applies the global first-occurrence dedup — the composition emits
-// exactly DetectSyncing's event sequence. Requires a columnar index
-// (panics on a reference build).
+// ScanSyncing finds identifier cookie values (idOwners, from MintedIDs)
+// that rows [lo, hi) of the index transmitted to a different party in a
+// URL or request body — step two of the paper's syncing definition. It
+// dedups within the range only: ranges merge in row order with
+// MergeSyncEvents, which re-applies the global first-occurrence dedup, so
+// the merge of consecutive ranges equals the scan of their union.
 func ScanSyncing(idOwners map[string][]string, ix *store.Index, lo, hi int) []SyncEvent {
 	cols := ix.Columns()
 	var out []SyncEvent
 	seen := make(map[[3]string]struct{})
 	for i := lo; i < hi; i++ {
 		f := cols.Flows[i]
-		party := func() string { return cols.Party(i) }
-		scanFlowSyncs(idOwners, f.URL.RawQuery, f.RequestBody, party,
+		scanFlowSyncs(idOwners, f.URL.RawQuery, f.RequestBody, cols.Party(i),
 			f.Channel, cols.RunName(i), seen, &out)
 	}
 	return out

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/hbbtvlab/hbbtvlab/internal/etld"
 	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
@@ -187,6 +188,28 @@ func TestPartyChannelCounts(t *testing.T) {
 	}
 }
 
+// detectSyncing is the serial reference of the syncing scan: it walks the
+// runs' flows and computes each target party's eTLD+1 directly.
+func detectSyncing(runs []*store.RunData, events []SetEvent, windowStart, windowEnd time.Time) []SyncEvent {
+	idOwners := MintedIDs(events, windowStart, windowEnd)
+	var out []SyncEvent
+	seen := make(map[[3]string]struct{})
+	for _, run := range runs {
+		for _, f := range run.Flows {
+			scanFlowSyncs(idOwners, f.URL.RawQuery, f.RequestBody,
+				etld.MustRegistrableDomain(f.Host()), f.Channel, run.Name, seen, &out)
+		}
+	}
+	return out
+}
+
+// scanAllSyncs runs the engine's syncing scan over every row of run.
+func scanAllSyncs(t *testing.T, run *store.RunData) []SyncEvent {
+	t.Helper()
+	ix := buildIndex(t, run)
+	return ScanSyncing(MintedIDs(ix.SetEvents, winStart, winEnd), ix, 0, ix.FlowCount())
+}
+
 func TestDetectSyncing(t *testing.T) {
 	run := testRun()
 	// Add a sync: xiti's ID for Das Erste is forwarded to partner.de.
@@ -195,8 +218,7 @@ func TestDetectSyncing(t *testing.T) {
 		Time: winStart, Method: http.MethodGet, URL: syncURL, StatusCode: 200,
 		Channel: "Das Erste", RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
 	})
-	events := buildIndex(t, run).SetEvents
-	syncs := DetectSyncing([]*store.RunData{run}, events, winStart, winEnd)
+	syncs := scanAllSyncs(t, run)
 	if len(syncs) != 1 {
 		t.Fatalf("syncs = %+v, want 1", syncs)
 	}
@@ -214,8 +236,7 @@ func TestDetectSyncingIgnoresSameParty(t *testing.T) {
 		Time: winStart, Method: http.MethodGet, URL: selfURL, StatusCode: 200,
 		Channel: "Das Erste", RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
 	})
-	events := buildIndex(t, run).SetEvents
-	if syncs := DetectSyncing([]*store.RunData{run}, events, winStart, winEnd); len(syncs) != 0 {
+	if syncs := scanAllSyncs(t, run); len(syncs) != 0 {
 		t.Errorf("self-send flagged as sync: %+v", syncs)
 	}
 }
@@ -228,8 +249,7 @@ func TestDetectSyncingInPOSTBody(t *testing.T) {
 		Channel: "ZDF", RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
 		RequestBody: []byte(`{"partner_uid":"dddddddddd44"}`),
 	})
-	events := buildIndex(t, run).SetEvents
-	syncs := DetectSyncing([]*store.RunData{run}, events, winStart, winEnd)
+	syncs := scanAllSyncs(t, run)
 	if len(syncs) != 1 || syncs[0].FromParty != "tvping.com" {
 		t.Errorf("POST-body sync = %+v", syncs)
 	}
@@ -237,8 +257,8 @@ func TestDetectSyncingInPOSTBody(t *testing.T) {
 
 // TestScanSyncingSplitInvariance: the cookies section scans row chunks
 // with chunk-local dedup and merges them in row order. For every split
-// point the merge must equal the whole-range scan and the reference
-// DetectSyncing, including the attribution of a sync triple seen twice.
+// point the merge must equal the whole-range scan and the serial
+// reference, including the attribution of a sync triple seen twice.
 func TestScanSyncingSplitInvariance(t *testing.T) {
 	run := testRun()
 	syncURL, _ := url.Parse("http://partner.de/match?puid=bbbbbbbbbb22&src=xiti.com")
@@ -271,7 +291,7 @@ func TestScanSyncingSplitInvariance(t *testing.T) {
 			t.Errorf("split at %d: %+v, want %+v", k, got, whole)
 		}
 	}
-	if ref := DetectSyncing(ix.Dataset.Runs, ix.SetEvents, winStart, winEnd); !reflect.DeepEqual(ref, whole) {
+	if ref := detectSyncing(ix.Dataset.Runs, ix.SetEvents, winStart, winEnd); !reflect.DeepEqual(ref, whole) {
 		t.Errorf("scanned syncs = %+v, reference = %+v", whole, ref)
 	}
 }

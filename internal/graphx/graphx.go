@@ -7,9 +7,6 @@ package graphx
 import (
 	"math"
 	"sort"
-
-	"github.com/hbbtvlab/hbbtvlab/internal/etld"
-	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
 
 // NodeKind distinguishes the two node types of the ecosystem graph.
@@ -224,30 +221,12 @@ func (g *Graph) DegreeStats() (mean, sd float64) {
 	return mean, sd
 }
 
-// FromDataset builds the ecosystem graph per Section V-E: each channel node
-// is connected to its identified first party, and every third party
-// observed on that channel is connected to the channel's first-party node.
-func FromDataset(ds *store.Dataset, firstParty map[string]string) *Graph {
-	thirdParties := make(map[string]map[string]struct{}) // channel -> parties
-	for _, run := range ds.Runs {
-		for _, f := range run.Flows {
-			if f.Channel == "" {
-				continue
-			}
-			p := etld.MustRegistrableDomain(f.Host())
-			if thirdParties[f.Channel] == nil {
-				thirdParties[f.Channel] = make(map[string]struct{})
-			}
-			thirdParties[f.Channel][p] = struct{}{}
-		}
-	}
-	return FromChannelParties(thirdParties, firstParty)
-}
-
-// FromChannelParties builds the Section V-E graph from an already-computed
-// channel -> observed-party mapping (e.g. a chunked scan over the columnar
-// index). Nodes and edges are set-valued and insertion is idempotent, so
-// the graph is independent of map iteration order.
+// FromChannelParties builds the ecosystem graph per Section V-E from a
+// channel -> observed-party mapping (the parties are eTLD+1s): each
+// channel node is connected to its identified first party, and every
+// third party observed on that channel is connected to the channel's
+// first-party node. Nodes and edges are set-valued and insertion is
+// idempotent, so the graph is independent of map iteration order.
 func FromChannelParties(thirdParties map[string]map[string]struct{}, firstParty map[string]string) *Graph {
 	g := New()
 	for channel, parties := range thirdParties {

@@ -2,13 +2,7 @@ package graphx
 
 import (
 	"math"
-	"net/http"
-	"net/url"
 	"testing"
-	"time"
-
-	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
-	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
 
 func buildPath(nodes ...string) *Graph {
@@ -106,26 +100,23 @@ func TestDegreeStats(t *testing.T) {
 	}
 }
 
+// TestFromDataset builds the ecosystem graph from the channel -> party
+// sets the Fig. 8 scan collects over the index rows.
 func TestFromDataset(t *testing.T) {
-	mk := func(rawURL, channel string) *proxy.Flow {
-		u, _ := url.Parse(rawURL)
-		return &proxy.Flow{
-			Time: time.Now(), Method: "GET", URL: u, StatusCode: 200, Channel: channel,
-			RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
+	set := func(parties ...string) map[string]struct{} {
+		out := make(map[string]struct{}, len(parties))
+		for _, p := range parties {
+			out[p] = struct{}{}
 		}
+		return out
 	}
-	ds := &store.Dataset{Runs: []*store.RunData{{
-		Name: store.RunGeneral,
-		Flows: []*proxy.Flow{
-			mk("http://hbbtv.ard.de/i", "Das Erste"),
-			mk("http://tvping.com/t", "Das Erste"),
-			mk("http://hbbtv.ard.de/i", "Tagesschau24"), // same FP, different channel
-			mk("http://xiti.com/px", "Tagesschau24"),
-			mk("http://unattributed.de/x", ""),
-		},
-	}}}
+	parties := map[string]map[string]struct{}{
+		"Das Erste":    set("ard.de", "tvping.com"),
+		"Tagesschau24": set("ard.de", "xiti.com"), // same FP, different channel
+		"Unknown":      set("unattributed.de"),    // no identified first party
+	}
 	fp := map[string]string{"Das Erste": "ard.de", "Tagesschau24": "ard.de"}
-	g := FromDataset(ds, fp)
+	g := FromChannelParties(parties, fp)
 
 	// Nodes: 2 channels + ard.de + tvping.com + xiti.com = 5.
 	if g.NodeCount() != 5 {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
 
@@ -95,33 +94,28 @@ type WindowViolation struct {
 	Time    time.Time
 }
 
-// CheckAdWindow finds tracking requests on the given channels outside the
-// declared window. isTracking decides what counts as a tracking request
-// (the caller typically passes the tracking.Classifier's predicate).
-func CheckAdWindow(ds *store.Dataset, channels []string, w AdWindow, isTracking func(*proxy.Flow) bool) []WindowViolation {
+// CheckAdWindow finds the tracking requests on the given channels outside
+// the declared window: the index rows whose kind meets the paper's
+// tracking definition, reported in row order.
+func CheckAdWindow(cols *store.Columns, channels []string, w AdWindow) []WindowViolation {
 	covered := make(map[string]struct{}, len(channels))
 	for _, c := range channels {
 		covered[c] = struct{}{}
 	}
 	var out []WindowViolation
-	for _, run := range ds.Runs {
-		for _, f := range run.Flows {
-			if f.Channel == "" {
-				continue
-			}
-			if _, ok := covered[f.Channel]; !ok {
-				continue
-			}
-			if w.Contains(f.Time) {
-				continue
-			}
-			if !isTracking(f) {
-				continue
-			}
-			out = append(out, WindowViolation{
-				Run: run.Name, Channel: f.Channel, Host: f.Host(), Time: f.Time,
-			})
+	for i, f := range cols.Flows {
+		if f.Channel == "" {
+			continue
 		}
+		if _, ok := covered[f.Channel]; !ok {
+			continue
+		}
+		if w.Contains(f.Time) || !cols.Kind[i].Tracking() {
+			continue
+		}
+		out = append(out, WindowViolation{
+			Run: cols.RunName(i), Channel: f.Channel, Host: cols.Host(i), Time: f.Time,
+		})
 	}
 	return out
 }

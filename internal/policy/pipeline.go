@@ -50,24 +50,6 @@ type Corpus struct {
 // manual-correction stand-in.
 var policyURLHints = []string{"datenschutz", "privacy", "dsgvo", "gdpr"}
 
-// Collect runs the pipeline over a dataset: find HTML responses, extract
-// text, classify, deduplicate, detect language, annotate. It is the
-// single-chunk composition of ScanFlows and MergePartials; callers holding
-// a columnar dataset index can run ScanFlows over row ranges concurrently
-// and merge to the identical corpus.
-func Collect(ds *store.Dataset) *Corpus {
-	var flows []*proxy.Flow
-	var runs []store.RunName
-	for _, run := range ds.Runs {
-		for _, f := range run.Flows {
-			flows = append(flows, f)
-			runs = append(runs, run.Name)
-		}
-	}
-	part := ScanFlows(flows, func(i int) store.RunName { return runs[i] }, 0, len(flows))
-	return MergePartials([]*Partial{part})
-}
-
 // Partial is one row range's share of the collection pipeline: classified
 // policy occurrences, the chunk's deduplicated docs in first-occurrence
 // order, and the occurrence counters.
@@ -82,10 +64,12 @@ type Partial struct {
 	byHash map[string]*Doc
 }
 
-// ScanFlows classifies flows [lo, hi) (dataset row order; runName resolves
-// a row's run). Chunk-local dedup keeps the first occurrence of each
-// distinct policy text; MergePartials over in-order chunks reconciles
-// duplicates across chunks exactly as a serial scan would.
+// ScanFlows runs the collection pipeline over flows [lo, hi) (dataset row
+// order; runName resolves a row's run): find HTML responses, extract
+// text, classify, deduplicate, detect language, annotate. Chunk-local
+// dedup keeps the first occurrence of each distinct policy text;
+// MergePartials over in-order chunks reconciles duplicates across chunks
+// exactly as a serial scan would.
 func ScanFlows(flows []*proxy.Flow, runName func(int) store.RunName, lo, hi int) *Partial {
 	p := &Partial{
 		PerRun: make(map[store.RunName]int),

@@ -55,8 +55,23 @@ func pipelineDataset() *store.Dataset {
 	}}
 }
 
+// collect runs the collection pipeline over every flow of ds as one
+// chunk, walking the runs directly instead of an index's rows.
+func collect(ds *store.Dataset) *Corpus {
+	var flows []*proxy.Flow
+	var runs []store.RunName
+	for _, run := range ds.Runs {
+		for _, f := range run.Flows {
+			flows = append(flows, f)
+			runs = append(runs, run.Name)
+		}
+	}
+	part := ScanFlows(flows, func(i int) store.RunName { return runs[i] }, 0, len(flows))
+	return MergePartials([]*Partial{part})
+}
+
 func TestCollectPipeline(t *testing.T) {
-	c := Collect(pipelineDataset())
+	c := collect(pipelineDataset())
 	if c.Occurrences != 5 { // 3×A + B + english; misc rejected
 		t.Errorf("occurrences = %d, want 5", c.Occurrences)
 	}
@@ -108,7 +123,7 @@ func TestCollectManualCorrection(t *testing.T) {
 			htmlFlow("http://shop.de/datenschutz.html", "S", mixed, t0),
 		},
 	}}}
-	c := Collect(ds)
+	c := collect(ds)
 	if c.CorrectedFalseNegatives != 1 {
 		t.Errorf("corrected FNs = %d, want 1", c.CorrectedFalseNegatives)
 	}
@@ -137,14 +152,14 @@ func TestCollectIgnoresNonHTMLAndErrors(t *testing.T) {
 			},
 		},
 	}}}
-	c := Collect(ds)
+	c := collect(ds)
 	if c.Occurrences != 0 || len(c.Unique) != 0 {
 		t.Errorf("corpus not empty: %d/%d", c.Occurrences, len(c.Unique))
 	}
 }
 
 func TestCorpusHelpers(t *testing.T) {
-	c := Collect(pipelineDataset())
+	c := collect(pipelineDataset())
 	if got := len(c.Texts()); got != len(c.Unique) {
 		t.Errorf("Texts() = %d", got)
 	}
@@ -152,8 +167,8 @@ func TestCorpusHelpers(t *testing.T) {
 
 // TestScanFlowsSplitInvariance: the policies section scans columnar row
 // chunks and merges them in row order. For every split point the merged
-// corpus must equal the whole-range scan and the reference Collect,
-// including the cross-chunk dedup of the repeated policy.
+// corpus must equal the whole-range scan and the one-chunk scan of the
+// dataset's runs, including the cross-chunk dedup of the repeated policy.
 func TestScanFlowsSplitInvariance(t *testing.T) {
 	ds := pipelineDataset()
 	ix, err := store.BuildIndex(context.Background(), ds, store.IndexConfig{})
@@ -173,7 +188,73 @@ func TestScanFlowsSplitInvariance(t *testing.T) {
 			t.Errorf("split at %d: corpus differs from the whole-range scan", k)
 		}
 	}
-	if ref := Collect(ds); !reflect.DeepEqual(ref, whole) {
-		t.Error("scanned corpus differs from Collect")
+	if ref := collect(ds); !reflect.DeepEqual(ref, whole) {
+		t.Error("scanned corpus differs from the scan of the dataset's runs")
+	}
+}
+
+// TestCheckAdWindow checks the titular contradiction on a hand-built
+// index: tracking rows on covered channels outside the declared window.
+func TestCheckAdWindow(t *testing.T) {
+	day := time.Date(2023, 9, 14, 0, 0, 0, 0, time.UTC)
+	at := func(h, m int) time.Time { return day.Add(time.Duration(h)*time.Hour + time.Duration(m)*time.Minute) }
+	flow := func(rawURL, channel string, when time.Time) *proxy.Flow {
+		u, _ := url.Parse(rawURL)
+		return &proxy.Flow{
+			Time: when, Method: http.MethodGet, URL: u, StatusCode: 200, Channel: channel,
+			RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
+		}
+	}
+	ds := &store.Dataset{Runs: []*store.RunData{
+		{Name: store.RunRed, Flows: []*proxy.Flow{
+			flow("http://tracker.de/a", "Kids", at(7, 0)),       // row 0: reported
+			flow("http://tracker.de/b", "Kids", at(17, 0)),      // inside the window
+			flow("http://tracker.de/c", "Kids", at(5, 59)),      // inside the window
+			flow("http://cdn.kids.de/app.js", "Kids", at(7, 0)), // not tracking
+			flow("http://tvlist.de/x", "Kids", at(7, 0)),        // comparison list only
+			flow("http://tracker.de/d", "", at(7, 0)),           // unattributed
+			flow("http://tracker.de/e", "News", at(7, 0)),       // uncovered channel
+		}},
+		{Name: store.RunYellow, Flows: []*proxy.Flow{
+			flow("http://px.tracker.de/f", "Kids2", at(6, 0)), // row 7: the window is half-open
+		}},
+	}}
+	cfg := store.IndexConfig{ClassifyURL: func(u string) store.FlowKind {
+		switch {
+		case strings.Contains(u, "tracker.de"):
+			return store.FlowOnPiHole
+		case strings.Contains(u, "tvlist.de"):
+			return store.FlowOnPerflyst
+		}
+		return 0
+	}}
+	ix, err := store.BuildIndex(context.Background(), ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := ix.Columns()
+	covered := []string{"Kids", "Kids2"}
+	violation := func(row int) WindowViolation {
+		f := cols.Flows[row]
+		return WindowViolation{Run: cols.RunName(row), Channel: f.Channel, Host: f.Host(), Time: f.Time}
+	}
+
+	got := CheckAdWindow(cols, covered, AdWindow{StartHour: 17, EndHour: 6})
+	want := []WindowViolation{
+		{Run: store.RunRed, Channel: "Kids", Host: "tracker.de", Time: at(7, 0)},
+		{Run: store.RunYellow, Channel: "Kids2", Host: "px.tracker.de", Time: at(6, 0)},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("17-6 window: violations = %+v, want %+v", got, want)
+	}
+	// A daytime window reports the tracking rows outside 9-17, in row order.
+	got = CheckAdWindow(cols, covered, AdWindow{StartHour: 9, EndHour: 17})
+	want = []WindowViolation{violation(0), violation(1), violation(2), violation(7)}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("9-17 window: violations = %+v, want %+v", got, want)
+	}
+	// Equal hours declare the whole day: nothing lies outside.
+	if got := CheckAdWindow(cols, covered, AdWindow{StartHour: 3, EndHour: 3}); len(got) != 0 {
+		t.Errorf("degenerate window: violations = %+v, want none", got)
 	}
 }

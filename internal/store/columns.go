@@ -1,9 +1,9 @@
 package store
 
-// The columnar flow representation behind Index. BuildIndex used to keep a
-// []flowMeta with one struct (and four strings) per flow; at paper scale
-// that is half a million URL strings, half a million eTLD+1 computations,
-// and half a million filter-list classifications for a corpus with only a
+// The columnar flow representation behind Index. A row-oriented index
+// would hold one struct (and four strings) per flow; at paper scale that
+// is half a million URL strings, half a million eTLD+1 computations, and
+// half a million filter-list classifications for a corpus with only a
 // few thousand distinct URLs. The columnar layout interns every
 // string-valued field into dense ID tables and keeps typed columns (int32
 // IDs, int64 timestamps, kind bits) per row instead:
@@ -65,7 +65,7 @@ type Columns struct {
 	// are Index.SetEvents[CookieOff[i]:CookieOff[i+1]].
 	CookieOff []int32
 	// Flows maps rows back to the original flow records (the row view the
-	// legacy accessors and payload-scanning sections use).
+	// payload-scanning sections use).
 	Flows []*proxy.Flow
 
 	// PartyOfHost maps HostID -> PartyID (eTLD+1 computed once per host).
@@ -78,15 +78,6 @@ type Columns struct {
 
 // Rows returns the number of indexed rows (flows).
 func (c *Columns) Rows() int { return len(c.Kind) }
-
-// ChannelName resolves a row's channel name ("" for unattributed rows).
-func (c *Columns) ChannelName(row int) string {
-	id := c.ChannelID[row]
-	if id < 0 {
-		return ""
-	}
-	return c.Channels.String(id)
-}
 
 // RunName resolves a row's measurement run name.
 func (c *Columns) RunName(row int) RunName { return c.RunNames[c.RunID[row]] }

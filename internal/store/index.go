@@ -14,9 +14,9 @@ package store
 // (first parties, Set-Cookie events, per-channel tracking statistics,
 // per-run traffic and list-hit counts, the measurement window) is then
 // assembled in one deterministic serial fold over the columns — so an
-// Index built with any worker count is identical, byte for byte. The
-// pre-columnar row pipeline survives as BuildIndexReference
-// (index_reference.go), the oracle of the differential equivalence suite.
+// Index built with any worker count is identical, byte for byte. A flow
+// is addressed by its row (its position in dataset order across runs);
+// every per-flow question is a column read at that row.
 
 import (
 	"context"
@@ -156,8 +156,8 @@ type RunIndex struct {
 	// SetCookieTrackingFlows those among them labeled tracking.
 	SetCookieFlows         int
 	SetCookieTrackingFlows int
-	// FlowsByChannel groups the run's attributed flows by channel.
-	FlowsByChannel map[string][]*proxy.Flow
+	// RequestsByChannel counts the run's attributed flows per channel.
+	RequestsByChannel map[string]int
 	// TrackingByChannel counts the run's tracking requests per channel.
 	TrackingByChannel map[string]int
 	// SetEvents are the run's attributed Set-Cookie observations, in flow
@@ -200,17 +200,8 @@ type Index struct {
 	// PerChannelTracking aggregates tracking per channel across runs;
 	// only channels with at least one tracking request appear.
 	PerChannelTracking map[string]*ChannelTracking
-	// FlowsByParty groups every flow (attributed or not) by the eTLD+1
-	// of its request host.
-	FlowsByParty map[string][]*proxy.Flow
 
-	flowIdx map[*proxy.Flow]int32
-	// Exactly one of the two representations is set: cols for columnar
-	// builds (BuildIndex), meta for the row-oriented reference
-	// (BuildIndexReference). The exported aggregates above are identical
-	// either way.
 	cols  *Columns
-	meta  []flowMeta
 	stats *BuildStats
 }
 
@@ -230,13 +221,10 @@ func BuildIndex(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Index, erro
 	if err != nil {
 		return nil, err
 	}
-	rows := cols.Rows()
 	ix := &Index{
 		Dataset:            ds,
 		FirstParty:         make(map[string]string),
 		PerChannelTracking: make(map[string]*ChannelTracking),
-		FlowsByParty:       make(map[string][]*proxy.Flow),
-		flowIdx:            make(map[*proxy.Flow]int32, rows),
 		cols:               cols,
 		stats:              stats,
 	}
@@ -246,12 +234,10 @@ func BuildIndex(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Index, erro
 		ix.Channels = append(ix.Channels, cols.Channels.String(int32(id)))
 	}
 
-	// The fold below replicates the reference assembly row for row, but
-	// keys every per-channel / per-party accumulator by dense ID (slice
+	// The fold below keys every per-channel accumulator by dense ID (slice
 	// index) instead of by string, materializing the string-keyed maps
 	// once at the end.
 	nChan := cols.Channels.Len()
-	nParty := cols.Parties.Len()
 	type fpCand struct {
 		t     int64
 		party int32
@@ -263,20 +249,18 @@ func BuildIndex(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Index, erro
 		trackers map[int32]struct{}
 	}
 	track := make([]chanTrack, nChan)
-	partyRows := make([][]*proxy.Flow, nParty)
 	var lo, hi time.Time
 	row := 0
 	for _, run := range ds.Runs {
 		ri := RunIndex{
-			FlowsByChannel:    make(map[string][]*proxy.Flow),
+			RequestsByChannel: make(map[string]int),
 			TrackingByChannel: make(map[string]int),
 		}
-		chanFlows := make([][]*proxy.Flow, nChan)
+		chanRequests := make([]int, nChan)
 		chanTracking := make([]int, nChan)
 		end := row + len(run.Flows)
 		for i := row; i < end; i++ {
 			f := cols.Flows[i]
-			ix.flowIdx[f] = int32(i)
 			if lo.IsZero() || f.Time.Before(lo) {
 				lo = f.Time
 			}
@@ -317,12 +301,11 @@ func BuildIndex(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Index, erro
 				}
 			}
 			pid := cols.PartyID[i]
-			partyRows[pid] = append(partyRows[pid], f)
 			ch := cols.ChannelID[i]
 			if ch < 0 {
 				continue
 			}
-			chanFlows[ch] = append(chanFlows[ch], f)
+			chanRequests[ch]++
 			if kind&cfg.KnownTrackerMask == 0 {
 				ts := cols.TimeNS[i]
 				if b := &best[ch]; !b.ok || ts < b.t {
@@ -350,9 +333,9 @@ func BuildIndex(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Index, erro
 			}
 		}
 		row = end
-		for id, fl := range chanFlows {
-			if fl != nil {
-				ri.FlowsByChannel[cols.Channels.String(int32(id))] = fl
+		for id, n := range chanRequests {
+			if n > 0 {
+				ri.RequestsByChannel[cols.Channels.String(int32(id))] = n
 			}
 		}
 		for id, n := range chanTracking {
@@ -387,11 +370,6 @@ func BuildIndex(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Index, erro
 			cs.Trackers[cols.Parties.String(pid)] = struct{}{}
 		}
 		ix.PerChannelTracking[cs.Channel] = cs
-	}
-	for pid, fl := range partyRows {
-		if fl != nil {
-			ix.FlowsByParty[cols.Parties.String(int32(pid))] = fl
-		}
 	}
 	// Third-party flags resolve only after the full first-party map is
 	// known; patch them in per run, then expose the concatenation.
@@ -449,78 +427,13 @@ func buildCoverage(ds *Dataset) *Coverage {
 	return cov
 }
 
-// Columns exposes the columnar representation for range-scanning section
-// analyzers. Nil for indexes built with BuildIndexReference.
+// Columns exposes the per-row columns for range-scanning section
+// analyzers: a flow's row is its only address.
 func (ix *Index) Columns() *Columns { return ix.cols }
 
-// BuildStats reports how the columnar build ran (nil for reference
-// builds). Telemetry only — carries no analysis data.
+// BuildStats reports how the columnar build ran. Telemetry only —
+// carries no analysis data.
 func (ix *Index) BuildStats() *BuildStats { return ix.stats }
 
 // FlowCount returns the number of indexed flows.
-func (ix *Index) FlowCount() int {
-	if ix.cols != nil {
-		return ix.cols.Rows()
-	}
-	return len(ix.meta)
-}
-
-// Row returns the dataset-order row of an indexed flow (false for flows
-// not part of the indexed dataset).
-func (ix *Index) Row(f *proxy.Flow) (int32, bool) {
-	i, ok := ix.flowIdx[f]
-	return i, ok
-}
-
-// Kind returns the classification bits of an indexed flow (0 for flows
-// not part of the indexed dataset).
-func (ix *Index) Kind(f *proxy.Flow) FlowKind {
-	i, ok := ix.flowIdx[f]
-	if !ok {
-		return 0
-	}
-	if ix.cols != nil {
-		return ix.cols.Kind[i]
-	}
-	return ix.meta[i].kind
-}
-
-// IsTracking reports whether the flow was labeled a tracking request.
-// Usable wherever a func(*proxy.Flow) bool predicate is expected.
-func (ix *Index) IsTracking(f *proxy.Flow) bool { return ix.Kind(f).Tracking() }
-
-// URL returns the flow's memoized URL string ("" if unindexed).
-func (ix *Index) URL(f *proxy.Flow) string {
-	i, ok := ix.flowIdx[f]
-	if !ok {
-		return ""
-	}
-	if ix.cols != nil {
-		return ix.cols.URL(int(i))
-	}
-	return ix.meta[i].url
-}
-
-// Party returns the flow's memoized request-host eTLD+1 ("" if unindexed).
-func (ix *Index) Party(f *proxy.Flow) string {
-	i, ok := ix.flowIdx[f]
-	if !ok {
-		return ""
-	}
-	if ix.cols != nil {
-		return ix.cols.Party(int(i))
-	}
-	return ix.meta[i].party
-}
-
-// Host returns the flow's memoized request host ("" if unindexed).
-func (ix *Index) Host(f *proxy.Flow) string {
-	i, ok := ix.flowIdx[f]
-	if !ok {
-		return ""
-	}
-	if ix.cols != nil {
-		return ix.cols.Host(int(i))
-	}
-	return ix.meta[i].host
-}
+func (ix *Index) FlowCount() int { return ix.cols.Rows() }

@@ -102,21 +102,20 @@ func TestBuildIndexAggregates(t *testing.T) {
 	if got := ix.Runs[0].TrackingByChannel["KiKA"]; got != 1 {
 		t.Errorf("TrackingByChannel[KiKA] = %d, want 1", got)
 	}
-	// Memoized per-flow lookups.
+	// Per-row lookups: row 0 is the first flow of the first run.
+	cols := ix.Columns()
 	f := ds.Runs[0].Flows[0]
-	if ix.URL(f) != f.URL.String() || ix.Host(f) != f.Host() {
-		t.Error("memoized URL/Host mismatch")
+	if cols.Flows[0] != f || cols.URL(0) != f.URL.String() || cols.Host(0) != f.Host() {
+		t.Error("row 0 URL/Host mismatch")
 	}
-	if ix.Party(f) != "a.de" {
-		t.Errorf("Party = %q, want a.de", ix.Party(f))
+	if cols.Party(0) != "a.de" {
+		t.Errorf("Party(0) = %q, want a.de", cols.Party(0))
 	}
-	if ix.IsTracking(f) {
+	if cols.Kind[0].Tracking() {
 		t.Error("a.de flow should not be tracking")
 	}
-	// Unindexed flows resolve to zero values.
-	other := mkFlow("http://zzz.de/", "KiKA", false)
-	if ix.Kind(other) != 0 || ix.URL(other) != "" {
-		t.Error("unindexed flow should yield zero values")
+	if cols.RunName(cols.Rows()-1) != RunRed {
+		t.Errorf("last row's run = %q, want %q", cols.RunName(cols.Rows()-1), RunRed)
 	}
 }
 
@@ -167,9 +166,6 @@ func TestBuildIndexEmptyDataset(t *testing.T) {
 	// Flow-less datasets fall back to the paper's measurement period.
 	if ix.Window.Start.IsZero() || !ix.Window.End.After(ix.Window.Start) {
 		t.Errorf("fallback window not set: %+v", ix.Window)
-	}
-	if ix.IsTracking(mkFlow("http://x.de/", "", false)) {
-		t.Error("unindexed flow reported as tracking")
 	}
 }
 

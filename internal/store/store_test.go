@@ -72,12 +72,12 @@ func TestFlowsByChannelDropsUnattributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	by := ix.Runs[0].FlowsByChannel
+	by := ix.Runs[0].RequestsByChannel
 	if len(by) != 2 {
 		t.Fatalf("groups = %d", len(by))
 	}
-	if len(by["KiKA"]) != 2 || len(by["n-tv"]) != 1 {
-		t.Errorf("group sizes: KiKA=%d n-tv=%d", len(by["KiKA"]), len(by["n-tv"]))
+	if by["KiKA"] != 2 || by["n-tv"] != 1 {
+		t.Errorf("group sizes: KiKA=%d n-tv=%d", by["KiKA"], by["n-tv"])
 	}
 }
 

@@ -28,44 +28,6 @@ type DerivedRule struct {
 	Kinds store.FlowKind
 }
 
-// DeriveRulesFromIndex scans a dataset index for heuristically detected
-// tracking requests that the Pi-hole base list misses and emits one rule
-// per blockable scope, most-evidenced first. The per-flow classification
-// and the base-list coverage come from the index's single pass. It works
-// on either index representation (the accessors answer for both) and is
-// the differential suite's reference; callers holding a columnar index
-// chunk ScanRuleEvidence over row ranges and feed the merge into
-// RulesFromEvidence for the same rules.
-func DeriveRulesFromIndex(ix *store.Index) []DerivedRule {
-	firstParties := FirstPartySet(ix.FirstParty)
-	byScope := make(map[string]RuleEvidence)
-	for _, run := range ix.Dataset.Runs {
-		for _, f := range run.Flows {
-			k := ix.Kind(f)
-			if k&(store.FlowPixel|store.FlowFingerprint) == 0 {
-				continue // only heuristic detections feed derivation
-			}
-			if k&store.FlowOnPiHole != 0 {
-				continue // already covered by the base list
-			}
-			party := ix.Party(f)
-			scope := party
-			if _, isFP := firstParties[party]; isFP {
-				// Block only the measurement host, never the app platform.
-				scope = hostScope(ix.Host(f))
-				if scope == "" {
-					continue
-				}
-			}
-			ev := byScope[scope]
-			ev.Requests++
-			ev.Kinds |= k & (store.FlowPixel | store.FlowFingerprint)
-			byScope[scope] = ev
-		}
-	}
-	return RulesFromEvidence(byScope)
-}
-
 // RuleEvidence is the per-scope accumulator behind rule derivation: how
 // many heuristic tracking requests a blockable scope covers and why they
 // were flagged. Counts and kind bits are order-independent, so evidence
@@ -85,9 +47,10 @@ func FirstPartySet(firstParty map[string]string) map[string]struct{} {
 	return out
 }
 
-// ScanRuleEvidence is the chunked form of DeriveRulesFromIndex's scan: it
-// accumulates derivation evidence for rows [lo, hi) of a columnar index.
-// Requires a columnar index (panics on a reference build).
+// ScanRuleEvidence accumulates derivation evidence for rows [lo, hi) of
+// the index: heuristically detected tracking requests that the Pi-hole
+// base list misses, keyed by blockable scope. Maps from disjoint ranges
+// combine with MergeRuleEvidence, and RulesFromEvidence renders the rules.
 func ScanRuleEvidence(ix *store.Index, firstParties map[string]struct{}, lo, hi int) map[string]RuleEvidence {
 	cols := ix.Columns()
 	byScope := make(map[string]RuleEvidence)
@@ -204,41 +167,11 @@ func ExtendedList(rules []DerivedRule) (*filterlist.List, error) {
 	return extended, nil
 }
 
-// EvaluateExtensionFromIndex measures the Pi-hole base list's coverage of
-// heuristic tracking requests before and after appending the derived
-// rules. The base-list hits come from the index's FlowOnPiHole bit, so
-// only the derived rules are matched per flow. It works on either index
-// representation and is the differential suite's reference; callers
-// holding a columnar index sum EvaluateExtensionRange over row ranges.
-func EvaluateExtensionFromIndex(ix *store.Index, rules []DerivedRule) (ExtensionResult, error) {
-	extended, err := ExtendedList(rules)
-	if err != nil {
-		return ExtensionResult{}, err
-	}
-	var res ExtensionResult
-	for _, run := range ix.Dataset.Runs {
-		for _, f := range run.Flows {
-			k := ix.Kind(f)
-			if k&(store.FlowPixel|store.FlowFingerprint) == 0 {
-				continue
-			}
-			res.TrackingRequests++
-			inBase := k&store.FlowOnPiHole != 0
-			if inBase {
-				res.BlockedBefore++
-			}
-			if inBase || extended.MatchURL(ix.URL(f)) {
-				res.BlockedAfter++
-			}
-		}
-	}
-	return res, nil
-}
-
-// EvaluateExtensionRange is the chunked form of the evaluation scan: it
-// folds rows [lo, hi) of a columnar index into coverage counters, which
-// sum across disjoint ranges to exactly the serial result. Requires a
-// columnar index (panics on a reference build).
+// EvaluateExtensionRange measures the Pi-hole base list's coverage of
+// heuristic tracking requests in rows [lo, hi), before and after adding
+// the derived rules in extended. The base-list hits come from the row's
+// FlowOnPiHole bit, so only the derived rules are matched per row. The
+// counters of disjoint ranges sum to the counters of their union.
 func EvaluateExtensionRange(ix *store.Index, extended *filterlist.List, lo, hi int) ExtensionResult {
 	cols := ix.Columns()
 	var res ExtensionResult

@@ -4,7 +4,6 @@ import (
 	"net/url"
 	"strings"
 
-	"github.com/hbbtvlab/hbbtvlab/internal/etld"
 	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
@@ -49,68 +48,28 @@ var LGNeedles = DeviceNeedles{
 	Language:     "German",
 }
 
-func (n DeviceNeedles) terms() map[string]string {
-	return map[string]string{
-		"manufacturer": n.Manufacturer,
-		"model":        n.Model,
-		"os":           n.OS,
-		"language":     n.Language,
+// needle is one technical-data search term and the label a match reports.
+type needle struct{ label, term string }
+
+// terms returns the technical search terms in a fixed order, so one flow's
+// technical leaks come out in the same order on every scan.
+func (n DeviceNeedles) terms() []needle {
+	return []needle{
+		{"manufacturer", n.Manufacturer},
+		{"model", n.Model},
+		{"os", n.OS},
+		{"language", n.Language},
 	}
 }
 
-// FindLeaks scans all flows of the given runs for technical and behavioral
-// data. Behavioral needles (show title, genre) come from the channel
-// metadata of the dataset. Only requests to third parties count for the
-// "data was sent to N third parties" statistic, but first-party leaks are
-// reported too (the caller can filter).
-func FindLeaks(ds *store.Dataset, firstParty map[string]string, needles DeviceNeedles) []Leak {
-	var out []Leak
-	terms := needles.terms()
-	for _, run := range ds.Runs {
-		for _, f := range run.Flows {
-			if f.Channel == "" {
-				continue
-			}
-			hay := flowPayload(f)
-			if hay == "" {
-				continue
-			}
-			party := etld.MustRegistrableDomain(f.Host())
-			for label, term := range terms {
-				if term != "" && strings.Contains(hay, term) {
-					out = append(out, Leak{
-						Kind: LeakTechnical, Keyword: label,
-						Channel: f.Channel, Party: party, Run: run.Name,
-					})
-				}
-			}
-			info := ds.ChannelInfo(f.Channel)
-			if info != nil {
-				if info.Show != "" && strings.Contains(hay, info.Show) {
-					out = append(out, Leak{
-						Kind: LeakBehavioral, Keyword: "show",
-						Channel: f.Channel, Party: party, Run: run.Name,
-					})
-				}
-				if info.Genre != "" && strings.Contains(hay, info.Genre) {
-					out = append(out, Leak{
-						Kind: LeakBehavioral, Keyword: "genre",
-						Channel: f.Channel, Party: party, Run: run.Name,
-					})
-				}
-			}
-		}
-	}
-	return out
-}
-
-// ScanLeaks is the chunked form of FindLeaks: it scans rows [lo, hi) of a
-// columnar index (store.BuildIndex order — runs concatenated, flows in run
-// order), so a caller can fan fixed row ranges out over workers and
-// concatenate the per-chunk slices in chunk order, reproducing the exact
-// leak sequence a serial FindLeaks emits. The receiving party comes from
-// the index's interned party column instead of a per-flow eTLD+1
-// computation. Requires a columnar index (panics on a reference build).
+// ScanLeaks searches rows [lo, hi) of the index (dataset order — runs
+// concatenated, flows in run order) for technical and behavioral data.
+// Behavioral needles (show title, genre) come from the dataset's channel
+// metadata. Only attributed flows are searched; first-party leaks are
+// reported too, and Summarize separates them. The receiving party is the
+// row's interned eTLD+1. Scans of consecutive row ranges, concatenated in
+// range order, equal the scan of their union, so a caller can fan fixed
+// ranges out over workers.
 func ScanLeaks(ix *store.Index, needles DeviceNeedles, lo, hi int) []Leak {
 	cols := ix.Columns()
 	ds := ix.Dataset
@@ -127,10 +86,10 @@ func ScanLeaks(ix *store.Index, needles DeviceNeedles, lo, hi int) []Leak {
 		}
 		party := cols.Party(i)
 		run := cols.RunName(i)
-		for label, term := range terms {
-			if term != "" && strings.Contains(hay, term) {
+		for _, n := range terms {
+			if n.term != "" && strings.Contains(hay, n.term) {
 				out = append(out, Leak{
-					Kind: LeakTechnical, Keyword: label,
+					Kind: LeakTechnical, Keyword: n.label,
 					Channel: f.Channel, Party: party, Run: run,
 				})
 			}
@@ -171,7 +130,7 @@ func flowPayload(f *proxy.Flow) string {
 	return sb.String()
 }
 
-// LeakSummary aggregates FindLeaks output into the paper's headline
+// LeakSummary aggregates ScanLeaks output into the paper's headline
 // numbers.
 type LeakSummary struct {
 	// TechnicalChannels counts channels leaking device data.
@@ -180,7 +139,9 @@ type LeakSummary struct {
 	TechnicalParties int
 	// BehavioralChannels counts channels leaking the watched genre/show.
 	BehavioralChannels int
-	// RequestsWithPersonalData counts flows carrying any leak.
+	// RequestsWithPersonalData counts leaks, not flows: one per needle
+	// matched in a flow, so a flow carrying the model and the genre counts
+	// twice. The paper counts requests (EXPERIMENTS.md, Section V-B).
 	RequestsWithPersonalData int
 }
 
@@ -189,14 +150,7 @@ func Summarize(leaks []Leak, firstParty map[string]string) LeakSummary {
 	techChans := map[string]struct{}{}
 	techParties := map[string]struct{}{}
 	behChans := map[string]struct{}{}
-	reqs := 0
-	seenReq := map[[4]string]struct{}{}
 	for _, l := range leaks {
-		key := [4]string{string(l.Run), l.Channel, l.Party, string(l.Kind)}
-		if _, dup := seenReq[key]; !dup {
-			seenReq[key] = struct{}{}
-		}
-		reqs++
 		third := firstParty[l.Channel] != "" && l.Party != firstParty[l.Channel]
 		switch l.Kind {
 		case LeakTechnical:
@@ -214,6 +168,6 @@ func Summarize(leaks []Leak, firstParty map[string]string) LeakSummary {
 		TechnicalChannels:        len(techChans),
 		TechnicalParties:         len(techParties),
 		BehavioralChannels:       len(behChans),
-		RequestsWithPersonalData: reqs,
+		RequestsWithPersonalData: len(leaks),
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/url"
+	"reflect"
 	"testing"
 	"time"
 
@@ -103,14 +104,14 @@ func TestClassifierKinds(t *testing.T) {
 	px := mkFlow("http://tvping.com/t", "C", t0, 200, "image/gif", 35, "")
 	ad := mkFlow("http://doubleclick.net/ad", "C", t0, 200, "text/html", 500, "x")
 	benign := mkFlow("http://hbbtv.ard.de/index.html", "C", t0, 200, "text/html", 500, "<html>")
-	ix := buildIndex(t, &store.RunData{Name: store.RunRed, Flows: []*proxy.Flow{px, ad, benign}})
-	if k := ix.Kind(px); k&store.FlowPixel == 0 || k&listed != 0 {
+	kind := buildIndex(t, &store.RunData{Name: store.RunRed, Flows: []*proxy.Flow{px, ad, benign}}).Columns().Kind
+	if k := kind[0]; k&store.FlowPixel == 0 || k&listed != 0 {
 		t.Errorf("tvping pixel kind = %b", k)
 	}
-	if k := ix.Kind(ad); k&listed == 0 {
+	if k := kind[1]; k&listed == 0 {
 		t.Errorf("doubleclick kind = %b", k)
 	}
-	if ix.IsTracking(benign) {
+	if kind[2].Tracking() {
 		t.Error("app document classified as tracking")
 	}
 }
@@ -182,11 +183,13 @@ func TestPerCategoryFoldsSmall(t *testing.T) {
 	}
 }
 
-// leakDataset holds one flow leaking device data and one leaking the
-// watched show and genre.
+// leakDataset holds two flows leaking device data, one of them to a
+// subdomain of the other's party, and one flow leaking the watched show
+// and genre.
 func leakDataset() *store.Dataset {
 	u1, _ := url.Parse("http://collector.de/d?manufacturer=LGE&model=43UK6300LLB")
 	u2, _ := url.Parse("http://profiler.com/b?genre=Krimi&uid=x")
+	u3, _ := url.Parse("http://log.collector.de/e?os=WEBOS4.0")
 	return &store.Dataset{Runs: []*store.RunData{{
 		Name: store.RunGeneral,
 		Channels: []store.ChannelInfo{
@@ -198,23 +201,43 @@ func leakDataset() *store.Dataset {
 			{Time: t0, Method: "POST", URL: u2, StatusCode: 200, Channel: "A",
 				RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
 				RequestBody: []byte("show=Tatort")},
+			{Time: t0, Method: "GET", URL: u3, StatusCode: 200, Channel: "A",
+				RequestHeaders: http.Header{}, ResponseHeaders: http.Header{}},
 		},
 	}}}
 }
 
+// scanAllLeaks runs the engine's leak scan over every row of ds.
+func scanAllLeaks(t *testing.T, ds *store.Dataset) []Leak {
+	t.Helper()
+	ix := buildIndex(t, ds.Runs...)
+	return ScanLeaks(ix, LGNeedles, 0, ix.FlowCount())
+}
+
 func TestFindLeaksAndSummarize(t *testing.T) {
-	ds := leakDataset()
 	fp := map[string]string{"A": "a.de"}
-	leaks := FindLeaks(ds, fp, LGNeedles)
-	if len(leaks) < 3 {
-		t.Fatalf("leaks = %+v", leaks)
+	leaks := scanAllLeaks(t, leakDataset())
+	want := []Leak{
+		{Kind: LeakTechnical, Keyword: "manufacturer", Channel: "A", Party: "collector.de", Run: store.RunGeneral},
+		{Kind: LeakTechnical, Keyword: "model", Channel: "A", Party: "collector.de", Run: store.RunGeneral},
+		{Kind: LeakBehavioral, Keyword: "show", Channel: "A", Party: "profiler.com", Run: store.RunGeneral},
+		{Kind: LeakBehavioral, Keyword: "genre", Channel: "A", Party: "profiler.com", Run: store.RunGeneral},
+		{Kind: LeakTechnical, Keyword: "os", Channel: "A", Party: "collector.de", Run: store.RunGeneral},
+	}
+	if !reflect.DeepEqual(leaks, want) {
+		t.Fatalf("leaks = %+v, want %+v", leaks, want)
 	}
 	sum := Summarize(leaks, fp)
+	// log.collector.de and collector.de are one party.
 	if sum.TechnicalChannels != 1 || sum.TechnicalParties != 1 {
 		t.Errorf("summary = %+v", sum)
 	}
 	if sum.BehavioralChannels != 1 {
 		t.Errorf("behavioral channels = %d", sum.BehavioralChannels)
+	}
+	// One per matched needle: three flows carry five leaks.
+	if sum.RequestsWithPersonalData != 5 {
+		t.Errorf("RequestsWithPersonalData = %d, want 5", sum.RequestsWithPersonalData)
 	}
 }
 
@@ -228,8 +251,7 @@ func TestFindLeaksIgnoresCleanTraffic(t *testing.T) {
 			RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
 		}},
 	}}
-	ds := &store.Dataset{Runs: runs}
-	if leaks := FindLeaks(ds, map[string]string{"A": "a.de"}, LGNeedles); len(leaks) != 0 {
+	if leaks := scanAllLeaks(t, &store.Dataset{Runs: runs}); len(leaks) != 0 {
 		t.Errorf("clean traffic produced leaks: %+v", leaks)
 	}
 }
