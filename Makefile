@@ -47,17 +47,23 @@ resume:
 # Short coverage-guided fuzzing passes (seeded corpora), 30 s each: the
 # binary AIT decoder, the dataset loader over both formats and the
 # checkpoint container (no panic; an accepted input re-saves as a
-# snapshot to a fixed point with an unchanged digest), the interning
-# lemma behind the index build's stitch (chunked interning merged with
-# MergeStrings equals one serial scan, IDs and table alike), the policy
-# ad-window parser (no panic; accepted hours lie on the 24-hour clock;
-# the result ignores ASCII letter case), and two differential targets:
-# the TV jar's one-pass Cookie header against net/http's AddCookie chain,
-# and the tracker's query and cookie scanners against url.ParseQuery and
-# (*http.Request).Cookie.
+# snapshot to a fixed point with an unchanged digest), the checkpoint
+# journal reader (no panic; an intact or torn journal's offset lies in
+# the input, and that prefix reloads cleanly to the same checkpoint;
+# frames are optionally resealed so mutations pass the CRC), the
+# interning lemma behind the index build's stitch (chunked interning
+# merged with MergeStrings equals one serial scan, IDs and table alike),
+# the policy ad-window parser (no panic; accepted hours lie on the
+# 24-hour clock; the result ignores ASCII letter case), and two
+# differential targets: the TV jar's one-pass Cookie header against
+# net/http's AddCookie chain, and the tracker's query and cookie scanners
+# against url.ParseQuery and (*http.Request).Cookie. -fuzz is a regular
+# expression, so FuzzLoad is anchored to keep it from also matching
+# FuzzLoadJournal.
 fuzz:
 	$(GO) test ./internal/dvb/ -run '^$$' -fuzz FuzzParseAIT -fuzztime 30s
-	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzLoad -fuzztime 30s
+	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 30s
+	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzLoadJournal -fuzztime 30s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzInternRoundTrip -fuzztime 30s
 	$(GO) test ./internal/policy/ -run '^$$' -fuzz FuzzParseAdWindow -fuzztime 30s
 	$(GO) test ./internal/webos/ -run '^$$' -fuzz FuzzCookieHeader -fuzztime 30s

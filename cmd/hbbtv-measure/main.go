@@ -339,9 +339,8 @@ func run(args []string) error {
 		fmt.Println()
 	}
 	if snap := ds.Telemetry; snap != nil {
-		fmt.Printf("telemetry: %d flows, %d channel visits, %d events (%d dropped)\n",
-			snap.Counters["proxy_flows_recorded"], snap.Counters["core_channels_visited"],
-			len(snap.Events), snap.DroppedEvents)
+		fmt.Printf("telemetry: %d flows, %d channel visits\n",
+			snap.Counters["proxy_flows_recorded"], snap.Counters["core_channels_visited"])
 	}
 	if tr := ds.Trace; tr != nil {
 		fmt.Printf("trace: %d spans (%d dropped); summarize with hbbtv-trace\n",

@@ -265,8 +265,8 @@ func criticalPath(w io.Writer, tr *telemetry.Trace, visits []telemetry.Span) {
 }
 
 // noteTimeline lists the trace's span annotations — fault injections,
-// retries, channel failures, quarantines — in virtual-time order,
-// bounded to keep degraded campaigns readable.
+// retries, channel failures, quarantines, recovered panics — in
+// virtual-time order, bounded to keep degraded campaigns readable.
 func noteTimeline(w io.Writer, tr *telemetry.Trace, limit int) {
 	type entry struct {
 		note  telemetry.SpanNote

@@ -199,15 +199,12 @@ func New(cfg Config) *Framework {
 }
 
 // onFault records one injected fault (transport- or broadcast-level) in
-// the shard's telemetry.
+// the shard's telemetry: a count, and a note on whatever span was
+// running — the tune, app launch, or visit attempt it perturbed.
 func (f *Framework) onFault(kind faults.Kind, target string) {
 	f.metrics.faultsInjected.Inc()
 	if f.Telemetry.Active() {
-		detail := kind.String() + " " + target
-		f.Telemetry.Event(telemetry.EventFault, detail)
-		// The fault also lands as a note on whatever span was running —
-		// the tune, app launch, or visit attempt it perturbed.
-		f.Telemetry.AnnotateSpan(telemetry.EventFault, detail)
+		f.Telemetry.AnnotateSpan(telemetry.EventFault, kind.String()+" "+target)
 	}
 }
 
@@ -293,9 +290,6 @@ func (f *Framework) probeOnce(svc *dvb.Service, watch time.Duration) (saw bool, 
 func (f *Framework) backoff(channel string, attempt int) {
 	f.metrics.channelsRetried.Inc()
 	if f.Telemetry.Active() {
-		f.Telemetry.Event(telemetry.EventRetry, fmt.Sprintf("%s attempt=%d", channel, attempt+1))
-	}
-	if f.Telemetry.Active() {
 		f.Telemetry.AnnotateSpan(telemetry.EventRetry, fmt.Sprintf("%s attempt=%d", channel, attempt+1))
 	}
 	delay := f.retry.backoff(attempt)
@@ -338,7 +332,6 @@ func (f *Framework) ExecuteRunContext(ctx context.Context, spec RunSpec, channel
 	f.Recorder.Reset()
 	f.TV.WipeBrowserState()
 	f.TV.PowerOn()
-	f.Telemetry.Event(telemetry.EventRunStart, string(spec.Name))
 	runSpan := f.Telemetry.StartSpan(telemetry.SpanRun, string(spec.Name))
 	defer runSpan.End()
 
@@ -388,13 +381,11 @@ func (f *Framework) ExecuteRunContext(ctx context.Context, spec RunSpec, channel
 				Attempts: attempts, Error: err.Error(),
 			}
 			f.metrics.channelsFailed.Inc()
-			f.Telemetry.Event(telemetry.EventChannelFail, svc.Name)
 			f.Telemetry.AnnotateSpan(telemetry.EventChannelFail, svc.Name)
 			f.failStreak[svc.Name]++
 			if q := f.retry.QuarantineAfter; q > 0 && f.failStreak[svc.Name] >= q {
 				f.quarantined[svc.Name] = true
 				f.metrics.channelsQuarantined.Inc()
-				f.Telemetry.Event(telemetry.EventQuarantine, svc.Name)
 				f.Telemetry.AnnotateSpan(telemetry.EventQuarantine, svc.Name)
 			}
 			continue
@@ -415,7 +406,6 @@ func (f *Framework) ExecuteRunContext(ctx context.Context, spec RunSpec, channel
 	run.Logs = f.TV.Logs()
 	f.TV.WipeBrowserState()
 	f.TV.PowerOff()
-	f.Telemetry.Event(telemetry.EventRunEnd, string(spec.Name))
 	if cancelErr != nil {
 		return run, cancelErr
 	}
@@ -454,25 +444,25 @@ func (f *Framework) visitWithRetry(ctx context.Context, spec RunSpec, svc *dvb.S
 // visitChannelRecovered runs one channel visit with panic recovery: a
 // misbehaving application (e.g. a malformed broadcast table or a crashing
 // app server) must not take down the whole run — the paper's setup would
-// simply move on to the next channel after a TV-side crash.
+// simply move on to the next channel after a TV-side crash. A recovered
+// panic is noted on the span still open when it is recovered: the visit's
+// attempt span.
 func (f *Framework) visitChannelRecovered(spec RunSpec, svc *dvb.Service, run *store.RunData) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			run.RecoveredPanics++
 			f.metrics.panicsRecovered.Inc()
-			f.Telemetry.Event(telemetry.EventPanic, svc.Name)
+			f.Telemetry.AnnotateSpan(telemetry.EventPanic, svc.Name)
 			f.TV.Log(webos.LogError, fmt.Sprintf("recovered panic on %s: %v", svc.Name, r))
 		}
 	}()
 	flowsBefore := 0
 	if f.Telemetry.Active() {
-		f.Telemetry.Event(telemetry.EventChannelBegin, svc.Name)
 		flowsBefore = f.Recorder.Len()
 	}
 	err = f.visitChannel(spec, svc, run)
 	if f.Telemetry.Active() {
 		f.metrics.channelFlows.Observe(int64(f.Recorder.Len() - flowsBefore))
-		f.Telemetry.Event(telemetry.EventChannelEnd, svc.Name)
 	}
 	return err
 }

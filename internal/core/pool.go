@@ -47,7 +47,8 @@ type Pool struct {
 	// Factory builds one isolated Framework per shard.
 	Factory ShardFactory
 	// Telemetry is the engine-controller telemetry handle (from
-	// telemetry.Registry.Controller); nil disables engine-level events.
+	// telemetry.Registry.Controller); nil disables the engine-level
+	// telemetry: the campaign and merge spans and the merge counters.
 	// Per-shard instrumentation is wired by the Factory through
 	// Config.Telemetry.
 	Telemetry *telemetry.Shard
@@ -134,7 +135,7 @@ func (p *Pool) ExecuteRuns(ctx context.Context, specs []RunSpec, channels []*dvb
 		if !any {
 			continue
 		}
-		merged := store.MergeRunShardsObserved(order, shardRuns, p.Telemetry)
+		merged := store.MergeRunShards(order, shardRuns, p.Telemetry)
 		// Run identity comes from the spec even if every shard was cancelled
 		// before its first channel of this run.
 		merged.Name, merged.Date = specs[si].Name, specs[si].Date
@@ -198,11 +199,7 @@ func (p *Pool) runShard(ctx context.Context, shard, shards int, specs []RunSpec,
 	if fw.Telemetry.Active() {
 		active := fw.Telemetry.Gauge("core_shards_active")
 		active.Set(1)
-		fw.Telemetry.Event(telemetry.EventShardStart, fmt.Sprintf("channels=%d", len(subset)))
-		defer func() {
-			fw.Telemetry.Event(telemetry.EventShardStop, "")
-			active.Set(0)
-		}()
+		defer active.Set(0)
 	}
 	// Resume: replay the shard's checkpointed run prefix and fast-forward
 	// the framework (and the shard's world) to the last cell's state.

@@ -14,6 +14,7 @@ import (
 	"github.com/hbbtvlab/hbbtvlab/internal/dvb"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 	"github.com/hbbtvlab/hbbtvlab/internal/synth"
+	"github.com/hbbtvlab/hbbtvlab/internal/telemetry"
 	"github.com/hbbtvlab/hbbtvlab/internal/webos"
 )
 
@@ -46,9 +47,11 @@ func poolChannels(seed int64, scale float64) []*dvb.Service {
 }
 
 // poolFactory is the test ShardFactory: an isolated world per shard from
-// the study seed, framework seeded seed ^ shard. mutate, when non-nil, may
-// rewire the shard's virtual Internet before the framework starts.
-func poolFactory(seed int64, scale float64, mutate func(shard int, w *synth.World)) ShardFactory {
+// the study seed, framework seeded seed ^ shard. reg, when non-nil, gives
+// each shard its own telemetry slot on its own virtual clock. mutate,
+// when non-nil, may rewire the shard's virtual Internet before the
+// framework starts.
+func poolFactory(seed int64, scale float64, reg *telemetry.Registry, mutate func(shard int, w *synth.World)) ShardFactory {
 	return func(shard int) (*Framework, error) {
 		clk := clock.NewVirtual(time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC))
 		world := synth.Build(synth.Config{Seed: seed, Scale: scale}, clk)
@@ -60,6 +63,7 @@ func poolFactory(seed int64, scale float64, mutate func(shard int, w *synth.Worl
 			Seed:         seed ^ int64(shard),
 			Clock:        clk,
 			Availability: world.Availability,
+			Telemetry:    reg.Shard(shard, clk.Now),
 		}), nil
 	}
 }
@@ -73,7 +77,7 @@ func TestPoolExecuteShardMatchesExecuteRuns(t *testing.T) {
 	ctx := context.Background()
 	channels := poolChannels(seed, scale)
 	specs := poolSpecs()
-	pool := &Pool{Shards: shards, Workers: 2, Factory: poolFactory(seed, scale, nil)}
+	pool := &Pool{Shards: shards, Workers: 2, Factory: poolFactory(seed, scale, nil, nil)}
 	want, err := pool.ExecuteRuns(ctx, specs, channels)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +98,7 @@ func TestPoolExecuteShardMatchesExecuteRuns(t *testing.T) {
 		for s := range perShard {
 			runs[s] = perShard[s][si]
 		}
-		got.Runs = append(got.Runs, store.MergeRunShards(order, runs))
+		got.Runs = append(got.Runs, store.MergeRunShards(order, runs, nil))
 	}
 	if g, w := datasetDigest(t, got), datasetDigest(t, want); g != w {
 		t.Fatalf("merged ExecuteShard digest %s != ExecuteRuns digest %s", g, w)
@@ -135,7 +139,7 @@ func TestPoolDigestIndependentOfWorkers(t *testing.T) {
 	digests := make(map[int]string)
 	var sizes []int
 	for _, workers := range []int{1, 4, 8} {
-		pool := &Pool{Workers: workers, Factory: poolFactory(seed, scale, nil)}
+		pool := &Pool{Workers: workers, Factory: poolFactory(seed, scale, nil, nil)}
 		ds, err := pool.ExecuteRuns(context.Background(), specs, channels)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -188,7 +192,7 @@ func TestPoolShardCountChangesPartition(t *testing.T) {
 	specs := poolSpecs()[:1]
 
 	run := func(shards int) string {
-		pool := &Pool{Shards: shards, Workers: 2, Factory: poolFactory(seed, scale, nil)}
+		pool := &Pool{Shards: shards, Workers: 2, Factory: poolFactory(seed, scale, nil, nil)}
 		ds, err := pool.ExecuteRuns(context.Background(), specs, channels)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -220,7 +224,7 @@ func TestPoolCancellationPartialDataset(t *testing.T) {
 			wr.Header().Set("Content-Type", "text/css")
 		})
 	}
-	pool := &Pool{Workers: 4, Factory: poolFactory(seed, scale, mutate)}
+	pool := &Pool{Workers: 4, Factory: poolFactory(seed, scale, nil, mutate)}
 	ds, err := pool.ExecuteRuns(ctx, specs, channels)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -295,8 +299,9 @@ func TestPoolCancellationPartialDataset(t *testing.T) {
 }
 
 // TestPoolPanicRecovery makes one channel's application server panic on
-// every request. The owning shard must recover, log, and count the panic —
-// and keep measuring its remaining channels.
+// every request. The owning shard must recover, log, and count the panic,
+// note it on the victim's attempt span — and keep measuring its remaining
+// channels.
 func TestPoolPanicRecovery(t *testing.T) {
 	const seed, scale = 13, 0.04
 	channels := poolChannels(seed, scale)
@@ -315,7 +320,12 @@ func TestPoolPanicRecovery(t *testing.T) {
 			panic("synthetic app crash")
 		})
 	}
-	pool := &Pool{Workers: 4, Factory: poolFactory(seed, scale, mutate)}
+	reg := telemetry.New(telemetry.Options{Shards: DefaultShards})
+	pool := &Pool{
+		Workers:   4,
+		Factory:   poolFactory(seed, scale, reg, mutate),
+		Telemetry: reg.Controller(nil),
+	}
 	ds, err := pool.ExecuteRuns(context.Background(), specs, channels)
 	if err != nil {
 		t.Fatalf("pool: %v", err)
@@ -323,6 +333,7 @@ func TestPoolPanicRecovery(t *testing.T) {
 	if len(ds.Runs) != len(specs) {
 		t.Fatalf("%d runs, want %d", len(ds.Runs), len(specs))
 	}
+	checkPanicNotes(t, reg.Trace(), victim.Service.Name, specs)
 	for _, run := range ds.Runs {
 		if run.RecoveredPanics == 0 {
 			t.Errorf("run %s: no recovered panics counted", run.Name)
@@ -347,6 +358,58 @@ func TestPoolPanicRecovery(t *testing.T) {
 	}
 }
 
+// checkPanicNotes asserts that in every run the victim's attempt span
+// carries exactly one panic.recovered note naming the victim, and that
+// no other span carries one.
+func checkPanicNotes(t *testing.T, tr *telemetry.Trace, victim string, specs []RunSpec) {
+	t.Helper()
+	type slotID struct {
+		shard int
+		id    uint64
+	}
+	byID := make(map[slotID]*telemetry.Span, len(tr.Spans))
+	for i := range tr.Spans {
+		byID[slotID{tr.Spans[i].Shard, tr.Spans[i].ID}] = &tr.Spans[i]
+	}
+	runOf := func(sp *telemetry.Span) string {
+		for sp != nil && sp.Kind != telemetry.SpanRun {
+			sp = byID[slotID{sp.Shard, sp.Parent}]
+		}
+		if sp == nil {
+			return ""
+		}
+		return sp.Name
+	}
+	attempts := make(map[string]int)
+	for i := range tr.Spans {
+		sp := &tr.Spans[i]
+		panics := 0
+		for _, n := range sp.Notes {
+			if n.Kind != telemetry.EventPanic {
+				continue
+			}
+			panics++
+			if n.Detail != victim {
+				t.Errorf("panic note on %s span %q names %q, want %q", sp.Kind, sp.Name, n.Detail, victim)
+			}
+		}
+		switch {
+		case sp.Kind == telemetry.SpanAttempt && sp.Name == victim:
+			attempts[runOf(sp)]++
+			if panics != 1 {
+				t.Errorf("run %s: victim attempt span %d carries %d panic notes, want 1", runOf(sp), sp.ID, panics)
+			}
+		case panics > 0:
+			t.Errorf("%s span %q on shard %d carries a panic note; only the victim's attempt may", sp.Kind, sp.Name, sp.Shard)
+		}
+	}
+	for _, spec := range specs {
+		if attempts[string(spec.Name)] == 0 {
+			t.Errorf("run %s: no victim attempt span in the trace", spec.Name)
+		}
+	}
+}
+
 // TestPoolFactoryErrorFailsOnlyThatShard: a shard whose framework cannot
 // be built is reported, while the other shards still contribute data.
 func TestPoolFactoryErrorFailsOnlyThatShard(t *testing.T) {
@@ -354,7 +417,7 @@ func TestPoolFactoryErrorFailsOnlyThatShard(t *testing.T) {
 	channels := poolChannels(seed, scale)
 	specs := poolSpecs()[:1]
 
-	inner := poolFactory(seed, scale, nil)
+	inner := poolFactory(seed, scale, nil, nil)
 	factory := func(shard int) (*Framework, error) {
 		if shard == 1 {
 			return nil, errors.New("shard 1 hardware on fire")

@@ -2,32 +2,16 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/hbbtvlab/hbbtvlab/internal/clock"
-	"github.com/hbbtvlab/hbbtvlab/internal/synth"
 	"github.com/hbbtvlab/hbbtvlab/internal/telemetry"
 )
 
-// telemetryFactory is poolFactory with a telemetry registry attached:
-// each shard publishes to its own slot on its own virtual clock.
-func telemetryFactory(seed int64, scale float64, reg *telemetry.Registry) ShardFactory {
-	return func(shard int) (*Framework, error) {
-		clk := clock.NewVirtual(time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC))
-		world := synth.Build(synth.Config{Seed: seed, Scale: scale}, clk)
-		return New(Config{
-			Internet:     world.Internet,
-			Seed:         seed ^ int64(shard),
-			Clock:        clk,
-			Availability: world.Availability,
-			Telemetry:    reg.Shard(shard, clk.Now),
-		}), nil
-	}
-}
-
 // TestPoolTelemetryCounters runs the sharded engine with telemetry and
-// checks that the counters and event trace reflect the work done.
+// checks that the counters and the span trace reflect the work done.
 func TestPoolTelemetryCounters(t *testing.T) {
 	const seed, scale, shards = 7, 0.04, 4
 	channels := poolChannels(seed, scale)
@@ -36,14 +20,12 @@ func TestPoolTelemetryCounters(t *testing.T) {
 	}
 	specs := poolSpecs()
 
-	// A large trace capacity so early events (shard.start) survive the
-	// per-flow event volume for the assertions below.
-	reg := telemetry.New(telemetry.Options{Shards: shards, TraceCap: 1 << 16})
+	reg := telemetry.New(telemetry.Options{Shards: shards})
 	ctl := reg.Controller(clock.NewVirtual(time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC)).Now)
 	pool := &Pool{
 		Shards:    shards,
 		Workers:   shards,
-		Factory:   telemetryFactory(seed, scale, reg),
+		Factory:   poolFactory(seed, scale, reg, nil),
 		Telemetry: ctl,
 	}
 	ds, err := pool.ExecuteRuns(context.Background(), specs, channels)
@@ -86,17 +68,26 @@ func TestPoolTelemetryCounters(t *testing.T) {
 		t.Errorf("core_channel_flows count = %d, want %d", got, visited)
 	}
 
-	kinds := make(map[telemetry.EventKind]int)
-	for _, ev := range snap.Events {
-		kinds[ev.Kind]++
+	// Every shard slot records one run span per spec, and the controller
+	// slot one merge span per spec.
+	runSpans, mergeSpans := make(map[int]int), make(map[int]int)
+	for _, sp := range reg.Trace().Spans {
+		switch sp.Kind {
+		case telemetry.SpanRun:
+			runSpans[sp.Shard]++
+		case telemetry.SpanMerge:
+			mergeSpans[sp.Shard]++
+		}
 	}
-	if kinds[telemetry.EventShardStart] != shards || kinds[telemetry.EventShardStop] != shards {
-		t.Errorf("shard start/stop events = %d/%d, want %d/%d",
-			kinds[telemetry.EventShardStart], kinds[telemetry.EventShardStop], shards, shards)
+	wantRuns := make(map[int]int, shards)
+	for s := 0; s < shards; s++ {
+		wantRuns[s] = len(specs)
 	}
-	if kinds[telemetry.EventMergeBegin] != len(specs) || kinds[telemetry.EventMergeEnd] != len(specs) {
-		t.Errorf("merge begin/end events = %d/%d, want %d/%d",
-			kinds[telemetry.EventMergeBegin], kinds[telemetry.EventMergeEnd], len(specs), len(specs))
+	if !reflect.DeepEqual(runSpans, wantRuns) {
+		t.Errorf("run spans per slot = %v, want %v", runSpans, wantRuns)
+	}
+	if want := map[int]int{-1: len(specs)}; !reflect.DeepEqual(mergeSpans, want) {
+		t.Errorf("merge spans per slot = %v, want %v", mergeSpans, want)
 	}
 	// Per-shard breakdown must cover every shard (each measured channels).
 	if len(snap.Shards) != shards {
@@ -111,7 +102,7 @@ func TestPoolTelemetryDoesNotChangeDigest(t *testing.T) {
 	channels := poolChannels(seed, scale)
 	specs := poolSpecs()
 
-	plain := &Pool{Shards: shards, Workers: 2, Factory: poolFactory(seed, scale, nil)}
+	plain := &Pool{Shards: shards, Workers: 2, Factory: poolFactory(seed, scale, nil, nil)}
 	dsPlain, err := plain.ExecuteRuns(context.Background(), specs, channels)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +112,7 @@ func TestPoolTelemetryDoesNotChangeDigest(t *testing.T) {
 	instrumented := &Pool{
 		Shards:    shards,
 		Workers:   2,
-		Factory:   telemetryFactory(seed, scale, reg),
+		Factory:   poolFactory(seed, scale, reg, nil),
 		Telemetry: reg.Controller(nil),
 	}
 	dsTele, err := instrumented.ExecuteRuns(context.Background(), specs, channels)

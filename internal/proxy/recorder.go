@@ -71,7 +71,7 @@ type Recorder struct {
 	disableReferer bool
 
 	// Telemetry (all nil-safe when disabled): per-shard flow counters and
-	// the flow trace event.
+	// the flow-burst span.
 	tele           *telemetry.Shard
 	cFlows         *telemetry.BoundCounter
 	cUnattributed  *telemetry.BoundCounter
@@ -104,8 +104,8 @@ func NewRecorder(inner http.RoundTripper, clk clock.Clock) *Recorder {
 }
 
 // SetTelemetry instruments the recorder as one shard of a telemetry
-// registry: every recorded flow increments shard-local counters and
-// appends a proxy.flow trace event. A nil handle (telemetry disabled)
+// registry: every recorded flow increments shard-local counters and is
+// counted into its flow-burst span. A nil handle (telemetry disabled)
 // leaves the hot path untouched.
 func (r *Recorder) SetTelemetry(sh *telemetry.Shard) {
 	r.mu.Lock()
@@ -282,7 +282,6 @@ func (r *Recorder) record(f *Flow, u *url.URL) {
 		if f.Channel == "" {
 			r.cUnattributed.Inc()
 		}
-		r.tele.Event(telemetry.EventFlow, f.Method+" "+f.host)
 		// Flow bursts: consecutive flows on one channel separated by less
 		// than BurstGap of virtual time share a burst span bounded by flow
 		// timestamps (never by when the burst happens to be closed).

@@ -298,12 +298,12 @@ func (d *Dedup) Apply(ds *Dataset) {
 //
 // The shards' telemetry snapshots and span traces are merged too (see
 // telemetry.MergeShardSnapshots/MergeShardTraces): the merged dataset
-// carries fleet-wide counters, events, and spans equal to the
-// single-process run's, restricted to the shard slots.
+// carries fleet-wide counters and spans equal to the single-process
+// run's, restricted to the shard slots.
 //
 // tele (typically an engine-controller handle) observes the per-run merge
-// phases; nil disables instrumentation. Its events and spans are local to
-// the merging process and are not embedded in the merged dataset (they
+// phases; nil disables instrumentation. Its spans and counters are local
+// to the merging process and are not embedded in the merged dataset (they
 // may even be wall-clock-timestamped, as in hbbtv-merge). The merge is
 // all-or-nothing: a cancelled ctx returns nil and the context's error.
 func MergeShards(ctx context.Context, tele *telemetry.Shard, datasets []*Dataset) (*Dataset, error) {
@@ -391,7 +391,7 @@ func MergeShards(ctx context.Context, tele *telemetry.Shard, datasets []*Dataset
 		for s, ds := range byShard {
 			shardRuns[s] = ds.Run(name)
 		}
-		out.Runs = append(out.Runs, MergeRunShardsObserved(ref.ChannelOrder, shardRuns, tele))
+		out.Runs = append(out.Runs, MergeRunShards(ref.ChannelOrder, shardRuns, tele))
 	}
 
 	// Carry the shards' telemetry snapshots and span traces into the

@@ -136,7 +136,7 @@ const (
 	FormatSnapshot
 )
 
-// String names the format the way ParseFormat spells it.
+// String names the format.
 func (f Format) String() string {
 	switch f {
 	case FormatJSON:
@@ -145,17 +145,6 @@ func (f Format) String() string {
 		return "snapshot"
 	}
 	return fmt.Sprintf("Format(%d)", int(f))
-}
-
-// ParseFormat maps the CLI spellings "json" and "snapshot" to a Format.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "json":
-		return FormatJSON, nil
-	case "snapshot":
-		return FormatSnapshot, nil
-	}
-	return 0, fmt.Errorf("store: unknown dataset format %q (want json or snapshot)", s)
 }
 
 // Save writes the dataset to w in the chosen format, including the

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"github.com/hbbtvlab/hbbtvlab/internal/appmodel"
 	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
+	"github.com/hbbtvlab/hbbtvlab/internal/telemetry"
 	"github.com/hbbtvlab/hbbtvlab/internal/webos"
 )
 
@@ -113,6 +115,50 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 	_ = gzw
 	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestLoadIgnoresEventRingFields loads a gzip-JSON dataset whose telemetry
+// object carries the fields an earlier writer emitted for its event ring
+// (events, droppedEvents, and per-shard droppedEvents): it must load, with
+// the same digest and the snapshot's remaining fields intact.
+func TestLoadIgnoresEventRingFields(t *testing.T) {
+	ds := persistedDataset()
+	ds.Telemetry = &telemetry.Snapshot{
+		Counters: map[string]uint64{"proxy_flows_recorded": 1},
+		Shards:   []telemetry.ShardCounters{{Shard: 0, Counters: map[string]uint64{"proxy_flows_recorded": 1}}},
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, ds, FormatJSON); err != nil {
+		t.Fatal(err)
+	}
+	gz, err := gzip.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(raw, []byte(`"telemetry":{`), []byte(`"telemetry":{"events":[{"seq":0,`+
+		`"time":"2023-08-21T12:00:00Z","shard":0,"kind":"proxy.flow","detail":"GET tvping.com"}],"droppedEvents":6,`), 1)
+	old = bytes.Replace(old, []byte(`{"shard":0,`), []byte(`{"shard":0,"droppedEvents":6,`), 1)
+	if bytes.Count(old, []byte(`"droppedEvents":6`)) != 2 {
+		t.Fatalf("telemetry object not found in the saved JSON:\n%s", raw)
+	}
+	var oldBuf bytes.Buffer
+	if err := newGzipJSON(&oldBuf, string(old)); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&oldBuf)
+	if err != nil {
+		t.Fatalf("dataset with event ring fields does not load: %v", err)
+	}
+	if got, want := mustDigest(t, loaded), mustDigest(t, ds); got != want {
+		t.Fatalf("digest = %s, want %s", got, want)
+	}
+	if !reflect.DeepEqual(loaded.Telemetry, ds.Telemetry) {
+		t.Fatalf("telemetry = %+v, want %+v", loaded.Telemetry, ds.Telemetry)
 	}
 }
 

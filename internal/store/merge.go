@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
@@ -37,24 +36,11 @@ import (
 // unchanged: a one-shard campaign keeps the paper's single-timeline
 // procedure byte for byte — visit order and flow IDs included — whether
 // it is merged in process or by hbbtv-merge.
-func MergeRunShards(order []string, shards []*RunData) *RunData {
-	return MergeRunShardsObserved(order, shards, nil)
-}
-
-// MergeRunShardsObserved is MergeRunShards with merge-phase telemetry:
-// tele (typically the engine-controller handle) receives merge.begin /
-// merge.end events and per-merge counters. A nil handle is a no-op, so
-// MergeRunShards simply delegates here.
-func MergeRunShardsObserved(order []string, shards []*RunData, tele *telemetry.Shard) *RunData {
-	if tele.Active() {
-		live := 0
-		for _, s := range shards {
-			if s != nil {
-				live++
-			}
-		}
-		tele.Event(telemetry.EventMergeBegin, fmt.Sprintf("shards=%d/%d", live, len(shards)))
-	}
+//
+// tele (typically the engine-controller handle) receives a merge span
+// named after the run and the per-merge counters; a nil handle records
+// nothing.
+func MergeRunShards(order []string, shards []*RunData, tele *telemetry.Shard) *RunData {
 	mergeSpan := tele.StartSpan(telemetry.SpanMerge, "")
 	merged := mergeRunShards(order, shards)
 	if mergeSpan.Active() {
@@ -65,8 +51,6 @@ func MergeRunShardsObserved(order []string, shards []*RunData, tele *telemetry.S
 		tele.Counter("merge_runs").Inc()
 		tele.Counter("merge_channels").Add(uint64(len(merged.Channels)))
 		tele.Counter("merge_flows").Add(uint64(len(merged.Flows)))
-		tele.Event(telemetry.EventMergeEnd, fmt.Sprintf("run=%s channels=%d flows=%d",
-			merged.Name, len(merged.Channels), len(merged.Flows)))
 	}
 	return merged
 }

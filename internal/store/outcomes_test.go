@@ -99,7 +99,7 @@ func TestMergeOutcomesCanonicalOrder(t *testing.T) {
 		{shard1, shard0},
 		{nil, shard0, nil, shard1},
 	} {
-		merged := MergeRunShards(order, shards)
+		merged := MergeRunShards(order, shards, nil)
 		if len(merged.Outcomes) != 5 {
 			t.Fatalf("merged %d outcomes, want 5", len(merged.Outcomes))
 		}
@@ -128,10 +128,10 @@ func TestMergeLoneShardUnchanged(t *testing.T) {
 		}}
 	}
 	lone := run()
-	if got := MergeRunShards(order, []*RunData{lone}); got != lone {
+	if got := MergeRunShards(order, []*RunData{lone}, nil); got != lone {
 		t.Fatalf("lone shard merged into a new run %+v", got)
 	}
-	if got := MergeRunShards(order, []*RunData{run(), nil}); got.Outcomes[0].Channel != "A" {
+	if got := MergeRunShards(order, []*RunData{run(), nil}, nil); got.Outcomes[0].Channel != "A" {
 		t.Fatalf("two-shard layout not canonicalized: %+v", got.Outcomes)
 	}
 }

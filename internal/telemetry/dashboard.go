@@ -18,35 +18,27 @@ type DashboardOptions struct {
 }
 
 // LiveView is one dashboard frame pushed over the SSE stream: the
-// aggregate counters/gauges, the per-shard breakdown, and short tails of
-// the event ring and completed spans. Flow *rates* are derived
-// client-side from successive frames, so the frame itself stays a pure
-// snapshot.
+// aggregate counters/gauges, the per-shard breakdown, and the recently
+// completed spans with their notes (faults, retries, failures,
+// quarantines, recovered panics). Flow *rates* are derived client-side
+// from successive frames, so the frame itself stays a pure snapshot.
 type LiveView struct {
-	Counters      map[string]uint64 `json:"counters,omitempty"`
-	Gauges        map[string]int64  `json:"gauges,omitempty"`
-	Shards        []ShardCounters   `json:"shards,omitempty"`
-	DroppedEvents uint64            `json:"droppedEvents,omitempty"`
-	Events        []Event           `json:"events,omitempty"`
-	Spans         []Span            `json:"spans,omitempty"`
+	Counters map[string]uint64 `json:"counters,omitempty"`
+	Gauges   map[string]int64  `json:"gauges,omitempty"`
+	Shards   []ShardCounters   `json:"shards,omitempty"`
+	Spans    []Span            `json:"spans,omitempty"`
 }
 
-// liveTail bounds the event/span tails carried per SSE frame.
+// liveTail bounds the span tail carried per SSE frame.
 const liveTail = 50
 
 // liveView builds one dashboard frame from the registry's current state.
 func liveView(r *Registry) *LiveView {
 	v := &LiveView{}
-	snap := r.Snapshot()
-	if snap != nil {
+	if snap := r.Snapshot(); snap != nil {
 		v.Counters = snap.Counters
 		v.Gauges = snap.Gauges
 		v.Shards = snap.Shards
-		v.DroppedEvents = snap.DroppedEvents
-		if n := len(snap.Events); n > liveTail {
-			snap.Events = snap.Events[n-liveTail:]
-		}
-		v.Events = snap.Events
 	}
 	v.Spans = r.RecentSpans(liveTail)
 	return v
@@ -141,7 +133,6 @@ th { color: #888; font-weight: normal; } .num { text-align: right; }
 <h2>progress</h2><table id="progress"></table>
 <h2>per-shard</h2><table id="shards"></table>
 <h2>recent spans</h2><table id="spans"></table>
-<h2>recent events</h2><table id="events"></table>
 <script>
 "use strict";
 let prev = null, prevAt = 0;
@@ -184,15 +175,11 @@ function render(v, at) {
       fmt(sc["core_faults_injected"]), bar], false));
   }
   const sp = el("spans"); sp.replaceChildren();
-  sp.appendChild(row(["shard", "kind", "name", "start", "ms"], true));
+  sp.appendChild(row(["shard", "kind", "name", "start", "ms", "notes"], true));
   for (const s of (v.spans || []).slice().reverse()) {
     const ms = (new Date(s.end) - new Date(s.start));
-    sp.appendChild(row([s.shard, s.kind, s.name || "", s.start, ms], false));
-  }
-  const ev = el("events"); ev.replaceChildren();
-  ev.appendChild(row(["shard", "kind", "detail", "time"], true));
-  for (const e of (v.events || []).slice().reverse()) {
-    ev.appendChild(row([e.shard, e.kind, e.detail || "", e.time], false));
+    const notes = (s.notes || []).map(n => n.kind + (n.detail ? " " + n.detail : "")).join("; ");
+    sp.appendChild(row([s.shard, s.kind, s.name || "", s.start, ms, notes], false));
   }
   prev = v; prevAt = at;
 }

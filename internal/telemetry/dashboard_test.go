@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -32,7 +33,7 @@ func TestHandlerEmptyPaths(t *testing.T) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 				t.Fatalf("body not valid JSON: %v\n%s", err, rec.Body.String())
 			}
-			if len(snap.Counters) != 0 || len(snap.Events) != 0 {
+			if !reflect.DeepEqual(snap, Snapshot{}) {
 				t.Fatalf("empty registry served data: %+v", snap)
 			}
 		})
@@ -170,13 +171,15 @@ func TestDashboardRoutes(t *testing.T) {
 
 // TestDashboardSSE reads the first two frames off the /events stream and
 // checks they are well-formed `data: {json}` LiveView frames reflecting
-// the registry.
+// the registry: its counters, and its completed spans with the notes
+// annotated on them while they were open.
 func TestDashboardSSE(t *testing.T) {
 	r := New(Options{Shards: 1})
 	sh := r.Shard(0, fixedNow(time.Date(2023, 8, 21, 17, 0, 0, 0, time.UTC)))
 	sh.Counter("core_channels_visited").Inc()
-	sh.Event(EventChannelBegin, "ch1")
-	sh.StartSpan(SpanVisit, "ch1").End()
+	visit := sh.StartSpan(SpanVisit, "ch1")
+	sh.AnnotateSpan(EventFault, "http ch1")
+	visit.End()
 
 	srv := httptest.NewServer(Dashboard(r, DashboardOptions{Interval: 10 * time.Millisecond}))
 	defer srv.Close()
@@ -214,88 +217,16 @@ func TestDashboardSSE(t *testing.T) {
 		if view.Counters["core_channels_visited"] != 1 {
 			t.Fatalf("frame counters = %+v", view.Counters)
 		}
-		if len(view.Events) != 1 || view.Events[0].Detail != "ch1" {
-			t.Fatalf("frame events = %+v", view.Events)
-		}
 		if len(view.Spans) != 1 || view.Spans[0].Kind != SpanVisit {
 			t.Fatalf("frame spans = %+v", view.Spans)
+		}
+		if notes := view.Spans[0].Notes; len(notes) != 1 ||
+			notes[0].Kind != EventFault || notes[0].Detail != "http ch1" {
+			t.Fatalf("frame span notes = %+v, want the fault annotated on the open span", notes)
 		}
 		frames++
 	}
 	if frames < 2 {
 		t.Fatalf("stream ended after %d frame(s): %v", frames, scanner.Err())
-	}
-}
-
-// TestEventRingExactlyAtCapacity pins the boundary: filling the ring to
-// its cap drops nothing and keeps emission order.
-func TestEventRingExactlyAtCapacity(t *testing.T) {
-	r := New(Options{Shards: 1, TraceCap: 4})
-	base := time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC)
-	now := base
-	sh := r.Shard(0, func() time.Time { return now })
-	for i := 0; i < 4; i++ {
-		sh.Event(EventFlow, "f")
-		now = now.Add(time.Second)
-	}
-	snap := r.Snapshot()
-	if len(snap.Events) != 4 {
-		t.Fatalf("kept %d events, want 4", len(snap.Events))
-	}
-	if snap.DroppedEvents != 0 {
-		t.Fatalf("DroppedEvents = %d, want 0 at exact capacity", snap.DroppedEvents)
-	}
-	for i, ev := range snap.Events {
-		if ev.Seq != uint64(i) {
-			t.Fatalf("event %d has seq %d — order must be oldest-first", i, ev.Seq)
-		}
-		if !ev.Time.Equal(base.Add(time.Duration(i) * time.Second)) {
-			t.Fatalf("event %d time = %v", i, ev.Time)
-		}
-	}
-	// Per-shard breakdown carries no drop count when nothing dropped.
-	for _, sc := range snap.Shards {
-		if sc.DroppedEvents != 0 {
-			t.Fatalf("shard %d reports %d drops", sc.Shard, sc.DroppedEvents)
-		}
-	}
-}
-
-// TestEventRingOverwritesOldest pins the past-capacity ordering: the ring
-// keeps the newest cap events, still oldest-first, and the per-shard
-// breakdown carries the drop count.
-func TestEventRingOverwritesOldest(t *testing.T) {
-	r := New(Options{Shards: 2, TraceCap: 3})
-	base := time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC)
-	now := base
-	sh := r.Shard(1, func() time.Time { return now })
-	for i := 0; i < 8; i++ {
-		sh.Event(EventFlow, "f")
-		now = now.Add(time.Second)
-	}
-	snap := r.Snapshot()
-	if len(snap.Events) != 3 {
-		t.Fatalf("kept %d events, want 3", len(snap.Events))
-	}
-	wantSeq := uint64(5)
-	for i, ev := range snap.Events {
-		if ev.Seq != wantSeq+uint64(i) {
-			t.Fatalf("event %d seq = %d, want %d (newest three, oldest first)", i, ev.Seq, wantSeq+uint64(i))
-		}
-	}
-	if snap.DroppedEvents != 5 {
-		t.Fatalf("DroppedEvents = %d, want 5", snap.DroppedEvents)
-	}
-	found := false
-	for _, sc := range snap.Shards {
-		if sc.Shard == 1 {
-			found = true
-			if sc.DroppedEvents != 5 {
-				t.Fatalf("shard 1 DroppedEvents = %d, want 5", sc.DroppedEvents)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("shard 1 missing from the per-shard breakdown")
 	}
 }

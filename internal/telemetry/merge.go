@@ -4,11 +4,11 @@ import "sort"
 
 // Fleet merging of telemetry artifacts. Every fleet shard process runs
 // the channel-selection funnel on its own slot 0 before executing its
-// partition, so the per-process snapshots overlap: summing them naively
-// would count the funnel N times. The merge rule is therefore
-// slot-restricted — from shard i's snapshot take only the slot-i
-// contribution (its ShardCounters entry, its Shard==i events and spans,
-// its drop counts):
+// partition, so the per-process snapshots and traces overlap: summing
+// them naively would count the funnel N times. The merge rule is
+// therefore slot-restricted — from shard i's artifacts take only the
+// slot-i contribution (its ShardCounters entry, its Shard==i spans, its
+// span drop counts):
 //
 //   - process 0's slot 0 is the funnel plus shard 0's partition, exactly
 //     what slot 0 holds in a single-process sharded run (same seed, same
@@ -18,9 +18,9 @@ import "sort"
 //     the single-process run's slot i (the funnel only touches slot 0).
 //
 // The merged artifacts therefore equal the single-process run's,
-// restricted to the shard slots (controller-slot data — merge-phase
-// events, the campaign span — is process-local and not carried over; the
-// merging process's own controller may even run on wall time).
+// restricted to the shard slots (controller-slot data — the merge and
+// campaign spans — is process-local and not carried over; the merging
+// process's own controller may even run on wall time).
 //
 // Histograms are the one aggregate summed wholesale: only the shard
 // frameworks observe histograms (core_channel_flows is observed during
@@ -56,12 +56,6 @@ func MergeShardSnapshots(shards []int, snaps []*Snapshot) *Snapshot {
 				sc.Counters = counters
 			}
 			out.Shards = append(out.Shards, sc)
-			out.DroppedEvents += sc.DroppedEvents
-		}
-		for _, ev := range snap.Events {
-			if ev.Shard == shard {
-				out.Events = append(out.Events, ev)
-			}
 		}
 		for name, g := range snap.Gauges {
 			if out.Gauges == nil {
@@ -80,16 +74,6 @@ func MergeShardSnapshots(shards []int, snaps []*Snapshot) *Snapshot {
 		return nil
 	}
 	sort.Slice(out.Shards, func(a, b int) bool { return out.Shards[a].Shard < out.Shards[b].Shard })
-	sort.SliceStable(out.Events, func(a, b int) bool {
-		ea, eb := out.Events[a], out.Events[b]
-		if !ea.Time.Equal(eb.Time) {
-			return ea.Time.Before(eb.Time)
-		}
-		if ea.Shard != eb.Shard {
-			return ea.Shard < eb.Shard
-		}
-		return ea.Seq < eb.Seq
-	})
 	return out
 }
 

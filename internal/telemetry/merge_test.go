@@ -17,7 +17,6 @@ func buildShardProcess(shard int) *Registry {
 	funnel.Counter("core_channels_probed").Add(10) // funnel work, every process
 	own := r.Shard(shard, fixedNow(base.Add(time.Duration(shard+1)*time.Second)))
 	own.Counter("core_channels_visited").Add(uint64(shard + 1))
-	own.Event(EventChannelBegin, "ch")
 	own.Gauge("core_shards_active").Set(1)
 	own.Histogram("core_channel_flows", []int64{1, 10}).Observe(int64(5 * (shard + 1)))
 	s := own.StartSpan(SpanVisit, "ch")
@@ -51,14 +50,6 @@ func TestMergeShardSnapshotsSlotRestriction(t *testing.T) {
 		t.Fatalf("funnel leaked into shard 1: %+v", merged.Shards)
 	}
 
-	// Events: one per process partition, shard-filtered, canonical order.
-	if len(merged.Events) != 2 {
-		t.Fatalf("got %d events, want 2", len(merged.Events))
-	}
-	if merged.Events[0].Shard != 0 || merged.Events[1].Shard != 1 {
-		t.Fatalf("event shards = %d,%d", merged.Events[0].Shard, merged.Events[1].Shard)
-	}
-
 	// Gauges and histograms sum wholesale (only shard work observes them).
 	if merged.Gauges["core_shards_active"] != 2 {
 		t.Fatalf("gauge = %d, want 2", merged.Gauges["core_shards_active"])
@@ -81,7 +72,6 @@ func TestMergeShardSnapshotsMatchesInProcess(t *testing.T) {
 	for shard := 0; shard < 2; shard++ {
 		own := r.Shard(shard, fixedNow(base.Add(time.Duration(shard+1)*time.Second)))
 		own.Counter("core_channels_visited").Add(uint64(shard + 1))
-		own.Event(EventChannelBegin, "ch")
 		own.Gauge("core_shards_active").Set(1)
 		own.Histogram("core_channel_flows", []int64{1, 10}).Observe(int64(5 * (shard + 1)))
 		own.StartSpan(SpanVisit, "ch").End()
@@ -95,9 +85,6 @@ func TestMergeShardSnapshotsMatchesInProcess(t *testing.T) {
 	}
 	if !reflect.DeepEqual(merged.Shards, want.Shards) {
 		t.Fatalf("per-shard:\nmerged %+v\nwant   %+v", merged.Shards, want.Shards)
-	}
-	if !reflect.DeepEqual(merged.Events, want.Events) {
-		t.Fatalf("events:\nmerged %+v\nwant   %+v", merged.Events, want.Events)
 	}
 	if !reflect.DeepEqual(merged.Gauges, want.Gauges) {
 		t.Fatalf("gauges:\nmerged %+v\nwant   %+v", merged.Gauges, want.Gauges)

@@ -1,23 +1,17 @@
 package telemetry
 
-import "sort"
-
-// Snapshot is a point-in-time, JSON-serializable view of the registry:
-// aggregate counters/gauges/histograms, the per-shard counter breakdown
-// (feeding per-shard progress/lag displays), and the merged event trace.
-// A snapshot taken after a run completes is deterministic for a fixed
-// seed and shard count: all timestamps are virtual, event order is
-// (Time, Shard, Seq), and map keys serialize sorted.
+// Snapshot is a point-in-time, JSON-serializable view of the registry's
+// metrics: aggregate counters/gauges/histograms and the per-shard counter
+// breakdown (feeding per-shard progress/lag displays). What happened is
+// recorded by the span trace (Registry.Trace), not here. A snapshot taken
+// after a run completes is deterministic for a fixed seed and shard
+// count: metrics are shard-local sums and map keys serialize sorted.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 	// Shards breaks the counters down per shard, indexed by shard number.
 	Shards []ShardCounters `json:"shards,omitempty"`
-	// Events is the merged ring contents across shards, oldest first.
-	Events []Event `json:"events,omitempty"`
-	// DroppedEvents counts ring overwrites (trace truncation, not data loss).
-	DroppedEvents uint64 `json:"droppedEvents,omitempty"`
 }
 
 // HistogramSnapshot is one histogram's aggregate state.
@@ -38,10 +32,6 @@ type BucketCount struct {
 type ShardCounters struct {
 	Shard    int               `json:"shard"`
 	Counters map[string]uint64 `json:"counters,omitempty"`
-	// DroppedEvents counts this shard's own ring overwrites — the per-slot
-	// breakdown of Snapshot.DroppedEvents (fleet merging needs it to carry
-	// drop accounting across processes).
-	DroppedEvents uint64 `json:"droppedEvents,omitempty"`
 }
 
 // Snapshot captures the registry's current state. Safe to call while
@@ -86,11 +76,8 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 	}
 	for s := 0; s < r.shards; s++ {
-		dropped := r.rings[s].droppedCount()
-		if perShard[s] != nil || dropped > 0 {
-			snap.Shards = append(snap.Shards, ShardCounters{
-				Shard: s, Counters: perShard[s], DroppedEvents: dropped,
-			})
+		if perShard[s] != nil {
+			snap.Shards = append(snap.Shards, ShardCounters{Shard: s, Counters: perShard[s]})
 		}
 	}
 	if len(gauges) > 0 {
@@ -105,22 +92,6 @@ func (r *Registry) Snapshot() *Snapshot {
 			snap.Histograms[h.name] = h.snapshot()
 		}
 	}
-
-	for _, rg := range r.rings {
-		events, dropped := rg.snapshot()
-		snap.Events = append(snap.Events, events...)
-		snap.DroppedEvents += dropped
-	}
-	sort.SliceStable(snap.Events, func(a, b int) bool {
-		ea, eb := snap.Events[a], snap.Events[b]
-		if !ea.Time.Equal(eb.Time) {
-			return ea.Time.Before(eb.Time)
-		}
-		if ea.Shard != eb.Shard {
-			return ea.Shard < eb.Shard
-		}
-		return ea.Seq < eb.Seq
-	})
 	return snap
 }
 

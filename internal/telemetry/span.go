@@ -7,27 +7,28 @@ import (
 )
 
 // This file is the span layer of the telemetry package: a deterministic
-// tracer on the virtual clock. Where the event ring answers "what
-// happened", spans answer "where did the time go": every phase of the
-// measurement pipeline — campaign, run, channel visit, visit attempt,
-// probe, tune, AIT decode, app launch, flow burst, merge — is recorded as
-// an interval of *virtual* time with its parent span, so the full tree of
-// a campaign can be reconstructed, summarized (cmd/hbbtv-trace), and
-// exported to Chrome trace-event format.
+// tracer on the virtual clock and the package's one record of what a
+// campaign did. Every phase of the measurement pipeline — campaign, run,
+// channel visit, visit attempt, probe, tune, AIT decode, app launch, flow
+// burst, merge — is recorded as an interval of *virtual* time with its
+// parent span, and every happening inside a phase (an injected fault, a
+// retry, a failed or quarantined channel, a recovered panic) as a note on
+// the span that was running. The full tree of a campaign can therefore be
+// reconstructed, summarized (cmd/hbbtv-trace), and exported to Chrome
+// trace-event format.
 //
-// Determinism contract: spans are shard-local like the event rings; IDs
-// are per-slot sequence numbers, parent links never cross shards, and
-// every timestamp comes from the shard's virtual clock. A trace collected
-// after a run is therefore byte-identical for any worker count, and the
-// per-shard traces of a fleet campaign, merged by shard slot, equal the
-// single-process run's trace restricted to the shard slots. Like the
-// telemetry snapshot, the trace is persisted with a dataset but excluded
-// from Dataset.Digest.
+// Determinism contract: spans are shard-local; IDs are per-slot sequence
+// numbers, parent links never cross shards, and every timestamp comes
+// from the shard's virtual clock. A trace collected after a run is
+// therefore byte-identical for any worker count, and the per-shard traces
+// of a fleet campaign, merged by shard slot, equal the single-process
+// run's trace restricted to the shard slots. Like the telemetry snapshot,
+// the trace is persisted with a dataset but excluded from Dataset.Digest.
 
-// DefaultSpanCap is the default per-slot completed-span capacity. Unlike
-// the event ring, the span store never overwrites: once a slot is full,
-// new spans are dropped and counted, so the retained prefix of every
-// shard's tree stays parent-consistent.
+// DefaultSpanCap is the default per-slot completed-span capacity. The
+// span store never overwrites: once a slot is full, new spans are
+// dropped and counted, so the retained prefix of every shard's tree
+// stays parent-consistent.
 const DefaultSpanCap = 1 << 16
 
 // spanChunk is how many completed spans one storage block holds; chunked
@@ -52,10 +53,24 @@ const (
 	SpanMerge    SpanKind = "merge"
 )
 
+// EventKind classifies a span note.
+type EventKind string
+
+// The note kinds emitted by the instrumented measurement engine: an
+// injected fault, a visit attempt being retried, a channel exhausting its
+// attempts, a channel being quarantined after failing in too many
+// consecutive runs, and a panic recovered inside a channel visit. The
+// string values are persisted with every trace.
+const (
+	EventFault       EventKind = "fault.injected"
+	EventRetry       EventKind = "channel.retry"
+	EventChannelFail EventKind = "channel.failed"
+	EventQuarantine  EventKind = "channel.quarantined"
+	EventPanic       EventKind = "panic.recovered"
+)
+
 // SpanNote is a structured annotation attached to a span while it was
-// open — fault injections, retries, channel failures, quarantines —
-// reusing the event vocabulary so the trace and the event ring tell one
-// story.
+// open: what happened inside the phase the span records.
 type SpanNote struct {
 	Time   time.Time `json:"time"`
 	Kind   EventKind `json:"kind"`
@@ -121,10 +136,10 @@ type openSpan struct {
 	stacked bool
 }
 
-// tracer is one registry slot's span store. Like the event ring, only
-// the slot's own goroutine starts and ends spans — strictly nested per
-// shard — so the mutex is uncontended on the hot path and exists for
-// concurrent snapshot readers (the live dashboard).
+// tracer is one registry slot's span store. Only the slot's own
+// goroutine starts and ends spans — strictly nested per shard — so the
+// mutex is uncontended on the hot path and exists for concurrent readers
+// (the live dashboard).
 type tracer struct {
 	mu    sync.Mutex
 	shard int // Index() value: -1 for the controller slot
@@ -134,8 +149,8 @@ type tracer struct {
 	// stack holds the open, strictly-nested spans; the top is the
 	// implicit parent of the next span started on this slot.
 	stack []*openSpan
-	// chunks is the completed-span arena; the last chunk is the append
-	// target.
+	// chunks is the completed-span arena, in completion order; the last
+	// chunk is the append target.
 	chunks  [][]Span
 	count   int
 	dropped uint64
@@ -230,6 +245,26 @@ func (t *tracer) completed() (spans []Span, dropped uint64) {
 	return spans, t.dropped
 }
 
+// appendRecent appends the slot's last n completed spans to dst, in
+// completion order. It copies at most n spans, so a reader holds the
+// slot's mutex for a bounded time however full the store is.
+func (t *tracer) appendRecent(dst []Span, n int) []Span {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	skip := t.count - n
+	for _, c := range t.chunks {
+		if skip >= len(c) {
+			skip -= len(c)
+			continue
+		}
+		if skip > 0 {
+			c, skip = c[skip:], 0
+		}
+		dst = append(dst, c...)
+	}
+	return dst
+}
+
 // SpanRef is the hot-path handle to an open span. The zero value (and
 // any ref from a nil Shard) is inert: every method is a no-op, so
 // instrumented code needs no "is tracing enabled?" branches.
@@ -272,7 +307,8 @@ func (s *Shard) OpenSpanAt(kind SpanKind, name string, start time.Time) SpanRef 
 
 // AnnotateSpan attaches a note (timestamped on the shard's virtual
 // clock) to the slot's innermost open span — how fault injections,
-// retries, and quarantines land on the span that was running.
+// retries, failures, quarantines and recovered panics land on the span
+// that was running.
 func (s *Shard) AnnotateSpan(kind EventKind, detail string) {
 	if s == nil {
 		return
@@ -367,16 +403,19 @@ func (r *Registry) Trace() *Trace {
 	return tr
 }
 
-// RecentSpans returns up to n of the latest completed spans (by canonical
-// order) across slots — the live dashboard's span feed.
+// RecentSpans is the live dashboard's span feed: it takes each slot's
+// last n completed spans (by completion order), merges them in canonical
+// order, and returns the last n of the merge. A span that completed
+// before its slot's last n completions is not a candidate, so the result
+// can differ from the canonical tail of the whole store; in exchange a
+// call copies at most n spans per slot.
 func (r *Registry) RecentSpans(n int) []Span {
 	if r == nil || n <= 0 {
 		return nil
 	}
 	var all []Span
 	for _, t := range r.tracers {
-		spans, _ := t.completed()
-		all = append(all, spans...)
+		all = t.appendRecent(all, n)
 	}
 	SortSpans(all)
 	if len(all) > n {
@@ -387,7 +426,7 @@ func (r *Registry) RecentSpans(n int) []Span {
 
 // SortSpans orders spans canonically: (Start, Shard, ID). Within one
 // shard the ID tiebreak preserves emission order, across shards the
-// order is layout-independent — the same rule the event trace uses.
+// order is layout-independent.
 func SortSpans(spans []Span) {
 	sort.SliceStable(spans, func(a, b int) bool {
 		sa, sb := &spans[a], &spans[b]

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -138,9 +140,9 @@ func TestSpanAnnotationsAndAttrs(t *testing.T) {
 	}
 }
 
-// TestSpanCapDropsNewest pins the capacity policy: unlike the event ring
-// (which overwrites oldest), the span store keeps the oldest spans and
-// drops new ones, so the retained prefix stays parent-consistent.
+// TestSpanCapDropsNewest pins the capacity policy: the span store keeps
+// the oldest spans and drops new ones, so the retained prefix stays
+// parent-consistent.
 func TestSpanCapDropsNewest(t *testing.T) {
 	r := New(Options{Shards: 1, SpanCap: 3})
 	base := time.Date(2023, 8, 21, 17, 0, 0, 0, time.UTC)
@@ -243,6 +245,76 @@ func TestRecentSpansReturnsTail(t *testing.T) {
 	}
 	if recent[0].ID != 4 || recent[1].ID != 5 {
 		t.Fatalf("tail IDs = %d,%d want 4,5", recent[0].ID, recent[1].ID)
+	}
+}
+
+// TestRecentSpansReadsSlotTails pins RecentSpans' contract on slots that
+// completed more than n spans, in an order that is not canonical and that
+// crosses a storage chunk: the result is the canonical tail of the union
+// of each slot's last n completions. On a full store a call copies only
+// those tails, so it allocates a few spans' worth, not the store.
+func TestRecentSpansReadsSlotTails(t *testing.T) {
+	const shards, n, fullShards = 3, 4, 8
+	r := New(Options{Shards: shards})
+	base := time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC)
+	// completed[s] is slot s's span IDs in completion order; IDs count up
+	// from 1 in start order.
+	completed := make([][]uint64, shards)
+	for s := 0; s < shards; s++ {
+		sh := r.Shard(s, steppingClock(base.Add(time.Duration(s)*time.Millisecond), time.Second))
+		// A detached span that starts last but completes first: the
+		// slot's newest span canonically, yet not among its last n
+		// completions.
+		late := base.Add(time.Hour)
+		sh.OpenSpanAt(SpanBurst, "ch", late).EndAt(late)
+		completed[s] = append(completed[s], 1)
+		// The outer span starts before and completes after every inner one.
+		outer := sh.StartSpan(SpanRun, "run")
+		for i := 0; i < spanChunk+s; i++ {
+			sh.StartSpan(SpanVisit, "ch").End()
+			completed[s] = append(completed[s], uint64(i+3))
+		}
+		outer.End()
+		completed[s] = append(completed[s], 2)
+	}
+
+	type key struct {
+		shard int
+		id    uint64
+	}
+	byKey := make(map[key]Span)
+	for _, sp := range r.Trace().Spans {
+		byKey[key{sp.Shard, sp.ID}] = sp
+	}
+	var want []Span
+	for s, ids := range completed {
+		for _, id := range ids[len(ids)-n:] {
+			want = append(want, byKey[key{s, id}])
+		}
+	}
+	SortSpans(want)
+	want = want[len(want)-n:]
+	if got := r.RecentSpans(n); !reflect.DeepEqual(got, want) {
+		t.Errorf("RecentSpans(%d) =\n%+v\nwant the canonical tail of each slot's last %d completions\n%+v", n, got, n, want)
+	}
+
+	full := New(Options{Shards: fullShards})
+	for s := 0; s < fullShards; s++ {
+		sh := full.Shard(s, fixedNow(base))
+		for i := 0; i < DefaultSpanCap; i++ {
+			sh.StartSpan(SpanVisit, "ch").End()
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	recent := full.RecentSpans(liveTail)
+	runtime.ReadMemStats(&after)
+	if len(recent) != liveTail {
+		t.Fatalf("RecentSpans(%d) on a full store returned %d spans", liveTail, len(recent))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("RecentSpans(%d) on a full %d-shard store allocated %d bytes, want < 1 MB",
+			liveTail, fullShards, got)
 	}
 }
 

@@ -8,13 +8,18 @@ import (
 
 // TestConcurrentShardPublishing is the race-detector stress test for the
 // lock-free aggregation design: many shards hammer the same counters,
-// gauges, histograms, and their own event rings while a reader goroutine
-// continuously snapshots the registry. Run under `-race` by `make check`.
+// gauges and histograms, and open, annotate and end spans on their own
+// slots (past the slot's cap, so the drop path runs too), while a reader
+// goroutine continuously takes snapshots, traces and the dashboard's
+// span tail. Run under `-race` by `make check`.
 func TestConcurrentShardPublishing(t *testing.T) {
 	const shards = 8
 	const opsPerShard = 5000
+	// Each shard completes two spans per channel; the cap keeps about
+	// half of them.
+	const spanCap = opsPerShard / 10
 
-	r := New(Options{Shards: shards, TraceCap: 64})
+	r := New(Options{Shards: shards, SpanCap: spanCap})
 	base := time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC)
 
 	stop := make(chan struct{})
@@ -27,9 +32,12 @@ func TestConcurrentShardPublishing(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				snap := r.Snapshot()
-				if snap == nil {
-					t.Error("nil snapshot from live registry")
+				if r.Snapshot() == nil || r.Trace() == nil {
+					t.Error("nil snapshot or trace from live registry")
+					return
+				}
+				if n := len(r.RecentSpans(liveTail)); n > liveTail {
+					t.Errorf("RecentSpans(%d) returned %d spans", liveTail, n)
 					return
 				}
 			}
@@ -53,7 +61,12 @@ func TestConcurrentShardPublishing(t *testing.T) {
 				if i%10 == 0 {
 					channels.Inc()
 					hist.Observe(int64(i % 150))
-					sh.Event(EventChannelEnd, "ch")
+					visit := sh.StartSpan(SpanVisit, "ch")
+					sh.AnnotateSpan(EventFault, "http ch")
+					burst := sh.OpenSpanAt(SpanBurst, "ch", clk)
+					burst.AddFlow()
+					visit.End()
+					burst.EndAt(clk)
 					clk = clk.Add(time.Second)
 				}
 			}
@@ -84,5 +97,22 @@ func TestConcurrentShardPublishing(t *testing.T) {
 		if sc.Counters["flows"] != opsPerShard {
 			t.Fatalf("shard %d flows = %d, want %d", sc.Shard, sc.Counters["flows"], opsPerShard)
 		}
+	}
+
+	tr := r.Trace()
+	kept := make(map[int]int)
+	for _, sp := range tr.Spans {
+		kept[sp.Shard]++
+		if sp.Kind == SpanVisit && (len(sp.Notes) != 1 || sp.Notes[0].Kind != EventFault) {
+			t.Fatalf("visit span %d on shard %d carries notes %+v, want one fault", sp.ID, sp.Shard, sp.Notes)
+		}
+	}
+	for s := 0; s < shards; s++ {
+		if kept[s] != spanCap {
+			t.Fatalf("shard %d kept %d spans, want the cap %d", s, kept[s], spanCap)
+		}
+	}
+	if got, want := tr.DroppedSpans(), uint64(shards*(2*opsPerShard/10-spanCap)); got != want {
+		t.Fatalf("DroppedSpans = %d, want %d", got, want)
 	}
 }

@@ -1,7 +1,8 @@
 // Package telemetry is the measurement engine's observability layer: a
-// zero-dependency (standard library only) collection of counters, gauges,
-// histograms, and a ring-buffered structured-event trace, designed around
-// the two constraints of the sharded engine:
+// zero-dependency (standard library only) collection of counters, gauges
+// and histograms, plus a span trace whose spans and notes are the one
+// record of what a campaign did (see span.go). It is designed around the
+// two constraints of the sharded engine:
 //
 //   - Instrumentation must cost ~nothing on the hot path. Every metric is
 //     a fixed array of shard-local atomic cells (padded against false
@@ -9,10 +10,10 @@
 //     atomic add and never takes a lock; aggregation sums the cells on
 //     the (cold) read side.
 //
-//   - Telemetry must be deterministic-safe. Event timestamps come from
-//     the shard's *virtual* clock (the same timeline the measurement
+//   - Telemetry must be deterministic-safe. Span and note timestamps come
+//     from the shard's *virtual* clock (the same timeline the measurement
 //     itself runs on), never from wall time, so enabling telemetry cannot
-//     perturb a run, and a telemetry snapshot taken after a run is itself
+//     perturb a run, and a snapshot or trace taken after a run is itself
 //     reproducible for a fixed seed and shard count — independent of the
 //     worker count, exactly like the dataset it describes.
 //
@@ -28,41 +29,32 @@ import (
 	"time"
 )
 
-// DefaultTraceCap is the default per-shard event-ring capacity.
-const DefaultTraceCap = 512
-
 // Options configures a Registry.
 type Options struct {
 	// Shards is the number of shard slots (>= 1). Shard indices passed to
 	// Registry.Shard must be < Shards; one extra internal slot is
 	// reserved for the engine controller (merge phases etc.).
 	Shards int
-	// TraceCap is the per-shard event-ring capacity (0 = DefaultTraceCap).
-	// When a shard emits more events than fit, the oldest are overwritten
-	// and counted as dropped.
-	TraceCap int
 	// SpanCap is the per-shard completed-span capacity (0 = DefaultSpanCap).
-	// Unlike the event ring, the span store keeps the oldest spans: once a
-	// slot is full, newly completed spans are dropped and counted, so the
-	// retained prefix of every shard's span tree stays parent-consistent.
+	// The span store keeps the oldest spans: once a slot is full, newly
+	// completed spans are dropped and counted, so the retained prefix of
+	// every shard's span tree stays parent-consistent.
 	SpanCap int
 }
 
-// Registry holds every metric and the per-shard event rings. Metrics are
+// Registry holds every metric and the per-slot span stores. Metrics are
 // registered lazily by name (get-or-create); registration takes a lock,
 // but instrumented code resolves its handles once at wiring time, so the
 // hot path only ever touches atomic cells.
 type Registry struct {
-	shards   int
-	traceCap int
+	shards int
 
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 
-	rings   []*ring   // len == shards+1; slot [shards] is the controller
-	tracers []*tracer // same layout as rings: one span store per slot
+	tracers []*tracer // len == shards+1; slot [shards] is the controller
 }
 
 // New builds a registry with the given shard count.
@@ -70,23 +62,17 @@ func New(opts Options) *Registry {
 	if opts.Shards < 1 {
 		opts.Shards = 1
 	}
-	if opts.TraceCap <= 0 {
-		opts.TraceCap = DefaultTraceCap
-	}
 	if opts.SpanCap <= 0 {
 		opts.SpanCap = DefaultSpanCap
 	}
 	r := &Registry{
 		shards:   opts.Shards,
-		traceCap: opts.TraceCap,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		rings:    make([]*ring, opts.Shards+1),
 		tracers:  make([]*tracer, opts.Shards+1),
 	}
-	for i := range r.rings {
-		r.rings[i] = &ring{buf: make([]Event, opts.TraceCap)}
+	for i := range r.tracers {
 		shard := i
 		if i == opts.Shards {
 			shard = -1 // the controller slot reports like Shard.Index()
@@ -289,9 +275,10 @@ type Shard struct {
 	now func() time.Time
 }
 
-// Shard returns a handle for shard idx (0 <= idx < Shards()) whose event
-// timestamps come from now — the shard's virtual clock. Returns nil on a
-// nil registry, so disabled telemetry threads through as nil handles.
+// Shard returns a handle for shard idx (0 <= idx < Shards()) whose span
+// and note timestamps come from now — the shard's virtual clock. Returns
+// nil on a nil registry, so disabled telemetry threads through as nil
+// handles.
 func (r *Registry) Shard(idx int, now func() time.Time) *Shard {
 	if r == nil {
 		return nil
@@ -300,7 +287,7 @@ func (r *Registry) Shard(idx int, now func() time.Time) *Shard {
 }
 
 // Controller returns the handle for the engine-controller slot (merge
-// phases and other out-of-shard work). Its events report Shard == -1.
+// phases and other out-of-shard work). Its spans report Shard == -1.
 func (r *Registry) Controller(now func() time.Time) *Shard {
 	if r == nil {
 		return nil
@@ -309,7 +296,7 @@ func (r *Registry) Controller(now func() time.Time) *Shard {
 }
 
 // Active reports whether the handle is live; use it to skip constructing
-// expensive event details when telemetry is off.
+// expensive note details when telemetry is off.
 func (s *Shard) Active() bool { return s != nil }
 
 // Index returns the shard index (-1 for the controller or a nil handle).

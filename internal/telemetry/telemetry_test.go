@@ -90,7 +90,6 @@ func TestNilSafety(t *testing.T) {
 	sh.Counter("x").Inc()
 	sh.Gauge("y").Set(1)
 	sh.Histogram("z", []int64{1}).Observe(5)
-	sh.Event(EventChannelBegin, "ch")
 	r.Counter("x").Add(0, 1)
 	if r.Counter("x").Value() != 0 {
 		t.Fatal("nil counter has value")
@@ -101,52 +100,6 @@ func TestNilSafety(t *testing.T) {
 	var sink *LineSink
 	if err := sink.Emit(&Snapshot{}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEventRingOverflowCountsDrops(t *testing.T) {
-	r := New(Options{Shards: 1, TraceCap: 4})
-	base := time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC)
-	now := base
-	sh := r.Shard(0, func() time.Time { return now })
-	for i := 0; i < 10; i++ {
-		sh.Event(EventFlow, "f")
-		now = now.Add(time.Second)
-	}
-	snap := r.Snapshot()
-	if len(snap.Events) != 4 {
-		t.Fatalf("ring kept %d events, want 4", len(snap.Events))
-	}
-	if snap.DroppedEvents != 6 {
-		t.Fatalf("DroppedEvents = %d, want 6", snap.DroppedEvents)
-	}
-	// Survivors are the newest four, oldest first.
-	if snap.Events[0].Seq != 6 || snap.Events[3].Seq != 9 {
-		t.Fatalf("unexpected surviving seqs: first=%d last=%d", snap.Events[0].Seq, snap.Events[3].Seq)
-	}
-}
-
-func TestSnapshotEventOrderAcrossShards(t *testing.T) {
-	r := New(Options{Shards: 2})
-	base := time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC)
-	s0 := r.Shard(0, fixedNow(base.Add(2*time.Second)))
-	s1 := r.Shard(1, fixedNow(base.Add(1*time.Second)))
-	ctl := r.Controller(fixedNow(base))
-	s0.Event(EventChannelBegin, "late")
-	s1.Event(EventChannelBegin, "middle")
-	ctl.Event(EventMergeBegin, "first")
-	snap := r.Snapshot()
-	if len(snap.Events) != 3 {
-		t.Fatalf("got %d events, want 3", len(snap.Events))
-	}
-	want := []string{"first", "middle", "late"}
-	for i, ev := range snap.Events {
-		if ev.Detail != want[i] {
-			t.Fatalf("event %d = %q, want %q", i, ev.Detail, want[i])
-		}
-	}
-	if snap.Events[0].Shard != -1 {
-		t.Fatalf("controller event shard = %d, want -1", snap.Events[0].Shard)
 	}
 }
 
@@ -229,7 +182,6 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 			sh.Counter("b").Inc()
 			sh.Gauge("g").Set(int64(s))
 			sh.Histogram("h", []int64{1, 10}).Observe(int64(s * 5))
-			sh.Event(EventShardStart, "s")
 		}
 		b, err := json.Marshal(r.Snapshot())
 		if err != nil {
