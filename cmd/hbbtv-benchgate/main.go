@@ -15,8 +15,10 @@
 // and `make bench-measure` each check their own stream against their own
 // floors without tripping over the other's absent benchmarks.
 //
-// Exit status 0 when every selected floor passes, 1 on any miss or parse
-// error.
+// Every result line is gated: a stream recorded under -cpu 1,2 or -count N
+// holds several lines per benchmark, and each is checked against the
+// floor clamped by its own gomaxprocs. Exit status 0 when every selected
+// floor passes on every line, 1 on any miss or parse error.
 package main
 
 import (
@@ -74,6 +76,6 @@ func run(args []string, out io.Writer) error {
 	if !ok {
 		return fmt.Errorf("%s: benchmark floor not met", *benchPath)
 	}
-	fmt.Fprintf(out, "benchgate: %d floor(s) met\n", len(verdicts))
+	fmt.Fprintf(out, "benchgate: %d floor(s) met by %d result line(s)\n", len(floors), len(verdicts))
 	return nil
 }

@@ -62,6 +62,15 @@ func (v *Vars) lookup(name string) (val string, ok bool) {
 	return "", false
 }
 
+// ReadsClock reports whether s references a clock variable, {localtime}
+// or {unixtime}: the two that move while an app runs on one channel. A
+// reference counts when its "{name}" appears verbatim, which every
+// substitution Expand makes requires, so a template for which ReadsClock
+// is false expands alike at every instant.
+func ReadsClock(s string) bool {
+	return strings.Contains(s, "{localtime}") || strings.Contains(s, "{unixtime}")
+}
+
 // Expand substitutes {var} references in s. Unknown references are left
 // verbatim so that malformed templates remain observable in traffic.
 func (v Vars) Expand(s string) string {

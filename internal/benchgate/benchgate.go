@@ -59,12 +59,29 @@ type testEvent struct {
 // procsSuffix matches the -N GOMAXPROCS suffix of a benchmark name.
 var procsSuffix = regexp.MustCompile(`-(\d+)$`)
 
-// ParseTestJSON reads a test2json stream and returns the benchmark
-// results keyed by (suffix-stripped) name. Output events are concatenated
-// before line-splitting: the testing package flushes a result line in
-// several writes (the name first, the timing after the run), so a single
-// event rarely holds a whole line.
-func ParseTestJSON(r io.Reader) (map[string]*Result, error) {
+// Results is every benchmark result line of a stream, in stream order.
+// Under -cpu or -count one benchmark has several lines: one per (procs,
+// run).
+type Results []*Result
+
+// Named returns the lines of the (suffix-stripped) benchmark name, in
+// stream order.
+func (rs Results) Named(name string) []*Result {
+	var out []*Result
+	for _, r := range rs {
+		if r.Name == name {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// ParseTestJSON reads a test2json stream and returns every benchmark
+// result line it holds. Output events are concatenated before
+// line-splitting: the testing package flushes a result line in several
+// writes (the name first, the timing after the run), so a single event
+// rarely holds a whole line.
+func ParseTestJSON(r io.Reader) (Results, error) {
 	var out strings.Builder
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -91,8 +108,8 @@ func ParseTestJSON(r io.Reader) (map[string]*Result, error) {
 // -bench` output. A result line is
 //
 //	BenchmarkName[-procs] <tab> N <tab> value unit [value unit]...
-func parseBenchOutput(text string) (map[string]*Result, error) {
-	results := make(map[string]*Result)
+func parseBenchOutput(text string) (Results, error) {
+	var results Results
 	for _, line := range strings.Split(text, "\n") {
 		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -118,7 +135,7 @@ func parseBenchOutput(text string) (map[string]*Result, error) {
 			}
 			res.Metrics[fields[i+1]] = v
 		}
-		results[name] = res
+		results = append(results, res)
 	}
 	return results, nil
 }
@@ -207,25 +224,30 @@ func (v Verdict) fullAt() float64 {
 	return 1
 }
 
-// Check evaluates every floor against the parsed results. The returned
-// verdicts are sorted by benchmark name; ok reports whether all passed.
-func Check(results map[string]*Result, floors []Floor) (verdicts []Verdict, ok bool) {
+// Check evaluates every floor against every result line of its benchmark,
+// each against the floor clamped by that line's own gomaxprocs, so a
+// stream recorded under -cpu 1,2 or -count N is gated line by line. A
+// floor whose benchmark has no line fails once. The returned verdicts are
+// sorted by benchmark name, lines in stream order; ok reports whether all
+// passed.
+func Check(results Results, floors []Floor) (verdicts []Verdict, ok bool) {
 	ok = true
 	for _, f := range floors {
-		v := Verdict{Floor: f}
-		if res, found := results[f.Benchmark]; found {
-			v.Result = res
-			val, has := res.Metrics[f.Metric]
-			v.Value = val
-			v.Effective = f.Effective(res.Gomaxprocs())
-			v.OK = has && val >= v.Effective
-		}
-		if !v.OK {
+		named := results.Named(f.Benchmark)
+		if len(named) == 0 {
+			verdicts = append(verdicts, Verdict{Floor: f})
 			ok = false
+			continue
 		}
-		verdicts = append(verdicts, v)
+		for _, res := range named {
+			val, has := res.Metrics[f.Metric]
+			v := Verdict{Floor: f, Result: res, Value: val, Effective: f.Effective(res.Gomaxprocs())}
+			v.OK = has && val >= v.Effective
+			ok = ok && v.OK
+			verdicts = append(verdicts, v)
+		}
 	}
-	sort.Slice(verdicts, func(a, b int) bool {
+	sort.SliceStable(verdicts, func(a, b int) bool {
 		return verdicts[a].Floor.Benchmark < verdicts[b].Floor.Benchmark
 	})
 	return verdicts, ok

@@ -1,6 +1,7 @@
 package benchgate
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -24,17 +25,19 @@ func TestParseTestJSONSplitLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1 := results["BenchmarkAnalyze/j=1"]
-	if j1 == nil {
-		t.Fatal("j=1 result missing")
+	j1s := results.Named("BenchmarkAnalyze/j=1")
+	if len(j1s) != 1 {
+		t.Fatalf("%d j=1 results, want 1", len(j1s))
 	}
+	j1 := j1s[0]
 	if j1.Iterations != 1 || j1.Metrics["ns/op"] != 13770488008 {
 		t.Errorf("j=1 parsed wrong: %+v", j1)
 	}
-	j8 := results["BenchmarkAnalyze/j=8"]
-	if j8 == nil {
-		t.Fatal("j=8 result missing (suffix not stripped?)")
+	j8s := results.Named("BenchmarkAnalyze/j=8")
+	if len(j8s) != 1 {
+		t.Fatalf("%d j=8 results, want 1 (suffix not stripped?)", len(j8s))
 	}
+	j8 := j8s[0]
 	if j8.Procs != 8 {
 		t.Errorf("j=8 procs = %v, want 8 from the -8 suffix", j8.Procs)
 	}
@@ -44,7 +47,7 @@ func TestParseTestJSONSplitLines(t *testing.T) {
 	if got := j8.Gomaxprocs(); got != 8 {
 		t.Errorf("Gomaxprocs() = %v, want 8", got)
 	}
-	if _, found := results["BenchmarkAnalyze"]; found {
+	if len(results.Named("BenchmarkAnalyze")) != 0 {
 		t.Error("banner line parsed as a result")
 	}
 }
@@ -54,7 +57,7 @@ func TestGomaxprocsFallsBackToSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := results["BenchmarkX"].Gomaxprocs(); got != 4 {
+	if got := results.Named("BenchmarkX")[0].Gomaxprocs(); got != 4 {
 		t.Errorf("Gomaxprocs() = %v, want suffix 4", got)
 	}
 }
@@ -144,6 +147,52 @@ func TestCheckClampsOnSmallMachine(t *testing.T) {
 	}
 	if _, ok := Check(results, []Floor{analyzeFloor}); ok {
 		t.Fatal("0.5x speedup must fail even with the 1-core clamp")
+	}
+}
+
+// TestCheckGatesEveryLine: a stream recorded under -cpu 1,2 -count 2
+// holds four lines of one benchmark, and each is gated against the floor
+// clamped by its own gomaxprocs — a miss on any line fails the gate, also
+// when later lines of the same name pass.
+func TestCheckGatesEveryLine(t *testing.T) {
+	floor := Floor{Benchmark: "BenchmarkMeasureThroughput/j=8", Metric: "flows/s",
+		Value: 25000, PerCore: 3125, Min: 15000, FullAtProcs: 8}
+	line := func(suffix, flows, procs string) string {
+		return "BenchmarkMeasureThroughput/j=8" + suffix + " \t 1\t5000000000 ns/op\t " + flows + " flows/s\t " + procs + " gomaxprocs\n"
+	}
+	stream := func(lines ...string) string {
+		var b strings.Builder
+		for _, l := range lines {
+			ev, err := json.Marshal(testEvent{Action: "output", Output: l})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Write(append(ev, '\n'))
+		}
+		return b.String()
+	}
+	pass := stream(line("", "90000", "1"), line("", "91000", "1"), line("-2", "120000", "2"), line("-2", "121000", "2"))
+	results, err := ParseTestJSON(strings.NewReader(pass))
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdicts, ok := Check(results, []Floor{floor})
+	if !ok || len(verdicts) != 4 {
+		t.Fatalf("every line above its floor: ok %v, %d verdicts, want true and 4", ok, len(verdicts))
+	}
+	if verdicts[0].Effective != 15000 || verdicts[2].Effective != 15000 || verdicts[2].Result.Procs != 2 {
+		t.Errorf("verdicts not clamped per line: %v", verdicts)
+	}
+	// The first -count run at one proc misses its floor; the lines after
+	// it pass and must not hide it.
+	fail := stream(line("", "9000", "1"), line("", "91000", "1"), line("-2", "120000", "2"), line("-2", "121000", "2"))
+	results, err = ParseTestJSON(strings.NewReader(fail))
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdicts, ok = Check(results, []Floor{floor})
+	if ok || verdicts[0].OK || !verdicts[1].OK {
+		t.Fatalf("a missed first line must fail the gate alone: ok %v, %v", ok, verdicts)
 	}
 }
 

@@ -49,6 +49,8 @@ func (t *EIT) Present() *Event {
 var (
 	ErrNotEIT       = errors.New("dvb: section is not an EIT (wrong table_id)")
 	ErrEITTruncated = errors.New("dvb: EIT section truncated")
+	// ErrEITTime reports an event start time whose hh:mm:ss is not BCD.
+	ErrEITTime = errors.New("dvb: invalid BCD time")
 )
 
 // shortEventTag is the short_event_descriptor tag.
@@ -91,9 +93,14 @@ func encodeEvent(ev Event) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if ev.Duration >= maxBCDDuration {
+		return nil, fmt.Errorf("dvb: event duration %v does not fit hh:mm:ss", ev.Duration)
+	}
 	out := make([]byte, 0, 12+len(desc))
 	out = binary.BigEndian.AppendUint16(out, ev.EventID)
-	out = appendMJDUTC(out, ev.Start)
+	if out, err = appendMJDUTC(out, ev.Start); err != nil {
+		return nil, err
+	}
 	out = appendBCDDuration(out, ev.Duration)
 	if len(desc) > 0xFFF {
 		return nil, fmt.Errorf("dvb: event descriptors too large")
@@ -206,44 +213,46 @@ func decodeEventDescriptors(d []byte, ev *Event) error {
 	return nil
 }
 
+// mjdEpoch is day 0 of the Modified Julian Date, and maxMJD the last day
+// its 16 bits reach (2038-04-22).
+var mjdEpoch = time.Date(1858, time.November, 17, 0, 0, 0, 0, time.UTC)
+
+const maxMJD = 0xFFFF
+
 // appendMJDUTC encodes a start time as 2-byte Modified Julian Date plus
-// 3 bytes of BCD hh:mm:ss (EN 300 468 Annex C).
-func appendMJDUTC(buf []byte, t time.Time) []byte {
+// 3 bytes of BCD hh:mm:ss (EN 300 468 Annex C). The day is counted from
+// mjdEpoch exactly; over the years Annex C's conversion formulas are valid
+// for (from 1900-03-01) that is the day they give. A start outside the
+// days 16 bits reach is an error.
+func appendMJDUTC(buf []byte, t time.Time) ([]byte, error) {
 	t = t.UTC()
-	y, m, d := t.Year(), int(t.Month()), t.Day()
-	// Standard MJD formula from the spec.
-	l := 0
-	if m == 1 || m == 2 {
-		l = 1
+	d := t.Sub(mjdEpoch)
+	if d < 0 || d >= (maxMJD+1)*24*time.Hour {
+		return nil, fmt.Errorf("dvb: event start %v outside the MJD range", t)
 	}
-	mjd := 14956 + d + int(float64(y-1900-l)*365.25) + int(float64(m+1+l*12)*30.6001)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(mjd))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(d/(24*time.Hour)))
 	buf = append(buf, toBCD(t.Hour()), toBCD(t.Minute()), toBCD(t.Second()))
-	return buf
+	return buf, nil
 }
 
+// decodeMJDUTC is appendMJDUTC's inverse. BCD digits of up to 99 hours,
+// minutes or seconds roll over into the next unit, as time.Date does.
 func decodeMJDUTC(b []byte) (time.Time, error) {
 	if len(b) < 5 {
 		return time.Time{}, ErrEITTruncated
 	}
-	mjd := float64(binary.BigEndian.Uint16(b[0:2]))
-	yp := int((mjd - 15078.2) / 365.25)
-	mp := int((mjd - 14956.1 - float64(int(float64(yp)*365.25))) / 30.6001)
-	day := int(mjd) - 14956 - int(float64(yp)*365.25) - int(float64(mp)*30.6001)
-	k := 0
-	if mp == 14 || mp == 15 {
-		k = 1
-	}
-	year := yp + k + 1900
-	month := mp - 1 - k*12
+	mjd := int(binary.BigEndian.Uint16(b[0:2]))
 	h, err1 := fromBCD(b[2])
 	mi, err2 := fromBCD(b[3])
 	s, err3 := fromBCD(b[4])
 	if err1 != nil || err2 != nil || err3 != nil {
-		return time.Time{}, fmt.Errorf("dvb: invalid BCD time")
+		return time.Time{}, ErrEITTime
 	}
-	return time.Date(year, time.Month(month), day, h, mi, s, 0, time.UTC), nil
+	return time.Date(mjdEpoch.Year(), mjdEpoch.Month(), mjdEpoch.Day()+mjd, h, mi, s, 0, time.UTC), nil
 }
+
+// maxBCDDuration is the first duration whose hours need three BCD digits.
+const maxBCDDuration = 100 * time.Hour
 
 func appendBCDDuration(buf []byte, d time.Duration) []byte {
 	total := int(d.Seconds())

@@ -1,6 +1,7 @@
 package dvb
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -98,12 +99,50 @@ func TestMJDRoundTripProperty(t *testing.T) {
 	f := func(dayOffset uint16, hh, mm, ss uint8) bool {
 		start := time.Date(2023, 1, 1, int(hh)%24, int(mm)%60, int(ss)%60, 0, time.UTC).
 			AddDate(0, 0, int(dayOffset)%3650)
-		buf := appendMJDUTC(nil, start)
+		buf, err := appendMJDUTC(nil, start)
+		if err != nil {
+			return false
+		}
 		got, err := decodeMJDUTC(buf)
 		return err == nil && got.Equal(start)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEITTimeEdges: the start time is EN 300 468 Annex C's (its worked
+// example decodes), both ends of the 16-bit day range round-trip and a
+// start beyond them or a duration of 100 hours is refused, and a start
+// time that is not BCD fails DecodeEIT with the matchable ErrEITTime.
+func TestEITTimeEdges(t *testing.T) {
+	got, err := decodeMJDUTC([]byte{0xC0, 0x79, 0x12, 0x45, 0x00})
+	if want := time.Date(1993, 10, 13, 12, 45, 0, 0, time.UTC); err != nil || !got.Equal(want) {
+		t.Errorf("Annex C example decodes to %v, %v; want %v", got, err, want)
+	}
+	for _, start := range []time.Time{mjdEpoch, mjdEpoch.AddDate(0, 0, maxMJD).Add(23*time.Hour + 59*time.Minute + 59*time.Second)} {
+		buf, err := appendMJDUTC(nil, start)
+		if err != nil {
+			t.Fatalf("start %v refused: %v", start, err)
+		}
+		if got, err := decodeMJDUTC(buf); err != nil || !got.Equal(start) {
+			t.Errorf("start %v decodes to %v, %v", start, got, err)
+		}
+	}
+	for _, ev := range []Event{
+		{Start: mjdEpoch.Add(-time.Second)},
+		{Start: mjdEpoch.AddDate(0, 0, maxMJD+1)},
+		{Start: mjdEpoch, Duration: maxBCDDuration},
+	} {
+		if _, err := EncodeEIT(&EIT{Events: []Event{ev}}); err == nil {
+			t.Errorf("event starting %v lasting %v accepted", ev.Start, ev.Duration)
+		}
+	}
+	section := MustEncodeEIT(sampleEIT())
+	section[3+11+4] = 0x2A // the first event's hour byte (header, table fields, event_id, MJD): not BCD
+	binary.BigEndian.PutUint32(section[len(section)-4:], CRC32MPEG(section[:len(section)-4]))
+	if _, err := DecodeEIT(section); !errors.Is(err, ErrEITTime) {
+		t.Errorf("DecodeEIT of a non-BCD start = %v, want ErrEITTime", err)
 	}
 }
 

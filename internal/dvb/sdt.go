@@ -78,7 +78,9 @@ func EncodeSDT(t *SDT) ([]byte, error) {
 }
 
 func encodeSDTEntry(e SDTEntry) ([]byte, error) {
-	if len(e.Provider) > 200 || len(e.Name) > 200 {
+	// The service descriptor's one length byte covers type, both length
+	// bytes and both strings.
+	if len(e.Provider) > 200 || len(e.Name) > 200 || 3+len(e.Provider)+len(e.Name) > 0xFF {
 		return nil, fmt.Errorf("dvb: SDT strings too long for service %d", e.ServiceID)
 	}
 	// service_descriptor: type(1) provider_len(1) provider name_len(1) name.

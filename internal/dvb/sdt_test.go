@@ -2,6 +2,7 @@ package dvb
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -110,5 +111,23 @@ func TestSDTEntryRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEncodeSDTDescriptorLength: a provider and name that fit the 200-byte
+// limit each but not the descriptor's one length byte together are
+// refused instead of wrapping the length.
+func TestEncodeSDTDescriptorLength(t *testing.T) {
+	long := strings.Repeat("x", 130)
+	if _, err := EncodeSDT(&SDT{Entries: []SDTEntry{{Provider: long, Name: long}}}); err == nil {
+		t.Error("a 263-byte service descriptor was accepted")
+	}
+	fits := strings.Repeat("y", 126)
+	sec, err := EncodeSDT(&SDT{Entries: []SDTEntry{{Provider: fits, Name: fits}}})
+	if err != nil {
+		t.Fatalf("a 255-byte service descriptor was refused: %v", err)
+	}
+	if got, err := DecodeSDT(sec); err != nil || got.Entries[0].Name != fits {
+		t.Errorf("round trip = %+v, %v", got, err)
 	}
 }

@@ -10,6 +10,15 @@
 // (BenchmarkTransportModes) verifies; full-scale runs use the in-process
 // mode, while integration tests also exercise the loopback path through a
 // real CONNECT proxy.
+//
+// The in-process transport rebuilds nothing a request already carries. A
+// request that is already server-shaped (a non-nil Body and an empty
+// RequestURI, as the TV sends) reaches the handler as is; any other gets
+// a shallow copy that is. The handler answers into a pooled
+// ResponseWriter, so a handler must not keep the ResponseWriter or the
+// request after ServeHTTP returns. What the caller receives is its own: a
+// fresh header map, the body copied out at its exact size, and the
+// http.Response allocated together with its in-memory body.
 package hostnet
 
 import (
@@ -174,30 +183,29 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownHost, host)
 	}
+	var reqDelay, respDelay int
 	if t.Clock != nil && t.Latency != nil {
-		d, _ := t.Latency(req)
-		if d > 0 {
-			t.Clock.Sleep(time.Duration(d) * time.Millisecond)
+		// One call per round trip, so a model drawing from a source draws
+		// both halves of one request together.
+		reqDelay, respDelay = t.Latency(req)
+	}
+	t.sleep(reqDelay)
+	// Handlers expect a server-side request: Body non-nil, RequestURI
+	// unset. The registered handlers read the request but never write its
+	// header or URL, so one already in that shape is passed as is.
+	sreq := req
+	if req.Body == nil || req.RequestURI != "" {
+		cp := *req
+		if cp.Body == nil {
+			cp.Body = http.NoBody
 		}
+		cp.RequestURI = ""
+		sreq = &cp
 	}
-	rec := newRecorder()
-	// Handlers expect a server-side request: Body non-nil, RequestURI unset.
-	// A shallow copy suffices: the registered handlers read the request but
-	// never mutate its header or URL, so the deep Clone the transport used
-	// to make per dispatch only fed the garbage collector.
-	sreq := *req
-	if sreq.Body == nil {
-		sreq.Body = http.NoBody
-	}
-	sreq.RequestURI = ""
-	h.ServeHTTP(rec, &sreq)
-	if t.Clock != nil && t.Latency != nil {
-		_, d := t.Latency(req)
-		if d > 0 {
-			t.Clock.Sleep(time.Duration(d) * time.Millisecond)
-		}
-	}
-	resp := rec.result(req)
+	w := getWriter()
+	h.ServeHTTP(w, sreq)
+	resp := w.result(req)
+	t.sleep(respDelay)
 	switch fault.Kind {
 	case faults.KindTruncate:
 		truncateBody(resp, fault.KeepPermille, nil)
@@ -205,6 +213,13 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		truncateBody(resp, fault.KeepPermille, faults.ErrReset)
 	}
 	return resp, nil
+}
+
+// sleep advances the clock by ms milliseconds of latency.
+func (t *Transport) sleep(ms int) {
+	if ms > 0 {
+		t.Clock.Sleep(time.Duration(ms) * time.Millisecond)
+	}
 }
 
 // fault resolves the injected fault for one request, reporting it to the
@@ -253,8 +268,6 @@ type memBody struct {
 	off int
 }
 
-func newMemBody(b []byte) *memBody { return &memBody{b: b} }
-
 func (m *memBody) Read(p []byte) (int, error) {
 	if m.off >= len(m.b) {
 		return 0, io.EOF
@@ -264,34 +277,46 @@ func (m *memBody) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// BodyBytes returns the unread remainder and consumes the body — the same
-// bytes an io.ReadAll would have produced, without the copy. The returned
-// slice is read-only.
-func (m *memBody) BodyBytes() []byte {
-	b := m.b[m.off:]
-	m.off = len(m.b)
-	return b
-}
+// BodyBytes returns the unread remainder without consuming it — the same
+// bytes an io.ReadAll would produce, without the copy — so the recording
+// proxy can read a body its caller then reads again. The returned slice
+// is read-only.
+func (m *memBody) BodyBytes() []byte { return m.b[m.off:] }
 
 func (m *memBody) Close() error { return nil }
+
+// response is an http.Response allocated together with its in-memory body.
+type response struct {
+	http.Response
+	body memBody
+}
+
+// newResponse returns a response to req with the given status, header and
+// body; ContentLength is the body's length.
+func newResponse(req *http.Request, code int, h http.Header, body []byte) *http.Response {
+	r := &response{
+		Response: http.Response{
+			Status:        statusLine(code),
+			StatusCode:    code,
+			Proto:         "HTTP/1.1",
+			ProtoMajor:    1,
+			ProtoMinor:    1,
+			Header:        h,
+			ContentLength: int64(len(body)),
+			Request:       req,
+		},
+		body: memBody{b: body},
+	}
+	r.Body = &r.body
+	return &r.Response
+}
 
 // errorResponse synthesizes an injected 5xx without invoking any handler —
 // the virtual analog of an app server answering from a failing backend.
 func errorResponse(req *http.Request, code int) *http.Response {
-	body := []byte(http.StatusText(code) + "\n")
 	h := make(http.Header)
 	h.Set("Content-Type", "text/plain; charset=utf-8")
-	return &http.Response{
-		Status:        statusLine(code),
-		StatusCode:    code,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        h,
-		Body:          newMemBody(body),
-		ContentLength: int64(len(body)),
-		Request:       req,
-	}
+	return newResponse(req, code, h, []byte(http.StatusText(code)+"\n"))
 }
 
 // truncateBody cuts the response body down to keepPermille/1000 of its
@@ -299,16 +324,10 @@ func errorResponse(req *http.Request, code int) *http.Response {
 // a connection dropped mid-stream. A non-nil readErr is surfaced after the
 // kept prefix (mid-body reset); nil mimics a clean-looking short read.
 func truncateBody(resp *http.Response, keepPermille int, readErr error) {
-	var body []byte
-	if mb, ok := resp.Body.(*memBody); ok {
-		body = mb.BodyBytes()
-	} else {
-		body, _ = io.ReadAll(resp.Body)
-	}
-	resp.Body.Close()
-	kept := body[:len(body)*keepPermille/1000]
+	mb := resp.Body.(*memBody)
+	kept := mb.b[:len(mb.b)*keepPermille/1000]
 	if readErr == nil {
-		resp.Body = newMemBody(kept)
+		mb.b = kept
 		return
 	}
 	resp.Body = io.NopCloser(&failAfterReader{r: bytes.NewReader(kept), err: readErr})
@@ -328,50 +347,65 @@ func (fr *failAfterReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// recorder is a minimal ResponseWriter capturing status, headers, and body.
-type recorder struct {
+// writer is the ResponseWriter a handler answers into. Its status and body
+// buffer are pooled; result hands the header map to the response and
+// returns the writer to writerPool, so nothing of one request's writer
+// reaches another request's response.
+type writer struct {
 	code   int
 	header http.Header
 	body   bytes.Buffer
 	wrote  bool
 }
 
-func newRecorder() *recorder {
-	return &recorder{code: http.StatusOK, header: make(http.Header)}
+var writerPool = sync.Pool{New: func() any { return new(writer) }}
+
+// maxPooledBody bounds the body buffer a writer takes back to the pool, so
+// one large response does not pin its buffer for the process's lifetime.
+const maxPooledBody = 64 << 10
+
+// getWriter takes a writer from the pool, ready for one request.
+func getWriter() *writer {
+	w := writerPool.Get().(*writer)
+	w.code = http.StatusOK
+	w.header = make(http.Header)
+	return w
 }
 
-func (r *recorder) Header() http.Header { return r.header }
+func (w *writer) Header() http.Header { return w.header }
 
-func (r *recorder) WriteHeader(code int) {
-	if r.wrote {
+func (w *writer) WriteHeader(code int) {
+	if w.wrote {
 		return
 	}
-	r.wrote = true
-	r.code = code
+	w.wrote = true
+	w.code = code
 }
 
-func (r *recorder) Write(b []byte) (int, error) {
-	if !r.wrote {
-		r.WriteHeader(http.StatusOK)
+func (w *writer) Write(b []byte) (int, error) {
+	if !w.wrote {
+		w.WriteHeader(http.StatusOK)
 	}
-	return r.body.Write(b)
+	return w.body.Write(b)
 }
 
-func (r *recorder) result(req *http.Request) *http.Response {
-	body := r.body.Bytes()
-	return &http.Response{
-		Status:     statusLine(r.code),
-		StatusCode: r.code,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		// The recorder's header map is per-request and unreferenced after
-		// the handler returns; hand it over instead of cloning.
-		Header:        r.header,
-		Body:          newMemBody(body),
-		ContentLength: int64(len(body)),
-		Request:       req,
+// result copies the handler's answer out into a response of its own — the
+// header map as made for this request, the body at its exact size — and
+// returns the writer to the pool.
+func (w *writer) result(req *http.Request) *http.Response {
+	var body []byte
+	if n := w.body.Len(); n > 0 {
+		body = make([]byte, n)
+		copy(body, w.body.Bytes())
 	}
+	resp := newResponse(req, w.code, w.header, body)
+	w.header = nil
+	w.wrote = false
+	w.body.Reset()
+	if w.body.Cap() <= maxPooledBody {
+		writerPool.Put(w)
+	}
+	return resp
 }
 
 // Server serves the registry over a real TCP loopback listener, routing by

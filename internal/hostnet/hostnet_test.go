@@ -50,7 +50,7 @@ func TestLookupExactAndWildcard(t *testing.T) {
 		if !ok {
 			continue
 		}
-		rec := newRecorder()
+		rec := getWriter()
 		req, _ := http.NewRequest(http.MethodGet, "http://"+tt.host+"/x", nil)
 		h.ServeHTTP(rec, req)
 		if got := rec.header.Get("X-Virtual-Host"); got != tt.want {
@@ -107,23 +107,39 @@ func TestTransportUnknownHost(t *testing.T) {
 	}
 }
 
+// TestTransportAdvancesVirtualClock: each round trip moves the clock by
+// both halves of the Latency hook's answer, and the hook runs once per
+// round trip, so a model drawing from a source draws each request's two
+// delays together.
 func TestTransportAdvancesVirtualClock(t *testing.T) {
 	in := New()
 	in.Handle("x.de", echoHandler("x"))
 	start := time.Date(2023, 8, 21, 10, 0, 0, 0, time.UTC)
 	vc := clock.NewVirtual(start)
+	calls := 0
 	tr := &Transport{
-		Net:     in,
-		Clock:   vc,
-		Latency: func(*http.Request) (int, int) { return 20, 30 },
+		Net:   in,
+		Clock: vc,
+		Latency: func(*http.Request) (int, int) {
+			calls++
+			return calls, 10 * calls
+		},
 	}
-	req, _ := http.NewRequest(http.MethodGet, "http://x.de/", nil)
-	if _, err := tr.RoundTrip(req); err != nil {
-		t.Fatal(err)
-	}
-	want := start.Add(50 * time.Millisecond)
-	if got := vc.Now(); !got.Equal(want) {
-		t.Errorf("clock = %v, want %v", got, want)
+	var want time.Duration
+	for i := 1; i <= 3; i++ {
+		req, _ := http.NewRequest(http.MethodGet, "http://x.de/", nil)
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if calls != i {
+			t.Fatalf("after %d round trips the hook ran %d times", i, calls)
+		}
+		want += time.Duration(i+10*i) * time.Millisecond
+		if got := vc.Now().Sub(start); got != want {
+			t.Fatalf("after %d round trips the clock moved %v, want %v", i, got, want)
+		}
 	}
 }
 

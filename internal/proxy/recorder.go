@@ -147,36 +147,11 @@ func (r *Recorder) closeBurstLocked() {
 var _ http.RoundTripper = (*Recorder)(nil)
 
 // bytesBody is the fast-path interface an in-memory response body (the
-// virtual network's) exposes: the full content without an io.ReadAll copy.
+// virtual network's) exposes: its unread content, without an io.ReadAll
+// copy and without consuming it.
 type bytesBody interface {
 	BodyBytes() []byte
 }
-
-// replayBody hands a recorded response body back to the caller. It also
-// implements bytesBody, so the TV above the recorder can take the bytes
-// without yet another copy.
-type replayBody struct {
-	b   []byte
-	off int
-}
-
-func (rb *replayBody) Read(p []byte) (int, error) {
-	if rb.off >= len(rb.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, rb.b[rb.off:])
-	rb.off += n
-	return n, nil
-}
-
-// BodyBytes returns the unread remainder and consumes the body.
-func (rb *replayBody) BodyBytes() []byte {
-	b := rb.b[rb.off:]
-	rb.off = len(rb.b)
-	return b
-}
-
-func (rb *replayBody) Close() error { return nil }
 
 // RoundTrip implements http.RoundTripper: it forwards the request through
 // the inner transport and records a Flow.
@@ -209,17 +184,18 @@ func (r *Recorder) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Buffer the response body to measure its size while keeping it
-	// readable by the caller; in-memory bodies surrender their bytes
-	// without a copy.
+	// Measure the response body while keeping it readable by the caller:
+	// an in-memory body lends its bytes without being consumed, so the
+	// caller reads the very body the transport returned; any other is
+	// read once and handed on as a reader over the bytes read.
 	var respBody []byte
 	if bb, ok := resp.Body.(bytesBody); ok {
 		respBody = bb.BodyBytes()
 	} else {
 		respBody, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		resp.Body = io.NopCloser(bytes.NewReader(respBody))
 	}
-	resp.Body.Close()
-	resp.Body = &replayBody{b: respBody}
 	resp.ContentLength = int64(len(respBody))
 
 	f := Flow{
@@ -237,7 +213,8 @@ func (r *Recorder) RoundTrip(req *http.Request) (*http.Response, error) {
 		if n > maxRecordedBody {
 			n = maxRecordedBody
 		}
-		// The recorder owns respBody now; reference it instead of copying.
+		// The body's bytes are read-only to every holder; reference them
+		// instead of copying.
 		f.ResponseBody = respBody[:n:n]
 	}
 	r.record(&f, req.URL)

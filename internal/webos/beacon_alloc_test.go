@@ -21,7 +21,7 @@ import (
 // that puts a parse or a copy back on the request path breaks it.
 func TestBeaconAllocations(t *testing.T) {
 	const (
-		measured = 16
+		measured = 6
 		headroom = 4
 	)
 	in := hostnet.New()

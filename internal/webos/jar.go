@@ -46,7 +46,28 @@ type Jar struct {
 	count   int
 	scratch []*StoredCookie // reusable match buffer
 	hdrBuf  []byte          // reusable CookieHeader buffer
+	// memo holds CookieHeader's lines by request host and path, so a
+	// beacon loop renders its line once. Writes (SetCookies, Clear) empty
+	// it; an entry also lapses when the clock reaches the earliest expiry
+	// among the cookies its line carries, or moves back before the entry
+	// was made (a cookie expired then would match again).
+	memo map[memoKey]memoLine
 }
+
+// memoKey is a request's (u.Host, u.Path): finer than what matchLocked
+// reads of the URL, so one key never stands for two different lines.
+type memoKey struct{ host, path string }
+
+// memoLine is one memoized Cookie line, valid for clock readings in
+// [at, until); a zero until never lapses.
+type memoLine struct {
+	line      string
+	at, until time.Time
+}
+
+// maxMemo bounds the memo: it is emptied when full, so a jar that is
+// rarely written does not collect a line for every URL it has sent.
+const maxMemo = 256
 
 var _ http.CookieJar = (*Jar)(nil)
 
@@ -82,6 +103,7 @@ func (j *Jar) SetCookies(u *url.URL, cookies []*http.Cookie) {
 	now := j.clk.Now()
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	clear(j.memo)
 	for _, c := range cookies {
 		if c.Name == "" {
 			continue
@@ -162,28 +184,48 @@ func (j *Jar) Cookies(u *url.URL) []*http.Cookie {
 // (*http.Request).AddCookie writes one and joined by "; ". It is what
 // adding Cookies(u) one by one to a request leaves in its Cookie header,
 // built in one pass; "" means the request carries no Cookie header.
+//
+// The line is memoized per (u.Host, u.Path) until the jar is written or
+// a cookie it carries expires. That is sound because matchLocked has no
+// side effects: between writes, its answer for a URL changes only when
+// the clock crosses a matched cookie's expiry.
 func (j *Jar) CookieHeader(u *url.URL) string {
 	now := j.clk.Now()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	matched := j.matchLocked(u, now)
-	if len(matched) == 0 {
-		return ""
+	key := memoKey{u.Host, u.Path}
+	if m, ok := j.memo[key]; ok && !now.Before(m.at) && (m.until.IsZero() || now.Before(m.until)) {
+		return m.line
 	}
-	buf := j.hdrBuf[:0]
-	for i, sc := range matched {
-		if i > 0 {
-			buf = append(buf, "; "...)
+	var line string
+	var until time.Time
+	if matched := j.matchLocked(u, now); len(matched) > 0 {
+		buf := j.hdrBuf[:0]
+		for i, sc := range matched {
+			if i > 0 {
+				buf = append(buf, "; "...)
+			}
+			buf = appendCookie(buf, sc.Name, sc.Value)
+			if !sc.Expires.IsZero() && (until.IsZero() || sc.Expires.Before(until)) {
+				until = sc.Expires
+			}
 		}
-		buf = appendCookie(buf, sc.Name, sc.Value)
+		j.hdrBuf = buf
+		line = string(buf)
 	}
-	j.hdrBuf = buf
-	return string(buf)
+	if j.memo == nil {
+		j.memo = make(map[memoKey]memoLine)
+	} else if len(j.memo) >= maxMemo {
+		clear(j.memo)
+	}
+	j.memo[key] = memoLine{line: line, at: now, until: until}
+	return line
 }
 
 // matchLocked returns the unexpired cookies a request for u carries, in
 // RFC 6265 §5.4 order, in the jar's scratch buffer: the slice is valid
-// until the caller releases j.mu.
+// until the caller releases j.mu. It reads the jar and writes only that
+// scratch, which is what lets CookieHeader memoize its answers.
 func (j *Jar) matchLocked(u *url.URL, now time.Time) []*StoredCookie {
 	if len(j.byDom) == 0 {
 		return nil
@@ -316,6 +358,7 @@ func (j *Jar) Clear() {
 	defer j.mu.Unlock()
 	j.byDom = make(map[string][]*StoredCookie)
 	j.count = 0
+	clear(j.memo)
 }
 
 // Len returns the number of stored (possibly expired) cookies.

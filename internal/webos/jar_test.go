@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/url"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -185,6 +186,93 @@ func TestJarClear(t *testing.T) {
 	if j.Len() != 0 {
 		t.Error("Clear left cookies behind")
 	}
+}
+
+// TestJarCookieHeaderMemo: the memoized Cookie line equals a fresh build,
+// the AddCookie chain over Cookies, for three URLs that differ in host or
+// path, after an add, a replace, a MaxAge < 0 delete and Clear, and when
+// the clock passes a matched cookie's expiry. Each URL is asked twice per
+// step, so the second answer comes from the memo; a repeated request for
+// an unchanged jar allocates nothing.
+func TestJarCookieHeaderMemo(t *testing.T) {
+	quietLog(t)
+	vc := clock.NewVirtual(time.Date(2023, 8, 21, 12, 0, 0, 0, time.UTC))
+	j := NewJar(vc)
+	app := mustURL(t, "http://www.memo.example/app/page")
+	urls := []*url.URL{app, mustURL(t, "http://cdn.memo.example/app/page"), mustURL(t, "http://www.memo.example/")}
+	check := func(step string) {
+		t.Helper()
+		for _, u := range urls {
+			req := &http.Request{Header: http.Header{}}
+			for _, c := range j.Cookies(u) {
+				req.AddCookie(c)
+			}
+			want := req.Header.Get("Cookie")
+			for range 2 {
+				if got := j.CookieHeader(u); got != want {
+					t.Fatalf("%s: CookieHeader(%s) = %q, fresh build %q", step, u, got, want)
+				}
+			}
+		}
+	}
+	check("empty jar")
+	j.SetCookies(app, []*http.Cookie{{Name: "a", Value: "1", Path: "/"}})
+	check("add")
+	j.SetCookies(app, []*http.Cookie{{Name: "a", Value: "2", Path: "/"}})
+	check("replace")
+	j.SetCookies(app, []*http.Cookie{
+		{Name: "d", Value: "dom", Domain: "memo.example", Path: "/"},
+		{Name: "p", Value: "deep", Path: "/app"},
+	})
+	check("domain and path cookies")
+	j.SetCookies(app, []*http.Cookie{{Name: "a", MaxAge: -1, Path: "/"}})
+	check("MaxAge < 0 delete")
+	j.SetCookies(app, []*http.Cookie{{Name: "short", Value: "s", Path: "/", MaxAge: 30}})
+	check("short-lived cookie")
+	if allocs := testing.AllocsPerRun(50, func() { j.CookieHeader(app) }); allocs != 0 {
+		t.Errorf("a memoized Cookie line costs %.1f allocations, want 0", allocs)
+	}
+	vc.Advance(29 * time.Second)
+	check("before the expiry")
+	vc.Advance(time.Second)
+	check("at the expiry")
+	j.Clear()
+	check("Clear")
+}
+
+// TestJarCookieHeaderConcurrent reads Cookie lines from several goroutines
+// while others write the jar, so under -race any memo access outside the
+// jar's lock is a report; every line read must be one a fresh build could
+// give at some point of the writes.
+func TestJarCookieHeaderConcurrent(t *testing.T) {
+	vc := clock.NewVirtual(time.Date(2023, 8, 21, 12, 0, 0, 0, time.UTC))
+	j := NewJar(vc)
+	u := mustURL(t, "http://www.memo.example/app")
+	valid := map[string]bool{"": true}
+	for v := 0; v < 10; v++ {
+		valid["k="+string(rune('0'+v))] = true
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if g%2 == 0 {
+					j.SetCookies(u, []*http.Cookie{{Name: "k", Value: string(rune('0' + i%10)), Path: "/"}})
+					if i%50 == 49 {
+						j.Clear()
+					}
+					continue
+				}
+				if line := j.CookieHeader(u); !valid[line] {
+					t.Errorf("CookieHeader = %q, not a line any write made", line)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // Property: a cookie set on any host is always returned for that exact URL

@@ -185,12 +185,22 @@ type runningApp struct {
 // sorted the way url.Values.Encode would emit them. When fast is false (the
 // resolved URL already carries a query, a fragment, or a forced "?"), the
 // beacon takes the original parse-and-merge path instead.
+//
+// A fast beacon also keeps the query it last rendered together with the
+// variables it rendered it from, and reuses it while they are unchanged.
+// Those are every variable, except that the clock's two stay zero when no
+// template reads them (readsClock false): they are the only ones that move
+// under a running app, while a PowerOn can still mint a new session
+// under it.
 type beaconState struct {
-	fast    bool
-	base    url.URL // RawQuery empty; copied per fire
-	prefix  string  // base.String(), i.e. the URL up to the "?"
-	params  []beaconParam
-	resolve string // resolved URL string for the fallback path
+	fast       bool
+	base       url.URL // RawQuery empty; copied per fire
+	params     []beaconParam
+	resolve    string // resolved URL string for the fallback path
+	readsClock bool   // a template reads {localtime} or {unixtime}
+	rendered   bool   // query holds the rendering of vars
+	vars       appmodel.Vars
+	query      string
 }
 
 // beaconParam is one query parameter with its key pre-escaped.
@@ -418,17 +428,10 @@ func (tv *TV) exitApp() {
 	tv.app = nil
 }
 
-// appVars builds the template variables for the current app context.
-func (tv *TV) appVars() appmodel.Vars {
-	now := tv.clk.Now()
-	sec := now.Unix()
-	if sec != tv.ltCacheSec || tv.ltCache == "" {
-		// The format has second granularity, so the string is a pure
-		// function of the unix second — beacons firing within the same
-		// virtual second reuse it.
-		tv.ltCacheSec = sec
-		tv.ltCache = now.Format("2006-01-02T15:04:05")
-	}
+// appVars builds the template variables for the current app context. The
+// clock's two, {localtime} and {unixtime}, are filled only withClock and
+// stay zero otherwise.
+func (tv *TV) appVars(withClock bool) appmodel.Vars {
 	v := appmodel.Vars{
 		SessionID:    tv.sessionID,
 		UserID:       tv.userID,
@@ -436,8 +439,18 @@ func (tv *TV) appVars() appmodel.Vars {
 		Model:        tv.cfg.Device.Model,
 		OS:           tv.cfg.Device.OS,
 		Language:     tv.cfg.Device.Language,
-		LocalTime:    tv.ltCache,
-		UnixTime:     sec,
+	}
+	if withClock {
+		now := tv.clk.Now()
+		sec := now.Unix()
+		if sec != tv.ltCacheSec || tv.ltCache == "" {
+			// The format has second granularity, so the string is a pure
+			// function of the unix second — beacons firing within the same
+			// virtual second reuse it.
+			tv.ltCacheSec = sec
+			tv.ltCache = now.Format("2006-01-02T15:04:05")
+		}
+		v.LocalTime, v.UnixTime = tv.ltCache, sec
 	}
 	if tv.current != nil {
 		v.Channel = tv.current.Name
@@ -474,7 +487,7 @@ func (tv *TV) loadApp(entry string) error {
 	app := &runningApp{doc: doc, baseURL: base, baseStr: base.String(), started: tv.clk.Now()}
 	tv.app = app
 	tv.metrics.appsLoaded.Inc()
-	app.vars = tv.appVars()
+	app.vars = tv.appVars(true)
 
 	// Load markup subresources in document order with the document as
 	// Referer; XHR resources fire after the manifest is applied.
@@ -639,10 +652,10 @@ func prepareBeacon(base *url.URL, b appmodel.BeaconSpec) beaconState {
 	}
 	st.fast = true
 	st.base = *u
-	st.prefix = u.String()
 	st.params = make([]beaconParam, 0, len(b.Params))
 	for k, v := range b.Params {
 		st.params = append(st.params, beaconParam{key: k, escKey: url.QueryEscape(k), template: v})
+		st.readsClock = st.readsClock || appmodel.ReadsClock(v)
 	}
 	// url.Values.Encode sorts by raw key; matching its order keeps the
 	// emitted query — and thus the recorded flow URL — byte-identical.
@@ -656,9 +669,9 @@ func (tv *TV) fireBeacon(bi int) {
 		return
 	}
 	tv.metrics.beacons.Inc()
-	vars := tv.appVars() // refresh local time / unix time per request
 	st := &app.bstates[bi]
 	if !st.fast {
+		vars := tv.appVars(true) // refresh local time / unix time per request
 		b := app.beacons[bi]
 		q := url.Values{}
 		for k, v := range b.Params {
@@ -670,27 +683,33 @@ func (tv *TV) fireBeacon(bi int) {
 		}
 		return
 	}
-	var sb strings.Builder
-	sb.Grow(64)
-	for i := range st.params {
-		p := &st.params[i]
-		if i > 0 {
-			sb.WriteByte('&')
+	// Without readsClock the templates ignore the clock, so the zero clock
+	// renders the same query at every instant.
+	vars := tv.appVars(st.readsClock)
+	if !st.rendered || vars != st.vars {
+		var sb strings.Builder
+		sb.Grow(64)
+		for i := range st.params {
+			p := &st.params[i]
+			if i > 0 {
+				sb.WriteByte('&')
+			}
+			sb.WriteString(p.escKey)
+			sb.WriteByte('=')
+			sb.WriteString(url.QueryEscape(vars.Expand(p.template)))
 		}
-		sb.WriteString(p.escKey)
-		sb.WriteByte('=')
-		sb.WriteString(url.QueryEscape(vars.Expand(p.template)))
+		st.query, st.vars, st.rendered = sb.String(), vars, true
 	}
 	u := &tv.reqURL
 	*u = st.base
-	u.RawQuery = sb.String()
+	u.RawQuery = st.query
 	if err := tv.getURL(u, app.baseStr); err != nil {
 		tv.logf(LogError, "beacon %s: %v", u.String(), err)
 	}
 }
 
 // bytesBody is implemented by response bodies whose full content is already
-// in memory (the recording proxy's). BodyBytes returns that content without
+// in memory (the virtual network's). BodyBytes returns that content without
 // another copy; the returned slice is read-only.
 type bytesBody interface {
 	BodyBytes() []byte
@@ -857,6 +876,8 @@ func (tv *TV) request(method string, u *url.URL, referer, contentType string, bo
 		ProtoMajor: 1,
 		ProtoMinor: 1,
 		Header:     h,
+		// Server-shaped, so the virtual network serves it without a copy.
+		Body: http.NoBody,
 	}
 	if len(body) > 0 {
 		tv.req.Body = io.NopCloser(bytes.NewReader(body))
