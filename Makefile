@@ -57,8 +57,13 @@ resume:
 # interning lemma behind the index build's stitch (chunked interning
 # merged with MergeStrings equals one serial scan, IDs and table alike),
 # the policy ad-window parser (no panic; accepted hours lie on the
-# 24-hour clock; the result ignores ASCII letter case), and two
-# differential targets: the TV jar's one-pass Cookie header against
+# 24-hour clock; the result ignores ASCII letter case), the policy text
+# extraction every recorded HTML body goes through (no panic; every output
+# line is non-empty, trimmed and not boilerplate), the filter-list parsers
+# and matcher (no panic; parse errors wrap bufio.ErrTooLong; Parse then
+# Append matches every URL as parsing the joined text does), the HbbTV
+# application parser (no panic; render∘parse reaches a fixed point), and
+# two differential targets: the TV jar's one-pass Cookie header against
 # net/http's AddCookie chain, and the tracker's query and cookie scanners
 # against url.ParseQuery and (*http.Request).Cookie. -fuzz is a regular
 # expression, so FuzzLoad is anchored to keep it from also matching
@@ -71,6 +76,9 @@ fuzz:
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzLoadJournal -fuzztime 30s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzInternRoundTrip -fuzztime 30s
 	$(GO) test ./internal/policy/ -run '^$$' -fuzz FuzzParseAdWindow -fuzztime 30s
+	$(GO) test ./internal/policy/ -run '^$$' -fuzz FuzzExtractText -fuzztime 30s
+	$(GO) test ./internal/filterlist/ -run '^$$' -fuzz FuzzFilterList -fuzztime 30s
+	$(GO) test ./internal/appmodel/ -run '^$$' -fuzz FuzzParseHTML -fuzztime 30s
 	$(GO) test ./internal/webos/ -run '^$$' -fuzz FuzzCookieHeader -fuzztime 30s
 	$(GO) test ./internal/headend/ -run '^$$' -fuzz FuzzTrackerLookups -fuzztime 30s
 

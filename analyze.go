@@ -1,6 +1,7 @@
 package hbbtvlab
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -425,14 +426,29 @@ func topDomains(g *graphx.Graph, n int) []graphx.NodeDegree {
 	return all[:n]
 }
 
-// analyzeLeaks reproduces the Section V-B leakage search, scanning row
-// chunks concurrently and concatenating per-chunk leak lists in chunk
-// order (exactly the serial emission order).
+// analyzeLeaks reproduces the Section V-B leakage search. The search's
+// tables — per payload, then per (payload, channel) pair — fill in
+// parallel passes over their distinct values; the row scan reads them
+// over row chunks and concatenates per-chunk leak lists in chunk order
+// (exactly the serial emission order).
 func analyzeLeaks(env *analysisEnv, res *Results) {
 	n := env.ix.FlowCount()
+	s := tracking.NewLeakSearch(env.ix, tracking.LGNeedles)
+	if !env.scanDistinct(s.Payloads(), s.MatchPayloads) {
+		return
+	}
+	pairs := make([][]tracking.LeakPair, sectionChunks(n))
+	if !env.scanChunks(n, func(chunk, lo, hi int) {
+		pairs[chunk] = s.RowPairs(lo, hi)
+	}) {
+		return
+	}
+	if !env.scanDistinct(s.AddPairs(pairs), s.MatchPairs) {
+		return
+	}
 	parts := make([][]tracking.Leak, sectionChunks(n))
 	if !env.scanChunks(n, func(chunk, lo, hi int) {
-		parts[chunk] = tracking.ScanLeaks(env.ix, tracking.LGNeedles, lo, hi)
+		parts[chunk] = s.Scan(lo, hi)
 	}) {
 		return
 	}
@@ -485,14 +501,21 @@ func analyzeCookies(env *analysisEnv, res *Results) {
 	for _, run := range env.ds.Runs {
 		f.Purposes = append(f.Purposes, cookies.AnalyzePurposes(run.Name, events))
 	}
-	// Cookie syncing: the payload token scan is the heavy half, so it
-	// runs over row chunks with chunk-local dedup; MergeSyncEvents
-	// re-applies the global first-occurrence dedup in row order.
+	// Cookie syncing: each distinct payload is tokenized once; the row
+	// scan then runs over row chunks with chunk-local dedup, and
+	// MergeSyncEvents re-applies the global first-occurrence dedup in row
+	// order.
 	ids := cookies.MintedIDs(events, lo, hi)
+	carried := make([][]string, len(env.ix.Columns().Payloads))
+	if !env.scanDistinct(len(carried), func(plo, phi int) {
+		cookies.CarriedIDs(ids, env.ix, carried, plo, phi)
+	}) {
+		return
+	}
 	n := env.ix.FlowCount()
 	parts := make([][]cookies.SyncEvent, sectionChunks(n))
 	if !env.scanChunks(n, func(chunk, clo, chi int) {
-		parts[chunk] = cookies.ScanSyncing(ids, env.ix, clo, chi)
+		parts[chunk] = cookies.ScanSyncing(ids, carried, env.ix, clo, chi)
 	}) {
 		return
 	}
@@ -583,20 +606,25 @@ func analyzeConsent(env *analysisEnv, res *Results) {
 	res.Consent = f
 }
 
-// analyzePolicies reproduces Section VII. Corpus collection — HTML
-// extraction, classification, and annotation per flow — dominates the
-// section, so it runs as chunked policy.ScanFlows over the columnar rows,
-// merged in row order into the identical corpus.
+// analyzePolicies reproduces Section VII. Corpus collection finds the HTML
+// responses over row chunks, then extracts, classifies and annotates each
+// distinct body once, one body per parallel task; the fold over the HTML
+// rows keeps what depends on the row (the URL-based rescue, runs and
+// channels, a doc's first URL and host).
 func analyzePolicies(env *analysisEnv, res *Results) {
 	cols := env.ix.Columns()
 	n := cols.Rows()
-	parts := make([]*policy.Partial, sectionChunks(n))
+	parts := make([][]int32, sectionChunks(n))
 	if !env.scanChunks(n, func(chunk, lo, hi int) {
-		parts[chunk] = policy.ScanFlows(cols.Flows, cols.RunName, lo, hi)
+		parts[chunk] = policy.ScanFlows(cols.Flows, lo, hi)
 	}) {
 		return
 	}
-	corpus := policy.MergePartials(parts)
+	bodies := policy.NewBodies(cols.Flows, slices.Concat(parts...))
+	if !env.scanChunksSized(bodies.Len(), 1, func(_, lo, hi int) { bodies.Classify(lo, hi) }) {
+		return
+	}
+	corpus := bodies.Collect(cols.Flows, cols.RunName)
 	f := PolicyFindings{
 		Corpus:         corpus,
 		RightsCoverage: policy.RightsCoverage(corpus.Texts()),
@@ -715,9 +743,10 @@ func analyzeStats(env *analysisEnv, res *Results) {
 
 // analyzeExtension reproduces the future-work extension: filter rules
 // derived from the observed traffic and the coverage gain they add over
-// the Pi-hole base list. Both passes — evidence gathering and coverage
-// evaluation — fold row chunks into order-independent accumulators
-// (counts, kind bits), so the chunked merges equal the serial scans.
+// the Pi-hole base list. Evidence gathering and coverage evaluation fold
+// row chunks into order-independent accumulators (counts, kind bits), so
+// the chunked merges equal the serial scans; the derived rules are matched
+// once per distinct URL in between, so a row reads one bit.
 func analyzeExtension(env *analysisEnv, res *Results) {
 	n := env.ix.FlowCount()
 	fp := tracking.FirstPartySet(env.ix.FirstParty)
@@ -733,9 +762,15 @@ func analyzeExtension(env *analysisEnv, res *Results) {
 		res.DerivedRules = rules
 		return
 	}
+	blocked := make([]bool, env.ix.Columns().URLs.Len())
+	if !env.scanDistinct(len(blocked), func(lo, hi int) {
+		tracking.MatchExtendedURLs(env.ix, extended, blocked, lo, hi)
+	}) {
+		return
+	}
 	extParts := make([]tracking.ExtensionResult, sectionChunks(n))
 	if !env.scanChunks(n, func(chunk, lo, hi int) {
-		extParts[chunk] = tracking.EvaluateExtensionRange(env.ix, extended, lo, hi)
+		extParts[chunk] = tracking.EvaluateExtensionRange(env.ix, blocked, lo, hi)
 	}) {
 		return
 	}

@@ -56,6 +56,11 @@ type analysisEnv struct {
 // to balance half-million-row datasets across workers.
 const sectionChunk = 4096
 
+// distinctChunk is the granularity of the passes over a table of distinct
+// values (URLs, payloads, pairs): a few dozen entries amortize the
+// scheduling.
+const distinctChunk = 64
+
 // sectionChunks returns the number of fixed-size row chunks covering n
 // rows. The boundaries depend only on n — never on the worker count — so
 // chunk-indexed results always merge in the same order.
@@ -81,6 +86,13 @@ func (env *analysisEnv) scanChunksSized(n, size int, fn func(chunk, lo, hi int))
 		}
 		fn(chunk, lo, hi)
 	})
+}
+
+// scanDistinct fans fn(lo, hi) out over the fixed chunking of a table of
+// n distinct values. fn fills per-value slots, so any chunking gives the
+// same table.
+func (env *analysisEnv) scanDistinct(n int, fn func(lo, hi int)) bool {
+	return env.scanChunksSized(n, distinctChunk, func(_, lo, hi int) { fn(lo, hi) })
 }
 
 // chunksOf returns the number of size-sized chunks covering n items.

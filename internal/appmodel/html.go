@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"html"
+	"math"
 	"strings"
 )
 
@@ -123,6 +124,9 @@ func ParseHTML(markup []byte) (*Document, error) {
 	return doc, nil
 }
 
+// atoiDefault parses a non-negative decimal size, returning def for an
+// empty, non-numeric or out-of-range value. A value that wrapped around
+// would render as a negative number, which does not parse back.
 func atoiDefault(s string, def int) int {
 	if s == "" {
 		return def
@@ -132,7 +136,11 @@ func atoiDefault(s string, def int) int {
 		if c < '0' || c > '9' {
 			return def
 		}
-		n = n*10 + int(c-'0')
+		d := int(c - '0')
+		if n > (math.MaxInt-d)/10 {
+			return def
+		}
+		n = n*10 + d
 	}
 	return n
 }

@@ -308,63 +308,66 @@ func MintedIDs(events []SetEvent, windowStart, windowEnd time.Time) map[string][
 	return idOwners
 }
 
-// scanFlowSyncs runs step two of the syncing definition for one flow
-// sent to the target party, appending deduplicated sync events to out.
-// seen carries the (owner, target, value) dedup state across flows; the
-// first flow — in whatever order the caller iterates — wins the
-// Channel/Run attribution of a sync triple.
-func scanFlowSyncs(idOwners map[string][]string, rawQuery string, body []byte,
-	target, channel string, run store.RunName,
-	seen map[[3]string]struct{}, out *[]SyncEvent) {
-	haystack := rawQuery
-	if len(body) > 0 {
-		haystack += "&" + string(body)
-	}
-	if haystack == "" {
-		return
-	}
-	// Identifiers travel as URL/body parameter values; match whole
-	// tokens against the minted-ID index rather than scanning every
-	// known value as a substring.
-	forEachToken(haystack, func(token string) {
-		owners, ok := idOwners[token]
-		if !ok {
-			return
-		}
-		for _, owner := range owners {
-			if owner == target {
-				continue
+// CarriedIDs finds, for the payloads [lo, hi) of the index, the minted
+// identifiers (idOwners, from MintedIDs) each one carries, and writes them
+// to carried[p] in token order. Identifiers travel as URL/body parameter
+// values, so the payload's query and body are matched as whole tokens
+// against the minted-ID index rather than scanned for every known value
+// as a substring. Each payload writes its own slot.
+func CarriedIDs(idOwners map[string][]string, ix *store.Index, carried [][]string, lo, hi int) {
+	payloads := ix.Columns().Payloads
+	for p := lo; p < hi; p++ {
+		var ids []string
+		match := func(token string) {
+			if _, ok := idOwners[token]; ok {
+				ids = append(ids, token)
 			}
-			key := [3]string{owner, target, token}
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			*out = append(*out, SyncEvent{
-				FromParty: owner,
-				ToParty:   target,
-				Value:     token,
-				Channel:   channel,
-				Run:       run,
-			})
 		}
-	})
+		// The query and the body are separate token streams: no token
+		// spans the boundary between them.
+		forEachToken(payloads[p].Query, match)
+		forEachToken(payloads[p].Body, match)
+		carried[p] = ids
+	}
 }
 
 // ScanSyncing finds identifier cookie values (idOwners, from MintedIDs)
 // that rows [lo, hi) of the index transmitted to a different party in a
-// URL or request body — step two of the paper's syncing definition. It
-// dedups within the range only: ranges merge in row order with
-// MergeSyncEvents, which re-applies the global first-occurrence dedup, so
-// the merge of consecutive ranges equals the scan of their union.
-func ScanSyncing(idOwners map[string][]string, ix *store.Index, lo, hi int) []SyncEvent {
+// URL or request body — step two of the paper's syncing definition. The
+// identifiers a row's payload carries come from carried, the per-payload
+// table CarriedIDs fills; the receiving party is the row's own. It dedups
+// within the range only: ranges merge in row order with MergeSyncEvents,
+// which re-applies the global first-occurrence dedup, so the merge of
+// consecutive ranges equals the scan of their union.
+func ScanSyncing(idOwners map[string][]string, carried [][]string, ix *store.Index, lo, hi int) []SyncEvent {
 	cols := ix.Columns()
 	var out []SyncEvent
 	seen := make(map[[3]string]struct{})
 	for i := lo; i < hi; i++ {
-		f := cols.Flows[i]
-		scanFlowSyncs(idOwners, f.URL.RawQuery, f.RequestBody, cols.Party(i),
-			f.Channel, cols.RunName(i), seen, &out)
+		p := cols.PayloadID[i]
+		if p < 0 || len(carried[p]) == 0 {
+			continue
+		}
+		target := cols.Party(i)
+		for _, token := range carried[p] {
+			for _, owner := range idOwners[token] {
+				if owner == target {
+					continue
+				}
+				key := [3]string{owner, target, token}
+				if _, dup := seen[key]; dup {
+					continue
+				}
+				seen[key] = struct{}{}
+				out = append(out, SyncEvent{
+					FromParty: owner,
+					ToParty:   target,
+					Value:     token,
+					Channel:   cols.Channels.String(cols.ChannelID[i]),
+					Run:       cols.RunName(i),
+				})
+			}
+		}
 	}
 	return out
 }

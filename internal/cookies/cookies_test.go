@@ -189,25 +189,50 @@ func TestPartyChannelCounts(t *testing.T) {
 }
 
 // detectSyncing is the serial reference of the syncing scan: it walks the
-// runs' flows and computes each target party's eTLD+1 directly.
+// runs' flows, tokenizes each flow's query and body, and computes each
+// target party's eTLD+1 directly.
 func detectSyncing(runs []*store.RunData, events []SetEvent, windowStart, windowEnd time.Time) []SyncEvent {
 	idOwners := MintedIDs(events, windowStart, windowEnd)
 	var out []SyncEvent
 	seen := make(map[[3]string]struct{})
 	for _, run := range runs {
 		for _, f := range run.Flows {
-			scanFlowSyncs(idOwners, f.URL.RawQuery, f.RequestBody,
-				etld.MustRegistrableDomain(f.Host()), f.Channel, run.Name, seen, &out)
+			haystack := f.URL.RawQuery
+			if len(f.RequestBody) > 0 {
+				haystack += "&" + string(f.RequestBody)
+			}
+			target := etld.MustRegistrableDomain(f.Host())
+			forEachToken(haystack, func(token string) {
+				for _, owner := range idOwners[token] {
+					key := [3]string{owner, target, token}
+					if _, dup := seen[key]; dup || owner == target {
+						continue
+					}
+					seen[key] = struct{}{}
+					out = append(out, SyncEvent{
+						FromParty: owner, ToParty: target, Value: token,
+						Channel: f.Channel, Run: run.Name,
+					})
+				}
+			})
 		}
 	}
 	return out
+}
+
+// carriedIDs fills the per-payload table of ix in one pass.
+func carriedIDs(ids map[string][]string, ix *store.Index) [][]string {
+	carried := make([][]string, len(ix.Columns().Payloads))
+	CarriedIDs(ids, ix, carried, 0, len(carried))
+	return carried
 }
 
 // scanAllSyncs runs the engine's syncing scan over every row of run.
 func scanAllSyncs(t *testing.T, run *store.RunData) []SyncEvent {
 	t.Helper()
 	ix := buildIndex(t, run)
-	return ScanSyncing(MintedIDs(ix.SetEvents, winStart, winEnd), ix, 0, ix.FlowCount())
+	ids := MintedIDs(ix.SetEvents, winStart, winEnd)
+	return ScanSyncing(ids, carriedIDs(ids, ix), ix, 0, ix.FlowCount())
 }
 
 func TestDetectSyncing(t *testing.T) {
@@ -280,19 +305,56 @@ func TestScanSyncingSplitInvariance(t *testing.T) {
 	)
 	ix := buildIndex(t, run)
 	ids := MintedIDs(ix.SetEvents, winStart, winEnd)
+	carried := carriedIDs(ids, ix)
 	n := ix.FlowCount()
-	whole := ScanSyncing(ids, ix, 0, n)
+	whole := ScanSyncing(ids, carried, ix, 0, n)
 	if len(whole) != 2 || whole[0].Channel != "Das Erste" {
 		t.Fatalf("whole-range syncs = %+v", whole)
 	}
+	for k := 0; k <= len(carried); k++ {
+		got := make([][]string, len(carried))
+		CarriedIDs(ids, ix, got, 0, k)
+		CarriedIDs(ids, ix, got, k, len(carried))
+		if !reflect.DeepEqual(got, carried) {
+			t.Errorf("payload table split at %d: %q, want %q", k, got, carried)
+		}
+	}
 	for k := 0; k <= n; k++ {
-		got := MergeSyncEvents([][]SyncEvent{ScanSyncing(ids, ix, 0, k), ScanSyncing(ids, ix, k, n)})
+		got := MergeSyncEvents([][]SyncEvent{ScanSyncing(ids, carried, ix, 0, k), ScanSyncing(ids, carried, ix, k, n)})
 		if !reflect.DeepEqual(got, whole) {
 			t.Errorf("split at %d: %+v, want %+v", k, got, whole)
 		}
 	}
 	if ref := detectSyncing(ix.Dataset.Runs, ix.SetEvents, winStart, winEnd); !reflect.DeepEqual(ref, whole) {
 		t.Errorf("scanned syncs = %+v, reference = %+v", whole, ref)
+	}
+}
+
+// TestSyncingTargetIsPerRow pins the key of the per-payload table: a
+// payload's minted identifiers are memoized, its receiver is not. One
+// payload carrying xiti's identifier goes first to xiti itself and then to
+// another party; only the second send is syncing.
+func TestSyncingTargetIsPerRow(t *testing.T) {
+	run := testRun()
+	self, _ := url.Parse("http://xiti.com/hit?uid=bbbbbbbbbb22")
+	other, _ := url.Parse("http://partner.de/hit?uid=bbbbbbbbbb22")
+	for _, u := range []*url.URL{self, other} {
+		run.Flows = append(run.Flows, &proxy.Flow{
+			Time: winStart, Method: http.MethodGet, URL: u, StatusCode: 200,
+			Channel: "Das Erste", RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
+		})
+	}
+	syncs := scanAllSyncs(t, run)
+	want := []SyncEvent{{
+		FromParty: "xiti.com", ToParty: "partner.de", Value: "bbbbbbbbbb22",
+		Channel: "Das Erste", Run: run.Name,
+	}}
+	if !reflect.DeepEqual(syncs, want) {
+		t.Errorf("syncs = %+v, want %+v", syncs, want)
+	}
+	ix := buildIndex(t, run)
+	if ref := detectSyncing(ix.Dataset.Runs, ix.SetEvents, winStart, winEnd); !reflect.DeepEqual(ref, want) {
+		t.Errorf("reference syncs = %+v, want %+v", ref, want)
 	}
 }
 

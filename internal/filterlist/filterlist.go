@@ -271,40 +271,39 @@ func wildcardMatch(pattern, s string) bool {
 	return wcMatch(pattern, s)
 }
 
+// wcMatch is the two-pointer wildcard match: every byte of p other than
+// '*' consumes one byte of s ('^' a separator), and on a mismatch the scan
+// resumes one byte further past the last '*'. That is O(len(p)·len(s));
+// backtracking into every earlier '*' is exponential in their number, and
+// list text is data. Once s is consumed, the rest of p must be '*' or '^'
+// ('^' matches the end of input).
 func wcMatch(p, s string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '*':
-			// Collapse consecutive stars.
-			for len(p) > 0 && p[0] == '*' {
-				p = p[1:]
+	pi, si := 0, 0
+	star, mark := -1, 0
+	for si < len(s) {
+		if pi < len(p) {
+			switch c := p[pi]; {
+			case c == '*':
+				star, mark = pi, si
+				pi++
+				continue
+			case c == '^' && isSeparator(s[si]), c != '^' && c == s[si]:
+				pi++
+				si++
+				continue
 			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if wcMatch(p, s[i:]) {
-					return true
-				}
-			}
-			return false
-		case '^':
-			if len(s) == 0 {
-				p = p[1:]
-				continue // '^' matches end of input
-			}
-			if !isSeparator(s[0]) {
-				return false
-			}
-			p, s = p[1:], s[1:]
-		default:
-			if len(s) == 0 || p[0] != s[0] {
-				return false
-			}
-			p, s = p[1:], s[1:]
 		}
+		if star < 0 {
+			return false
+		}
+		pi = star + 1
+		mark++
+		si = mark
 	}
-	return len(s) == 0
+	for pi < len(p) && (p[pi] == '*' || p[pi] == '^') {
+		pi++
+	}
+	return pi == len(p)
 }
 
 func isSeparator(c byte) bool {

@@ -98,19 +98,19 @@ type WindowViolation struct {
 // the declared window: the index rows whose kind meets the paper's
 // tracking definition, reported in row order.
 func CheckAdWindow(cols *store.Columns, channels []string, w AdWindow) []WindowViolation {
-	covered := make(map[string]struct{}, len(channels))
+	covered := make([]bool, cols.Channels.Len())
 	for _, c := range channels {
-		covered[c] = struct{}{}
+		if id, ok := cols.Channels.Lookup(c); ok {
+			covered[id] = true
+		}
 	}
 	var out []WindowViolation
-	for i, f := range cols.Flows {
-		if f.Channel == "" {
+	for i, ch := range cols.ChannelID {
+		if ch < 0 || !covered[ch] || !cols.Kind[i].Tracking() {
 			continue
 		}
-		if _, ok := covered[f.Channel]; !ok {
-			continue
-		}
-		if w.Contains(f.Time) || !cols.Kind[i].Tracking() {
+		f := cols.Flows[i]
+		if w.Contains(f.Time) {
 			continue
 		}
 		out = append(out, WindowViolation{

@@ -79,9 +79,9 @@ func stripTags(markup string) string {
 		}
 		switch name {
 		case "script", "style":
-			closeTag := "</" + name
-			rest := strings.ToLower(s[gt:])
-			end := strings.Index(rest, closeTag)
+			// Offsets must index s itself: Unicode lower-casing can
+			// change byte lengths, so fold ASCII letters only.
+			end := indexASCIIFold(s[gt:], "</"+name)
 			if end < 0 {
 				s = ""
 				continue
@@ -100,4 +100,27 @@ func stripTags(markup string) string {
 		s = s[gt+1:]
 	}
 	return html.UnescapeString(b.String())
+}
+
+// indexASCIIFold is strings.Index with ASCII letters matched in either
+// case; needle must be lower case. Every other byte matches exactly, so
+// the returned offset is one into s.
+func indexASCIIFold(s, needle string) int {
+	for i := 0; i+len(needle) <= len(s); i++ {
+		j := 0
+		for j < len(needle) && lowerASCII(s[i+j]) == needle[j] {
+			j++
+		}
+		if j == len(needle) {
+			return i
+		}
+	}
+	return -1
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }

@@ -50,31 +50,12 @@ type Corpus struct {
 // manual-correction stand-in.
 var policyURLHints = []string{"datenschutz", "privacy", "dsgvo", "gdpr"}
 
-// Partial is one row range's share of the collection pipeline: classified
-// policy occurrences, the chunk's deduplicated docs in first-occurrence
-// order, and the occurrence counters.
-type Partial struct {
-	Occurrences int
-	PerRun      map[store.RunName]int
-	Corrected   int
-	// Docs holds the chunk-locally deduplicated policies, in order of
-	// their first occurrence within the chunk; each doc's Runs/Channels
-	// lists are likewise in chunk-local flow order.
-	Docs   []*Doc
-	byHash map[string]*Doc
-}
-
-// ScanFlows runs the collection pipeline over flows [lo, hi) (dataset row
-// order; runName resolves a row's run): find HTML responses, extract
-// text, classify, deduplicate, detect language, annotate. Chunk-local
-// dedup keeps the first occurrence of each distinct policy text;
-// MergePartials over in-order chunks reconciles duplicates across chunks
-// exactly as a serial scan would.
-func ScanFlows(flows []*proxy.Flow, runName func(int) store.RunName, lo, hi int) *Partial {
-	p := &Partial{
-		PerRun: make(map[store.RunName]int),
-		byHash: make(map[string]*Doc),
-	}
+// ScanFlows returns the rows in [lo, hi) (dataset row order) whose
+// responses the collection pipeline reads: status-200 HTML responses with
+// a body. Scans of consecutive ranges, concatenated in range order, equal
+// the scan of their union.
+func ScanFlows(flows []*proxy.Flow, lo, hi int) []int32 {
+	var rows []int32
 	for i := lo; i < hi; i++ {
 		f := flows[i]
 		if f.StatusCode != 200 || len(f.ResponseBody) == 0 {
@@ -83,82 +64,115 @@ func ScanFlows(flows []*proxy.Flow, runName func(int) store.RunName, lo, hi int)
 		if !strings.HasPrefix(f.ContentType(), "text/html") {
 			continue
 		}
-		text := ExtractText(string(f.ResponseBody))
-		isPolicy := IsPolicy(text)
-		if !isPolicy {
-			// Manual-evaluation stand-in: URL hints plus minimal legal
-			// vocabulary rescue texts that mix disclosures with
-			// unrelated content (discounts, usage instructions).
-			if urlLooksLikePolicy(f.URL.Path) && strings.Contains(strings.ToLower(text), "datenschutz") {
-				isPolicy = true
-				p.Corrected++
-			}
-		}
-		if !isPolicy {
-			continue
-		}
-		run := runName(i)
-		p.Occurrences++
-		p.PerRun[run]++
-		hash := SHA1Hex(text)
-		doc := p.byHash[hash]
-		if doc == nil {
-			doc = &Doc{
-				URL:      f.URL.String(),
-				Host:     f.Host(),
-				HTML:     string(f.ResponseBody),
-				Text:     text,
-				Language: DetectLanguage(text),
-				SHA1:     hash,
-				SimHash:  SimHash(text),
-			}
-			doc.Practices = AnnotatePractices(text)
-			doc.Articles = DetectGDPRArticles(text)
-			p.byHash[hash] = doc
-			p.Docs = append(p.Docs, doc)
-		}
-		addUnique(&doc.Runs, run)
-		if f.Channel != "" {
-			addUniqueStr(&doc.Channels, f.Channel)
-		}
+		rows = append(rows, int32(i))
 	}
-	return p
+	return rows
 }
 
-// MergePartials folds per-chunk scans — taken in row order — into the
-// corpus. A doc seen in several chunks keeps the identity fields
-// (URL/Host/HTML and the text-derived annotations, which are pure
-// functions of the text) of its first chunk and absorbs later chunks'
-// Runs/Channels in order, so the merged corpus is exactly what a serial
-// scan of the concatenated ranges produces.
-func MergePartials(parts []*Partial) *Corpus {
+// Bodies is the collection pipeline's work per distinct response body:
+// text extraction, classification, and — for a body that is a policy on
+// some row — hashing, language detection and annotation each run once per
+// body, however many rows serve it. Only what depends on the row stays per
+// row (see Collect). Fill it with Classify over every body ID, then fold
+// the rows with Collect.
+type Bodies struct {
+	rows   []int32  // the HTML rows, in row order
+	bodyOf []int32  // body ID of each entry of rows
+	bodies []string // distinct bodies, in first-occurrence order
+	info   []bodyInfo
+}
+
+// bodyInfo is Classify's result for one body.
+type bodyInfo struct {
+	policy      bool // the classifier accepts the text
+	datenschutz bool // the text names "datenschutz", in any case
+	// doc holds the body's HTML and the text-derived Doc fields; it is
+	// set when either flag is, that is when some row can count the body
+	// as a policy.
+	doc Doc
+}
+
+// NewBodies interns the response bodies of rows (ScanFlows output, in row
+// order) into a table of distinct bodies.
+func NewBodies(flows []*proxy.Flow, rows []int32) *Bodies {
+	ids := store.NewStrings(0)
+	b := &Bodies{rows: rows, bodyOf: make([]int32, len(rows))}
+	for j, row := range rows {
+		b.bodyOf[j] = ids.InternBytes(flows[row].ResponseBody)
+	}
+	b.bodies = ids.All()
+	b.info = make([]bodyInfo, len(b.bodies))
+	return b
+}
+
+// Len returns the number of distinct bodies, the ID range of Classify.
+func (b *Bodies) Len() int { return len(b.bodies) }
+
+// Classify extracts and classifies bodies [lo, hi); each ID writes its
+// own slot.
+func (b *Bodies) Classify(lo, hi int) {
+	for id := lo; id < hi; id++ {
+		body := b.bodies[id]
+		text := ExtractText(body)
+		in := bodyInfo{
+			policy:      IsPolicy(text),
+			datenschutz: strings.Contains(strings.ToLower(text), "datenschutz"),
+		}
+		if in.policy || in.datenschutz {
+			in.doc = Doc{
+				HTML:      body,
+				Text:      text,
+				Language:  DetectLanguage(text),
+				SHA1:      SHA1Hex(text),
+				SimHash:   SimHash(text),
+				Practices: AnnotatePractices(text),
+				Articles:  DetectGDPRArticles(text),
+			}
+		}
+		b.info[id] = in
+	}
+}
+
+// Collect folds the rows, in row order (runName resolves a row's run),
+// into the corpus: classify, deduplicate by text hash, and book runs and
+// channels. A text the classifier rejects still counts on a row whose URL
+// path hints at a policy, if the text names "datenschutz"; such rows count
+// as corrected false negatives. A doc takes its URL and host from the
+// first row that counts it.
+func (b *Bodies) Collect(flows []*proxy.Flow, runName func(int) store.RunName) *Corpus {
 	c := &Corpus{
 		PerRun:     make(map[store.RunName]int),
 		ByLanguage: make(map[Language]int),
 	}
 	byHash := make(map[string]*Doc)
-	for _, p := range parts {
-		c.Occurrences += p.Occurrences
-		c.CorrectedFalseNegatives += p.Corrected
-		for run, n := range p.PerRun {
-			c.PerRun[run] += n
-		}
-		for _, doc := range p.Docs {
-			first := byHash[doc.SHA1]
-			if first == nil {
-				byHash[doc.SHA1] = doc
+	for j, row := range b.rows {
+		f := flows[row]
+		in := &b.info[b.bodyOf[j]]
+		if !in.policy {
+			// Manual-evaluation stand-in: URL hints plus minimal legal
+			// vocabulary rescue texts that mix disclosures with
+			// unrelated content (discounts, usage instructions).
+			if !in.datenschutz || !urlLooksLikePolicy(f.URL.Path) {
 				continue
 			}
-			for _, r := range doc.Runs {
-				addUnique(&first.Runs, r)
-			}
-			for _, ch := range doc.Channels {
-				addUniqueStr(&first.Channels, ch)
-			}
+			c.CorrectedFalseNegatives++
 		}
-	}
-	for _, doc := range byHash {
-		c.Unique = append(c.Unique, doc)
+		run := runName(int(row))
+		c.Occurrences++
+		c.PerRun[run]++
+		doc := byHash[in.doc.SHA1]
+		if doc == nil {
+			d := in.doc
+			d.URL = f.URL.String()
+			d.Host = f.Host()
+			doc = &d
+			byHash[d.SHA1] = doc
+			c.Unique = append(c.Unique, doc)
+		}
+		addUnique(&doc.Runs, run)
+		if f.Channel != "" {
+			addUniqueStr(&doc.Channels, f.Channel)
+		}
 	}
 	sort.Slice(c.Unique, func(a, b int) bool { return c.Unique[a].SHA1 < c.Unique[b].SHA1 })
 	for _, doc := range c.Unique {

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/url"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -55,9 +56,8 @@ func pipelineDataset() *store.Dataset {
 	}}
 }
 
-// collect runs the collection pipeline over every flow of ds as one
-// chunk, walking the runs directly instead of an index's rows.
-func collect(ds *store.Dataset) *Corpus {
+// flatten lists the flows of ds in row order with each row's run.
+func flatten(ds *store.Dataset) ([]*proxy.Flow, []store.RunName) {
 	var flows []*proxy.Flow
 	var runs []store.RunName
 	for _, run := range ds.Runs {
@@ -66,8 +66,65 @@ func collect(ds *store.Dataset) *Corpus {
 			runs = append(runs, run.Name)
 		}
 	}
-	part := ScanFlows(flows, func(i int) store.RunName { return runs[i] }, 0, len(flows))
-	return MergePartials([]*Partial{part})
+	return flows, runs
+}
+
+// collect runs the collection pipeline over every flow of ds, each pass
+// as one chunk, walking the runs directly instead of an index's rows.
+func collect(ds *store.Dataset) *Corpus {
+	flows, runs := flatten(ds)
+	b := NewBodies(flows, ScanFlows(flows, 0, len(flows)))
+	b.Classify(0, b.Len())
+	return b.Collect(flows, func(i int) store.RunName { return runs[i] })
+}
+
+// collectReference is the serial reference of the pipeline: it extracts,
+// classifies and annotates every HTML response of ds itself, flow by
+// flow, with no table of distinct bodies.
+func collectReference(ds *store.Dataset) *Corpus {
+	c := &Corpus{PerRun: make(map[store.RunName]int), ByLanguage: make(map[Language]int)}
+	byHash := make(map[string]*Doc)
+	flows, runs := flatten(ds)
+	for i, f := range flows {
+		if f.StatusCode != 200 || len(f.ResponseBody) == 0 || !strings.HasPrefix(f.ContentType(), "text/html") {
+			continue
+		}
+		text := ExtractText(string(f.ResponseBody))
+		if !IsPolicy(text) {
+			if !urlLooksLikePolicy(f.URL.Path) || !strings.Contains(strings.ToLower(text), "datenschutz") {
+				continue
+			}
+			c.CorrectedFalseNegatives++
+		}
+		c.Occurrences++
+		c.PerRun[runs[i]]++
+		doc := byHash[SHA1Hex(text)]
+		if doc == nil {
+			doc = &Doc{
+				URL: f.URL.String(), Host: f.Host(), HTML: string(f.ResponseBody), Text: text,
+				Language: DetectLanguage(text), SHA1: SHA1Hex(text), SimHash: SimHash(text),
+				Practices: AnnotatePractices(text), Articles: DetectGDPRArticles(text),
+			}
+			byHash[doc.SHA1] = doc
+			c.Unique = append(c.Unique, doc)
+		}
+		addUnique(&doc.Runs, runs[i])
+		if f.Channel != "" {
+			addUniqueStr(&doc.Channels, f.Channel)
+		}
+	}
+	sort.Slice(c.Unique, func(a, b int) bool { return c.Unique[a].SHA1 < c.Unique[b].SHA1 })
+	hashes := make([]uint64, len(c.Unique))
+	for i, d := range c.Unique {
+		c.ByLanguage[d.Language]++
+		hashes[i] = d.SimHash
+	}
+	for _, g := range GroupNearDuplicates(hashes) {
+		if len(g) >= 2 {
+			c.NearDuplicateGroups = append(c.NearDuplicateGroups, g)
+		}
+	}
+	return c
 }
 
 func TestCollectPipeline(t *testing.T) {
@@ -165,31 +222,73 @@ func TestCorpusHelpers(t *testing.T) {
 	}
 }
 
-// TestScanFlowsSplitInvariance: the policies section scans columnar row
-// chunks and merges them in row order. For every split point the merged
-// corpus must equal the whole-range scan and the one-chunk scan of the
-// dataset's runs, including the cross-chunk dedup of the repeated policy.
-func TestScanFlowsSplitInvariance(t *testing.T) {
-	ds := pipelineDataset()
+// splitCollect runs the pipeline over the index's rows with each pass cut
+// in two: the HTML scan at row k and the body table at k clamped to its
+// size.
+func splitCollect(cols *store.Columns, k int) *Corpus {
+	n := cols.Rows()
+	m := min(k, n)
+	b := NewBodies(cols.Flows, append(ScanFlows(cols.Flows, 0, m), ScanFlows(cols.Flows, m, n)...))
+	m = min(k, b.Len())
+	b.Classify(0, m)
+	b.Classify(m, b.Len())
+	return b.Collect(cols.Flows, cols.RunName)
+}
+
+// checkSplitCollect checks the pipeline over ds at every split point
+// against the serial reference, and returns the corpus.
+func checkSplitCollect(t *testing.T, ds *store.Dataset) *Corpus {
+	t.Helper()
 	ix, err := store.BuildIndex(context.Background(), ds, store.IndexConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cols := ix.Columns()
-	n := cols.Rows()
-	scan := func(lo, hi int) *Partial { return ScanFlows(cols.Flows, cols.RunName, lo, hi) }
-	whole := MergePartials([]*Partial{scan(0, n)})
-	if whole.Occurrences != 5 {
-		t.Fatalf("whole-range occurrences = %d, want 5", whole.Occurrences)
-	}
-	for k := 0; k <= n; k++ {
-		got := MergePartials([]*Partial{scan(0, k), scan(k, n)})
-		if !reflect.DeepEqual(got, whole) {
-			t.Errorf("split at %d: corpus differs from the whole-range scan", k)
+	ref := collectReference(ds)
+	for k := 0; k <= cols.Rows(); k++ {
+		if got := splitCollect(cols, k); !reflect.DeepEqual(got, ref) {
+			t.Errorf("split at %d: corpus differs from the serial reference", k)
 		}
 	}
-	if ref := collect(ds); !reflect.DeepEqual(ref, whole) {
-		t.Error("scanned corpus differs from the scan of the dataset's runs")
+	return ref
+}
+
+// TestScanFlowsSplitInvariance: the policies section scans columnar row
+// chunks for HTML responses and classifies the distinct bodies in chunks.
+// For every split point the corpus must equal the serial reference,
+// including the dedup of the repeated policy across the split.
+func TestScanFlowsSplitInvariance(t *testing.T) {
+	ds := pipelineDataset()
+	if c := checkSplitCollect(t, ds); c.Occurrences != 5 {
+		t.Fatalf("occurrences = %d, want 5", c.Occurrences)
+	}
+	if !reflect.DeepEqual(collect(ds), collectReference(ds)) {
+		t.Error("corpus of the dataset's runs differs from the serial reference")
+	}
+}
+
+// TestRescueIsPerRow pins what the body table must not memoize: one
+// non-policy body is served first under a plain path and then under a
+// /datenschutz path. Only the second row is rescued and counted as a
+// corrected false negative, and the doc takes its URL and host from that
+// row, wherever the split falls between the two.
+func TestRescueIsPerRow(t *testing.T) {
+	mixed := wrap(`<p>` + miscText + ` Hinweis zum Datenschutz: wir speichern Bestelldaten.</p>`)
+	t0 := time.Date(2023, 9, 14, 10, 0, 0, 0, time.UTC)
+	ds := &store.Dataset{Runs: []*store.RunData{{
+		Name: store.RunRed,
+		Flows: []*proxy.Flow{
+			htmlFlow("http://shop.de/angebot.html", "S", mixed, t0),
+			htmlFlow("http://www.shop.de/datenschutz.html", "S", mixed, t0),
+		},
+	}}}
+	c := checkSplitCollect(t, ds)
+	if c.CorrectedFalseNegatives != 1 || c.Occurrences != 1 || len(c.Unique) != 1 {
+		t.Fatalf("corrected %d, occurrences %d, unique %d; want 1 each",
+			c.CorrectedFalseNegatives, c.Occurrences, len(c.Unique))
+	}
+	if d := c.Unique[0]; d.URL != "http://www.shop.de/datenschutz.html" || d.Host != "www.shop.de" {
+		t.Errorf("doc URL %q, host %q; want the rescued row's", d.URL, d.Host)
 	}
 }
 

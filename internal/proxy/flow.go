@@ -68,7 +68,12 @@ func (f *Flow) CacheHost(h string) { f.host = h }
 // ContentType returns the response media type without parameters, in
 // lower case: type and subtype are case-insensitive (RFC 9110 §8.3.1).
 func (f *Flow) ContentType() string {
-	ct := f.ResponseHeaders.Get("Content-Type")
+	// Indexing the map with the canonical key is Header.Get without the
+	// key canonicalization.
+	var ct string
+	if v := f.ResponseHeaders["Content-Type"]; len(v) > 0 {
+		ct = v[0]
+	}
 	for i := 0; i < len(ct); i++ {
 		if ct[i] == ';' {
 			ct = ct[:i]

@@ -9,8 +9,10 @@ package store
 // IDs, int64 timestamps, kind bits) per row instead:
 //
 //   - chunk scan (parallel): flows are split into fixed-size row chunks;
-//     each chunk interns its strings into chunk-local tables, parses
-//     cookies, and evaluates the response-dependent classifier bits.
+//     each chunk interns its strings and request payloads into chunk-local
+//     tables, parses cookies, and evaluates the response-dependent
+//     classifier bits. A URL's string is built once per distinct url.URL
+//     value in the chunk, not once per row.
 //   - stitch (serial, deterministic): chunk-local tables merge into global
 //     tables in chunk order — provably the same ID assignment a serial
 //     scan would produce — and per-host eTLD+1s resolve once per host.
@@ -19,10 +21,13 @@ package store
 //     URL, not once per flow.
 //
 // Every phase is a pure function of the dataset, so the columns are
-// byte-identical for any worker count.
+// byte-identical for any worker count. The analysis sections follow the
+// same rule: their per-row loops read tables that hold one entry per
+// distinct URL, payload, channel or response body.
 
 import (
 	"context"
+	"net/url"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -45,6 +50,13 @@ type Columns struct {
 	// MetaChannels is the number of Channels entries seeded from run
 	// metadata; IDs [0, MetaChannels) enumerate Index.Channels in order.
 	MetaChannels int
+	// ChannelMeta maps the seeded channel IDs [0, MetaChannels) to the
+	// channel's metadata in the first run that lists it, as
+	// Dataset.ChannelInfo resolves it by name.
+	ChannelMeta []*ChannelInfo
+	// Payloads holds every distinct request payload — the pair of a URL's
+	// raw query and the request body — in first-occurrence order.
+	Payloads []Payload
 
 	// RunNames maps RunID values back to run names.
 	RunNames []RunName
@@ -64,8 +76,11 @@ type Columns struct {
 	// CookieOff has len Rows()+1; the attributed cookie events of row i
 	// are Index.SetEvents[CookieOff[i]:CookieOff[i+1]].
 	CookieOff []int32
-	// Flows maps rows back to the original flow records (the row view the
-	// payload-scanning sections use).
+	// PayloadID maps a row to its entry in Payloads; -1 for rows whose
+	// request carries neither a query nor a body.
+	PayloadID []int32
+	// Flows maps rows back to the original flow records, for what no
+	// column holds (response bodies and headers, the flow's time.Time).
 	Flows []*proxy.Flow
 
 	// PartyOfHost maps HostID -> PartyID (eTLD+1 computed once per host).
@@ -90,6 +105,22 @@ func (c *Columns) Host(row int) string { return c.Hosts.String(c.HostID[row]) }
 
 // URL resolves a row's URL string.
 func (c *Columns) URL(row int) string { return c.URLs.String(c.URLID[row]) }
+
+// ChannelInfo resolves a channel ID to its run metadata; nil for -1 and
+// for channels that only flows name.
+func (c *Columns) ChannelInfo(id int32) *ChannelInfo {
+	if id < 0 || int(id) >= len(c.ChannelMeta) {
+		return nil
+	}
+	return c.ChannelMeta[id]
+}
+
+// Payload is one distinct request payload: the two places a request
+// carries data to its receiver.
+type Payload struct {
+	Query string // URL.RawQuery
+	Body  string // RequestBody
+}
 
 // BuildStats describes how the columnar build ran — chunk scheduling and
 // dedup factors — for telemetry. It carries no analysis data and is
@@ -176,8 +207,68 @@ type cookieCell struct {
 // chunk's share of the row columns (written directly into the global
 // arrays, since chunks own disjoint row ranges).
 type chunkLocal struct {
-	urls, hosts, chans *Strings
-	cells              []cookieCell
+	urls, hosts, chans, bodies *Strings
+	payloads                   payloadTable
+	cells                      []cookieCell
+}
+
+// payloadKey identifies a payload inside one intern table: the query
+// string and the body's ID in the matching bodies table (-1 for none).
+type payloadKey struct {
+	query string
+	body  int32
+}
+
+// payloadTable interns payload keys with dense IDs in first-insertion
+// order, as Strings does for strings.
+type payloadTable struct {
+	ids  map[payloadKey]int32
+	keys []payloadKey
+}
+
+func (t *payloadTable) intern(k payloadKey) int32 {
+	if id, ok := t.ids[k]; ok {
+		return id
+	}
+	if t.ids == nil {
+		t.ids = make(map[payloadKey]int32)
+	}
+	id := int32(len(t.keys))
+	t.ids[k] = id
+	t.keys = append(t.keys, k)
+	return id
+}
+
+// urlEntry is the chunk scan's memo of one distinct url.URL value: its
+// chunk-local URL string and host IDs, and the local payload ID of its
+// query sent without a body (-1 until a row needs it).
+type urlEntry struct {
+	id, host, payload int32
+}
+
+// urlMemo is one chunk scan's lookup from url.URL values to urlEntry
+// indexes.
+type urlMemo struct {
+	index   map[url.URL]int32
+	entries []urlEntry
+}
+
+// entry returns the memo entry of f's URL value, interning the URL's
+// string and f's host on the first sight of the value. Values that differ
+// in a field but print the same string share the string's ID. The host is
+// a function of the URL (proxy.Flow.Host), so it is memoized with it.
+func (m *urlMemo) entry(f *proxy.Flow, local *chunkLocal) *urlEntry {
+	k, ok := m.index[*f.URL]
+	if !ok {
+		k = int32(len(m.entries))
+		m.entries = append(m.entries, urlEntry{
+			id:      local.urls.Intern(f.URL.String()),
+			host:    local.hosts.Intern(f.Host()),
+			payload: -1,
+		})
+		m.index[*f.URL] = k
+	}
+	return &m.entries[k]
 }
 
 // buildColumns runs the three-phase columnar build described in the file
@@ -197,6 +288,7 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 		TimeNS:     make([]int64, rows),
 		HTTPS:      make([]bool, rows),
 		HasCookies: make([]bool, rows),
+		PayloadID:  make([]int32, rows),
 		Flows:      flows,
 	}
 	for i, r := range ds.Runs {
@@ -204,11 +296,14 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 	}
 
 	// The channel table is seeded from the runs' channel metadata in
-	// dataset order, so table IDs [0, nMeta) enumerate Index.Channels.
+	// dataset order, so table IDs [0, nMeta) enumerate Index.Channels and
+	// a channel's first entry is the one Dataset.ChannelInfo returns.
 	c.Channels = NewStrings(64)
 	for _, r := range ds.Runs {
 		for i := range r.Channels {
-			c.Channels.Intern(r.Channels[i].Name)
+			if int(c.Channels.Intern(r.Channels[i].Name)) == len(c.ChannelMeta) {
+				c.ChannelMeta = append(c.ChannelMeta, &r.Channels[i])
+			}
 		}
 	}
 	c.MetaChannels = c.Channels.Len()
@@ -230,15 +325,28 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 			hi = rows
 		}
 		local := chunkLocal{
-			urls:  NewStrings(hi - lo),
-			hosts: NewStrings(32),
-			chans: NewStrings(16),
+			urls:   NewStrings(32),
+			hosts:  NewStrings(32),
+			chans:  NewStrings(16),
+			bodies: NewStrings(0),
 		}
+		memo := urlMemo{index: make(map[url.URL]int32, 64)}
 		for i := lo; i < hi; i++ {
 			f := flows[i]
-			url := f.URL.String()
-			c.URLID[i] = local.urls.Intern(url)
-			c.HostID[i] = local.hosts.Intern(f.Host())
+			e := memo.entry(f, &local)
+			c.URLID[i] = e.id
+			c.HostID[i] = e.host
+			switch {
+			case len(f.RequestBody) > 0:
+				c.PayloadID[i] = local.payloads.intern(payloadKey{f.URL.RawQuery, local.bodies.InternBytes(f.RequestBody)})
+			case f.URL.RawQuery == "":
+				c.PayloadID[i] = -1
+			default:
+				if e.payload < 0 {
+					e.payload = local.payloads.intern(payloadKey{f.URL.RawQuery, -1})
+				}
+				c.PayloadID[i] = e.payload
+			}
 			if f.Channel != "" {
 				c.ChannelID[i] = local.chans.Intern(f.Channel)
 			} else {
@@ -273,15 +381,18 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 	urlTables := make([]*Strings, nChunks)
 	hostTables := make([]*Strings, nChunks)
 	chanTables := make([]*Strings, nChunks)
+	bodyTables := make([]*Strings, nChunks)
 	for i := range locals {
 		urlTables[i] = locals[i].urls
 		hostTables[i] = locals[i].hosts
 		chanTables[i] = locals[i].chans
+		bodyTables[i] = locals[i].bodies
 	}
 	var urlRemap, hostRemap, chanRemap [][]int32
 	c.URLs, urlRemap = MergeStrings(urlTables)
 	c.Hosts, hostRemap = MergeStrings(hostTables)
 	chanRemap = c.Channels.Absorb(chanTables)
+	payloadRemap := c.mergePayloads(locals, bodyTables)
 
 	// eTLD+1 once per distinct host, interning the party table in host-ID
 	// order (deterministic).
@@ -322,13 +433,16 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 		if hi > rows {
 			hi = rows
 		}
-		ur, hr, cr := urlRemap[chunk], hostRemap[chunk], chanRemap[chunk]
+		ur, hr, cr, pr := urlRemap[chunk], hostRemap[chunk], chanRemap[chunk], payloadRemap[chunk]
 		for i := lo; i < hi; i++ {
 			c.URLID[i] = ur[c.URLID[i]]
 			c.HostID[i] = hr[c.HostID[i]]
 			c.PartyID[i] = c.PartyOfHost[c.HostID[i]]
 			if c.ChannelID[i] >= 0 {
 				c.ChannelID[i] = cr[c.ChannelID[i]]
+			}
+			if c.PayloadID[i] >= 0 {
+				c.PayloadID[i] = pr[c.PayloadID[i]]
 			}
 			if c.URLKind != nil {
 				c.Kind[i] |= c.URLKind[c.URLID[i]]
@@ -362,4 +476,30 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 	stats.UniqueParties = c.Parties.Len()
 	stats.UniqueChannels = c.Channels.Len()
 	return c, cells, stats, nil
+}
+
+// mergePayloads stitches the chunk-local payload tables into c.Payloads in
+// chunk order, as MergeStrings does for strings: the request bodies merge
+// first, and each local key is re-keyed by its global body ID. It returns
+// the per-chunk local-ID -> global-ID remaps.
+func (c *Columns) mergePayloads(locals []chunkLocal, bodyTables []*Strings) [][]int32 {
+	bodies, bodyRemap := MergeStrings(bodyTables)
+	var global payloadTable
+	remaps := make([][]int32, len(locals))
+	for ci := range locals {
+		keys := locals[ci].payloads.keys
+		remap := make([]int32, len(keys))
+		for j, k := range keys {
+			if k.body >= 0 {
+				k.body = bodyRemap[ci][k.body]
+			}
+			remap[j] = global.intern(k)
+		}
+		remaps[ci] = remap
+	}
+	c.Payloads = make([]Payload, len(global.keys))
+	for id, k := range global.keys {
+		c.Payloads[id] = Payload{Query: k.query, Body: bodies.String(k.body)}
+	}
+	return remaps
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"net/http"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -178,6 +179,86 @@ func TestFlowKindTracking(t *testing.T) {
 	for _, k := range []FlowKind{0, FlowOnPerflyst, FlowOnKamran} {
 		if k.Tracking() {
 			t.Errorf("kind %b should not be tracking (comparison lists are baselines)", k)
+		}
+	}
+}
+
+// TestIndexMemoKeys pins the keys of the chunk scan's memos. URL values
+// that differ in a field but print the same string share one URL ID, as
+// when every row's string was interned; values that print differently do
+// not. A query sent with and without a request body is two payloads, and a
+// payload that recurs in a later chunk keeps its ID. Each block of rows is
+// repeated past the index chunk, so the stitch sees every key twice.
+func TestIndexMemoKeys(t *testing.T) {
+	plain, _ := url.Parse("http://a.de/x")
+	rawPath := *plain
+	rawPath.RawPath = "/x" // EscapedPath returns it: same string
+	omitHost := *plain
+	omitHost.OmitHost = true // ignored when the host is set: same string
+	query, _ := url.Parse("http://a.de/x?v=1")
+	secure, _ := url.Parse("https://a.de/x")
+	withBody := func(u *url.URL, body string) *proxy.Flow {
+		f := mkFlow("http://unused.example/", "KiKA", false)
+		f.URL, f.RequestBody = u, []byte(body)
+		return f
+	}
+	block := []*proxy.Flow{
+		withBody(plain, ""), withBody(&rawPath, ""), withBody(&omitHost, ""),
+		withBody(query, ""), withBody(secure, ""),
+		withBody(query, "b=2"), withBody(plain, "b=2"),
+	}
+	var flows []*proxy.Flow
+	for len(flows) < indexChunk {
+		flows = append(flows, block...)
+	}
+	flows = append(flows, block...)
+	ds := &Dataset{Runs: []*RunData{{Name: RunGeneral, Flows: flows}}}
+	for _, par := range []int{1, 4} {
+		ix, err := BuildIndex(context.Background(), ds, IndexConfig{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := ix.Columns()
+		wantURLs := []string{"http://a.de/x", "http://a.de/x?v=1", "https://a.de/x"}
+		if got := cols.URLs.All(); !reflect.DeepEqual(got, wantURLs) {
+			t.Errorf("j=%d: URL table = %q, want %q", par, got, wantURLs)
+		}
+		wantPayloads := []Payload{{Query: "v=1"}, {Query: "v=1", Body: "b=2"}, {Body: "b=2"}}
+		if !reflect.DeepEqual(cols.Payloads, wantPayloads) {
+			t.Errorf("j=%d: payloads = %+v, want %+v", par, cols.Payloads, wantPayloads)
+		}
+		wantURLID := []int32{0, 0, 0, 1, 2, 1, 0}
+		wantPayloadID := []int32{-1, -1, -1, 0, -1, 1, 2}
+		for i := range flows {
+			j := i % len(block)
+			if cols.URLID[i] != wantURLID[j] || cols.PayloadID[i] != wantPayloadID[j] {
+				t.Fatalf("j=%d: row %d: URL ID %d, payload ID %d; want %d, %d",
+					par, i, cols.URLID[i], cols.PayloadID[i], wantURLID[j], wantPayloadID[j])
+			}
+			if cols.URL(i) != flows[i].URL.String() {
+				t.Fatalf("j=%d: row %d: URL %q, want %q", par, i, cols.URL(i), flows[i].URL.String())
+			}
+		}
+	}
+}
+
+// TestChannelInfoByID: the index resolves each channel's metadata once per
+// channel ID, to the entry Dataset.ChannelInfo returns by name (the first
+// run that lists the channel); channels only flows name resolve to nil.
+func TestChannelInfoByID(t *testing.T) {
+	ds := indexDataset()
+	ds.Runs[0].Flows = append(ds.Runs[0].Flows, mkFlow("http://a.de/ghost", "Ghost", false))
+	ix, err := BuildIndex(context.Background(), ds, IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := ix.Columns()
+	if cols.ChannelInfo(-1) != nil {
+		t.Error("ChannelInfo(-1) is not nil")
+	}
+	for id, name := range cols.Channels.All() {
+		if got, want := cols.ChannelInfo(int32(id)), ds.ChannelInfo(name); got != want {
+			t.Errorf("channel %q: ChannelInfo = %p, Dataset.ChannelInfo = %p", name, got, want)
 		}
 	}
 }

@@ -15,6 +15,8 @@ import (
 // (pixels, fingerprints) but missed by the existing Web lists become
 // Adblock-Plus rules; a first party's own measurement host is blocked at
 // host granularity (blocking the whole first party would break the app).
+// The first party's own eTLD+1 is never blocked, also under a multi-label
+// public suffix such as co.uk.
 
 // DerivedRule is one generated filter rule with its evidence.
 type DerivedRule struct {
@@ -49,11 +51,13 @@ func FirstPartySet(firstParty map[string]string) map[string]struct{} {
 
 // ScanRuleEvidence accumulates derivation evidence for rows [lo, hi) of
 // the index: heuristically detected tracking requests that the Pi-hole
-// base list misses, keyed by blockable scope. Maps from disjoint ranges
-// combine with MergeRuleEvidence, and RulesFromEvidence renders the rules.
+// base list misses, keyed by blockable scope. A scope is a function of the
+// request host, so rows are tallied per host ID and each host's scope is
+// resolved once. Maps from disjoint ranges combine with MergeRuleEvidence,
+// and RulesFromEvidence renders the rules.
 func ScanRuleEvidence(ix *store.Index, firstParties map[string]struct{}, lo, hi int) map[string]RuleEvidence {
 	cols := ix.Columns()
-	byScope := make(map[string]RuleEvidence)
+	byHost := make([]RuleEvidence, cols.Hosts.Len())
 	for i := lo; i < hi; i++ {
 		k := cols.Kind[i]
 		if k&(store.FlowPixel|store.FlowFingerprint) == 0 {
@@ -62,19 +66,30 @@ func ScanRuleEvidence(ix *store.Index, firstParties map[string]struct{}, lo, hi 
 		if k&store.FlowOnPiHole != 0 {
 			continue // already covered by the base list
 		}
-		party := cols.Party(i)
-		scope := party
-		if _, isFP := firstParties[party]; isFP {
-			// Block only the measurement host, never the app platform.
-			scope = hostScope(cols.Host(i))
-			if scope == "" {
-				continue
-			}
-		}
-		ev := byScope[scope]
+		ev := &byHost[cols.HostID[i]]
 		ev.Requests++
 		ev.Kinds |= k & (store.FlowPixel | store.FlowFingerprint)
-		byScope[scope] = ev
+	}
+	byScope := make(map[string]RuleEvidence)
+	for hostID, ev := range byHost {
+		if ev.Requests == 0 {
+			continue
+		}
+		host := cols.Hosts.String(int32(hostID))
+		scope := cols.Parties.String(cols.PartyOfHost[hostID])
+		if _, isFP := firstParties[scope]; isFP {
+			// Block only a measurement subdomain, never the app platform:
+			// a first party's own eTLD+1 (whatever its public suffix) is
+			// not blockable.
+			if host == scope {
+				continue
+			}
+			scope = host
+		}
+		acc := byScope[scope]
+		acc.Requests += ev.Requests
+		acc.Kinds |= ev.Kinds
+		byScope[scope] = acc
 	}
 	return byScope
 }
@@ -113,15 +128,6 @@ func RulesFromEvidence(byScope map[string]RuleEvidence) []DerivedRule {
 		return rules[a].Domain < rules[b].Domain
 	})
 	return rules
-}
-
-// hostScope reduces a first-party tracking host to a blockable subdomain
-// scope ("stats.ard.de"); hosts with no dedicated subdomain return "".
-func hostScope(host string) string {
-	if i := strings.IndexByte(host, '.'); i > 0 && strings.Count(host, ".") >= 2 {
-		return host
-	}
-	return ""
 }
 
 // RulesText renders derived rules as an ABP list body.
@@ -167,12 +173,24 @@ func ExtendedList(rules []DerivedRule) (*filterlist.List, error) {
 	return extended, nil
 }
 
+// MatchExtendedURLs matches the extended list once per distinct URL: for
+// the IDs [lo, hi) of the index's URL table it sets blocked[id] to whether
+// extended flags that URL. Each ID writes its own slot, so any chunking of
+// the table fills blocked the same way.
+func MatchExtendedURLs(ix *store.Index, extended *filterlist.List, blocked []bool, lo, hi int) {
+	urls := ix.Columns().URLs.All()
+	for id := lo; id < hi; id++ {
+		blocked[id] = extended.MatchURL(urls[id])
+	}
+}
+
 // EvaluateExtensionRange measures the Pi-hole base list's coverage of
 // heuristic tracking requests in rows [lo, hi), before and after adding
-// the derived rules in extended. The base-list hits come from the row's
-// FlowOnPiHole bit, so only the derived rules are matched per row. The
-// counters of disjoint ranges sum to the counters of their union.
-func EvaluateExtensionRange(ix *store.Index, extended *filterlist.List, lo, hi int) ExtensionResult {
+// the derived rules. The base-list hits come from the row's FlowOnPiHole
+// bit and the derived-rule hits from blocked, the per-URL table
+// MatchExtendedURLs fills, so a row reads two bits. The counters of
+// disjoint ranges sum to the counters of their union.
+func EvaluateExtensionRange(ix *store.Index, blocked []bool, lo, hi int) ExtensionResult {
 	cols := ix.Columns()
 	var res ExtensionResult
 	for i := lo; i < hi; i++ {
@@ -185,7 +203,7 @@ func EvaluateExtensionRange(ix *store.Index, extended *filterlist.List, lo, hi i
 		if inBase {
 			res.BlockedBefore++
 		}
-		if inBase || extended.MatchURL(cols.URL(i)) {
+		if inBase || blocked[cols.URLID[i]] {
 			res.BlockedAfter++
 		}
 	}

@@ -1,6 +1,7 @@
 package tracking
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -90,13 +91,22 @@ func TestRulesTextParses(t *testing.T) {
 	}
 }
 
-func TestEvaluateExtension(t *testing.T) {
-	ix := buildIndex(t, deriveDataset().Runs...)
-	extended, err := ExtendedList(deriveRules(ix))
+// extendedURLs matches the derived rules of ix against every distinct URL
+// of ix in one pass.
+func extendedURLs(t *testing.T, ix *store.Index, rules []DerivedRule) []bool {
+	t.Helper()
+	extended, err := ExtendedList(rules)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := EvaluateExtensionRange(ix, extended, 0, ix.FlowCount())
+	blocked := make([]bool, ix.Columns().URLs.Len())
+	MatchExtendedURLs(ix, extended, blocked, 0, len(blocked))
+	return blocked
+}
+
+func TestEvaluateExtension(t *testing.T) {
+	ix := buildIndex(t, deriveDataset().Runs...)
+	res := EvaluateExtensionRange(ix, extendedURLs(t, ix, deriveRules(ix)), 0, ix.FlowCount())
 	// 7 heuristic tracking requests (3 tvping + 1 fp + 2 stats + 1 GA).
 	if res.TrackingRequests != 7 {
 		t.Errorf("tracking requests = %d", res.TrackingRequests)
@@ -110,5 +120,32 @@ func TestEvaluateExtension(t *testing.T) {
 	if res.CoverageAfter() <= res.CoverageBefore() {
 		t.Errorf("extension did not improve coverage: %.2f -> %.2f",
 			res.CoverageBefore(), res.CoverageAfter())
+	}
+}
+
+// TestDeriveRulesMultiLabelSuffix: a first party under a multi-label
+// public suffix (bbc.co.uk under co.uk) has two dots in its own name, yet
+// is not a dedicated subdomain. Evidence on the first party itself yields
+// no rule; evidence on its measurement subdomain yields a host rule.
+func TestDeriveRulesMultiLabelSuffix(t *testing.T) {
+	ds := &store.Dataset{Runs: []*store.RunData{{
+		Name: store.RunRed,
+		Flows: []*proxy.Flow{
+			mkFlow("http://bbc.co.uk/px?c=a", "BBC", t0, 200, "image/gif", 35, ""),
+			mkFlow("http://bbc.co.uk/px?c=b", "BBC", t0, 200, "image/gif", 35, ""),
+			mkFlow("http://stats.bbc.co.uk/px", "BBC", t0, 200, "image/gif", 35, ""),
+		},
+	}}}
+	firstParty := map[string]string{"BBC": "bbc.co.uk"}
+	ix := buildIndex(t, ds.Runs...)
+	rules := RulesFromEvidence(ScanRuleEvidence(ix, FirstPartySet(firstParty), 0, ix.FlowCount()))
+	want := []DerivedRule{{
+		Rule: "||stats.bbc.co.uk^", Domain: "stats.bbc.co.uk", Requests: 1, Kinds: store.FlowPixel,
+	}}
+	if !reflect.DeepEqual(rules, want) {
+		t.Errorf("rules = %+v, want %+v", rules, want)
+	}
+	if ref := deriveRulesFromDataset(ds, firstParty); !reflect.DeepEqual(ref, want) {
+		t.Errorf("reference rules = %+v, want %+v", ref, want)
 	}
 }

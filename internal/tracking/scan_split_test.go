@@ -1,6 +1,8 @@
 package tracking
 
 import (
+	"net/http"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,7 +27,26 @@ func classify(cfg store.IndexConfig, f *proxy.Flow) store.FlowKind {
 	return cfg.ClassifyFlow(f) | cfg.ClassifyURL(f.URL.String())
 }
 
-// findLeaks is the serial reference of ScanLeaks over the whole dataset.
+// flowText is the searched text of one flow: decoded query plus request
+// body.
+func flowText(f *proxy.Flow) string {
+	var sb strings.Builder
+	if q := f.URL.RawQuery; q != "" {
+		if dec, err := url.QueryUnescape(q); err == nil {
+			sb.WriteString(dec)
+		} else {
+			sb.WriteString(q)
+		}
+	}
+	if len(f.RequestBody) > 0 {
+		sb.WriteByte('\n')
+		sb.Write(f.RequestBody)
+	}
+	return sb.String()
+}
+
+// findLeaks is the serial reference of the leak search over the whole
+// dataset.
 func findLeaks(ds *store.Dataset, needles DeviceNeedles) []Leak {
 	var out []Leak
 	for _, run := range ds.Runs {
@@ -33,7 +54,7 @@ func findLeaks(ds *store.Dataset, needles DeviceNeedles) []Leak {
 			if f.Channel == "" {
 				continue
 			}
-			hay := flowPayload(f)
+			hay := flowText(f)
 			if hay == "" {
 				continue
 			}
@@ -76,9 +97,10 @@ func deriveRulesFromDataset(ds *store.Dataset, firstParty map[string]string) []D
 			}
 			scope := etld.MustRegistrableDomain(f.Host())
 			if _, isFP := firstParties[scope]; isFP {
-				if scope = hostScope(f.Host()); scope == "" {
+				if f.Host() == scope {
 					continue
 				}
+				scope = f.Host()
 			}
 			ev := byScope[scope]
 			ev.Requests++
@@ -152,45 +174,118 @@ func TestEvaluateExtensionRangeSplitInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	whole := extendedURLs(t, ix, rules)
+	m := len(whole)
+	for k := 0; k <= m; k++ {
+		got := make([]bool, m)
+		MatchExtendedURLs(ix, extended, got, 0, k)
+		MatchExtendedURLs(ix, extended, got, k, m)
+		if !reflect.DeepEqual(got, whole) {
+			t.Errorf("URL table split at %d: %v, want %v", k, got, whole)
+		}
+	}
 	n := ix.FlowCount()
-	whole := EvaluateExtensionRange(ix, extended, 0, n)
-	if whole.TrackingRequests == 0 {
+	res := EvaluateExtensionRange(ix, whole, 0, n)
+	if res.TrackingRequests == 0 {
 		t.Fatal("fixture has no heuristic tracking requests")
 	}
 	for k := 0; k <= n; k++ {
-		got := EvaluateExtensionRange(ix, extended, 0, k)
-		got.Add(EvaluateExtensionRange(ix, extended, k, n))
-		if got != whole {
-			t.Errorf("split at %d: %+v, want %+v", k, got, whole)
+		got := EvaluateExtensionRange(ix, whole, 0, k)
+		got.Add(EvaluateExtensionRange(ix, whole, k, n))
+		if got != res {
+			t.Errorf("split at %d: %+v, want %+v", k, got, res)
 		}
 	}
 	ref, err := evaluateExtensionFromDataset(ds, rules)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref != whole {
-		t.Errorf("scanned coverage = %+v, reference = %+v", whole, ref)
+	if ref != res {
+		t.Errorf("scanned coverage = %+v, reference = %+v", res, ref)
 	}
+}
+
+// splitLeakSearch fills a leak search's tables with each pass cut in two:
+// rows at k, and the payload and pair tables at k clamped to their size.
+func splitLeakSearch(ix *store.Index, k int) *LeakSearch {
+	two := func(n int, fn func(lo, hi int)) {
+		m := min(k, n)
+		fn(0, m)
+		fn(m, n)
+	}
+	s := NewLeakSearch(ix, LGNeedles)
+	two(s.Payloads(), s.MatchPayloads)
+	n := ix.FlowCount()
+	m := min(k, n)
+	two(s.AddPairs([][]LeakPair{s.RowPairs(0, m), s.RowPairs(m, n)}), s.MatchPairs)
+	return s
 }
 
 // TestScanLeaksSplitInvariance compares exact leak sequences: the
 // technical needles are tried in a fixed order, so a flow's leaks come
-// out in the same order on every scan.
+// out in the same order on every scan. Every pass of the search — the
+// payload table, the pair collection, the pair table and the row scan —
+// is cut at every point in turn.
 func TestScanLeaksSplitInvariance(t *testing.T) {
 	ds := leakDataset()
 	ix := buildIndex(t, ds.Runs...)
 	n := ix.FlowCount()
-	whole := ScanLeaks(ix, LGNeedles, 0, n)
+	whole := leakSearch(ix).Scan(0, n)
 	if len(whole) < 3 {
 		t.Fatalf("fixture leaks = %+v", whole)
 	}
 	for k := 0; k <= n; k++ {
-		got := append(ScanLeaks(ix, LGNeedles, 0, k), ScanLeaks(ix, LGNeedles, k, n)...)
+		s := splitLeakSearch(ix, k)
+		got := append(s.Scan(0, k), s.Scan(k, n)...)
 		if !reflect.DeepEqual(got, whole) {
 			t.Errorf("split at %d: %+v, want %+v", k, got, whole)
 		}
 	}
 	if ref := findLeaks(ds, LGNeedles); !reflect.DeepEqual(ref, whole) {
 		t.Errorf("scanned leaks = %+v, reference = %+v", whole, ref)
+	}
+}
+
+// TestLeakSearchMemoKeys pins the keys of the search's tables with
+// fixtures that a coarser key would get wrong: one payload sent on two
+// channels whose show and genre differ leaks behavioral data per channel
+// (the pair table is keyed by payload and channel, not payload alone), and
+// one query sent with and without a request body is two payloads (the
+// payload table is keyed by query and body, not the query alone).
+func TestLeakSearchMemoKeys(t *testing.T) {
+	beacon, _ := url.Parse("http://profiler.com/b?p=Tatort+Nachrichten")
+	ping, _ := url.Parse("http://collector.de/p?v=1")
+	flow := func(u *url.URL, channel, body string) *proxy.Flow {
+		return &proxy.Flow{
+			Time: t0, Method: "POST", URL: u, StatusCode: 200, Channel: channel,
+			RequestHeaders: http.Header{}, ResponseHeaders: http.Header{},
+			RequestBody: []byte(body),
+		}
+	}
+	ds := &store.Dataset{Runs: []*store.RunData{{
+		Name: store.RunGeneral,
+		Channels: []store.ChannelInfo{
+			{Name: "A", Show: "Tatort", Genre: "Krimi"},
+			{Name: "B", Show: "Heute", Genre: "Nachrichten"},
+		},
+		Flows: []*proxy.Flow{
+			flow(beacon, "A", ""),
+			flow(beacon, "B", ""),
+			flow(ping, "A", ""),
+			flow(ping, "A", "model=43UK6300LLB"),
+		},
+	}}}
+	ix := buildIndex(t, ds.Runs...)
+	got := leakSearch(ix).Scan(0, ix.FlowCount())
+	want := []Leak{
+		{Kind: LeakBehavioral, Keyword: "show", Channel: "A", Party: "profiler.com", Run: store.RunGeneral},
+		{Kind: LeakBehavioral, Keyword: "genre", Channel: "B", Party: "profiler.com", Run: store.RunGeneral},
+		{Kind: LeakTechnical, Keyword: "model", Channel: "A", Party: "collector.de", Run: store.RunGeneral},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("leaks = %+v, want %+v", got, want)
+	}
+	if ref := findLeaks(ds, LGNeedles); !reflect.DeepEqual(ref, want) {
+		t.Errorf("reference leaks = %+v, want %+v", ref, want)
 	}
 }

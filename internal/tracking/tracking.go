@@ -23,14 +23,15 @@ const PixelMaxBytes = 45
 // IsTrackingPixel implements the Section V-D1 heuristic: the response is an
 // image, smaller than 45 bytes, with status 200.
 func IsTrackingPixel(f *proxy.Flow) bool {
-	if f.StatusCode != 200 {
-		return false
-	}
-	if f.ResponseSize >= PixelMaxBytes {
-		return false
-	}
-	return strings.HasPrefix(f.ContentType(), "image/")
+	return pixelSized(f) && isPixelType(f.ContentType())
 }
+
+// pixelSized is the part of the pixel heuristic that needs no header.
+func pixelSized(f *proxy.Flow) bool {
+	return f.StatusCode == 200 && f.ResponseSize < PixelMaxBytes
+}
+
+func isPixelType(ct string) bool { return strings.HasPrefix(ct, "image/") }
 
 // fingerprintMarkers are the API/library signatures of Section V-D2.
 var fingerprintMarkers = []string{
@@ -47,11 +48,13 @@ var fingerprintMarkers = []string{
 // body references fingerprinting APIs or libraries. The framework cannot
 // observe execution, so — as in the paper — this is a lower bound.
 func IsFingerprintScript(f *proxy.Flow) bool {
-	ct := f.ContentType()
+	return len(f.ResponseBody) > 0 && isFingerprintBody(f, f.ContentType())
+}
+
+// isFingerprintBody is IsFingerprintScript for a flow with a body whose
+// media type is ct.
+func isFingerprintBody(f *proxy.Flow, ct string) bool {
 	if !strings.Contains(ct, "javascript") && ct != "application/x-javascript" {
-		return false
-	}
-	if len(f.ResponseBody) == 0 {
 		return false
 	}
 	body := string(f.ResponseBody)
@@ -61,6 +64,25 @@ func IsFingerprintScript(f *proxy.Flow) bool {
 		}
 	}
 	return false
+}
+
+// flowKind is the response-dependent part of a flow's classification:
+// the pixel and fingerprint heuristics. The media type is read once, and
+// only when a heuristic still depends on it.
+func flowKind(f *proxy.Flow) store.FlowKind {
+	pixel, body := pixelSized(f), len(f.ResponseBody) > 0
+	if !pixel && !body {
+		return 0
+	}
+	ct := f.ContentType()
+	var k store.FlowKind
+	if pixel && isPixelType(ct) {
+		k |= store.FlowPixel
+	}
+	if body && isFingerprintBody(f, ct) {
+		k |= store.FlowFingerprint
+	}
+	return k
 }
 
 // Classifier bundles the filter lists used to label tracking requests.
@@ -111,16 +133,7 @@ func (c *Classifier) IndexConfig() store.IndexConfig {
 			}
 			return k
 		},
-		ClassifyFlow: func(f *proxy.Flow) store.FlowKind {
-			var k store.FlowKind
-			if IsTrackingPixel(f) {
-				k |= store.FlowPixel
-			}
-			if IsFingerprintScript(f) {
-				k |= store.FlowFingerprint
-			}
-			return k
-		},
+		ClassifyFlow:     flowKind,
 		KnownTrackerMask: store.FlowOnEasyList,
 	}
 }

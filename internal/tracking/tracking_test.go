@@ -207,11 +207,20 @@ func leakDataset() *store.Dataset {
 	}}}
 }
 
-// scanAllLeaks runs the engine's leak scan over every row of ds.
+// leakSearch prepares the engine's leak search over ix with the study
+// device's needles, filling its tables in one pass each.
+func leakSearch(ix *store.Index) *LeakSearch {
+	s := NewLeakSearch(ix, LGNeedles)
+	s.MatchPayloads(0, s.Payloads())
+	s.MatchPairs(0, s.AddPairs([][]LeakPair{s.RowPairs(0, ix.FlowCount())}))
+	return s
+}
+
+// scanAllLeaks runs the engine's leak search over every row of ds.
 func scanAllLeaks(t *testing.T, ds *store.Dataset) []Leak {
 	t.Helper()
 	ix := buildIndex(t, ds.Runs...)
-	return ScanLeaks(ix, LGNeedles, 0, ix.FlowCount())
+	return leakSearch(ix).Scan(0, ix.FlowCount())
 }
 
 func TestFindLeaksAndSummarize(t *testing.T) {
