@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race chaos resume fuzz bench fmt lint bench-json bench-analyze bench-measure bench-merge bench-span bench-pipeline benchgate fleet trace
+.PHONY: build test check race chaos resume fuzz bench fmt lint bench-json bench-analyze bench-measure bench-merge bench-span bench-snapshot bench-pipeline benchgate fleet trace
 
 build:
 	$(GO) build ./...
@@ -140,6 +140,15 @@ bench-merge:
 bench-span:
 	$(GO) test -json -bench 'BenchmarkSpanOverhead' -benchtime 1x -run '^$$' . | tee BENCH_span.json
 	$(GO) run ./cmd/hbbtv-benchgate -bench BENCH_span.json -floor BENCH_floor.json -match 'BenchmarkSpanOverhead'
+
+# bench-snapshot times the snapshot writer and reader on the paper-scale
+# dataset — a snapshot save, Dataset.Digest (the same encode, hashed) and
+# a snapshot load — at GOMAXPROCS 1 and 2, and records the test2json
+# stream as BENCH_snapshot.json. Three iterations per line, so every line
+# reports timed iterations at its own GOMAXPROCS (see bench-measure). No
+# floor gates it.
+bench-snapshot:
+	$(GO) test -json -bench 'BenchmarkSnapshotFormats/(save-snapshot|digest|load-snapshot)$$' -benchtime 3x -cpu 1,2 -run '^$$' . | tee BENCH_snapshot.json
 
 # bench-pipeline runs the end-to-end pipeline benchmark (pipebench, the
 # one BENCHMARK.json declares) on each of its workloads for 25 s at seed 1

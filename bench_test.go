@@ -730,8 +730,11 @@ func BenchmarkMergeShards(b *testing.B) {
 
 // BenchmarkSnapshotFormats compares dataset persistence costs: gzip-JSON
 // save/load against the binary snapshot save/load, on the paper-scale
-// dataset. The snapshot-load sub-benchmark is the one the CI acceptance
-// criterion watches (paper-scale load well under 200 ms).
+// dataset, plus Dataset.Digest, which encodes the runs as a snapshot save
+// does. The snapshot-load sub-benchmark is the one the CI acceptance
+// criterion watches (paper-scale load well under 200 ms); make
+// bench-snapshot runs the snapshot lines at GOMAXPROCS 1 and 2, each
+// reporting the GOMAXPROCS it ran at.
 func BenchmarkSnapshotFormats(b *testing.B) {
 	ds, _ := benchFixture(b)
 	var jsonBytes, snapBytes []byte
@@ -754,6 +757,15 @@ func BenchmarkSnapshotFormats(b *testing.B) {
 			snapBytes = buf.Bytes()
 		}
 		b.ReportMetric(float64(len(snapBytes)), "bytes")
+		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+	})
+	b.Run("digest", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := ds.Digest(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 	})
 	b.Run("load-json", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -776,5 +788,6 @@ func BenchmarkSnapshotFormats(b *testing.B) {
 		}
 		perLoad := elapsed / time.Duration(b.N)
 		b.ReportMetric(float64(perLoad.Milliseconds()), "ms/load")
+		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 	})
 }

@@ -21,6 +21,9 @@
 //
 // -save writes the dataset as gzip-JSON, -snapshot as the binary snapshot
 // format; both carry the full dataset and both can be given at once.
+// -snapshot also prints the dataset's digest ("digest <hex>", what
+// hbbtv-merge prints and -verify compares), from the encode that wrote
+// the file.
 // hbbtv-analyze -in sniffs the format from the file's magic bytes, so
 // either file feeds the analysis unchanged — the snapshot just loads an
 // order of magnitude faster at paper scale.
@@ -363,8 +366,12 @@ func run(args []string) error {
 		}
 		fmt.Printf("HAR written to %s\n", *har)
 	}
-	if err := output.Write(os.Stdout, ds); err != nil {
+	digest, err := output.Write(os.Stdout, ds)
+	if err != nil {
 		return err
+	}
+	if digest != "" {
+		fmt.Printf("digest %s\n", digest)
 	}
 	if err := panicsError(ds, *allowPanics); err != nil {
 		return err

@@ -19,7 +19,9 @@
 // -verify loads a reference dataset (typically the single-process run)
 // and exits non-zero unless the merged digest matches — the fleet CI
 // gate. -save / -snapshot write the merged dataset in the same formats
-// hbbtv-measure writes.
+// hbbtv-measure writes, before the check, so a mismatching merge is kept
+// for inspection; -snapshot's encode also yields the printed digest, so
+// the merged runs are encoded once.
 //
 // When the shards were measured with -telemetry, the merged dataset
 // carries the fleet-wide telemetry snapshot and span trace recombined
@@ -95,10 +97,6 @@ func run(args []string, w io.Writer) error {
 	}
 	mergeDur := time.Since(start)
 
-	digest, err := merged.Digest()
-	if err != nil {
-		return err
-	}
 	if !*quiet {
 		snap := reg.Snapshot()
 		flows := snap.Counters["merge_flows"]
@@ -116,6 +114,17 @@ func run(args []string, w io.Writer) error {
 				line += fmt.Sprintf("; trace: %d spans (%d dropped); summarize with hbbtv-trace", len(tr.Spans), tr.DroppedSpans())
 			}
 			fmt.Fprintln(w, line)
+		}
+	}
+	// -snapshot's encode gives the digest too; only without it is the
+	// dataset encoded for the digest alone.
+	digest, err := output.Write(w, merged)
+	if err != nil {
+		return err
+	}
+	if digest == "" {
+		if digest, err = merged.Digest(); err != nil {
+			return err
 		}
 	}
 	fmt.Fprintf(w, "digest %s\n", digest)
@@ -141,6 +150,5 @@ func run(args []string, w io.Writer) error {
 			fmt.Fprintf(w, "verified: digest matches %s\n", *verify)
 		}
 	}
-
-	return output.Write(w, merged)
+	return nil
 }

@@ -164,29 +164,34 @@ func (o *Output) Register(fs *flag.FlagSet, what string) {
 func (o *Output) Enabled() bool { return o.JSONPath != "" || o.SnapshotPath != "" }
 
 // Write saves the dataset to every requested file, reporting each write
-// on w the way the commands always have.
-func (o *Output) Write(w io.Writer, ds *store.Dataset) error {
+// on w the way the commands always have. With -snapshot it also returns
+// the dataset's digest, from the encode that wrote the snapshot; without
+// it the digest is "".
+func (o *Output) Write(w io.Writer, ds *store.Dataset) (digest string, err error) {
 	if o.JSONPath != "" {
-		if err := writeFile(o.JSONPath, ds, store.FormatJSON); err != nil {
-			return err
+		if err := writeFile(o.JSONPath, func(f io.Writer) error { return store.Save(f, ds, store.FormatJSON) }); err != nil {
+			return "", err
 		}
 		fmt.Fprintf(w, "dataset written to %s\n", o.JSONPath)
 	}
 	if o.SnapshotPath != "" {
-		if err := writeFile(o.SnapshotPath, ds, store.FormatSnapshot); err != nil {
+		if err := writeFile(o.SnapshotPath, func(f io.Writer) (err error) {
+			digest, err = store.SaveDigest(f, ds)
 			return err
+		}); err != nil {
+			return "", err
 		}
 		fmt.Fprintf(w, "snapshot written to %s\n", o.SnapshotPath)
 	}
-	return nil
+	return digest, nil
 }
 
-func writeFile(path string, ds *store.Dataset, format store.Format) error {
+func writeFile(path string, save func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := store.Save(f, ds, format); err != nil {
+	if err := save(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -1,9 +1,18 @@
 package cli
 
 import (
+	"bytes"
 	"flag"
 	"io"
+	"net/url"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
+	"github.com/hbbtvlab/hbbtvlab/internal/store"
+	"github.com/hbbtvlab/hbbtvlab/internal/telemetry"
 )
 
 func TestShardSet(t *testing.T) {
@@ -97,5 +106,50 @@ func TestTelemetryOn(t *testing.T) {
 		if tc.t.On() != tc.want {
 			t.Errorf("%+v On() = %v", tc.t, tc.t.On())
 		}
+	}
+}
+
+// TestOutputWriteDigest: with -snapshot, Write returns the dataset's
+// digest (which leaves out telemetry) alongside the file it wrote, and the
+// file loads back to that digest; with -save alone it returns "".
+func TestOutputWriteDigest(t *testing.T) {
+	u, _ := url.Parse("http://a.de/x?y=1")
+	ds := &store.Dataset{
+		Runs:      []*store.RunData{{Name: store.RunRed, Flows: []*proxy.Flow{{ID: 1, Method: "GET", URL: u, Channel: "A"}}}},
+		Telemetry: &telemetry.Snapshot{Counters: map[string]uint64{"proxy_flows_recorded": 1}},
+	}
+	want, err := ds.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	o := Output{JSONPath: filepath.Join(dir, "ds.json.gz"), SnapshotPath: filepath.Join(dir, "ds.snap")}
+	var log bytes.Buffer
+	got, err := o.Write(&log, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("Write returned digest %q, want %q", got, want)
+	}
+	if !strings.Contains(log.String(), "snapshot written to "+o.SnapshotPath) {
+		t.Errorf("no snapshot line in %q", log.String())
+	}
+	for _, path := range []string{o.JSONPath, o.SnapshotPath} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := store.Load(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, err := loaded.Digest(); err != nil || d != want {
+			t.Errorf("%s loads to digest %q (%v), want %q", path, d, err, want)
+		}
+	}
+	if got, err := (&Output{JSONPath: o.JSONPath}).Write(io.Discard, ds); err != nil || got != "" {
+		t.Errorf("-save alone returned digest %q, %v", got, err)
 	}
 }

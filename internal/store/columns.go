@@ -27,7 +27,9 @@ package store
 
 import (
 	"context"
+	"net/http"
 	"net/url"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -271,6 +273,29 @@ func (m *urlMemo) entry(f *proxy.Flow, local *chunkLocal) *urlEntry {
 	return &m.entries[k]
 }
 
+// setCookieMemo is one chunk scan's parsed Set-Cookie headers, by response
+// header map. Recorded and loaded flows share one read-only map per
+// distinct block, so a map's identity stands for its content, and each
+// map is parsed once per chunk (the snapshot writer's headerTable keys its
+// encodes the same way).
+type setCookieMemo map[uintptr][]*http.Cookie
+
+// of returns f.SetCookies(), parsing f's response headers on the first
+// sight of their map.
+func (m setCookieMemo) of(f *proxy.Flow) []*http.Cookie {
+	h := f.ResponseHeaders
+	if len(h["Set-Cookie"]) == 0 {
+		return nil
+	}
+	k := reflect.ValueOf(h).Pointer()
+	cs, ok := m[k]
+	if !ok {
+		cs = f.SetCookies()
+		m[k] = cs
+	}
+	return cs
+}
+
 // buildColumns runs the three-phase columnar build described in the file
 // comment. The returned cookie cells are in row order, ready for event
 // expansion. A cancelled context aborts between chunks with ctx.Err().
@@ -331,6 +356,7 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 			bodies: NewStrings(0),
 		}
 		memo := urlMemo{index: make(map[url.URL]int32, 64)}
+		cookies := make(setCookieMemo)
 		for i := lo; i < hi; i++ {
 			f := flows[i]
 			e := memo.entry(f, &local)
@@ -357,7 +383,7 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 			if cfg.ClassifyFlow != nil {
 				c.Kind[i] = cfg.ClassifyFlow(f)
 			}
-			if cs := f.SetCookies(); len(cs) > 0 {
+			if cs := cookies.of(f); len(cs) > 0 {
 				c.HasCookies[i] = true
 				if f.Channel != "" {
 					for _, ck := range cs {

@@ -262,3 +262,52 @@ func TestChannelInfoByID(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexSetCookiesPerRow: the chunk scan parses each response-header
+// map's Set-Cookie headers once, but the cookie cells belong to the row.
+// One map is shared by rows on two channels and by an unattributed row:
+// each attributed row gets its own cells, the unattributed row none (yet
+// it has cookies). A distinct map with equal content parses the same.
+func TestIndexSetCookiesPerRow(t *testing.T) {
+	shared := http.Header{"Set-Cookie": {"uid=1; Path=/", "sess=2"}}
+	rows := []struct {
+		channel string
+		h       http.Header
+	}{
+		{"KiKA", shared}, {"ZDF", shared}, {"", shared}, {"KiKA", shared.Clone()}, {"ZDF", shared},
+	}
+	var flows []*proxy.Flow
+	for i, r := range rows {
+		f := mkFlow("http://tracker.example/c", r.channel, false)
+		f.ID = int64(i + 1)
+		f.ResponseHeaders = r.h
+		flows = append(flows, f)
+	}
+	ds := &Dataset{Runs: []*RunData{{Name: RunRed, Flows: flows}}}
+	ix, err := BuildIndex(context.Background(), ds, IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := ix.Columns()
+	var want []CookieSetEvent
+	for i, r := range rows {
+		n := cols.CookieOff[i+1] - cols.CookieOff[i]
+		if r.channel == "" && n != 0 || r.channel != "" && n != 2 {
+			t.Errorf("row %d (channel %q): %d cookie cells", i, r.channel, n)
+		}
+		if !cols.HasCookies[i] {
+			t.Errorf("row %d: HasCookies false", i)
+		}
+		if r.channel != "" {
+			for _, kv := range [][2]string{{"uid", "1"}, {"sess", "2"}} {
+				want = append(want, CookieSetEvent{
+					Run: RunRed, Channel: r.channel, Party: "tracker.example", Host: "tracker.example",
+					Name: kv[0], Value: kv[1],
+				})
+			}
+		}
+	}
+	if !reflect.DeepEqual(ix.SetEvents, want) {
+		t.Errorf("set events:\n got %+v\nwant %+v", ix.SetEvents, want)
+	}
+}

@@ -9,7 +9,8 @@ import (
 // snapshot container reader, to ReadCheckpoint. Neither may panic. Any
 // input Load accepts must reach a fixed point after one snapshot save:
 // loading the saved snapshot and saving it again yields identical bytes,
-// and the digest does not change.
+// and the digest does not change. That save must also be exactly what the
+// serial reference writer writes for the accepted dataset.
 func FuzzLoad(f *testing.F) {
 	for _, ds := range []*Dataset{sampleDataset(), farFutureDataset()} {
 		for _, format := range []Format{FormatJSON, FormatSnapshot} {
@@ -36,6 +37,9 @@ func FuzzLoad(f *testing.F) {
 	if bytes.Equal(upper, snap.Bytes()) {
 		f.Fatal("no scheme entry in the string table")
 	}
+	if _, err := Load(bytes.NewReader(upper)); err == nil {
+		f.Fatal("a decomposed HTTP scheme loads")
+	}
 	f.Add(upper)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -45,6 +49,9 @@ func FuzzLoad(f *testing.F) {
 			return
 		}
 		first := snapshotOf(t, ds)
+		if !bytes.Equal(first, serialSnapshot(t, ds)) {
+			t.Fatal("the snapshot of an accepted input differs from the serial writer's")
+		}
 		again, err := Load(bytes.NewReader(first))
 		if err != nil {
 			t.Fatalf("the snapshot of an accepted input does not load: %v", err)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -34,11 +35,12 @@ import (
 // JSON decoding and URL re-parsing, which is what makes paper-scale loads
 // land at a fraction of the gzip-JSON cost.
 //
-// The container has one writer, writeContainer, and one reader,
-// readContainer. Dataset snapshots (saveSnapshot, loadSnapshot),
-// checkpoints (WriteCheckpoint, decodeCheckpoint in checkpoint.go) and
-// Digest are thin callers that differ only in the JSON sections they put
-// around the runs.
+// The container has one encoder, encodeRuns, which encodes runs on every
+// core into the tables and run sections of a snapEncoding, and one
+// reader, readContainer. Dataset snapshots (saveSnapshot, loadSnapshot),
+// checkpoints (WriteCheckpoint, decodeCheckpoint in checkpoint.go), Digest
+// and SaveDigest are thin callers that differ only in the JSON sections
+// they put around the runs.
 //
 // Layout (all integers are varints, "uv" = unsigned, "v" = signed; strings
 // are uv IDs into the string table; a time is a presence byte: 0 = the
@@ -242,15 +244,21 @@ func (r *snapReader) bytes() []byte {
 }
 
 func (r *snapReader) str(tab []string) string {
-	id := r.uvarint()
+	id := r.strID(tab)
 	if r.err != nil {
 		return ""
 	}
-	if id >= uint64(len(tab)) {
-		r.fail("string id %d out of range", id)
-		return ""
-	}
 	return tab[id]
+}
+
+// strID reads a string ID and checks it against tab; after a failure the
+// ID is meaningless.
+func (r *snapReader) strID(tab []string) int {
+	id := r.uvarint()
+	if r.err == nil && id >= uint64(len(tab)) {
+		r.fail("string id %d out of range", id)
+	}
+	return int(id)
 }
 
 // blobTable deduplicates byte blobs (request/response bodies) at save time.
@@ -277,32 +285,53 @@ func (t *blobTable) ref(b []byte) uint64 {
 	return id + 1
 }
 
-// headerTable deduplicates encoded header blocks at save time, for one role
-// (request or response). Blocks are keyed (and stored) by their exact
-// bytes, so identical headers collapse to one dense ID no matter which flow
-// carried them. byMap records the ID of every map already encoded, by map
-// identity: recorded and loaded datasets share one read-only map per
-// block, so a shared map is flattened, sorted and string-interned once
-// rather than once per flow. Each role needs its own record, since a
-// response block also carries the Set-Cookie list.
+// blockTable deduplicates encoded header blocks of one role (request or
+// response) by their exact bytes, so identical headers collapse to one
+// dense ID, in first-occurrence order, no matter which flow carried them.
+type blockTable struct {
+	ids    map[string]uint64
+	blocks []string
+}
+
+func newBlockTable() blockTable {
+	return blockTable{ids: make(map[string]uint64, 64)}
+}
+
+// ref returns the dense ID of the encoded block, copying it on first sight
+// (callers reuse their scratch buffer).
+func (t *blockTable) ref(block []byte) uint64 {
+	if id, ok := t.ids[string(block)]; ok {
+		return id
+	}
+	id := uint64(len(t.blocks))
+	s := string(block)
+	t.ids[s] = id
+	t.blocks = append(t.blocks, s)
+	return id
+}
+
+// headerTable encodes header maps into a blockTable, for one role. byMap
+// records the ID of every map already encoded, by map identity: recorded
+// and loaded datasets share one read-only map per block, so a shared map
+// is flattened, sorted and string-interned once rather than once per
+// flow. Each role needs its own record, since a response block also
+// carries the Set-Cookie list.
 type headerTable struct {
 	response bool
-	ids      map[string]uint64
-	blocks   []string
-	byMap    map[uintptr]uint64
+	blockTable
+	byMap map[uintptr]uint64
 }
 
 func newHeaderTable(response bool) *headerTable {
 	return &headerTable{
-		response: response,
-		ids:      make(map[string]uint64, 64),
-		byMap:    make(map[uintptr]uint64, 64),
+		response:   response,
+		blockTable: newBlockTable(),
+		byMap:      make(map[uintptr]uint64, 64),
 	}
 }
 
 // ref returns the dense ID of h's block, encoding h only when this map has
-// not been seen before. An encoded block is copied on first sight (the
-// scratch buffer is reused).
+// not been seen before.
 func (t *headerTable) ref(h http.Header, tab *intern.Strings, scratch *flowSnapScratch) uint64 {
 	m := reflect.ValueOf(h).Pointer()
 	if id, ok := t.byMap[m]; ok {
@@ -310,13 +339,7 @@ func (t *headerTable) ref(h http.Header, tab *intern.Strings, scratch *flowSnapS
 	}
 	scratch.hw.buf = scratch.hw.buf[:0]
 	encodeSnapHeader(&scratch.hw, h, t.response, tab, scratch)
-	id, ok := t.ids[string(scratch.hw.buf)]
-	if !ok {
-		id = uint64(len(t.blocks))
-		block := string(scratch.hw.buf)
-		t.ids[block] = id
-		t.blocks = append(t.blocks, block)
-	}
+	id := t.blockTable.ref(scratch.hw.buf)
 	t.byMap[m] = id
 	return id
 }
@@ -329,27 +352,354 @@ type jsonSection struct {
 	v   any
 }
 
-// writeContainer is the one snapshot writer. It emits magic and version,
-// the lead sections, the string, blob and header tables, one run section
-// per run, the trailing sections, and the end marker. The bytes are a
-// deterministic function of its arguments. Dataset snapshots, checkpoints
-// and Digest all go through it.
+// writeContainer writes one container: magic and version, the lead
+// sections, the string, blob and header tables, one run section per run,
+// the trailing sections, and the end marker. The bytes are a
+// deterministic function of its arguments.
 func writeContainer(w io.Writer, lead []jsonSection, runs []*RunData, trail []jsonSection) error {
-	tab := intern.NewStrings(1024)
-	tab.Intern("") // ID 0 is the empty string
-	blobs := newBlobTable()
-	scratch := flowSnapScratch{reqTab: newHeaderTable(false), respTab: newHeaderTable(true)}
-	// The run sections fill the tables, which precede them in the file, so
-	// they are encoded into memory first.
-	runSecs := make([][]byte, 0, len(runs))
+	e, err := encodeRuns(runs)
+	if err != nil {
+		return err
+	}
+	return e.write(w, lead, trail)
+}
+
+// snapEncoding is one encode of a run list: the string, blob and header
+// tables and the run sections that reference them. The tables precede the
+// runs in the file and the run sections fill them, so the sections are
+// held in memory until the container is written. What an encoding writes
+// depends only on the runs, so Digest, saveSnapshot, SaveDigest and
+// WriteCheckpoint all write from one, and differ only in the JSON
+// sections they put around the runs.
+type snapEncoding struct {
+	strs              *intern.Strings
+	blobs             *blobTable
+	reqHdrs, respHdrs blockTable
+	runs              [][]byte
+	hw                snapWriter // phase 2's header re-encode scratch
+}
+
+// encodeRuns encodes runs, byte for byte what one serial pass over every
+// run's metadata and flows writes (writeContainerSerial, the reference in
+// the tests), on up to GOMAXPROCS cores. A run's flows go through three
+// phases over chunks of snapFlowChunk flows:
+//
+//  1. In parallel, each chunk interns its strings, bodies and header maps
+//     into chunk-local tables, in the serial pass's per-flow order, and
+//     keeps each flow's local IDs. Alongside the first chunks, the run's
+//     metadata is interned into the global tables, which no chunk
+//     touches; so it precedes the run's flows there, as in the serial
+//     pass.
+//  2. Serially, the chunks' tables are absorbed into the global ones in
+//     chunk order. An ID is fixed by its value's first occurrence and
+//     chunk order is flow order, so every global ID is the serial pass's
+//     (intern.Strings.Absorb's contract). A local header block is
+//     re-encoded with global string IDs before it is deduplicated by its
+//     bytes; a local body is deduplicated by its content.
+//  3. In parallel, each chunk emits its flow records with global IDs.
+//
+// The phases take a run's chunks in waves of four per worker, so the
+// working set beyond the finished sections is the run's records plus one
+// wave's local tables and IDs.
+func encodeRuns(runs []*RunData) (*snapEncoding, error) {
+	e := &snapEncoding{
+		strs:     intern.NewStrings(1024),
+		blobs:    newBlobTable(),
+		reqHdrs:  newBlockTable(),
+		respHdrs: newBlockTable(),
+		runs:     make([][]byte, 0, len(runs)),
+	}
+	e.strs.Intern("") // ID 0 is the empty string
+
+	var scratch runScratch
 	for _, run := range runs {
-		sec, err := encodeRunSnapshot(run, tab, blobs, &scratch)
+		sec, err := e.encodeRun(run, &scratch)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		runSecs = append(runSecs, sec)
+		e.runs = append(e.runs, sec)
+	}
+	return e, nil
+}
+
+// runScratch is what the runs of one encode reuse: a wave's chunk
+// encoders, and each chunk's records.
+type runScratch struct {
+	wave    []*chunkEncoder
+	records [][]byte
+}
+
+// encodeRun runs the three phases over one run and returns its section:
+// the metadata, the flow count, and the length-prefixed chunks.
+func (e *snapEncoding) encodeRun(run *RunData, scratch *runScratch) ([]byte, error) {
+	flows := run.Flows
+	flowsOf := func(ci int) []*proxy.Flow {
+		lo := ci * snapFlowChunk
+		return flows[lo:min(lo+snapFlowChunk, len(flows))]
+	}
+	n := (len(flows) + snapFlowChunk - 1) / snapFlowChunk
+	ctx := context.Background() // Digest and Save take no context
+	workers := runtime.GOMAXPROCS(0)
+	if n <= 1 {
+		workers = 1 // a lone chunk runs inline
+	}
+	step := 4 * workers // chunks per wave
+	for len(scratch.wave) < min(step, n) {
+		scratch.wave = append(scratch.wave, new(chunkEncoder))
+	}
+	for len(scratch.records) < n {
+		scratch.records = append(scratch.records, nil)
+	}
+	records := scratch.records[:n]
+
+	var meta snapWriter
+	var metaErr error
+	// The first wave's task 0 encodes the metadata, so a run without
+	// flows has one wave too.
+	for lo := 0; lo == 0 || lo < n; lo += step {
+		wave := scratch.wave[:min(step, n-lo)]
+		first := 0
+		if lo == 0 {
+			first = 1
+		}
+		parallelChunks(ctx, workers, first+len(wave), func(task int) {
+			if task < first {
+				metaErr = encodeRunMeta(&meta, run, e.strs)
+			} else {
+				wave[task-first].scan(flowsOf(lo + task - first))
+			}
+		})
+		if metaErr != nil {
+			return nil, metaErr
+		}
+		locals := make([]*intern.Strings, len(wave))
+		for i, c := range wave {
+			locals[i] = c.strs
+		}
+		for i, strIDs := range e.strs.Absorb(locals) {
+			e.absorb(wave[i], strIDs)
+		}
+		parallelChunks(ctx, workers, len(wave), func(i int) {
+			records[lo+i] = wave[i].emit(records[lo+i][:0], flowsOf(lo+i))
+		})
 	}
 
+	size := len(meta.buf) + uvarintLen(uint64(len(flows)))
+	for _, r := range records {
+		size += uvarintLen(uint64(len(r))) + len(r)
+	}
+	sec := snapWriter{buf: make([]byte, 0, size)}
+	sec.buf = append(sec.buf, meta.buf...)
+	sec.uvarint(uint64(len(flows)))
+	for _, r := range records {
+		sec.bytes(r)
+	}
+	return sec.buf, nil
+}
+
+// absorb is phase 2 for one chunk, whose strings the global table has
+// absorbed with the remap strIDs: it gives each of the chunk's bodies and
+// header blocks its global ID.
+func (e *snapEncoding) absorb(c *chunkEncoder, strIDs []int32) {
+	c.strIDs = strIDs
+	c.blobIDs = c.blobIDs[:0]
+	for _, b := range c.blobs.blobs {
+		c.blobIDs = append(c.blobIDs, e.blobs.ref(b))
+	}
+	c.reqIDs = e.absorbBlocks(c.reqIDs[:0], &e.reqHdrs, c.scratch.reqTab, strIDs)
+	c.respIDs = e.absorbBlocks(c.respIDs[:0], &e.respHdrs, c.scratch.respTab, strIDs)
+}
+
+// absorbBlocks re-encodes each of a chunk's local header blocks with the
+// global string IDs and appends its global block ID to ids.
+func (e *snapEncoding) absorbBlocks(ids []uint64, global *blockTable, local *headerTable, strIDs []int32) []uint64 {
+	for _, block := range local.blocks {
+		e.hw.buf = remapBlock(e.hw.buf[:0], block, strIDs, local.response)
+		ids = append(ids, global.ref(e.hw.buf))
+	}
+	return ids
+}
+
+// remapBlock appends block, an encoded header block (see encodeSnapHeader),
+// with every string ID mapped through strIDs.
+func remapBlock(dst []byte, block string, strIDs []int32, response bool) []byte {
+	next := func() uint64 {
+		v, n := uvarintString(block)
+		block = block[n:]
+		return v
+	}
+	list := func(ids uint64) {
+		for range ids {
+			dst = binary.AppendUvarint(dst, uint64(strIDs[next()]))
+		}
+	}
+	n := next()
+	dst = binary.AppendUvarint(dst, n)
+	list(2 * n) // a name and a joined value per entry
+	if response {
+		n = next()
+		dst = binary.AppendUvarint(dst, n)
+		list(n) // the Set-Cookie values
+	}
+	return dst
+}
+
+// uvarintString decodes a uvarint from the front of s, which the writer
+// itself encoded, and returns it with its length.
+func uvarintString(s string) (uint64, int) {
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		b := s[i]
+		v |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			return v, i + 1
+		}
+	}
+	return v, len(s)
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// chunkEncoder is one flow chunk's share of an encode (see encodeRuns):
+// its local tables and per-flow local IDs from phase 1 and its
+// local-to-global remaps from phase 2. The same slot of the next wave
+// reuses its buffers.
+type chunkEncoder struct {
+	strs    *intern.Strings
+	blobs   *blobTable
+	scratch flowSnapScratch // reqTab and respTab are the chunk's header tables
+	refs    []flowRefs
+
+	strIDs                   []int32
+	blobIDs, reqIDs, respIDs []uint64
+}
+
+// flowRefs is one flow's flag byte and chunk-local table references.
+type flowRefs struct {
+	flags  byte
+	method int32
+	// url holds the scheme, host, path and query IDs with
+	// flowFlagFastURL, else only url[0], the whole URL's.
+	url                [4]int32
+	reqHdr, respHdr    uint32
+	reqBody, respBody  uint32 // blob refs: 0 = none, else local blob ID + 1
+	channel, channelID int32
+}
+
+// scan is phase 1: it interns the chunk's flows into fresh chunk-local
+// tables in the order the serial pass interns them (method, URL, request
+// header strings, response header strings, channel, channel ID; request
+// body before response body), and records each flow's local IDs.
+func (c *chunkEncoder) scan(flows []*proxy.Flow) {
+	c.strs = intern.NewStrings(256)
+	c.blobs = &blobTable{ids: make(map[string]uint64, 16)}
+	c.scratch.reqTab, c.scratch.respTab = newHeaderTable(false), newHeaderTable(true)
+	c.refs = slices.Grow(c.refs[:0], len(flows))[:len(flows)]
+	tab := c.strs
+	for i, f := range flows {
+		// The URL is stored decomposed when reassembling its four
+		// components is provably identical to re-parsing its string form,
+		// so the loader can skip url.Parse. plainURL settles that without
+		// the round trip for nearly every recorded flow.
+		fast := url.URL{Scheme: f.URL.Scheme, Host: f.URL.Host, Path: f.URL.Path, RawQuery: f.URL.RawQuery}
+		fastOK := *f.URL == fast && plainURL(&fast)
+		var urlStr string
+		if !fastOK {
+			urlStr = f.URL.String()
+			reparsed, err := url.Parse(urlStr)
+			fastOK = err == nil && *reparsed == fast
+		}
+
+		r := &c.refs[i]
+		*r = flowRefs{}
+		if f.HTTPS {
+			r.flags |= flowFlagHTTPS
+		}
+		if !f.Time.IsZero() {
+			r.flags |= flowFlagHasTime
+			if !fitsUnixNano(f.Time) {
+				r.flags |= flowFlagWideTime
+			}
+		}
+		r.method = tab.Intern(f.Method)
+		if fastOK {
+			r.flags |= flowFlagFastURL
+			r.url = [4]int32{tab.Intern(f.URL.Scheme), tab.Intern(f.URL.Host), tab.Intern(f.URL.Path), tab.Intern(f.URL.RawQuery)}
+		} else {
+			r.url[0] = tab.Intern(urlStr)
+		}
+		r.reqHdr = uint32(c.scratch.reqTab.ref(f.RequestHeaders, tab, &c.scratch))
+		r.reqBody = uint32(c.blobs.ref(f.RequestBody))
+		r.respHdr = uint32(c.scratch.respTab.ref(f.ResponseHeaders, tab, &c.scratch))
+		r.respBody = uint32(c.blobs.ref(f.ResponseBody))
+		r.channel = tab.Intern(f.Channel)
+		r.channelID = tab.Intern(f.ChannelID)
+	}
+}
+
+// maxFlowRecord bounds a flow record's length: the flag byte, five
+// 64-bit varints (ID, two time fields, status, response size) and eleven
+// table references below 2^32.
+const maxFlowRecord = 1 + 5*binary.MaxVarintLen64 + 11*binary.MaxVarintLen32
+
+// emit is phase 3: it appends the chunk's flow records with global IDs to
+// buf, each into room reserved for the longest record.
+func (c *chunkEncoder) emit(buf []byte, flows []*proxy.Flow) []byte {
+	for i, f := range flows {
+		r := &c.refs[i]
+		n := len(buf)
+		buf = slices.Grow(buf, maxFlowRecord)[:n+maxFlowRecord]
+		buf[n] = r.flags
+		n++
+		n += binary.PutVarint(buf[n:], f.ID)
+		switch {
+		case r.flags&flowFlagWideTime != 0:
+			n += binary.PutVarint(buf[n:], f.Time.Unix())
+			n += binary.PutUvarint(buf[n:], uint64(f.Time.Nanosecond()))
+		case r.flags&flowFlagHasTime != 0:
+			n += binary.PutVarint(buf[n:], f.Time.UnixNano())
+		}
+		n += binary.PutUvarint(buf[n:], uint64(c.strIDs[r.method]))
+		urlParts := r.url[:1]
+		if r.flags&flowFlagFastURL != 0 {
+			urlParts = r.url[:]
+		}
+		for _, id := range urlParts {
+			n += binary.PutUvarint(buf[n:], uint64(c.strIDs[id]))
+		}
+		n += binary.PutUvarint(buf[n:], c.reqIDs[r.reqHdr])
+		n += binary.PutUvarint(buf[n:], c.blobRef(r.reqBody))
+		n += binary.PutVarint(buf[n:], int64(f.StatusCode))
+		n += binary.PutUvarint(buf[n:], c.respIDs[r.respHdr])
+		n += binary.PutVarint(buf[n:], f.ResponseSize)
+		n += binary.PutUvarint(buf[n:], c.blobRef(r.respBody))
+		n += binary.PutUvarint(buf[n:], uint64(c.strIDs[r.channel]))
+		n += binary.PutUvarint(buf[n:], uint64(c.strIDs[r.channelID]))
+		buf = buf[:n]
+	}
+	return buf
+}
+
+// blobRef maps a chunk-local blob reference to the global one.
+func (c *chunkEncoder) blobRef(ref uint32) uint64 {
+	if ref == 0 {
+		return 0
+	}
+	return c.blobIDs[ref-1]
+}
+
+// write writes the container with the encoded tables and runs between the
+// lead and trailing sections. Each section reaches w as whole writes
+// through one buffered writer, so a destination that grows with its writes
+// (a bytes.Buffer) ends up with the capacity the serial writer left.
+func (e *snapEncoding) write(w io.Writer, lead, trail []jsonSection) error {
 	// A bufio.Writer keeps its first write error and returns it from every
 	// later call, so only the marshals and the final Flush are checked.
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -359,11 +709,11 @@ func writeContainer(w io.Writer, lead []jsonSection, runs []*RunData, trail []js
 		return err
 	}
 	var sw snapWriter
-	writeTable(bw, &sw, secStrings, tab.All())
-	writeTable(bw, &sw, secBlobs, blobs.blobs)
-	writeTable(bw, &sw, secReqHdrs, scratch.reqTab.blocks)
-	writeTable(bw, &sw, secRespHdrs, scratch.respTab.blocks)
-	for _, sec := range runSecs {
+	writeTable(bw, &sw, secStrings, e.strs.All())
+	writeTable(bw, &sw, secBlobs, e.blobs.blobs)
+	writeTable(bw, &sw, secReqHdrs, e.reqHdrs.blocks)
+	writeTable(bw, &sw, secRespHdrs, e.respHdrs.blocks)
+	for _, sec := range e.runs {
 		writeSection(bw, secRun, sec)
 	}
 	if err := writeJSONSections(bw, trail); err != nil {
@@ -410,11 +760,11 @@ func writeSection(bw *bufio.Writer, tag byte, payload []byte) {
 	bw.Write(payload)
 }
 
-// saveSnapshot writes the dataset in the binary snapshot format. The shard
-// manifest leads so fleet tooling can identify a shard file from its first
-// section; telemetry and the span trace trail the runs.
-func (d *Dataset) saveSnapshot(w io.Writer) error {
-	var lead, trail []jsonSection
+// snapshotSections returns the JSON sections a dataset snapshot puts
+// around its runs. The shard manifest leads so fleet tooling can identify
+// a shard file from its first section; telemetry and the span trace trail
+// the runs.
+func (d *Dataset) snapshotSections() (lead, trail []jsonSection) {
 	if d.Shard != nil {
 		lead = append(lead, jsonSection{secShard, d.Shard})
 	}
@@ -424,6 +774,12 @@ func (d *Dataset) saveSnapshot(w io.Writer) error {
 	if d.Trace != nil {
 		trail = append(trail, jsonSection{secTrace, d.Trace})
 	}
+	return lead, trail
+}
+
+// saveSnapshot writes the dataset in the binary snapshot format.
+func (d *Dataset) saveSnapshot(w io.Writer) error {
+	lead, trail := d.snapshotSections()
 	return writeContainer(w, lead, d.Runs, trail)
 }
 
@@ -438,8 +794,32 @@ func (d *Dataset) saveSnapshot(w io.Writer) error {
 // fleet partition and where virtual time went, not the measurement, so
 // enabling observability or merging a fleet never changes the digest.
 func (d *Dataset) Digest() (string, error) {
+	e, err := encodeRuns(d.Runs)
+	if err != nil {
+		return "", err
+	}
+	return e.digest()
+}
+
+// SaveDigest writes d in FormatSnapshot, as Save does, and returns
+// d.Digest() from the same encode of the runs: a caller that both saves
+// and digests a dataset pays for one encode.
+func SaveDigest(w io.Writer, d *Dataset) (string, error) {
+	e, err := encodeRuns(d.Runs)
+	if err != nil {
+		return "", err
+	}
+	lead, trail := d.snapshotSections()
+	if err := e.write(w, lead, trail); err != nil {
+		return "", err
+	}
+	return e.digest()
+}
+
+// digest hashes the runs-only container of the encoding.
+func (e *snapEncoding) digest() (string, error) {
 	h := sha256.New()
-	if err := writeContainer(h, nil, d.Runs, nil); err != nil {
+	if err := e.write(h, nil, nil); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
@@ -486,10 +866,9 @@ func fitsUnixNano(t time.Time) bool {
 	return time.Unix(0, t.UnixNano()).Equal(t)
 }
 
-// encodeRunSnapshot encodes one run section: binary metadata over the
-// string table, then the binary flow records.
-func encodeRunSnapshot(run *RunData, tab *intern.Strings, blobs *blobTable, scratch *flowSnapScratch) ([]byte, error) {
-	var w snapWriter
+// encodeRunMeta appends a run section's metadata, everything before its
+// flow count, interning its strings into tab.
+func encodeRunMeta(w *snapWriter, run *RunData, tab *intern.Strings) error {
 	w.str(tab, string(run.Name))
 	w.time(run.Date)
 	// Channels passes through nil-vs-empty verbatim in the JSON format, so
@@ -555,7 +934,7 @@ func encodeRunSnapshot(run *RunData, tab *intern.Strings, blobs *blobTable, scra
 			// distinct overlay once.
 			raw, err := json.Marshal(s.Overlay)
 			if err != nil {
-				return nil, fmt.Errorf("store: snapshot: marshal overlay: %w", err)
+				return fmt.Errorf("store: snapshot: marshal overlay: %w", err)
 			}
 			w.uvarint(uint64(tab.InternBytes(raw)) + 1)
 		}
@@ -576,71 +955,7 @@ func encodeRunSnapshot(run *RunData, tab *intern.Strings, blobs *blobTable, scra
 		w.str(tab, o.Error)
 	}
 	w.varint(int64(run.RecoveredPanics))
-	w.uvarint(uint64(len(run.Flows)))
-	var cw snapWriter
-	for lo := 0; lo < len(run.Flows); lo += snapFlowChunk {
-		hi := min(lo+snapFlowChunk, len(run.Flows))
-		cw.buf = cw.buf[:0]
-		for _, f := range run.Flows[lo:hi] {
-			encodeFlowSnapshot(&cw, f, tab, blobs, scratch)
-		}
-		w.bytes(cw.buf)
-	}
-	return w.buf, nil
-}
-
-func encodeFlowSnapshot(w *snapWriter, f *proxy.Flow, tab *intern.Strings, blobs *blobTable, scratch *flowSnapScratch) {
-	// The URL is stored decomposed when reassembling its four components
-	// is provably identical to re-parsing its string form, so the loader
-	// can skip url.Parse. plainURL settles that without the round trip for
-	// nearly every recorded flow.
-	fast := url.URL{Scheme: f.URL.Scheme, Host: f.URL.Host, Path: f.URL.Path, RawQuery: f.URL.RawQuery}
-	fastOK := *f.URL == fast && plainURL(&fast)
-	var urlStr string
-	if !fastOK {
-		urlStr = f.URL.String()
-		reparsed, err := url.Parse(urlStr)
-		fastOK = err == nil && *reparsed == fast
-	}
-
-	var flags byte
-	if f.HTTPS {
-		flags |= flowFlagHTTPS
-	}
-	if fastOK {
-		flags |= flowFlagFastURL
-	}
-	if !f.Time.IsZero() {
-		flags |= flowFlagHasTime
-		if !fitsUnixNano(f.Time) {
-			flags |= flowFlagWideTime
-		}
-	}
-	w.byte(flags)
-	w.varint(f.ID)
-	switch {
-	case flags&flowFlagWideTime != 0:
-		w.wideTime(f.Time)
-	case flags&flowFlagHasTime != 0:
-		w.varint(f.Time.UnixNano())
-	}
-	w.uvarint(uint64(tab.Intern(f.Method)))
-	if fastOK {
-		w.uvarint(uint64(tab.Intern(f.URL.Scheme)))
-		w.uvarint(uint64(tab.Intern(f.URL.Host)))
-		w.uvarint(uint64(tab.Intern(f.URL.Path)))
-		w.uvarint(uint64(tab.Intern(f.URL.RawQuery)))
-	} else {
-		w.uvarint(uint64(tab.Intern(urlStr)))
-	}
-	w.uvarint(scratch.reqTab.ref(f.RequestHeaders, tab, scratch))
-	w.uvarint(blobs.ref(f.RequestBody))
-	w.varint(int64(f.StatusCode))
-	w.uvarint(scratch.respTab.ref(f.ResponseHeaders, tab, scratch))
-	w.varint(f.ResponseSize)
-	w.uvarint(blobs.ref(f.ResponseBody))
-	w.uvarint(uint64(tab.Intern(f.Channel)))
-	w.uvarint(uint64(tab.Intern(f.ChannelID)))
+	return nil
 }
 
 // plainURL reports whether u is an http(s) URL with a plain host (letters,
@@ -649,26 +964,75 @@ func encodeFlowSnapshot(w *snapWriter, f *proxy.Flow, tab *intern.Strings, blobs
 // components survive String and Parse unchanged. Only those four fields
 // are looked at.
 func plainURL(u *url.URL) bool {
-	if u.Scheme != "http" && u.Scheme != "https" || u.Host == "" ||
-		u.Path != "" && u.Path[0] != '/' {
+	return plainScheme(u.Scheme) && plainHost(u.Host) && plainPath(u.Path) && plainQuery(u.RawQuery)
+}
+
+// The four part tests of plainURL.
+
+func plainScheme(s string) bool { return s == "http" || s == "https" }
+
+func plainHost(s string) bool {
+	if s == "" {
 		return false
 	}
-	for i := 0; i < len(u.Host); i++ {
-		c := u.Host[i]
+	for i := 0; i < len(s); i++ {
+		c := s[i]
 		if c == ':' {
-			return strings.Trim(u.Host[i+1:], "0123456789") == ""
+			return strings.Trim(s[i+1:], "0123456789") == ""
 		}
 		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
 			c == '-' || c == '.' || c == '_' || c == '~') {
 			return false
 		}
 	}
-	for i := 0; i < len(u.RawQuery); i++ {
-		if c := u.RawQuery[i]; c == '#' || c < ' ' || c == 0x7f {
+	return true
+}
+
+func plainPath(s string) bool { return s == "" || s[0] == '/' }
+
+func plainQuery(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if queryStop[s[i]] {
 			return false
 		}
 	}
 	return true
+}
+
+// queryStop marks the bytes a plain query does not hold: '#' and the
+// control bytes.
+var queryStop = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c == '#' || c < ' ' || c == 0x7f
+	}
+	return t
+}()
+
+// URL part roles: bit i is set in a string's role mask when the string
+// passes plainURL's test for part i.
+const (
+	roleScheme = 1 << iota
+	roleHost
+	rolePath
+	roleQuery
+)
+
+// urlRoles returns s's role mask.
+func urlRoles(s string) uint8 {
+	var m uint8
+	if plainScheme(s) {
+		m |= roleScheme
+	}
+	if plainHost(s) {
+		m |= roleHost
+	}
+	if plainPath(s) {
+		m |= rolePath
+	}
+	if plainQuery(s) {
+		m |= roleQuery
+	}
+	return m
 }
 
 // headerField is one header entry of a block being encoded.
@@ -786,8 +1150,11 @@ func readContainer(raw []byte, dd *Dedup) ([]*RunData, map[byte][]byte, error) {
 		case secStrings:
 			n := ps.count()
 			dec.strs = make([]string, 0, n)
+			dec.roles = make([]uint8, 0, n)
 			for i := uint64(0); i < n && ps.err == nil; i++ {
-				dec.strs = append(dec.strs, string(ps.bytes()))
+				s := string(ps.bytes())
+				dec.strs = append(dec.strs, s)
+				dec.roles = append(dec.roles, urlRoles(s))
 			}
 		case secBlobs:
 			n := ps.count()
@@ -835,7 +1202,10 @@ func readContainer(raw []byte, dd *Dedup) ([]*RunData, map[byte][]byte, error) {
 // reference headers by index, so many flows share one map. Loaded datasets
 // are read-only downstream, which makes that sharing safe.
 type snapDecoder struct {
-	strs     []string
+	strs []string
+	// roles holds each string's URL part role mask (urlRoles), so a
+	// decomposed URL is checked once per distinct part, not once per flow.
+	roles    []uint8
 	blobs    [][]byte
 	reqList  []http.Header
 	respList []http.Header
@@ -1112,13 +1482,17 @@ func (d *snapDecoder) decodeFlow(sr *snapReader, f *proxy.Flow, uslot *url.URL) 
 	}
 	f.Method = sr.str(d.strs)
 	if flags&flowFlagFastURL != 0 {
-		uslot.Scheme = sr.str(d.strs)
-		uslot.Host = sr.str(d.strs)
-		uslot.Path = sr.str(d.strs)
-		uslot.RawQuery = sr.str(d.strs)
+		scheme, host, path, query := sr.strID(d.strs), sr.strID(d.strs), sr.strID(d.strs), sr.strID(d.strs)
+		if sr.err != nil {
+			return
+		}
+		uslot.Scheme, uslot.Host, uslot.Path, uslot.RawQuery = d.strs[scheme], d.strs[host], d.strs[path], d.strs[query]
 		// The writer decomposes only URLs that re-parse to themselves;
-		// anything else would not re-save to the same bytes.
-		if !plainURL(uslot) {
+		// anything else would not re-save to the same bytes. The role
+		// masks settle plainURL; only a URL that fails it pays the round
+		// trip.
+		if d.roles[scheme]&roleScheme == 0 || d.roles[host]&roleHost == 0 ||
+			d.roles[path]&rolePath == 0 || d.roles[query]&roleQuery == 0 {
 			if r, err := url.Parse(uslot.String()); err != nil || *r != *uslot {
 				sr.fail("flow url %q cannot be stored decomposed", uslot.String())
 				return

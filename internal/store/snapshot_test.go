@@ -120,6 +120,70 @@ func TestSnapshotFlowEdgeCases(t *testing.T) {
 	}
 }
 
+// TestSnapshotDecomposedURLs: the loader's per-string role masks stand in
+// for plainURL, and a decomposed URL that fails them must still survive the
+// url.Parse round trip. Two URLs the writer decomposes although they are
+// not plain load back; four decomposed URLs no writer emits, made by
+// editing one string-table entry of a plain URL, fail the load. Whether
+// each URL round-trips is checked with url.Parse here.
+func TestSnapshotDecomposedURLs(t *testing.T) {
+	roundTrips := func(u *url.URL) bool {
+		r, err := url.Parse(u.String())
+		return err == nil && *r == *u
+	}
+	snapshotWith := func(raw string) ([]byte, *url.URL) {
+		t.Helper()
+		f := mkFlow(raw, "A", false)
+		ds := &Dataset{Runs: []*RunData{{Name: RunRed, Flows: []*proxy.Flow{f}}}}
+		var buf bytes.Buffer
+		if err := Save(&buf, ds, FormatSnapshot); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), f.URL
+	}
+
+	for _, raw := range []string{"ftp://files.example.org/a?x=1", "http://[::1]:8080/a?x=1"} {
+		snap, u := snapshotWith(raw)
+		if plainURL(u) || !roundTrips(u) {
+			t.Fatalf("%s: plain %v, round-trips %v; want false, true", raw, plainURL(u), roundTrips(u))
+		}
+		if bytes.Contains(snap, []byte(raw)) {
+			t.Errorf("%s: stored whole, not decomposed", raw)
+		}
+		ds, err := Load(bytes.NewReader(snap))
+		if err != nil {
+			t.Errorf("%s: %v", raw, err)
+			continue
+		}
+		if got := ds.Runs[0].Flows[0].URL; *got != *u {
+			t.Errorf("%s: loads as %#v", raw, got)
+		}
+	}
+
+	base, _ := snapshotWith("http://files.example.org/el?x=1&frag")
+	for _, tc := range []struct {
+		name     string
+		old, new string // a string-table entry, length byte included
+		url      url.URL
+	}{
+		{"scheme HTTP", "\x04http", "\x04HTTP", url.URL{Scheme: "HTTP", Host: "files.example.org", Path: "/el", RawQuery: "x=1&frag"}},
+		{"fragment in query", "\x08x=1&frag", "\x08x=1#frag", url.URL{Scheme: "http", Host: "files.example.org", Path: "/el", RawQuery: "x=1#frag"}},
+		{"space in host", "\x11files.example.org", "\x11files example.org", url.URL{Scheme: "http", Host: "files example.org", Path: "/el", RawQuery: "x=1&frag"}},
+		{"relative path", "\x03/el", "\x03rel", url.URL{Scheme: "http", Host: "files.example.org", Path: "rel", RawQuery: "x=1&frag"}},
+	} {
+		if roundTrips(&tc.url) {
+			t.Fatalf("%s: %#v round-trips", tc.name, tc.url)
+		}
+		edited := bytes.Replace(base, []byte(tc.old), []byte(tc.new), 1)
+		if bytes.Equal(edited, base) {
+			t.Fatalf("%s: no %q entry in the string table", tc.name, tc.old)
+		}
+		if _, err := Load(bytes.NewReader(edited)); err == nil || !strings.Contains(err.Error(), "cannot be stored decomposed") {
+			t.Errorf("%s: load error %v, want a decomposed-URL rejection", tc.name, err)
+		}
+	}
+}
+
 // TestSnapshotRejectsCorruption: version, magic, and truncation must fail
 // loudly, never panic or return a half-dataset.
 func TestSnapshotRejectsCorruption(t *testing.T) {
