@@ -41,6 +41,15 @@ var (
 	benchEnv     *analysisEnv
 )
 
+// flowCount counts the flows of every run in ds.
+func flowCount(ds *store.Dataset) int {
+	n := 0
+	for _, run := range ds.Runs {
+		n += len(run.Flows)
+	}
+	return n
+}
+
 // benchFixture runs the paper-scale study once and reuses it everywhere,
 // together with the section analyzers' environment: the dataset's
 // columnar index and a chunk pool with a single slot.
@@ -69,7 +78,7 @@ func benchFixture(b *testing.B) (*store.Dataset, *Results) {
 			pool: &chunkPool{slots: make(chan struct{}, 1)},
 		}
 		fmt.Fprintf(os.Stderr, "[bench fixture] paper-scale study: %d channels, %d flows, built in %v\n",
-			funnel.FinalCount(), len(ds.AllFlows()), time.Since(start).Round(time.Millisecond))
+			funnel.FinalCount(), flowCount(ds), time.Since(start).Round(time.Millisecond))
 	})
 	return benchDataset, benchResults
 }
@@ -485,9 +494,9 @@ func BenchmarkAttribution(b *testing.B) {
 			rec.Reset()
 			rec.SwitchChannel("A", "1")
 			_, _ = client.Get("http://app.chan-a.de/index.html")
-			clk.Advance(30 * time.Second)
+			clk.Sleep(30 * time.Second)
 			rec.SwitchChannel("B", "2")
-			clk.Advance(2 * time.Second)
+			clk.Sleep(2 * time.Second)
 			req, _ := http.NewRequest(http.MethodGet, "http://late.tracker.de/px", nil)
 			req.Header.Set("Referer", "http://app.chan-a.de/index.html")
 			resp, err := client.Do(req)
@@ -556,7 +565,7 @@ func BenchmarkMeasureThroughput(b *testing.B) {
 					b.Fatal(err)
 				}
 				elapsed += time.Since(start)
-				flows = len(ds.AllFlows())
+				flows = flowCount(ds)
 				if ds.Trace == nil || len(ds.Trace.Spans) == 0 {
 					b.Fatal("instrumented run produced no span trace")
 				}
@@ -720,7 +729,7 @@ func BenchmarkMergeShards(b *testing.B) {
 			b.Fatal(err)
 		}
 		elapsed += time.Since(start)
-		flows = len(merged.AllFlows())
+		flows = flowCount(merged)
 	}
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
 	b.ReportMetric(dd.Stats().BlobRatio()*100, "dedup-blob-pct")
@@ -728,26 +737,16 @@ func BenchmarkMergeShards(b *testing.B) {
 	b.ReportMetric(float64(flows)*float64(b.N)/elapsed.Seconds(), "flows/s")
 }
 
-// BenchmarkSnapshotFormats compares dataset persistence costs: gzip-JSON
-// save/load against the binary snapshot save/load, on the paper-scale
-// dataset, plus Dataset.Digest, which encodes the runs as a snapshot save
-// does. The snapshot-load sub-benchmark is the one the CI acceptance
+// BenchmarkSnapshotFormats measures dataset persistence costs on the
+// paper-scale dataset: the binary snapshot's save and load, plus
+// Dataset.Digest, which encodes the runs as a snapshot save does. The
+// snapshot-load sub-benchmark is the one the CI acceptance
 // criterion watches (paper-scale load well under 200 ms); make
-// bench-snapshot runs the snapshot lines at GOMAXPROCS 1 and 2, each
-// reporting the GOMAXPROCS it ran at.
+// bench-snapshot runs every line at GOMAXPROCS 1 and 2, each reporting
+// the GOMAXPROCS it ran at.
 func BenchmarkSnapshotFormats(b *testing.B) {
 	ds, _ := benchFixture(b)
-	var jsonBytes, snapBytes []byte
-	b.Run("save-json", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var buf bytes.Buffer
-			if err := store.Save(&buf, ds, store.FormatJSON); err != nil {
-				b.Fatal(err)
-			}
-			jsonBytes = buf.Bytes()
-		}
-		b.ReportMetric(float64(len(jsonBytes)), "bytes")
-	})
+	var snapBytes []byte
 	b.Run("save-snapshot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
@@ -766,13 +765,6 @@ func BenchmarkSnapshotFormats(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-	})
-	b.Run("load-json", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := store.Load(bytes.NewReader(jsonBytes)); err != nil {
-				b.Fatal(err)
-			}
-		}
 	})
 	b.Run("load-snapshot", func(b *testing.B) {
 		var elapsed time.Duration

@@ -162,7 +162,7 @@ func TestChaosAnalysisTolerates(t *testing.T) {
 	if cov.Failed == 0 {
 		t.Error("coverage reports no failed visits under fault injection")
 	}
-	if cov.Complete() {
+	if len(cov.Partial) == 0 {
 		t.Error("coverage claims complete despite failed channels")
 	}
 	for _, name := range cov.Partial {

@@ -54,7 +54,7 @@ func run(args []string, w io.Writer) error {
 	study.Register(fs)
 	jobs.Register(fs, "the analysis engine")
 	target := fs.String("t", "all", "what to print: table1..table5, fig5..fig8, findings, all")
-	in := fs.String("in", "", "analyze a dataset saved by hbbtv-measure -save or -snapshot instead of re-measuring")
+	in := fs.String("in", "", "analyze a dataset saved by hbbtv-measure -snapshot (or a gzip-JSON file an earlier version wrote with -save) instead of re-measuring")
 	probe := fs.Duration("probewatch", 0, "override the exploratory per-channel watch time (0 = paper's 910s)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	hbbtv-measure [-seed N] [-scale F] [-j N] [-out flows.ndjson] [-run NAME]
-//	              [-shard i/N] [-save FILE] [-snapshot FILE]
+//	              [-shard i/N] [-snapshot FILE]
 //	              [-checkpoint FILE] [-resume] [-checkpoint-sync N]
 //	              [-telemetry] [-telemetry-json FILE] [-telemetry-http ADDR]
 //	              [-fault-seed N] [-fault-rate F] [-retries N]
@@ -19,18 +19,14 @@
 // merged dataset's digest is byte-identical to a single-process
 // -j 1 -shards N run of the same seed.
 //
-// -save writes the dataset as gzip-JSON, -snapshot as the binary snapshot
-// format; both carry the full dataset and both can be given at once.
-// -snapshot also prints the dataset's digest ("digest <hex>", what
-// hbbtv-merge prints and -verify compares), from the encode that wrote
-// the file.
-// hbbtv-analyze -in sniffs the format from the file's magic bytes, so
-// either file feeds the analysis unchanged — the snapshot just loads an
-// order of magnitude faster at paper scale.
+// -snapshot writes the full dataset in the binary snapshot format, which
+// hbbtv-analyze -in and hbbtv-merge read, and prints the dataset's digest
+// ("digest <hex>", what hbbtv-merge prints and -verify compares) from the
+// encode that wrote the file. -out (NDJSON flows) and -har (HAR 1.2)
+// export the flows for other tools.
 //
 // With -telemetry the engine is instrumented (live progress line on
-// stderr, final snapshot and span trace embedded in -save/-snapshot
-// output); -telemetry-json streams periodic JSON-line snapshots (one
+// stderr, final snapshot and span trace embedded in -snapshot output); -telemetry-json streams periodic JSON-line snapshots (one
 // final snapshot is always emitted at campaign end); -telemetry-http
 // serves the live campaign dashboard while the run executes: an embedded
 // HTML page on /, an SSE frame stream on /events, the raw snapshot on

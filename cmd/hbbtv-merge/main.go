@@ -7,21 +7,21 @@
 //
 // Usage:
 //
-//	hbbtv-merge [-save FILE] [-snapshot FILE] [-verify FILE] [-q]
+//	hbbtv-merge [-snapshot FILE] [-verify FILE] [-q]
 //	            shard0.snap shard1.snap ...
 //
-// Inputs may be in either dataset format (binary snapshot or gzip-JSON;
-// the format is sniffed per file) and in any order — the manifests place
-// them. Response bodies and header blocks are deduplicated across shards
+// Inputs may be binary snapshots or gzip-JSON files written by earlier
+// versions (the format is sniffed per file), in any order — the
+// manifests place them. Response bodies and header blocks are deduplicated across shards
 // through a content-addressed table while loading, so the merge holds one
 // copy of each distinct payload instead of N.
 //
 // -verify loads a reference dataset (typically the single-process run)
 // and exits non-zero unless the merged digest matches — the fleet CI
-// gate. -save / -snapshot write the merged dataset in the same formats
-// hbbtv-measure writes, before the check, so a mismatching merge is kept
-// for inspection; -snapshot's encode also yields the printed digest, so
-// the merged runs are encoded once.
+// gate. -snapshot writes the merged dataset in the format hbbtv-measure
+// writes, before the check, so a mismatching merge is kept for
+// inspection; its encode also yields the printed digest, so the merged
+// runs are encoded once.
 //
 // When the shards were measured with -telemetry, the merged dataset
 // carries the fleet-wide telemetry snapshot and span trace recombined
@@ -61,7 +61,7 @@ func run(args []string, w io.Writer) error {
 	}
 	paths := fs.Args()
 	if len(paths) == 0 {
-		return fmt.Errorf("no shard datasets given; usage: hbbtv-merge [-save FILE] [-snapshot FILE] [-verify FILE] shard0 shard1 ...")
+		return fmt.Errorf("no shard datasets given; usage: hbbtv-merge [-snapshot FILE] [-verify FILE] shard0 shard1 ...")
 	}
 
 	// One content-addressed table across all loads: identical tracker

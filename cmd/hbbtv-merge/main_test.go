@@ -30,8 +30,8 @@ func mergeOptions(n int) hbbtvlab.Options {
 }
 
 // writeShards measures every shard of an n-way fleet in-process and
-// persists each to dir in the given format, returning the file paths.
-func writeShards(t *testing.T, dir string, opts hbbtvlab.Options, n int, format store.Format) []string {
+// persists each to dir as a snapshot, returning the file paths.
+func writeShards(t *testing.T, dir string, opts hbbtvlab.Options, n int) []string {
 	t.Helper()
 	paths := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -44,15 +44,15 @@ func writeShards(t *testing.T, dir string, opts hbbtvlab.Options, n int, format 
 			t.Fatalf("shard %d/%d: %v", i, n, err)
 		}
 		paths[i] = filepath.Join(dir, fmt.Sprintf("shard%d", i))
-		writeDataset(t, paths[i], ds, format)
+		writeDataset(t, paths[i], ds)
 	}
 	return paths
 }
 
-func writeDataset(t *testing.T, path string, ds *store.Dataset, format store.Format) {
+func writeDataset(t *testing.T, path string, ds *store.Dataset) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := store.Save(&buf, ds, format); err != nil {
+	if err := store.Save(&buf, ds, store.FormatSnapshot); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -68,7 +68,7 @@ func TestHelp(t *testing.T) {
 	if !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h returned %v, want flag.ErrHelp", err)
 	}
-	for _, flagName := range []string{"-save", "-snapshot", "-verify", "-q"} {
+	for _, flagName := range []string{"-snapshot", "-verify", "-q"} {
 		if !strings.Contains(buf.String(), flagName) {
 			t.Errorf("usage lacks %s:\n%s", flagName, buf.String())
 		}
@@ -95,14 +95,14 @@ func TestRejections(t *testing.T) {
 	}
 
 	plain := filepath.Join(dir, "plain")
-	writeDataset(t, plain, &store.Dataset{Runs: []*store.RunData{{Name: store.RunGeneral}}}, store.FormatSnapshot)
+	writeDataset(t, plain, &store.Dataset{Runs: []*store.RunData{{Name: store.RunGeneral}}})
 	if err := run([]string{plain}, &buf); err == nil || !strings.Contains(err.Error(), "no shard manifest") {
 		t.Errorf("manifest-less dataset: %v", err)
 	}
 
 	opts := mergeOptions(2)
 	opts.Scale = 0.02 // the rejection paths never merge; keep them cheap
-	shards := writeShards(t, dir, opts, 2, store.FormatSnapshot)
+	shards := writeShards(t, dir, opts, 2)
 	if err := run([]string{shards[0]}, &buf); err == nil || !strings.Contains(err.Error(), "missing shard") {
 		t.Errorf("incomplete fleet: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestRejections(t *testing.T) {
 	if err := os.MkdirAll(otherDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	otherShards := writeShards(t, otherDir, other, 2, store.FormatSnapshot)
+	otherShards := writeShards(t, otherDir, other, 2)
 	if err := run([]string{shards[0], otherShards[1]}, &buf); err == nil || !strings.Contains(err.Error(), "seed") {
 		t.Errorf("seed mismatch: %v", err)
 	}
@@ -127,10 +127,9 @@ func TestMergeVerify(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*hbbtvlab.Options)
-		format store.Format
 	}{
-		{name: "reliable", format: store.FormatSnapshot},
-		{name: "chaos", format: store.FormatJSON, mutate: func(o *hbbtvlab.Options) {
+		{name: "reliable"},
+		{name: "chaos", mutate: func(o *hbbtvlab.Options) {
 			o.Faults = &faults.Config{Rate: 0.25}
 			o.Retry = core.RetryPolicy{MaxAttempts: 2}
 		}},
@@ -153,9 +152,9 @@ func TestMergeVerify(t *testing.T) {
 				t.Fatal(err)
 			}
 			refPath := filepath.Join(dir, "single")
-			writeDataset(t, refPath, refDS, store.FormatSnapshot)
+			writeDataset(t, refPath, refDS)
 
-			shards := writeShards(t, dir, opts, n, tc.format)
+			shards := writeShards(t, dir, opts, n)
 			mergedPath := filepath.Join(dir, "merged")
 			var buf bytes.Buffer
 			args := append([]string{"-verify", refPath, "-snapshot", mergedPath}, shards...)
@@ -208,7 +207,7 @@ func TestVerifyMismatch(t *testing.T) {
 	dir := t.TempDir()
 	opts := mergeOptions(2)
 	opts.Scale = 0.02
-	shards := writeShards(t, dir, opts, 2, store.FormatSnapshot)
+	shards := writeShards(t, dir, opts, 2)
 
 	other := opts
 	other.Seed = 10
@@ -221,7 +220,7 @@ func TestVerifyMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	refPath := filepath.Join(dir, "wrong-ref")
-	writeDataset(t, refPath, refDS, store.FormatSnapshot)
+	writeDataset(t, refPath, refDS)
 
 	var buf bytes.Buffer
 	err = run(append([]string{"-q", "-verify", refPath}, shards...), &buf)

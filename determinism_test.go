@@ -146,7 +146,7 @@ func TestSaveLoadAnalyzeEquivalence(t *testing.T) {
 	direct := Analyze(ds)
 
 	var buf bytes.Buffer
-	if err := store.Save(&buf, ds, store.FormatJSON); err != nil {
+	if err := saveReferenceJSON(&buf, ds); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := store.Load(&buf)

@@ -2,7 +2,6 @@ package hbbtvlab
 
 import (
 	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -17,7 +16,8 @@ import (
 
 // These tests hold Dataset.Digest, the hash of the runs' binary snapshot,
 // to the identity the digest used to have: the hash of the runs'
-// uncompressed gzip-JSON encoding. The two digests differ in value, so
+// uncompressed gzip-JSON encoding (jsonMirrorDigest, over the reference
+// writer in json_reference_test.go). The two digests differ in value, so
 // each test collects datasets together with the class they belong to and
 // asserts that both digests sort them into exactly the same classes, and
 // that those classes are the expected ones: a dataset's worker count,
@@ -63,25 +63,6 @@ func checkDigestClasses(t *testing.T, entries []digestEntry) {
 	if len(classOf) != len(classes) {
 		t.Errorf("%d distinct digests for %d classes", len(classOf), len(classes))
 	}
-}
-
-// jsonMirrorDigest is the digest's former definition: the SHA-256 of the
-// uncompressed gzip-JSON encoding of the dataset's runs.
-func jsonMirrorDigest(t *testing.T, ds *store.Dataset) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := store.Save(&buf, &store.Dataset{Runs: ds.Runs}, store.FormatJSON); err != nil {
-		t.Fatal(err)
-	}
-	gz, err := gzip.NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
-	if _, err := io.Copy(h, gz); err != nil {
-		t.Fatal(err)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 func digestOptions(seed int64, j int) Options {
@@ -167,9 +148,9 @@ func TestDigestEquivalenceEmpty(t *testing.T) {
 
 // TestDigestTransition covers the identities the equivalence tests do not:
 // a 2-way fleet, each collector on a fresh study, merges to the
-// single-process campaign with the same shard count, and a dataset saved
-// as gzip-JSON, loaded, saved as a snapshot and loaded again keeps its
-// identity.
+// single-process campaign with the same shard count, and a dataset written
+// as gzip-JSON (by the reference writer), loaded, saved as a snapshot and
+// loaded again keeps its identity.
 func TestDigestTransition(t *testing.T) {
 	fleet := digestOptions(321, 2)
 	fleet.Shards = 2
@@ -194,9 +175,9 @@ func TestDigestTransition(t *testing.T) {
 
 	reloaded := measureForDigest(t, "seed=1/j=1", digestOptions(1, 1))
 	entries = append(entries, digestEntry{"seed=1", "seed=1/j=1", reloaded})
-	for _, format := range []store.Format{store.FormatJSON, store.FormatSnapshot} {
+	for _, save := range []func(io.Writer, *store.Dataset) error{saveReferenceJSON, saveSnapshot} {
 		var buf bytes.Buffer
-		if err := store.Save(&buf, reloaded, format); err != nil {
+		if err := save(&buf, reloaded); err != nil {
 			t.Fatal(err)
 		}
 		if reloaded, err = store.Load(&buf); err != nil {

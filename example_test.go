@@ -29,20 +29,20 @@ func ExampleNewStudy() {
 }
 
 // ExampleStudy_Run executes a single measurement run and saves the dataset
-// for later offline analysis.
+// as a snapshot for later offline analysis (hbbtv-analyze -in reads it).
 func ExampleStudy_Run() {
 	study := hbbtvlab.NewStudy(hbbtvlab.Options{Seed: 1, Scale: 0.05})
 	red, err := study.Run(store.RunRed)
 	if err != nil {
 		panic(err)
 	}
-	f, err := os.CreateTemp("", "hbbtv-*.json.gz")
+	f, err := os.CreateTemp("", "hbbtv-*.snap")
 	if err != nil {
 		panic(err)
 	}
 	defer os.Remove(f.Name())
 	ds := &store.Dataset{Runs: []*store.RunData{red}}
-	if err := store.Save(f, ds, store.FormatJSON); err != nil {
+	if err := store.Save(f, ds, store.FormatSnapshot); err != nil {
 		panic(err)
 	}
 	_ = f.Close()

@@ -178,12 +178,10 @@ func TestEcosystemGraphShape(t *testing.T) {
 
 func TestFirstPartiesAreOperatorPlatforms(t *testing.T) {
 	for ch, fp := range testResults.FirstParties {
-		c := testWorld.ChannelByName(ch)
-		if c == nil {
-			continue
-		}
-		if fp != c.Group.FirstParty {
-			t.Errorf("%s: first party %q, want %q", ch, fp, c.Group.FirstParty)
+		for _, c := range testWorld.Channels {
+			if c.Service.Name == ch && fp != c.Group.FirstParty {
+				t.Errorf("%s: first party %q, want %q", ch, fp, c.Group.FirstParty)
+			}
 		}
 	}
 }

@@ -58,7 +58,7 @@ type Telemetry struct {
 
 // Register installs -telemetry, -telemetry-json, and -telemetry-http.
 func (t *Telemetry) Register(fs *flag.FlagSet) {
-	fs.BoolVar(&t.Enabled, "telemetry", false, "instrument the engine: live progress line on stderr, snapshot embedded in -save output")
+	fs.BoolVar(&t.Enabled, "telemetry", false, "instrument the engine: live progress line on stderr, snapshot and span trace embedded in -snapshot output")
 	fs.StringVar(&t.JSONPath, "telemetry-json", "", "stream periodic telemetry snapshots as JSON lines to this file (implies -telemetry)")
 	fs.StringVar(&t.HTTPAddr, "telemetry-http", "", "serve the live dashboard on this address, e.g. localhost:8377: HTML at /, SSE at /events, JSON snapshot at /telemetry (implies -telemetry)")
 }
@@ -146,54 +146,38 @@ func (c *Checkpoint) Validate() error {
 	return nil
 }
 
-// Output is the dataset output flag pair. Both formats carry the full
-// dataset and both can be written at once; store.Load sniffs either.
+// Output is the dataset output flag: the one file format datasets are
+// written in is the binary snapshot, which hbbtv-analyze -in and
+// hbbtv-merge read back.
 type Output struct {
-	JSONPath     string
 	SnapshotPath string
 }
 
-// Register installs -save and -snapshot. The what string names the thing
-// being written ("the FULL dataset", "the merged dataset").
+// Register installs -snapshot. The what string names the thing being
+// written ("the FULL dataset", "the merged dataset").
 func (o *Output) Register(fs *flag.FlagSet, what string) {
-	fs.StringVar(&o.JSONPath, "save", "", fmt.Sprintf("write %s (gzip JSON) for later hbbtv-analyze -in", what))
-	fs.StringVar(&o.SnapshotPath, "snapshot", "", fmt.Sprintf("write %s in the binary snapshot format (same contents as -save, much faster to load; hbbtv-analyze -in sniffs either)", what))
+	fs.StringVar(&o.SnapshotPath, "snapshot", "", fmt.Sprintf("write %s in the binary snapshot format for later hbbtv-analyze -in", what))
 }
 
-// Enabled reports whether any output file was requested.
-func (o *Output) Enabled() bool { return o.JSONPath != "" || o.SnapshotPath != "" }
-
-// Write saves the dataset to every requested file, reporting each write
-// on w the way the commands always have. With -snapshot it also returns
-// the dataset's digest, from the encode that wrote the snapshot; without
-// it the digest is "".
+// Write saves the dataset to the requested file, reporting the write on w
+// the way the commands always have, and returns the dataset's digest from
+// the encode that wrote the file. Without -snapshot it writes nothing and
+// returns "".
 func (o *Output) Write(w io.Writer, ds *store.Dataset) (digest string, err error) {
-	if o.JSONPath != "" {
-		if err := writeFile(o.JSONPath, func(f io.Writer) error { return store.Save(f, ds, store.FormatJSON) }); err != nil {
-			return "", err
-		}
-		fmt.Fprintf(w, "dataset written to %s\n", o.JSONPath)
+	if o.SnapshotPath == "" {
+		return "", nil
 	}
-	if o.SnapshotPath != "" {
-		if err := writeFile(o.SnapshotPath, func(f io.Writer) (err error) {
-			digest, err = store.SaveDigest(f, ds)
-			return err
-		}); err != nil {
-			return "", err
-		}
-		fmt.Fprintf(w, "snapshot written to %s\n", o.SnapshotPath)
-	}
-	return digest, nil
-}
-
-func writeFile(path string, save func(io.Writer) error) error {
-	f, err := os.Create(path)
+	f, err := os.Create(o.SnapshotPath)
 	if err != nil {
-		return err
+		return "", err
 	}
-	if err := save(f); err != nil {
+	if digest, err = store.SaveDigest(f, ds); err != nil {
 		f.Close()
-		return err
+		return "", err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return "", err
+	}
+	fmt.Fprintf(w, "snapshot written to %s\n", o.SnapshotPath)
+	return digest, nil
 }

@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -111,7 +112,8 @@ func TestTelemetryOn(t *testing.T) {
 
 // TestOutputWriteDigest: with -snapshot, Write returns the dataset's
 // digest (which leaves out telemetry) alongside the file it wrote, and the
-// file loads back to that digest; with -save alone it returns "".
+// file loads back to that digest and telemetry; without it Write returns
+// "" and writes nothing.
 func TestOutputWriteDigest(t *testing.T) {
 	u, _ := url.Parse("http://a.de/x?y=1")
 	ds := &store.Dataset{
@@ -123,7 +125,7 @@ func TestOutputWriteDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	o := Output{JSONPath: filepath.Join(dir, "ds.json.gz"), SnapshotPath: filepath.Join(dir, "ds.snap")}
+	o := Output{SnapshotPath: filepath.Join(dir, "ds.snap")}
 	var log bytes.Buffer
 	got, err := o.Write(&log, ds)
 	if err != nil {
@@ -135,21 +137,23 @@ func TestOutputWriteDigest(t *testing.T) {
 	if !strings.Contains(log.String(), "snapshot written to "+o.SnapshotPath) {
 		t.Errorf("no snapshot line in %q", log.String())
 	}
-	for _, path := range []string{o.JSONPath, o.SnapshotPath} {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := store.Load(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d, err := loaded.Digest(); err != nil || d != want {
-			t.Errorf("%s loads to digest %q (%v), want %q", path, d, err, want)
-		}
+	f, err := os.Open(o.SnapshotPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, err := (&Output{JSONPath: o.JSONPath}).Write(io.Discard, ds); err != nil || got != "" {
-		t.Errorf("-save alone returned digest %q, %v", got, err)
+	loaded, err := store.Load(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := loaded.Digest(); err != nil || d != want {
+		t.Errorf("%s loads to digest %q (%v), want %q", o.SnapshotPath, d, err, want)
+	}
+	if !reflect.DeepEqual(loaded.Telemetry, ds.Telemetry) {
+		t.Errorf("telemetry = %+v, want %+v", loaded.Telemetry, ds.Telemetry)
+	}
+	log.Reset()
+	if got, err := (&Output{}).Write(&log, ds); err != nil || got != "" || log.Len() != 0 {
+		t.Errorf("no -snapshot: digest %q, %v, output %q", got, err, log.String())
 	}
 }

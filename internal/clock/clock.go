@@ -32,7 +32,7 @@ func (Real) Now() time.Time { return time.Now() }
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
-// Virtual is a deterministic Clock that only moves when Sleep or Advance is
+// Virtual is a deterministic Clock that only moves when Sleep or Set is
 // called. The zero value is not usable; construct with NewVirtual.
 type Virtual struct {
 	mu  sync.Mutex
@@ -63,10 +63,6 @@ func (v *Virtual) Sleep(d time.Duration) {
 	defer v.mu.Unlock()
 	v.now = v.now.Add(d)
 }
-
-// Advance is an alias for Sleep that reads better at call sites that drive
-// the timeline explicitly.
-func (v *Virtual) Advance(d time.Duration) { v.Sleep(d) }
 
 // Set moves the clock to t. Moving backwards is allowed; the measurement
 // framework uses this to pin run start dates (e.g. the five runs of the

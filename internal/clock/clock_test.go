@@ -42,15 +42,6 @@ func TestVirtualSet(t *testing.T) {
 	}
 }
 
-func TestVirtualAdvanceAlias(t *testing.T) {
-	start := time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC)
-	v := NewVirtual(start)
-	v.Advance(10 * time.Second)
-	if got := v.Now(); !got.Equal(start.Add(10 * time.Second)) {
-		t.Fatalf("Advance: Now() = %v", got)
-	}
-}
-
 func TestVirtualConcurrentSleep(t *testing.T) {
 	start := time.Date(2023, 8, 21, 0, 0, 0, 0, time.UTC)
 	v := NewVirtual(start)

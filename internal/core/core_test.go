@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -143,7 +145,7 @@ func TestDefaultRunsMatchStudy(t *testing.T) {
 
 func TestInteractionSequenceFixed(t *testing.T) {
 	fw, _ := buildFramework(t, 9, 0.02)
-	seq := fw.InteractionSequence()
+	seq := fw.interaction
 	if len(seq) != 10 {
 		t.Fatalf("sequence length = %d", len(seq))
 	}
@@ -163,12 +165,10 @@ func TestInteractionSequenceFixed(t *testing.T) {
 	if !hasEnter {
 		t.Error("sequence must contain ENTER at least once")
 	}
-	// Fixed: repeated calls return the same sequence.
-	again := fw.InteractionSequence()
-	for i := range seq {
-		if seq[i] != again[i] {
-			t.Fatal("interaction sequence not fixed")
-		}
+	// Fixed: a framework built from the same seed presses the same keys.
+	again, _ := buildFramework(t, 9, 0.02)
+	if !slices.Equal(seq, again.interaction) {
+		t.Fatal("interaction sequence not fixed")
 	}
 }
 
@@ -185,7 +185,7 @@ func TestExecuteRunCollectsEverything(t *testing.T) {
 	for _, ch := range world.Channels {
 		channels = append(channels, ch.Service)
 	}
-	run, err := fw.ExecuteRun(spec, channels)
+	run, err := fw.ExecuteRunContext(context.Background(), spec, channels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestExecuteRunWipesBetweenRuns(t *testing.T) {
 		Date:  time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC),
 		Watch: 60 * time.Second, ShotEvery: 60 * time.Second,
 	}
-	run1, err := fw.ExecuteRun(spec, channels)
+	run1, err := fw.ExecuteRunContext(context.Background(), spec, channels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestExecuteRunWipesBetweenRuns(t *testing.T) {
 	spec2.Name = store.RunRed
 	spec2.Button = appmodel.KeyRed
 	spec2.Date = time.Date(2023, 9, 14, 9, 0, 0, 0, time.UTC)
-	run2, err := fw.ExecuteRun(spec2, channels)
+	run2, err := fw.ExecuteRunContext(context.Background(), spec2, channels)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,13 +229,6 @@ func fixedInteraction(rng *rand.Rand) []appmodel.Key {
 	return seq
 }
 
-// InteractionSequence returns a copy of the fixed 10-press sequence.
-func (f *Framework) InteractionSequence() []appmodel.Key {
-	out := make([]appmodel.Key, len(f.interaction))
-	copy(out, f.interaction)
-	return out
-}
-
 // Probe implements the exploratory measurement: tune, watch, and report
 // whether any traffic appeared. The recorder is reset afterwards so probe
 // traffic never leaks into run data.
@@ -303,16 +296,11 @@ func (f *Framework) backoff(channel string, attempt int) {
 	f.Clock.Sleep(delay)
 }
 
-// ExecuteRun performs one measurement run over the given channels,
+// ExecuteRunContext performs one measurement run over the given channels,
 // following the Section IV-C procedure: start proxy, power the TV on,
 // visit every (available) channel in randomized order, collect, wipe,
-// power off.
-func (f *Framework) ExecuteRun(spec RunSpec, channels []*dvb.Service) (*store.RunData, error) {
-	return f.ExecuteRunContext(context.Background(), spec, channels)
-}
-
-// ExecuteRunContext is ExecuteRun with cooperative cancellation,
-// per-channel panic recovery, and per-channel resilience. Cancellation is
+// power off, with cooperative cancellation, per-channel panic recovery,
+// and per-channel resilience. Cancellation is
 // checked between channel visits; when the context is done, the remaining
 // channels are marked skipped, the run is collected as usual, and the
 // well-formed (possibly partial) RunData is returned alongside the

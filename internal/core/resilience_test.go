@@ -14,6 +14,25 @@ import (
 	"github.com/hbbtvlab/hbbtvlab/internal/synth"
 )
 
+// outcomeOf returns the named channel's outcome record in run, or nil.
+func outcomeOf(run *store.RunData, channel string) *store.ChannelOutcome {
+	for i := range run.Outcomes {
+		if run.Outcomes[i].Channel == channel {
+			return &run.Outcomes[i]
+		}
+	}
+	return nil
+}
+
+// countOutcomes tallies run's outcome records by status.
+func countOutcomes(run *store.RunData) map[store.OutcomeStatus]int {
+	out := make(map[store.OutcomeStatus]int)
+	for _, o := range run.Outcomes {
+		out[o.Status]++
+	}
+	return out
+}
+
 // buildFaultyFramework is buildFramework plus a fault injector and retry
 // policy — the scaffolding of every resilience test.
 func buildFaultyFramework(t *testing.T, seed int64, scale float64, fc faults.Config, retry RetryPolicy) (*Framework, *synth.World) {
@@ -78,7 +97,7 @@ func TestRunContinuesPastFailedChannel(t *testing.T) {
 	for _, ch := range world.Channels {
 		channels = append(channels, ch.Service)
 	}
-	run, err := fw.ExecuteRun(spec, channels)
+	run, err := fw.ExecuteRunContext(context.Background(), spec, channels)
 	if err == nil {
 		t.Fatal("always-failing channel produced no error")
 	}
@@ -96,7 +115,7 @@ func TestRunContinuesPastFailedChannel(t *testing.T) {
 		t.Errorf("error does not wrap the injected tune fault: %v", err)
 	}
 
-	o := run.Outcome(victim)
+	o := outcomeOf(run, victim)
 	if o == nil || o.Status != store.OutcomeFailed || o.Attempts != 2 {
 		t.Errorf("victim outcome = %+v, want failed after 2 attempts", o)
 	}
@@ -113,7 +132,7 @@ func TestRunContinuesPastFailedChannel(t *testing.T) {
 			t.Error("failed channel still produced a ChannelInfo record")
 		}
 	}
-	counts := run.CountOutcomes()
+	counts := countOutcomes(run)
 	if counts[store.OutcomeOK] != len(run.Channels) {
 		t.Errorf("%d ok outcomes vs %d measured channels", counts[store.OutcomeOK], len(run.Channels))
 	}
@@ -140,11 +159,11 @@ func TestQuarantineAfterConsecutiveFailedRuns(t *testing.T) {
 	}
 	statuses := make([]store.OutcomeStatus, 0, 3)
 	for i := 0; i < 3; i++ {
-		run, err := fw.ExecuteRun(spec, channels)
+		run, err := fw.ExecuteRunContext(context.Background(), spec, channels)
 		if err != nil && !DegradedOnly(err) {
 			t.Fatal(err)
 		}
-		o := run.Outcome(victim)
+		o := outcomeOf(run, victim)
 		if o == nil {
 			t.Fatalf("run %d: no outcome for victim", i)
 		}
@@ -177,12 +196,12 @@ func TestSuccessResetsFailStreak(t *testing.T) {
 	// Fail once by hand, then let a clean run pass, then fail again: the
 	// streak must never reach 2.
 	fw.failStreak[victim] = 1
-	run, err := fw.ExecuteRun(spec, channels)
+	run, err := fw.ExecuteRunContext(context.Background(), spec, channels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o := run.Outcome(victim); o == nil || o.Status != store.OutcomeOK {
-		t.Fatalf("victim outcome = %+v, want ok", run.Outcome(victim))
+	if o := outcomeOf(run, victim); o == nil || o.Status != store.OutcomeOK {
+		t.Fatalf("victim outcome = %+v, want ok", outcomeOf(run, victim))
 	}
 	if fw.failStreak[victim] != 0 {
 		t.Errorf("failStreak = %d after clean run, want 0", fw.failStreak[victim])
@@ -338,15 +357,15 @@ func TestVisitDeadlineBoundsHangs(t *testing.T) {
 	for _, ch := range world.Channels {
 		channels = append(channels, ch.Service)
 	}
-	run, err := fw.ExecuteRun(spec, channels)
+	run, err := fw.ExecuteRunContext(context.Background(), spec, channels)
 	if err == nil {
 		t.Fatal("hanging channel produced no error")
 	}
 	if !errors.Is(err, ErrVisitDeadline) {
 		t.Errorf("err = %v, want ErrVisitDeadline in the tree", err)
 	}
-	if o := run.Outcome(victim); o == nil || o.Status != store.OutcomeFailed {
-		t.Errorf("victim outcome = %+v, want failed", run.Outcome(victim))
+	if o := outcomeOf(run, victim); o == nil || o.Status != store.OutcomeFailed {
+		t.Errorf("victim outcome = %+v, want failed", outcomeOf(run, victim))
 	}
 	// The deadline also guarantees no ChannelInfo was recorded for the
 	// abandoned visit, so a later retry cannot duplicate it.

@@ -153,17 +153,6 @@ func (b *Bouquet) ByName(name string) *Service {
 	return nil
 }
 
-// BySatellite returns the services carried by sat, in channel-list order.
-func (b *Bouquet) BySatellite(sat Satellite) []*Service {
-	var out []*Service
-	for _, s := range b.Services {
-		if s.Transponder.Satellite == sat {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Receiver models the antenna + demodulator: it scans satellites and
 // produces the channel list the TV sees.
 type Receiver struct {

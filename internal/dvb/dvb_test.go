@@ -67,9 +67,6 @@ func TestBouquetLookup(t *testing.T) {
 	if s := b.ByName("missing"); s != nil {
 		t.Errorf("ByName(missing) = %v, want nil", s)
 	}
-	if got := len(b.BySatellite(Astra1L)); got != 2 {
-		t.Errorf("BySatellite(Astra) = %d services, want 2", got)
-	}
 }
 
 func TestServiceAccessors(t *testing.T) {

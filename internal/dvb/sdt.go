@@ -195,17 +195,3 @@ func MustEncodeSDT(t *SDT) []byte {
 	}
 	return b
 }
-
-// ServiceFromSDT fills a Service's funnel-relevant metadata from a decoded
-// SDT entry (name, radio flag, encryption, running state) — what a real
-// receiver does during the channel scan.
-func ServiceFromSDT(e SDTEntry, tp Transponder) *Service {
-	return &Service{
-		ServiceID:   e.ServiceID,
-		Name:        e.Name,
-		Transponder: tp,
-		Radio:       e.Type == ServiceTypeRadio,
-		Encrypted:   e.Scrambled,
-		Invisible:   !e.Running,
-	}
-}

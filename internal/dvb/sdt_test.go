@@ -57,23 +57,40 @@ func TestSDTRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestServiceFromSDT: the channel scan fills each service's
+// funnel-relevant metadata (name, radio flag, encryption, running state)
+// from the SDT section it carries, as a real receiver does. Every service
+// starts with the opposite flags, so a field the scan does not set fails.
 func TestServiceFromSDT(t *testing.T) {
-	tp := Transponder{Satellite: Astra1L, FrequencyMHz: 11494}
-	entries := sampleSDT().Entries
-
-	tv := ServiceFromSDT(entries[0], tp)
+	tsid := sampleSDT().TransportStreamID
+	var universe []*Service
+	for i, e := range sampleSDT().Entries {
+		s := mkService("placeholder", Astra1L, 11494, e.ServiceID)
+		s.Radio = e.Type != ServiceTypeRadio
+		s.Encrypted = !e.Scrambled
+		s.Invisible = e.Running
+		s.SDTSection = MustEncodeSDT(&SDT{TransportStreamID: tsid, Entries: sampleSDT().Entries[i : i+1]})
+		universe = append(universe, s)
+	}
+	tp := universe[0].Transponder
+	got := NewReceiver().Scan(universe).Services
+	if len(got) != 4 {
+		t.Fatalf("scan kept %d services, want 4", len(got))
+	}
+	bySID := map[uint16]*Service{}
+	for _, s := range got {
+		bySID[s.ServiceID] = s
+	}
+	tv, pay, radio, ghost := bySID[28106], bySID[28006], bySID[28400], bySID[28999]
 	if tv.Name != "Das Erste HD" || tv.Radio || tv.Encrypted || tv.Invisible {
 		t.Errorf("tv service = %+v", tv)
 	}
-	pay := ServiceFromSDT(entries[1], tp)
-	if !pay.Encrypted {
+	if pay.Name != "Sky Cinema" || !pay.Encrypted || pay.Radio || pay.Invisible {
 		t.Errorf("scrambled service = %+v", pay)
 	}
-	radio := ServiceFromSDT(entries[2], tp)
-	if !radio.Radio {
+	if radio.Name != "Bayern 3" || !radio.Radio || radio.Encrypted || radio.Invisible {
 		t.Errorf("radio service = %+v", radio)
 	}
-	ghost := ServiceFromSDT(entries[3], tp)
 	if !ghost.Invisible || ghost.Name != "" {
 		t.Errorf("not-running service = %+v", ghost)
 	}

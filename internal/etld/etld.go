@@ -147,11 +147,6 @@ func MustRegistrableDomain(host string) string {
 	return d
 }
 
-// SameParty reports whether two hosts share a registrable domain.
-func SameParty(hostA, hostB string) bool {
-	return MustRegistrableDomain(hostA) == MustRegistrableDomain(hostB)
-}
-
 func normalize(host string) string {
 	host = strings.ToLower(strings.TrimSpace(host))
 	host = strings.TrimSuffix(host, ".")

@@ -1,9 +1,6 @@
 package policy
 
-import (
-	"math"
-	"strings"
-)
+import "strings"
 
 // This file is the substitute for the trained policy-detection classifiers
 // (Hosseini et al., 99+% F1): a log-odds keyword model distinguishing
@@ -76,9 +73,4 @@ func Score(text string) float64 {
 // IsPolicy classifies plain text as a privacy policy.
 func IsPolicy(text string) bool {
 	return Score(text) >= classifyThreshold
-}
-
-// Confidence maps the score to (0, 1) for reporting.
-func Confidence(text string) float64 {
-	return 1 / (1 + math.Exp(-(Score(text)-classifyThreshold)/4))
 }

@@ -92,11 +92,12 @@ func TestClassifier(t *testing.T) {
 	if IsPolicy(miscText) {
 		t.Errorf("teleshopping text accepted (score %.1f)", Score(miscText))
 	}
-	if Confidence(germanPolicy) <= 0.5 {
-		t.Errorf("policy confidence = %v", Confidence(germanPolicy))
+	// Clear of the threshold on both sides, not merely at it.
+	if s := Score(germanPolicy); s <= classifyThreshold {
+		t.Errorf("policy score = %v, threshold %v", s, classifyThreshold)
 	}
-	if Confidence(miscText) >= 0.5 {
-		t.Errorf("misc confidence = %v", Confidence(miscText))
+	if s := Score(miscText); s >= classifyThreshold {
+		t.Errorf("misc score = %v, threshold %v", s, classifyThreshold)
 	}
 }
 

@@ -51,15 +51,3 @@ const VaguenessThreshold = 0.5
 func IsVague(text string) bool {
 	return VaguenessScore(text) >= VaguenessThreshold
 }
-
-// VagueTerms returns the matched vague terms in text, for reporting.
-func VagueTerms(text string) []string {
-	low, _ := normalizeWS(text)
-	var out []string
-	for _, term := range vagueTerms {
-		if strings.Contains(low, term) {
-			out = append(out, term)
-		}
-	}
-	return out
-}

@@ -1,6 +1,9 @@
 package policy
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 const vaguePolicy = `Datenschutzerklärung: Eine Verarbeitung personenbezogener
 Daten kann gegebenenfalls auch zum Schutz lebenswichtiger Interessen oder
@@ -29,8 +32,21 @@ func TestIsVague(t *testing.T) {
 	}
 }
 
+// matchedVagueTerms returns the dictionary terms VaguenessScore counts in
+// text.
+func matchedVagueTerms(text string) []string {
+	low, _ := normalizeWS(text)
+	var out []string
+	for _, term := range vagueTerms {
+		if strings.Contains(low, term) {
+			out = append(out, term)
+		}
+	}
+	return out
+}
+
 func TestVagueTerms(t *testing.T) {
-	terms := VagueTerms(vaguePolicy)
+	terms := matchedVagueTerms(vaguePolicy)
 	want := map[string]bool{"gegebenenfalls": true, "unter umständen": true, "unbestimmte zeit": true}
 	found := map[string]bool{}
 	for _, term := range terms {
@@ -41,7 +57,7 @@ func TestVagueTerms(t *testing.T) {
 			t.Errorf("term %q not reported; got %v", w, terms)
 		}
 	}
-	if len(VagueTerms("alles klar und deutlich")) != 0 {
+	if len(matchedVagueTerms("alles klar und deutlich")) != 0 {
 		t.Error("clear text reported vague terms")
 	}
 }

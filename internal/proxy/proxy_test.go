@@ -189,7 +189,7 @@ func TestRecorderRequestBodies(t *testing.T) {
 func TestAttributionWindowExpires(t *testing.T) {
 	rec, vc := newTestRecorder()
 	rec.SwitchChannel("Old", "1")
-	vc.Advance(AttributionWindow + time.Minute)
+	vc.Sleep(AttributionWindow + time.Minute)
 	client := &http.Client{Transport: rec}
 	if _, err := client.Get("http://tvping.com/t"); err != nil {
 		t.Fatal(err)
@@ -208,12 +208,12 @@ func TestRefererCorrection(t *testing.T) {
 	if _, err := client.Get("http://hbbtv.ard.de/index.html"); err != nil {
 		t.Fatal(err)
 	}
-	vc.Advance(30 * time.Second)
+	vc.Sleep(30 * time.Second)
 
 	// Switch to channel B; a straggler request with A's Referer arrives
 	// 2 seconds later and must be re-attributed to A.
 	rec.SwitchChannel("B", "2")
-	vc.Advance(2 * time.Second)
+	vc.Sleep(2 * time.Second)
 	req, _ := http.NewRequest(http.MethodGet, "http://tvping.com/t?c=a", nil)
 	req.Header.Set("Referer", "http://hbbtv.ard.de/index.html")
 	if _, err := client.Do(req); err != nil {
@@ -226,7 +226,7 @@ func TestRefererCorrection(t *testing.T) {
 	}
 
 	// After the grace period the same request belongs to B.
-	vc.Advance(RefererGrace)
+	vc.Sleep(RefererGrace)
 	req2, _ := http.NewRequest(http.MethodGet, "http://tvping.com/t?c=b", nil)
 	req2.Header.Set("Referer", "http://hbbtv.ard.de/index.html")
 	if _, err := client.Do(req2); err != nil {
@@ -246,7 +246,7 @@ func TestRefererCorrectionDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec.SwitchChannel("B", "2")
-	vc.Advance(time.Second)
+	vc.Sleep(time.Second)
 	req, _ := http.NewRequest(http.MethodGet, "http://tvping.com/t", nil)
 	req.Header.Set("Referer", "http://hbbtv.ard.de/")
 	if _, err := client.Do(req); err != nil {

@@ -186,20 +186,11 @@ func WriteCheckpoint(w io.Writer, cp *Checkpoint) error {
 	return writeContainer(w, []jsonSection{{secCheckpoint, cp}}, runs, nil)
 }
 
-// ReadCheckpoint reads a checkpoint container written by WriteCheckpoint,
-// reattaching each cell's run data. Truncated or corrupted input fails
-// with a wrapped error naming the damage; it never yields a checkpoint
-// with fewer cells than the metadata promises.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	raw, err := readAllSized(r)
-	if err != nil {
-		return nil, fmt.Errorf("store: checkpoint: %w", err)
-	}
-	return decodeCheckpoint(raw)
-}
-
-// decodeCheckpoint decodes a checkpoint container from memory (the
-// journal reader calls this once per frame).
+// decodeCheckpoint decodes a checkpoint container written by
+// WriteCheckpoint from memory (the journal reader calls this once per
+// frame), reattaching each cell's run data. Truncated or corrupted input
+// fails with a wrapped error naming the damage; it never yields a
+// checkpoint with fewer cells than the metadata promises.
 func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	runs, other, err := readContainer(raw, nil)
 	if err != nil {

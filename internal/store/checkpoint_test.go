@@ -15,6 +15,16 @@ import (
 	"github.com/hbbtvlab/hbbtvlab/internal/webos"
 )
 
+// readCheckpoint reads a whole checkpoint file and decodes it as the
+// journal reader decodes each frame.
+func readCheckpoint(r io.Reader) (*Checkpoint, error) {
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return decodeCheckpoint(raw)
+}
+
 // sampleCheckpoint builds a two-cell checkpoint over sampleDataset's runs:
 // shard 0 completed both runs of a two-run, two-shard study.
 func sampleCheckpoint() *Checkpoint {
@@ -76,7 +86,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := WriteCheckpoint(&buf, cp); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+	got, err := readCheckpoint(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +188,7 @@ func TestCheckpointTruncatedEverywhere(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	for cut := 0; cut < len(raw); cut++ {
-		_, err := ReadCheckpoint(bytes.NewReader(raw[:cut]))
+		_, err := readCheckpoint(bytes.NewReader(raw[:cut]))
 		if err == nil {
 			t.Fatalf("truncation at byte %d of %d accepted", cut, len(raw))
 		}
@@ -209,7 +219,7 @@ func TestCheckpointCorruptedMetadata(t *testing.T) {
 			break
 		}
 	}
-	if _, err := ReadCheckpoint(bytes.NewReader(raw)); err == nil {
+	if _, err := readCheckpoint(bytes.NewReader(raw)); err == nil {
 		t.Fatal("corrupted metadata accepted")
 	} else if !strings.Contains(err.Error(), "metadata") {
 		t.Fatalf("error %q does not name the metadata section", err)
@@ -224,7 +234,7 @@ func TestCheckpointNullCellRejected(t *testing.T) {
 	if err := writeContainer(&buf, []jsonSection{meta}, sampleDataset().Runs[:1], nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadCheckpoint(&buf); err == nil || !strings.Contains(err.Error(), "metadata") {
+	if _, err := readCheckpoint(&buf); err == nil || !strings.Contains(err.Error(), "metadata") {
 		t.Fatalf("err = %v, want a metadata error", err)
 	}
 }

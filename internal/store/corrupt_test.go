@@ -23,6 +23,69 @@ func snapshotBytes(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
+// trailingJSONInputs are gzip-JSON files with data after the dataset:
+// garbage after the value inside the gzip stream, and two files
+// concatenated, which gzip.Reader reads as one stream.
+func trailingJSONInputs(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	var garbage bytes.Buffer
+	if err := newGzipJSON(&garbage, `{"version":1,"runs":null} trailing garbage`); err != nil {
+		tb.Fatal(err)
+	}
+	a := referenceGzipJSON(tb, &Dataset{Runs: []*RunData{{Name: RunGeneral}}})
+	b := referenceGzipJSON(tb, &Dataset{Runs: []*RunData{{Name: RunRed}}})
+	return map[string][]byte{
+		"garbage after the value": garbage.Bytes(),
+		"two concatenated files":  append(append([]byte(nil), a...), b...),
+	}
+}
+
+// trailingSnapshot is sampleDataset's two-run snapshot followed by a copy
+// of its own sections, end marker included.
+func trailingSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, sampleDataset(), FormatSnapshot); err != nil {
+		tb.Fatal(err)
+	}
+	raw := buf.Bytes()
+	return append(raw, raw[len(snapshotMagic)+1:]...)
+}
+
+// TestJSONRejectsTrailingData: a gzip-JSON file holds one dataset; data
+// after it is an error, not silently dropped. JSON whitespace after the
+// value is still fine.
+func TestJSONRejectsTrailingData(t *testing.T) {
+	for name, raw := range trailingJSONInputs(t) {
+		if ds, err := Load(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: loaded %d runs without error", name, len(ds.Runs))
+		} else if !strings.Contains(err.Error(), "after the dataset") {
+			t.Errorf("%s: err = %v", name, err)
+		}
+	}
+	var spaced bytes.Buffer
+	if err := newGzipJSON(&spaced, "{\"version\":1,\"runs\":null}\n \t\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&spaced); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
+// TestSnapshotRejectsTrailingData: the end marker ends the snapshot, so a
+// second copy of the sections after it is an error, not two more runs.
+func TestSnapshotRejectsTrailingData(t *testing.T) {
+	raw := trailingSnapshot(t)
+	if ds, err := Load(bytes.NewReader(raw)); err == nil {
+		t.Fatalf("loaded %d runs without error", len(ds.Runs))
+	} else if !strings.Contains(err.Error(), "after the end-of-snapshot marker") {
+		t.Fatalf("err = %v", err)
+	}
+	if _, err := decodeCheckpoint(raw); err == nil || !strings.Contains(err.Error(), "after the end-of-snapshot marker") {
+		t.Fatalf("checkpoint reader: err = %v", err)
+	}
+}
+
 // TestSnapshotTruncatedEverywhere cuts the snapshot at EVERY byte —
 // section boundaries included, which is what a torn download or a
 // half-flushed write leaves behind — and demands a real error each time.
@@ -98,11 +161,7 @@ func TestSnapshotBitFlipsNoPanic(t *testing.T) {
 // TestJSONTruncatedFailsWrapped: the gzip-JSON format's torn-tail story —
 // cut anywhere, the error is wrapped load context, not a bare EOF.
 func TestJSONTruncatedFailsWrapped(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Save(&buf, sampleDataset(), FormatJSON); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := referenceGzipJSON(t, sampleDataset())
 	for _, frac := range []int{1, 2, 3, 4, 8} {
 		cut := len(raw) * (frac - 1) / frac
 		if frac == 1 {

@@ -103,12 +103,10 @@ type Coverage struct {
 	Failed, Skipped, Quarantined int
 	// Partial lists channels measured by fewer runs than Runs, in
 	// canonical (first-appearance) order — including channels that never
-	// produced data at all but appear in outcome records.
+	// produced data at all but appear in outcome records. It is empty
+	// when every known channel was measured in every run.
 	Partial []string
 }
-
-// Complete reports whether every known channel was measured in every run.
-func (c *Coverage) Complete() bool { return len(c.Partial) == 0 }
 
 // CookieSetEvent is one observed Set-Cookie, attributed to a channel and
 // party. It lives in store (rather than the cookies package) so the index

@@ -3,7 +3,7 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
-	"io"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -52,13 +52,16 @@ func persistedDataset() *Dataset {
 	}}}
 }
 
+// TestSaveLoadRoundTrip loads the gzip-JSON file the former writer wrote
+// for fixtureDataset and checks every field against the source.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	want := persistedDataset()
-	var buf bytes.Buffer
-	if err := Save(&buf, want, FormatJSON); err != nil {
+	want := fixtureDataset()
+	f, err := os.Open(fixtureFile)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf)
+	defer f.Close()
+	got, err := Load(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +104,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gr.Logs, wr.Logs) {
 		t.Errorf("logs = %+v", gr.Logs)
 	}
+	if len(gr.Flows) != len(wr.Flows) || gr.Flows[1].RequestHeaders.Get("Accept") != "text/javascript" ||
+		len(gr.Flows[1].RequestHeaders.Values("Accept")) != 2 || gr.Flows[1].ChannelID != "sid-1" {
+		t.Errorf("flows = %+v", gr.Flows)
+	}
+	if gr.RecoveredPanics != wr.RecoveredPanics {
+		t.Errorf("recovered panics = %d", gr.RecoveredPanics)
+	}
+	for name, pair := range map[string][2]any{
+		"outcomes":  {gr.Outcomes, wr.Outcomes},
+		"telemetry": {got.Telemetry, want.Telemetry},
+		"shard":     {got.Shard, want.Shard},
+		"trace":     {got.Trace, want.Trace},
+	} {
+		if !reflect.DeepEqual(pair[0], pair[1]) {
+			t.Errorf("%s = %+v, want %+v", name, pair[0], pair[1])
+		}
+	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
@@ -128,18 +148,7 @@ func TestLoadIgnoresEventRingFields(t *testing.T) {
 		Counters: map[string]uint64{"proxy_flows_recorded": 1},
 		Shards:   []telemetry.ShardCounters{{Shard: 0, Counters: map[string]uint64{"proxy_flows_recorded": 1}}},
 	}
-	var buf bytes.Buffer
-	if err := Save(&buf, ds, FormatJSON); err != nil {
-		t.Fatal(err)
-	}
-	gz, err := gzip.NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(gz)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := referenceJSON(t, ds)
 	old := bytes.Replace(raw, []byte(`"telemetry":{`), []byte(`"telemetry":{"events":[{"seq":0,`+
 		`"time":"2023-08-21T12:00:00Z","shard":0,"kind":"proxy.flow","detail":"GET tvping.com"}],"droppedEvents":6,`), 1)
 	old = bytes.Replace(old, []byte(`{"shard":0,`), []byte(`{"shard":0,"droppedEvents":6,`), 1)

@@ -2,25 +2,37 @@ package store
 
 import (
 	"bytes"
+	"os"
 	"testing"
 )
 
 // FuzzLoad feeds arbitrary bytes to Load and, since checkpoints share the
-// snapshot container reader, to ReadCheckpoint. Neither may panic. Any
+// snapshot container reader, to decodeCheckpoint. Neither may panic. Any
 // input Load accepts must reach a fixed point after one snapshot save:
 // loading the saved snapshot and saving it again yields identical bytes,
 // and the digest does not change. That save must also be exactly what the
-// serial reference writer writes for the accepted dataset.
+// serial reference writer writes for the accepted dataset. The seeds are
+// the committed gzip-JSON fixture, both formats of two datasets (the
+// gzip-JSON form from the reference writer), a checkpoint, and the inputs
+// with data after the dataset that both readers reject.
 func FuzzLoad(f *testing.F) {
-	for _, ds := range []*Dataset{sampleDataset(), farFutureDataset()} {
-		for _, format := range []Format{FormatJSON, FormatSnapshot} {
-			var buf bytes.Buffer
-			if err := Save(&buf, ds, format); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(buf.Bytes())
-		}
+	fixture, err := os.ReadFile(fixtureFile)
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(fixture)
+	for _, ds := range []*Dataset{sampleDataset(), farFutureDataset()} {
+		f.Add(referenceGzipJSON(f, ds))
+		var buf bytes.Buffer
+		if err := Save(&buf, ds, FormatSnapshot); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, raw := range trailingJSONInputs(f) {
+		f.Add(raw)
+	}
+	f.Add(trailingSnapshot(f))
 	var cp bytes.Buffer
 	if err := WriteCheckpoint(&cp, sampleCheckpoint()); err != nil {
 		f.Fatal(err)
@@ -43,7 +55,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add(upper)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		_, _ = ReadCheckpoint(bytes.NewReader(raw))
+		_, _ = decodeCheckpoint(raw)
 		ds, err := Load(bytes.NewReader(raw))
 		if err != nil {
 			return

@@ -1123,7 +1123,8 @@ func loadSnapshot(r io.Reader, dd *Dedup) (*Dataset, error) {
 // every section it does not interpret (a repeated tag keeps its last
 // payload) for the caller to decode. dd, when set, canonicalizes blobs and
 // header blocks at table-decode time — once per distinct entry, not once
-// per flow — so the parallel flow decode is untouched.
+// per flow — so the parallel flow decode is untouched. The end marker must
+// be the last section: bytes after it are an error.
 func readContainer(raw []byte, dd *Dedup) ([]*RunData, map[byte][]byte, error) {
 	if len(raw) < len(snapshotMagic)+1 || string(raw[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, nil, fmt.Errorf("store: snapshot: bad magic")
@@ -1139,7 +1140,7 @@ func readContainer(raw []byte, dd *Dedup) ([]*RunData, map[byte][]byte, error) {
 	var runs []*RunData
 	other := make(map[byte][]byte)
 	sawEnd := false
-	for sr.err == nil && sr.off < len(sr.b) {
+	for !sawEnd && sr.err == nil && sr.off < len(sr.b) {
 		tag := sr.byte()
 		payload := sr.bytes()
 		if sr.err != nil {
@@ -1193,6 +1194,11 @@ func readContainer(raw []byte, dd *Dedup) ([]*RunData, map[byte][]byte, error) {
 	}
 	if !sawEnd {
 		return nil, nil, fmt.Errorf("store: snapshot: truncated: missing end-of-snapshot marker (file cut at a section boundary?)")
+	}
+	// Every writer puts the end marker last, so anything after it — a
+	// second container appended to the file, say — is not this snapshot.
+	if extra := len(sr.b) - sr.off; extra > 0 {
+		return nil, nil, fmt.Errorf("store: snapshot: %d bytes after the end-of-snapshot marker", extra)
 	}
 	return runs, other, nil
 }

@@ -14,19 +14,17 @@ import (
 	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
 )
 
-// loadBoth saves ds in both formats and loads both back through Load's
-// format sniffing, failing on any error.
+// loadBoth writes ds as gzip-JSON (through the reference writer) and as a
+// snapshot, and loads both back through Load's format sniffing, failing
+// on any error.
 func loadBoth(t *testing.T, ds *Dataset) (fromJSON, fromSnap *Dataset) {
 	t.Helper()
-	var jb, sb bytes.Buffer
-	if err := Save(&jb, ds, FormatJSON); err != nil {
-		t.Fatal(err)
-	}
+	var sb bytes.Buffer
 	if err := Save(&sb, ds, FormatSnapshot); err != nil {
 		t.Fatal(err)
 	}
 	var err error
-	if fromJSON, err = Load(&jb); err != nil {
+	if fromJSON, err = Load(bytes.NewReader(referenceGzipJSON(t, ds))); err != nil {
 		t.Fatalf("load json: %v", err)
 	}
 	if fromSnap, err = Load(&sb); err != nil {
@@ -224,15 +222,23 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 // TestSnapshotSkipsUnknownSection: a snapshot carrying a section tag this
 // reader does not know must still load — the length prefix makes unknown
 // sections skippable, which is the format's forward-compatibility story.
+// A newer writer, like every writer, puts the end marker last.
 func TestSnapshotSkipsUnknownSection(t *testing.T) {
 	ds := persistedDataset()
 	var buf bytes.Buffer
 	if err := Save(&buf, ds, FormatSnapshot); err != nil {
 		t.Fatal(err)
 	}
-	// Append an unknown trailing section: tag 200, 3-byte payload.
-	buf.Write([]byte{200, 3, 0xde, 0xad, 0xbf})
-	got, err := Load(&buf)
+	raw := buf.Bytes()
+	end := []byte{secEnd, 0} // the end marker's tag and empty length
+	if !bytes.HasSuffix(raw, end) {
+		t.Fatalf("snapshot does not end with the end marker: % x", raw[len(raw)-2:])
+	}
+	// Insert an unknown section before the end marker: tag 200, 3-byte
+	// payload.
+	raw = append(raw[:len(raw)-len(end):len(raw)-len(end)], 200, 3, 0xde, 0xad, 0xbf)
+	raw = append(raw, end...)
+	got, err := Load(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("unknown section broke the load: %v", err)
 	}
@@ -286,7 +292,7 @@ func TestSnapshotTimesOutsideUnixNano(t *testing.T) {
 	if err := WriteCheckpoint(&buf, cp); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCheckpoint(&buf)
+	got, err := readCheckpoint(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,25 +112,6 @@ type RunData struct {
 	RecoveredPanics int
 }
 
-// Outcome returns the named channel's outcome record, or nil.
-func (r *RunData) Outcome(channel string) *ChannelOutcome {
-	for i := range r.Outcomes {
-		if r.Outcomes[i].Channel == channel {
-			return &r.Outcomes[i]
-		}
-	}
-	return nil
-}
-
-// CountOutcomes tallies the run's outcome records by status.
-func (r *RunData) CountOutcomes() map[OutcomeStatus]int {
-	out := make(map[OutcomeStatus]int)
-	for _, o := range r.Outcomes {
-		out[o.Status]++
-	}
-	return out
-}
-
 // Channel returns the metadata for the named channel, or nil.
 func (r *RunData) Channel(name string) *ChannelInfo {
 	for i := range r.Channels {
@@ -193,16 +174,6 @@ func (d *Dataset) Run(name RunName) *RunData {
 		}
 	}
 	return nil
-}
-
-// AllFlows returns every flow across runs (shared backing slices are not
-// copied; treat the result as read-only).
-func (d *Dataset) AllFlows() []*proxy.Flow {
-	var out []*proxy.Flow
-	for _, r := range d.Runs {
-		out = append(out, r.Flows...)
-	}
-	return out
 }
 
 // ChannelNames returns the union of channel names across all runs.

@@ -32,7 +32,7 @@ func TestDatasetRunMissing(t *testing.T) {
 	if d.ChannelInfo("x") != nil {
 		t.Error("empty dataset returned channel info")
 	}
-	if len(d.AllFlows()) != 0 {
+	if len(d.ChannelNames()) != 0 {
 		t.Error("empty dataset has data")
 	}
 }

@@ -111,8 +111,8 @@ func TestChildrenTarget(t *testing.T) {
 
 func TestDatasetAggregates(t *testing.T) {
 	d := sampleDataset()
-	if got := len(d.AllFlows()); got != 5 {
-		t.Errorf("AllFlows = %d", got)
+	if got := len(d.Runs[0].Flows) + len(d.Runs[1].Flows); got != 5 {
+		t.Errorf("flows = %d", got)
 	}
 	names := d.ChannelNames()
 	if len(names) != 2 {

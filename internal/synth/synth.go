@@ -129,27 +129,6 @@ func (w *World) ChannelBySlug(slug string) *Channel {
 	return nil
 }
 
-// ChannelByName returns the channel with the given service name, or nil.
-func (w *World) ChannelByName(name string) *Channel {
-	for _, c := range w.Channels {
-		if c.Service.Name == name {
-			return c
-		}
-	}
-	return nil
-}
-
-// ChildrenChannelNames returns channels exclusively targeting children.
-func (w *World) ChildrenChannelNames() []string {
-	var out []string
-	for _, c := range w.Channels {
-		if len(c.Service.Categories) == 1 && c.Service.Categories[0] == dvb.CategoryChildren {
-			out = append(out, c.Service.Name)
-		}
-	}
-	return out
-}
-
 // Funnel targets at scale 1.0, mirroring Section IV-B. The paper's own
 // step counts are slightly inconsistent (1,149 remaining − 782 traffic-less
 // − 1 IPTV ≠ 396); we preserve the endpoints that every analysis depends

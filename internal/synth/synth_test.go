@@ -268,17 +268,22 @@ func TestOutlierIsGeneralCategoryCommercial(t *testing.T) {
 	}
 }
 
+// TestChildrenChannels: the channels exclusively targeting children are
+// the children group's 12.
 func TestChildrenChannels(t *testing.T) {
 	w := Build(Config{Seed: 5, Scale: 1.0}, testClock())
-	kids := w.ChildrenChannelNames()
-	if len(kids) != 12 {
-		t.Errorf("children channels = %d, want 12", len(kids))
-	}
-	for _, name := range kids {
-		ch := w.ChannelByName(name)
-		if ch == nil || !ch.Group.ChildrenGroup {
-			t.Errorf("children channel %s not in the children group", name)
+	kids := 0
+	for _, ch := range w.Channels {
+		if cats := ch.Service.Categories; len(cats) != 1 || cats[0] != dvb.CategoryChildren {
+			continue
 		}
+		kids++
+		if !ch.Group.ChildrenGroup {
+			t.Errorf("children channel %s not in the children group", ch.Service.Name)
+		}
+	}
+	if kids != 12 {
+		t.Errorf("children channels = %d, want 12", kids)
 	}
 }
 

@@ -20,12 +20,6 @@ import (
 // than this (roughly an empty image) count as pixels.
 const PixelMaxBytes = 45
 
-// IsTrackingPixel implements the Section V-D1 heuristic: the response is an
-// image, smaller than 45 bytes, with status 200.
-func IsTrackingPixel(f *proxy.Flow) bool {
-	return pixelSized(f) && isPixelType(f.ContentType())
-}
-
 // pixelSized is the part of the pixel heuristic that needs no header.
 func pixelSized(f *proxy.Flow) bool {
 	return f.StatusCode == 200 && f.ResponseSize < PixelMaxBytes
@@ -44,15 +38,8 @@ var fingerprintMarkers = []string{
 	"fingerprintjs",
 }
 
-// IsFingerprintScript reports whether a flow delivered JavaScript whose
-// body references fingerprinting APIs or libraries. The framework cannot
-// observe execution, so — as in the paper — this is a lower bound.
-func IsFingerprintScript(f *proxy.Flow) bool {
-	return len(f.ResponseBody) > 0 && isFingerprintBody(f, f.ContentType())
-}
-
-// isFingerprintBody is IsFingerprintScript for a flow with a body whose
-// media type is ct.
+// isFingerprintBody reports whether a flow's body, of media type ct, is
+// JavaScript that references a fingerprinting API or library.
 func isFingerprintBody(f *proxy.Flow, ct string) bool {
 	if !strings.Contains(ct, "javascript") && ct != "application/x-javascript" {
 		return false
@@ -69,6 +56,13 @@ func isFingerprintBody(f *proxy.Flow, ct string) bool {
 // flowKind is the response-dependent part of a flow's classification:
 // the pixel and fingerprint heuristics. The media type is read once, and
 // only when a heuristic still depends on it.
+//
+// FlowPixel is the Section V-D1 heuristic: the response is an image,
+// smaller than 45 bytes, with status 200. FlowFingerprint is Section
+// V-D2's: the flow delivered JavaScript whose body references
+// fingerprinting APIs or libraries. The framework cannot observe
+// execution, so — as in the paper — the fingerprint count is a lower
+// bound.
 func flowKind(f *proxy.Flow) store.FlowKind {
 	pixel, body := pixelSized(f), len(f.ResponseBody) > 0
 	if !pixel && !body {

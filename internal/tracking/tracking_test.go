@@ -41,8 +41,8 @@ func TestIsTrackingPixel(t *testing.T) {
 		{"404 image", mkFlow("http://t.com/px", "C", t0, 404, "image/gif", 35, ""), false},
 	}
 	for _, tt := range tests {
-		if got := IsTrackingPixel(tt.f); got != tt.want {
-			t.Errorf("%s: IsTrackingPixel = %v, want %v", tt.name, got, tt.want)
+		if got := flowKind(tt.f)&store.FlowPixel != 0; got != tt.want {
+			t.Errorf("%s: pixel = %v, want %v", tt.name, got, tt.want)
 		}
 	}
 }
@@ -61,8 +61,8 @@ func TestIsFingerprintScript(t *testing.T) {
 		{"empty body", mkFlow("http://f.com/fp.js", "C", t0, 200, "application/javascript", 100, ""), false},
 	}
 	for _, tt := range tests {
-		if got := IsFingerprintScript(tt.f); got != tt.want {
-			t.Errorf("%s: IsFingerprintScript = %v, want %v", tt.name, got, tt.want)
+		if got := flowKind(tt.f)&store.FlowFingerprint != 0; got != tt.want {
+			t.Errorf("%s: fingerprint = %v, want %v", tt.name, got, tt.want)
 		}
 	}
 }

@@ -75,7 +75,7 @@ func TestJarMaxAgeExpiry(t *testing.T) {
 	if got := j.Cookies(u); len(got) != 1 {
 		t.Fatalf("fresh cookie missing: %v", got)
 	}
-	vc.Advance(61 * time.Second)
+	vc.Sleep(61 * time.Second)
 	if got := j.Cookies(u); len(got) != 0 {
 		t.Errorf("expired cookie still served: %v", got)
 	}
@@ -131,7 +131,7 @@ func TestJarCookieOrder(t *testing.T) {
 	j := NewJar(vc)
 	u := mustURL(t, "http://www.x.de/a/b")
 	j.SetCookies(u, []*http.Cookie{{Name: "old", Value: "1", Path: "/"}})
-	vc.Advance(time.Minute)
+	vc.Sleep(time.Minute)
 	j.SetCookies(u, []*http.Cookie{
 		{Name: "z", Value: "1", Path: "/"},
 		{Name: "dom", Value: "1", Path: "/", Domain: "x.de"},
@@ -167,7 +167,7 @@ func TestJarUpdateKeepsCreationTime(t *testing.T) {
 	j := NewJar(vc)
 	u := mustURL(t, "http://x.de/")
 	j.SetCookies(u, []*http.Cookie{{Name: "k", Value: "1"}})
-	vc.Advance(time.Hour)
+	vc.Sleep(time.Hour)
 	j.SetCookies(u, []*http.Cookie{{Name: "k", Value: "2"}})
 	all := j.All()
 	if len(all) != 1 || all[0].Value != "2" {
@@ -232,9 +232,9 @@ func TestJarCookieHeaderMemo(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() { j.CookieHeader(app) }); allocs != 0 {
 		t.Errorf("a memoized Cookie line costs %.1f allocations, want 0", allocs)
 	}
-	vc.Advance(29 * time.Second)
+	vc.Sleep(29 * time.Second)
 	check("before the expiry")
-	vc.Advance(time.Second)
+	vc.Sleep(time.Second)
 	check("at the expiry")
 	j.Clear()
 	check("Clear")

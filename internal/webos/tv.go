@@ -275,10 +275,6 @@ func (tv *TV) PowerOff() {
 	tv.logf(LogApp, "power off")
 }
 
-// SetNetwork connects or disconnects the TV from the Internet. Without a
-// connection, linear TV still works but HbbTV content is not loaded.
-func (tv *TV) SetNetwork(on bool) { tv.network = on }
-
 // Rooted access — what RootMyTV 2.0 + SSH provided.
 
 // CookieJar returns the TV's cookie jar for direct inspection.

@@ -214,7 +214,7 @@ func TestTVLoadsAutostartApp(t *testing.T) {
 func TestTVOfflineLoadsNothing(t *testing.T) {
 	fx := newFixture(t)
 	fx.tv.PowerOn()
-	fx.tv.SetNetwork(false)
+	fx.tv.network = false // unplugged: linear TV works, HbbTV content does not load
 	if err := fx.tv.TuneTo(fx.svc); err != nil {
 		t.Fatal(err)
 	}

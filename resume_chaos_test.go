@@ -31,7 +31,7 @@ func chaosArgs(scale string) []string {
 		"-fault-rate", "0.25", "-fault-seed", "11", "-retries", "2"}
 }
 
-// snapshotDigest loads a dataset file written by -snapshot/-save and
+// snapshotDigest loads a dataset file written by -snapshot and
 // returns its digest.
 func snapshotDigest(t *testing.T, path string) string {
 	t.Helper()

@@ -11,7 +11,8 @@ import (
 
 // TestSnapshotRoundTrip is the acceptance test of the binary snapshot
 // format: for a real (study-produced) dataset, the snapshot must load to
-// the exact dataset the gzip-JSON format loads to — reflect.DeepEqual on
+// the exact dataset the gzip-JSON format loads to (written by the
+// reference writer, as earlier versions wrote it) — reflect.DeepEqual on
 // the full structure, digests byte-identical across both formats and the
 // original — and Load must sniff either format from its magic bytes.
 // The chaos suite re-runs this under fault injection (see
@@ -40,7 +41,7 @@ func assertSnapshotRoundTrip(t *testing.T, ds *store.Dataset) {
 	}
 
 	var jsonBuf, snapBuf bytes.Buffer
-	if err := store.Save(&jsonBuf, ds, store.FormatJSON); err != nil {
+	if err := saveReferenceJSON(&jsonBuf, ds); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Save(&snapBuf, ds, store.FormatSnapshot); err != nil {

@@ -93,16 +93,18 @@ func TestTelemetrySnapshotWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestTelemetrySnapshotPersisted: Save embeds the snapshot, Load restores
-// it, and the loaded dataset's digest still matches the original (the
-// snapshot never participates in the digest).
+// TestTelemetrySnapshotPersisted: the gzip-JSON format (written by the
+// reference writer) carries the snapshot, Load restores it, and the
+// loaded dataset's digest still matches the original (the snapshot never
+// participates in the digest). TestTraceSurvivesSnapshotRoundTrip covers
+// the binary snapshot's telemetry section.
 func TestTelemetrySnapshotPersisted(t *testing.T) {
 	opts := Options{Seed: 321, Parallelism: 2}
 	opts.Telemetry = NewTelemetry(opts)
 	ds, digest := studyDigest(t, opts)
 
 	var buf bytes.Buffer
-	if err := store.Save(&buf, ds, store.FormatJSON); err != nil {
+	if err := saveReferenceJSON(&buf, ds); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := store.Load(&buf)

@@ -3,6 +3,7 @@ package hbbtvlab
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -144,11 +145,11 @@ func TestTraceWorkerInvariance(t *testing.T) {
 	}
 }
 
-// saveLoad round-trips a dataset through the given persisted format.
-func saveLoad(t *testing.T, ds *store.Dataset, f store.Format) *store.Dataset {
+// saveLoad round-trips a dataset through a writer and store.Load.
+func saveLoad(t *testing.T, ds *store.Dataset, save func(io.Writer, *store.Dataset) error) *store.Dataset {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := store.Save(&buf, ds, f); err != nil {
+	if err := save(&buf, ds); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := store.Load(&buf)
@@ -160,8 +161,9 @@ func saveLoad(t *testing.T, ds *store.Dataset, f store.Format) *store.Dataset {
 
 // TestTraceSurvivesSnapshotRoundTrip holds the persisted forms to the
 // in-memory trace: both the binary snapshot section and the gzip-JSON
-// field must carry the trace losslessly, and a digest computed after
-// the round trip must still match (the trace stays outside the hash).
+// field (written by the reference writer, read by store.Load) must carry
+// the trace losslessly, and a digest computed after the round trip must
+// still match (the trace stays outside the hash).
 func TestTraceSurvivesSnapshotRoundTrip(t *testing.T) {
 	opts := traceStudyOptions(1, 2)
 	opts.Telemetry = NewTelemetry(opts)
@@ -170,9 +172,12 @@ func TestTraceSurvivesSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, format := range []store.Format{store.FormatSnapshot, store.FormatJSON} {
-		label := fmt.Sprintf("format=%v", format)
-		loaded := saveLoad(t, ds, format)
+	for _, format := range []struct {
+		label string
+		save  func(io.Writer, *store.Dataset) error
+	}{{"format=snapshot", saveSnapshot}, {"format=json", saveReferenceJSON}} {
+		label := format.label
+		loaded := saveLoad(t, ds, format.save)
 		if loaded.Trace == nil {
 			t.Fatalf("%s: trace lost in round trip", label)
 		}
