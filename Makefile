@@ -25,11 +25,14 @@ race:
 # dataset for every worker count, record per-channel outcomes, keep its
 # telemetry counters worker-invariant, and stay analyzable when degraded.
 # The resilience unit tests (retry, quarantine, deadline, fault transport)
-# ride along.
+# ride along, and so do the engine's cell-dispatch and world-fork tests
+# at GOMAXPROCS 1, 2 and 4: cells of different shards interleave only
+# from 2 on.
 chaos:
 	$(GO) test -race -run 'TestChaos' -v .
 	$(GO) test -race ./internal/faults/ ./internal/hostnet/
 	$(GO) test -race -run 'TestRunContinues|TestQuarantine|TestSuccessResets|TestProbeFailure|TestDegradedOnly|TestRetryPolicy|TestVisitDeadline|TestPoolCancellation' ./internal/core/
+	$(GO) test -race -cpu 1,2,4 -run 'TestPoolCell|TestFork' ./internal/core/ ./internal/synth/
 
 # resume runs the crash-safety suite under the race detector: the
 # checkpoint/journal format's torn-file contract (cut at every byte,

@@ -243,17 +243,20 @@ func NewStudyChecked(opts Options) (*Study, error) {
 	}
 	// The study's own framework (funnel probes, one-shard campaigns) is
 	// shard 0: telemetry slot 0 on its own virtual clock.
-	world, fw := buildShard(opts, injector, 0)
+	clk := clock.NewVirtual(studyStart)
+	world := synth.Build(synth.Config{Seed: opts.Seed, Scale: opts.Scale}, clk)
+	fw := newFramework(opts, injector, world, clk, 0)
 	return &Study{opts: opts, World: world, Framework: fw, injector: injector}, nil
 }
 
-// buildShard builds the synthetic world from the study seed on a fresh
-// virtual clock and wires a measurement framework seeded Seed ^ shard to
-// it, instrumented as telemetry slot shard.
-func buildShard(opts Options, injector *faults.Injector, shard int) (*synth.World, *core.Framework) {
-	clk := clock.NewVirtual(time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC))
-	world := synth.Build(synth.Config{Seed: opts.Seed, Scale: opts.Scale}, clk)
-	return world, core.New(core.Config{
+// studyStart is the virtual instant the study's clock and every shard's
+// clock start at.
+var studyStart = time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC)
+
+// newFramework wires a measurement framework seeded Seed ^ shard to world
+// on clk, instrumented as telemetry slot shard.
+func newFramework(opts Options, injector *faults.Injector, world *synth.World, clk *clock.Virtual, shard int) *core.Framework {
+	return core.New(core.Config{
 		Internet:     world.Internet,
 		Seed:         opts.Seed ^ int64(shard),
 		Clock:        clk,
@@ -400,16 +403,18 @@ func DegradedOnly(err error) bool { return core.DegradedOnly(err) }
 // shardFramework is the study's core.ShardFactory for a campaign of
 // shards effective shards. A one-shard campaign is the paper's procedure,
 // so its shard is the study's own post-funnel framework and world. With
-// more shards, each rebuilds the synthetic world from the study seed on a
-// shard-private virtual clock, so every shard sees an identical Internet
-// with fully isolated handler state (tracker ID counters, timestamp
-// cookies), and seeds its framework with Seed ^ shard for its
-// channel-visit order and TV identity.
+// more shards, each forks the study's world on a shard-private virtual
+// clock (synth.World.Fork), so every shard sees the Internet a fresh build
+// from the study seed would serve, with fully isolated handler state
+// (tracker ID counters, timestamp cookies), and seeds its framework with
+// Seed ^ shard for its channel-visit order and TV identity.
 func (s *Study) shardFramework(shards int) core.ShardFactory {
 	return func(shard int) (*core.Framework, error) {
 		world, fw := s.World, s.Framework
 		if shards > 1 {
-			world, fw = buildShard(s.opts, s.injector, shard)
+			clk := clock.NewVirtual(studyStart)
+			world = s.World.Fork(clk)
+			fw = newFramework(s.opts, s.injector, world, clk, shard)
 		}
 		s.worldsMu.Lock()
 		if s.shardWorlds == nil {

@@ -100,6 +100,16 @@ type Checkpointer struct {
 	Commit func(cell *store.CheckpointCell) error
 }
 
+// completed returns how many of the shard's runs its checkpoint holds;
+// the scheduler ranks a shard by its cells left before Resume replays
+// them. A nil Checkpointer holds none.
+func (cp *Checkpointer) completed(shard int) int {
+	if cp == nil || cp.Completed == nil {
+		return 0
+	}
+	return len(cp.Completed(shard))
+}
+
 // Resume replays the shard's completed cells into out (indexed by run)
 // and fast-forwards fw to the last cell's state. It returns how many
 // runs were replayed. A nil Checkpointer resumes nothing.

@@ -23,26 +23,34 @@ const DefaultShards = 8
 // The returned Framework must not share mutable state (virtual clock,
 // recorder, TV, or virtual-Internet handler state) with any other shard;
 // the engine's determinism and race freedom both rest on that isolation.
-// Implementations typically rebuild the synthetic world from the study
-// seed and derive the framework seed as studySeed ^ shard.
+// Implementations typically give each shard its own fork of the study's
+// synthetic world (fresh tracker services on a shard-private clock) and
+// derive the framework seed as studySeed ^ shard.
 type ShardFactory func(shard int) (*Framework, error)
 
 // Pool is the sharded measurement engine: it partitions a run's channel
-// list across a fixed number of logical shards, executes each shard's
-// measurement runs on its own isolated Framework using a bounded worker
-// pool, and merges the per-shard results into one Dataset in canonical
-// channel order.
+// list across a fixed number of logical shards, measures each shard's
+// runs on its own isolated Framework, and merges the per-shard results
+// into one Dataset in canonical channel order.
+//
+// The unit of work is one (shard, run) cell. A bounded set of workers
+// takes cells from the shards that have cells left and none in flight,
+// choosing the shard with the most cells left (the lowest next run
+// index), then the lowest shard index. A full campaign therefore runs
+// round-robin by run, so the heaviest shard never runs alone at the end,
+// and a resume starts with the shards its journal left furthest behind.
 //
 // Results depend only on (Factory, Shards, specs, channels) — never on
 // Workers or on scheduling: shard s always measures channels[i] with
 // i % Shards == s, in the canonical relative order, on a framework built
-// solely from the shard index. Raising Workers changes wall-clock time,
-// not a single byte of the merged dataset.
+// solely from the shard index, and its cells run one at a time in run
+// order. Raising Workers changes wall-clock time, not a single byte of
+// the merged dataset.
 type Pool struct {
 	// Shards is the logical shard count; 0 means DefaultShards. It is
 	// clamped to the channel count so no shard is empty.
 	Shards int
-	// Workers bounds concurrent shard execution; 0 means GOMAXPROCS.
+	// Workers bounds how many cells run at once; 0 means GOMAXPROCS.
 	Workers int
 	// Factory builds one isolated Framework per shard.
 	Factory ShardFactory
@@ -60,11 +68,137 @@ type Pool struct {
 	Checkpoint *Checkpointer
 }
 
-// shardOutcome is what one shard contributes: one RunData per spec index
-// (nil where the shard did not reach that run) and the first error.
-type shardOutcome struct {
-	runs []*store.RunData
-	err  error
+// shardCursor is one shard's place in a campaign: its framework, its
+// channel subset, the next run it measures, and what it produced — one
+// RunData per spec index (nil where the shard did not reach that run)
+// and its errors.
+type shardCursor struct {
+	shard  int
+	subset []*dvb.Service
+	fw     *Framework // nil until the shard's first step, and again once it is done
+	// active is the shard's cell of core_shards_active, 1 while a cell is
+	// in flight: the gauge counts the shards measuring right now.
+	active *telemetry.BoundGauge
+	next   int  // the next run index to measure
+	done   bool // no cells left: every run measured, or the shard stopped
+	busy   bool // a step is in flight; guarded by the scheduler's mutex
+	runs   []*store.RunData
+	errs   []error
+}
+
+// cursor places shard at the start of its cells: past the run prefix its
+// checkpoint holds, which its first step replays.
+func (p *Pool) cursor(shard, shards int, specs []RunSpec, channels []*dvb.Service) *shardCursor {
+	return &shardCursor{
+		shard:  shard,
+		subset: ShardSubset(channels, shard, shards),
+		next:   p.Checkpoint.completed(shard),
+		runs:   make([]*store.RunData, len(specs)),
+	}
+}
+
+// step advances the shard by one step: the first builds its framework
+// and replays its checkpointed cells, each later one measures and commits
+// one run. A non-degraded error (cancellation included), a failed commit
+// or a panic ends the shard, and a shard's framework is dropped as soon
+// as its last cell ends. It is the engine's only caller of
+// ExecuteRunContext.
+func (p *Pool) step(ctx context.Context, c *shardCursor, specs []RunSpec) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.stop(fmt.Errorf("shard panic: %v", r))
+		}
+		if c.done {
+			c.fw = nil
+		}
+	}()
+	if c.fw == nil {
+		p.open(c, specs)
+		return
+	}
+	c.active.Set(1)
+	defer c.active.Set(0)
+	si := c.next
+	spec := specs[si]
+	run, err := c.fw.ExecuteRunContext(ctx, spec, c.subset)
+	c.runs[si] = run // partial data is kept even on error
+	c.next++
+	c.done = c.next == len(specs)
+	if err != nil {
+		// Cancellation is reported once by the caller, not per shard.
+		if cerr := ctx.Err(); cerr == nil || !errors.Is(err, cerr) {
+			c.errs = append(c.errs, fmt.Errorf("run %s: %w", spec.Name, err))
+		}
+		// Per-channel degradation (failed visits recorded as outcomes)
+		// does not stop the shard's remaining runs; anything else —
+		// cancellation, shard-level failure — does. A cancelled or
+		// hard-failed run is never committed as a cell: its data is
+		// partial, and a resume must re-measure it.
+		if !DegradedOnly(err) {
+			c.done = true
+			return
+		}
+	}
+	if cerr := p.Checkpoint.CommitCell(c.shard, si, spec, c.fw, run); cerr != nil {
+		c.stop(fmt.Errorf("run %s: checkpoint: %w", spec.Name, cerr))
+	}
+}
+
+// open is a shard's first step: build its framework and, on a resume,
+// replay its checkpointed run prefix and fast-forward the framework (and
+// the shard's world) to the last cell's state.
+func (p *Pool) open(c *shardCursor, specs []RunSpec) {
+	fw, err := p.Factory(c.shard)
+	if err != nil {
+		c.stop(fmt.Errorf("build framework: %w", err))
+		return
+	}
+	c.active = fw.Telemetry.Gauge("core_shards_active")
+	start, err := p.Checkpoint.Resume(c.shard, specs, fw, c.runs)
+	if err != nil {
+		c.stop(err)
+		return
+	}
+	c.fw, c.next, c.done = fw, start, start == len(specs)
+}
+
+// stop ends the shard with err.
+func (c *shardCursor) stop(err error) {
+	c.errs = append(c.errs, err)
+	c.done = true
+}
+
+// scheduler hands out cells to the pool's workers.
+type scheduler struct {
+	mu      sync.Mutex
+	cursors []*shardCursor
+}
+
+// next releases prev (nil on a worker's first call) and claims the next
+// shard to step: among shards with cells left and none in flight, the one
+// with the most cells left — every shard has len(specs) cells, so that is
+// the lowest next run index — then the lowest shard index. It returns nil
+// when every shard with cells left is in flight: those shards' workers
+// carry them to the end, so the caller may stop.
+func (s *scheduler) next(prev *shardCursor) *shardCursor {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev != nil {
+		prev.busy = false
+	}
+	var best *shardCursor
+	for _, c := range s.cursors {
+		if c.busy || c.done {
+			continue
+		}
+		if best == nil || c.next < best.next {
+			best = c
+		}
+	}
+	if best != nil {
+		best.busy = true
+	}
+	return best
 }
 
 // ExecuteRuns performs all specs over the channel list using the sharded
@@ -104,31 +238,30 @@ func (p *Pool) ExecuteRuns(ctx context.Context, specs []RunSpec, channels []*dvb
 		order[i] = svc.Name
 	}
 
-	outcomes := make([]shardOutcome, shards)
-	jobs := make(chan int)
+	cursors := make([]*shardCursor, shards)
+	for shard := range cursors {
+		cursors[shard] = p.cursor(shard, shards, specs, channels)
+	}
+	sched := &scheduler{cursors: cursors}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for shard := range jobs {
-				outcomes[shard] = p.runShard(ctx, shard, shards, specs, channels)
+			for c := sched.next(nil); c != nil; c = sched.next(c) {
+				p.step(ctx, c, specs)
 			}
 		}()
 	}
-	for shard := 0; shard < shards; shard++ {
-		jobs <- shard
-	}
-	close(jobs)
 	wg.Wait()
 
 	ds := &store.Dataset{}
 	for si := range specs {
 		shardRuns := make([]*store.RunData, shards)
 		any := false
-		for s := range outcomes {
-			if len(outcomes[s].runs) > si && outcomes[s].runs[si] != nil {
-				shardRuns[s] = outcomes[s].runs[si]
+		for s, c := range cursors {
+			if c.runs[si] != nil {
+				shardRuns[s] = c.runs[si]
 				any = true
 			}
 		}
@@ -146,9 +279,9 @@ func (p *Pool) ExecuteRuns(ctx context.Context, specs []RunSpec, channels []*dvb
 		return ds, err
 	}
 	var errs []error
-	for s := range outcomes {
-		if outcomes[s].err != nil {
-			errs = append(errs, fmt.Errorf("core: shard %d: %w", s, outcomes[s].err))
+	for s, c := range cursors {
+		if err := errors.Join(c.errs...); err != nil {
+			errs = append(errs, fmt.Errorf("core: shard %d: %w", s, err))
 		}
 	}
 	return ds, errors.Join(errs...)
@@ -173,65 +306,13 @@ func (p *Pool) ExecuteShard(ctx context.Context, shard int, specs []RunSpec, cha
 		}
 		return runs, nil
 	}
-	out := p.runShard(ctx, shard, shards, specs, channels)
+	// The same step loop as ExecuteRuns, driven serially.
+	c := p.cursor(shard, shards, specs, channels)
+	for !c.done {
+		p.step(ctx, c, specs)
+	}
 	if err := ctx.Err(); err != nil {
-		return out.runs, err
+		return c.runs, err
 	}
-	return out.runs, out.err
-}
-
-// runShard executes all specs for one shard on the framework the Factory
-// builds for it. It is the engine's only caller of ExecuteRunContext.
-func (p *Pool) runShard(ctx context.Context, shard, shards int, specs []RunSpec, channels []*dvb.Service) (out shardOutcome) {
-	out.runs = make([]*store.RunData, len(specs))
-	defer func() {
-		if r := recover(); r != nil {
-			out.err = fmt.Errorf("shard panic: %v", r)
-		}
-	}()
-
-	fw, err := p.Factory(shard)
-	if err != nil {
-		out.err = fmt.Errorf("build framework: %w", err)
-		return out
-	}
-	subset := ShardSubset(channels, shard, shards)
-	if fw.Telemetry.Active() {
-		active := fw.Telemetry.Gauge("core_shards_active")
-		active.Set(1)
-		defer active.Set(0)
-	}
-	// Resume: replay the shard's checkpointed run prefix and fast-forward
-	// the framework (and the shard's world) to the last cell's state.
-	start, err := p.Checkpoint.Resume(shard, specs, fw, out.runs)
-	if err != nil {
-		out.err = err
-		return out
-	}
-	var errs []error
-	for si := start; si < len(specs); si++ {
-		spec := specs[si]
-		run, err := fw.ExecuteRunContext(ctx, spec, subset)
-		out.runs[si] = run // partial data is kept even on error
-		if err != nil {
-			// Cancellation is reported once by ExecuteRuns, not per shard.
-			if cerr := ctx.Err(); cerr == nil || !errors.Is(err, cerr) {
-				errs = append(errs, fmt.Errorf("run %s: %w", spec.Name, err))
-			}
-			// Per-channel degradation (failed visits recorded as outcomes)
-			// does not stop the shard's remaining runs; anything else —
-			// cancellation, shard-level failure — does. A cancelled or
-			// hard-failed run is never committed as a cell: its data is
-			// partial, and a resume must re-measure it.
-			if !DegradedOnly(err) {
-				break
-			}
-		}
-		if cerr := p.Checkpoint.CommitCell(shard, si, spec, fw, run); cerr != nil {
-			errs = append(errs, fmt.Errorf("run %s: checkpoint: %w", spec.Name, cerr))
-			break
-		}
-	}
-	out.err = errors.Join(errs...)
-	return out
+	return c.runs, errors.Join(c.errs...)
 }

@@ -78,8 +78,9 @@ type Tracker struct {
 
 // TrackerService is a running tracker: a Tracker plus its handler state.
 type TrackerService struct {
-	cfg Tracker
-	clk clock.Clock
+	cfg  Tracker
+	clk  clock.Clock
+	seed int64
 
 	mu     sync.Mutex
 	src    *countrand.Source
@@ -92,11 +93,19 @@ type TrackerService struct {
 func NewTrackerService(cfg Tracker, clk clock.Clock, seed int64) *TrackerService {
 	src := countrand.New(seed)
 	return &TrackerService{
-		cfg: cfg,
-		clk: clk,
-		src: src,
-		rng: rand.New(src),
+		cfg:  cfg,
+		clk:  clk,
+		seed: seed,
+		src:  src,
+		rng:  rand.New(src),
 	}
+}
+
+// Fresh returns a new service with t's configuration and construction
+// seed on clk: the service as NewTrackerService built it, before it
+// minted anything. A fresh copy shares no state with t.
+func (t *TrackerService) Fresh(clk clock.Clock) *TrackerService {
+	return NewTrackerService(t.cfg, clk, t.seed)
 }
 
 // Domain returns the service's registrable domain.

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"strings"
@@ -54,6 +55,15 @@ func New() *Internet {
 		hosts: make(map[string]http.Handler),
 		wild:  make(map[string]http.Handler),
 	}
+}
+
+// Clone returns a new registry holding the same host and wildcard
+// entries. The handlers themselves are shared, not copied; registering a
+// host on either registry leaves the other unchanged.
+func (in *Internet) Clone() *Internet {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	return &Internet{hosts: maps.Clone(in.hosts), wild: maps.Clone(in.wild)}
 }
 
 // Handle registers h for the given host name. A host of the form

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
 )
 
 // This file is the write-ahead half of the checkpoint layer: an
@@ -56,13 +57,16 @@ const (
 var ErrJournalTorn = errors.New("store: checkpoint journal: torn tail")
 
 // CheckpointJournal appends completed cells to a write-ahead journal
-// file. Append is not safe for concurrent use; the engine serializes
-// commits (cells complete on many goroutines but durability is one
-// file).
+// file. Its methods are safe for concurrent use: cells complete on many
+// goroutines, and each Append encodes its frame on its caller's
+// goroutine, taking the journal's lock only to write the frame and keep
+// the fsync cadence.
 type CheckpointJournal struct {
-	f         *os.File
-	hdr       *Checkpoint // identity block (no cells), stamped into every frame
-	sync      int         // fsync every sync appends (min 1)
+	f   *os.File
+	hdr *Checkpoint // identity block (no cells), stamped into every frame; read-only
+
+	mu        sync.Mutex // guards the writes to f, and sinceSync
+	sync      int        // fsync every sync appends (min 1)
 	sinceSync int
 }
 
@@ -88,9 +92,11 @@ func CreateJournal(path string, header *Checkpoint, syncEvery int) (*CheckpointJ
 		f.Close()
 		return nil, fmt.Errorf("store: checkpoint journal: %w", err)
 	}
-	if err := j.appendFrame(jrecHeader, func(w io.Writer) error {
-		return WriteCheckpoint(w, &hdr)
-	}); err != nil {
+	frame, err := encodeFrame(jrecHeader, &hdr)
+	if err == nil {
+		err = j.write(frame)
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -111,38 +117,49 @@ func newJournal(f *os.File, hdr *Checkpoint, syncEvery int) *CheckpointJournal {
 // Append commits one completed cell: the frame is written and, per the
 // sync cadence, fsync'd before Append returns. The frame carries the
 // journal's identity block alongside the cell, so every frame is a
-// self-describing single-cell checkpoint.
+// self-describing single-cell checkpoint. Concurrent Appends encode in
+// parallel and write whole frames one at a time, in the order they take
+// the lock.
 func (j *CheckpointJournal) Append(cell *CheckpointCell) error {
-	frame := *j.hdr
-	frame.Cells = []*CheckpointCell{cell}
-	err := j.appendFrame(jrecCell, func(w io.Writer) error {
-		return WriteCheckpoint(w, &frame)
-	})
+	one := *j.hdr
+	one.Cells = []*CheckpointCell{cell}
+	frame, err := encodeFrame(jrecCell, &one)
 	if err != nil {
+		return err
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.write(frame); err != nil {
 		return err
 	}
 	j.sinceSync++
 	if j.sinceSync >= j.sync {
-		return j.Sync()
+		return j.syncLocked()
 	}
 	return nil
 }
 
-// appendFrame encodes the payload in memory, then writes the complete
-// frame in one Write call — the file never holds a frame whose length
-// prefix promises bytes that were not at least handed to the kernel.
-func (j *CheckpointJournal) appendFrame(tag byte, encode func(io.Writer) error) error {
+// encodeFrame encodes cp as a complete frame in memory: tag, payload
+// length, the WriteCheckpoint payload and its CRC.
+func encodeFrame(tag byte, cp *Checkpoint) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Write([]byte{tag, 0, 0, 0, 0})
-	if err := encode(&buf); err != nil {
-		return err
+	if err := WriteCheckpoint(&buf, cp); err != nil {
+		return nil, err
 	}
 	payload := buf.Bytes()[5:]
 	binary.LittleEndian.PutUint32(buf.Bytes()[1:5], uint32(len(payload)))
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
 	buf.Write(crc[:])
-	if _, err := j.f.Write(buf.Bytes()); err != nil {
+	return buf.Bytes(), nil
+}
+
+// write hands one complete frame to the file in one Write call — the file
+// never holds a frame whose length prefix promises bytes that were not
+// at least handed to the kernel.
+func (j *CheckpointJournal) write(frame []byte) error {
+	if _, err := j.f.Write(frame); err != nil {
 		return fmt.Errorf("store: checkpoint journal: %w", err)
 	}
 	return nil
@@ -150,6 +167,13 @@ func (j *CheckpointJournal) appendFrame(tag byte, encode func(io.Writer) error) 
 
 // Sync flushes the journal to stable storage.
 func (j *CheckpointJournal) Sync() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.syncLocked()
+}
+
+// syncLocked is Sync for a caller holding j.mu.
+func (j *CheckpointJournal) syncLocked() error {
 	j.sinceSync = 0
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("store: checkpoint journal: %w", err)
@@ -161,7 +185,9 @@ func (j *CheckpointJournal) Sync() error {
 // appended cell durable regardless of the cadence, which is what the
 // graceful-shutdown path (drain, final checkpoint, exit) relies on.
 func (j *CheckpointJournal) Close() error {
-	if err := j.Sync(); err != nil {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.syncLocked(); err != nil {
 		j.f.Close()
 		return err
 	}

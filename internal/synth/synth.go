@@ -86,6 +86,34 @@ func (w *World) installTracker(svc *headend.TrackerService) {
 	w.trackerSvcs = append(w.trackerSvcs, svc)
 }
 
+// Fork returns a world that answers every request as a fresh Build of
+// w's config on clk would, without building it again. Only the tracker
+// services hold handler state, so the fork shares everything else with w
+// — universe, channels, availability, application servers and the
+// stateless handler functions — clones the registry, and reinstalls a
+// fresh copy of every tracker service in install order, so TrackerStates
+// and RestoreTrackerStates line up with a fresh build's. The copies start
+// from their construction seeds whatever w's services have served, so a
+// fork taken after the funnel measured on w is exact. Hosts registered on
+// w after Build carry over to the fork, except a tracker service's own
+// hosts, which its fresh copy takes back.
+func (w *World) Fork(clk clock.Clock) *World {
+	f := &World{
+		Cfg:          w.Cfg,
+		Universe:     w.Universe,
+		Channels:     w.Channels,
+		Internet:     w.Internet.Clone(),
+		Trackers:     w.Trackers,
+		Availability: w.Availability,
+		clk:          clk,
+		trackerSvcs:  make([]*headend.TrackerService, 0, len(w.trackerSvcs)),
+	}
+	for _, svc := range w.trackerSvcs {
+		f.installTracker(svc.Fresh(clk))
+	}
+	return f
+}
+
 // TrackerStates captures the mutable handler state of every installed
 // tracker service, in install order. Equal seeds build worlds with equal
 // registries, so the snapshot restores onto a freshly built world of the

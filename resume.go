@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 
 	"github.com/hbbtvlab/hbbtvlab/internal/core"
 	"github.com/hbbtvlab/hbbtvlab/internal/dvb"
@@ -124,14 +123,13 @@ func openJournal(co CheckpointOptions, want *store.Checkpoint) (*store.Checkpoin
 
 // checkpointer wires the loaded journal into the engine: completed cells
 // grouped per shard for replay, world capture/restore through the
-// study's shard-world registry, and mutex-serialized commits (shards
-// commit concurrently; the journal appends one frame at a time).
+// study's shard-world registry, and commits straight to the journal,
+// whose Append is safe for the shards' concurrent commits.
 func (s *Study) checkpointer(cp *store.Checkpoint, journal *store.CheckpointJournal) *core.Checkpointer {
 	byShard := make(map[int][]*store.CheckpointCell)
 	for _, cell := range cp.Cells {
 		byShard[cell.Shard] = append(byShard[cell.Shard], cell)
 	}
-	var mu sync.Mutex
 	return &core.Checkpointer{
 		Completed: func(shard int) []*store.CheckpointCell { return byShard[shard] },
 		CaptureWorld: func(shard int) []store.TrackerState {
@@ -147,10 +145,6 @@ func (s *Study) checkpointer(cp *store.Checkpoint, journal *store.CheckpointJour
 			}
 			return w.RestoreTrackerStates(trackers)
 		},
-		Commit: func(cell *store.CheckpointCell) error {
-			mu.Lock()
-			defer mu.Unlock()
-			return journal.Append(cell)
-		},
+		Commit: journal.Append,
 	}
 }
