@@ -18,7 +18,7 @@ check: build
 	$(GO) test -race ./...
 
 race:
-	$(GO) test -race ./internal/core/ ./internal/webos/ ./internal/proxy/ ./internal/telemetry/
+	$(GO) test -race ./internal/core/ ./internal/webos/ ./internal/proxy/ ./internal/telemetry/ ./internal/hostnet/
 
 # chaos runs the fault-injection suite under the race detector: a scaled
 # study executed under deterministic faults must produce a byte-identical
@@ -27,10 +27,12 @@ race:
 # The resilience unit tests (retry, quarantine, deadline, fault transport)
 # ride along, and so do the engine's cell-dispatch and world-fork tests
 # at GOMAXPROCS 1, 2 and 4: cells of different shards interleave only
-# from 2 on.
+# from 2 on. The transport's lease and concurrency tests run ten times
+# over, to shake the pooled writers its responses are lent.
 chaos:
 	$(GO) test -race -run 'TestChaos' -v .
 	$(GO) test -race ./internal/faults/ ./internal/hostnet/
+	$(GO) test -race -count=10 -run 'TestTransportLease|TestTransportConcurrent' ./internal/hostnet/
 	$(GO) test -race -run 'TestRunContinues|TestQuarantine|TestSuccessResets|TestProbeFailure|TestDegradedOnly|TestRetryPolicy|TestVisitDeadline|TestPoolCancellation' ./internal/core/
 	$(GO) test -race -cpu 1,2,4 -run 'TestPoolCell|TestFork' ./internal/core/ ./internal/synth/
 

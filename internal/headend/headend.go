@@ -240,16 +240,22 @@ func (t *TrackerService) maybeSetCookie(w http.ResponseWriter, r *http.Request) 
 	if t.cfg.CookieName == "" {
 		return
 	}
-	t.setCookieUnlessSent(w, r, t.cfg.CookieName)
+	t.setCookieUnlessSent(w, r, "")
 	if site := siteParam(r); site != "" {
-		t.setCookieUnlessSent(w, r, t.cfg.CookieName+"_"+site)
+		t.setCookieUnlessSent(w, r, site)
 	}
 }
 
-// setCookieUnlessSent mints the named cookie unless the request carries it.
-func (t *TrackerService) setCookieUnlessSent(w http.ResponseWriter, r *http.Request, name string) {
-	if _, ok := cookieValue(r.Header, name); ok {
+// setCookieUnlessSent mints the tracker's cookie, or with a non-empty site
+// its "<CookieName>_<site>" cookie, unless the request carries it. Only
+// minting builds the scoped name.
+func (t *TrackerService) setCookieUnlessSent(w http.ResponseWriter, r *http.Request, site string) {
+	if _, ok := cookieValue(r.Header, t.cfg.CookieName, site); ok {
 		return
+	}
+	name := t.cfg.CookieName
+	if site != "" {
+		name += "_" + site
 	}
 	http.SetCookie(w, &http.Cookie{
 		Name:   name,
@@ -272,7 +278,7 @@ func siteParam(r *http.Request) string {
 // sets a new one.
 func (t *TrackerService) cookieValueFor(w http.ResponseWriter, r *http.Request) string {
 	if t.cfg.CookieName != "" {
-		if v, ok := cookieValue(r.Header, t.cfg.CookieName); ok {
+		if v, ok := cookieValue(r.Header, t.cfg.CookieName, ""); ok {
 			return v
 		}
 	}

@@ -17,14 +17,17 @@ func testClock() *clock.Virtual {
 	return clock.NewVirtual(time.Date(2023, 9, 14, 10, 0, 0, 0, time.UTC))
 }
 
+// get fetches rawURL and reads its body. The response stays open until
+// the test ends: the virtual network lends a response's header only until
+// its body is closed, and the callers read it after get returns.
 func get(t *testing.T, client *http.Client, rawURL string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := client.Get(rawURL)
 	if err != nil {
 		t.Fatalf("GET %s: %v", rawURL, err)
 	}
+	t.Cleanup(func() { resp.Body.Close() })
 	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
 	return resp, body
 }
 
@@ -79,10 +82,10 @@ func TestTrackerIDCookieMintedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
 	if len(resp2.Cookies()) != 0 {
 		t.Errorf("tracker re-minted an ID: %v", resp2.Cookies())
 	}
+	resp2.Body.Close()
 }
 
 func TestTrackerTimestampCookie(t *testing.T) {

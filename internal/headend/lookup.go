@@ -40,9 +40,10 @@ func queryValue(raw, key string) string {
 // split at ';', pairs and names trimmed of ASCII space, one pair of
 // surrounding double quotes stripped from the value, and a pair skipped
 // when its value holds a byte outside the cookie-octet set. A name that is
-// not a token never matches.
-func cookieValue(h http.Header, name string) (string, bool) {
-	if !isToken(name) {
+// not a token never matches. A non-empty site looks for the cookie called
+// name+"_"+site instead, without building that name.
+func cookieValue(h http.Header, name, site string) (string, bool) {
+	if !isToken(name) || (site != "" && !isToken(site)) {
 		return "", false
 	}
 	for _, line := range h["Cookie"] {
@@ -50,7 +51,7 @@ func cookieValue(h http.Header, name string) (string, bool) {
 			var part string
 			part, line, _ = strings.Cut(line, ";")
 			n, v, _ := strings.Cut(textproto.TrimString(part), "=")
-			if textproto.TrimString(n) != name {
+			if !cookieNamed(textproto.TrimString(n), name, site) {
 				continue
 			}
 			if len(v) > 1 && v[0] == '"' && v[len(v)-1] == '"' {
@@ -62,6 +63,16 @@ func cookieValue(h http.Header, name string) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// cookieNamed reports whether n is name, or with a non-empty site
+// name+"_"+site.
+func cookieNamed(n, name, site string) bool {
+	if site == "" {
+		return n == name
+	}
+	rest, ok := strings.CutPrefix(n, name)
+	return ok && len(rest) == len(site)+1 && rest[0] == '_' && rest[1:] == site
 }
 
 // isToken reports whether s is a non-empty RFC 7230 token, the syntax of a

@@ -16,9 +16,16 @@
 // RequestURI, as the TV sends) reaches the handler as is; any other gets
 // a shallow copy that is. The handler answers into a pooled
 // ResponseWriter, so a handler must not keep the ResponseWriter or the
-// request after ServeHTTP returns. What the caller receives is its own: a
-// fresh header map, the body copied out at its exact size, and the
-// http.Response allocated together with its in-memory body.
+// request after ServeHTTP returns.
+//
+// The response is lent, not copied out. Its Header is the writer's header
+// map and its in-memory body reads the writer's buffer, until the first
+// Body.Close. That Close detaches the response, whose Header becomes nil
+// and whose body reads empty, and returns the writer to the pool; any
+// later Close does nothing. A caller therefore reads the header and the
+// body, and copies whatever must outlive them, before it closes the body,
+// and keeps no reference into either afterwards. Each response is its own
+// http.Response, so a stale Close ends only its own lease.
 package hostnet
 
 import (
@@ -29,6 +36,7 @@ import (
 	"maps"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -127,18 +135,8 @@ func (in *Internet) Hosts() []string {
 	for h := range in.wild {
 		out = append(out, "*."+h)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	// Tiny insertion sort keeps this file free of a sort import fight;
-	// host lists are small and this is diagnostics-only.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Transport is an http.RoundTripper that dispatches requests to the
@@ -214,7 +212,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	w := getWriter()
 	h.ServeHTTP(w, sreq)
-	resp := w.result(req)
+	resp := w.lend(req)
 	t.sleep(respDelay)
 	switch fault.Kind {
 	case faults.KindTruncate:
@@ -270,41 +268,21 @@ func statusLine(code int) string {
 	return fmt.Sprintf("%d %s", code, http.StatusText(code))
 }
 
-// memBody is an in-memory response body. It implements the BodyBytes fast
-// path the TV and the recording proxy use to take the bytes without another
-// io.ReadAll copy.
-type memBody struct {
+// lease is the response the transport hands out: the http.Response and
+// its in-memory body in one allocation. A handler's answer lends the
+// response its writer's header map and body buffer until the first Close;
+// an injected error response holds its own.
+type lease struct {
+	http.Response
+	w   *writer // the lent writer, nil once returned or when none was lent
 	b   []byte
 	off int
 }
 
-func (m *memBody) Read(p []byte) (int, error) {
-	if m.off >= len(m.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, m.b[m.off:])
-	m.off += n
-	return n, nil
-}
-
-// BodyBytes returns the unread remainder without consuming it — the same
-// bytes an io.ReadAll would produce, without the copy — so the recording
-// proxy can read a body its caller then reads again. The returned slice
-// is read-only.
-func (m *memBody) BodyBytes() []byte { return m.b[m.off:] }
-
-func (m *memBody) Close() error { return nil }
-
-// response is an http.Response allocated together with its in-memory body.
-type response struct {
-	http.Response
-	body memBody
-}
-
 // newResponse returns a response to req with the given status, header and
-// body; ContentLength is the body's length.
-func newResponse(req *http.Request, code int, h http.Header, body []byte) *http.Response {
-	r := &response{
+// body, lent from w when w is non-nil; ContentLength is the body's length.
+func newResponse(req *http.Request, code int, h http.Header, body []byte, w *writer) *http.Response {
+	l := &lease{
 		Response: http.Response{
 			Status:        statusLine(code),
 			StatusCode:    code,
@@ -315,10 +293,40 @@ func newResponse(req *http.Request, code int, h http.Header, body []byte) *http.
 			ContentLength: int64(len(body)),
 			Request:       req,
 		},
-		body: memBody{b: body},
+		w: w,
+		b: body,
 	}
-	r.Body = &r.body
-	return &r.Response
+	l.Body = l
+	return &l.Response
+}
+
+func (l *lease) Read(p []byte) (int, error) {
+	if l.off >= len(l.b) {
+		return 0, io.EOF
+	}
+	n := copy(p, l.b[l.off:])
+	l.off += n
+	return n, nil
+}
+
+// BodyBytes returns the unread remainder without consuming it — the same
+// bytes an io.ReadAll would produce, without the copy — so the TV and the
+// recording proxy take the body in place, and the proxy can read a body
+// its caller then reads again. The returned slice is read-only and valid
+// only until Close.
+func (l *lease) BodyBytes() []byte { return l.b[l.off:] }
+
+// Close detaches the response: its Header becomes nil, its body reads
+// empty, and a lent writer goes back to the pool. Any later Close does
+// nothing.
+func (l *lease) Close() error {
+	l.Header = nil
+	l.b, l.off = nil, 0
+	if w := l.w; w != nil {
+		l.w = nil
+		w.release()
+	}
+	return nil
 }
 
 // errorResponse synthesizes an injected 5xx without invoking any handler —
@@ -326,41 +334,42 @@ func newResponse(req *http.Request, code int, h http.Header, body []byte) *http.
 func errorResponse(req *http.Request, code int) *http.Response {
 	h := make(http.Header)
 	h.Set("Content-Type", "text/plain; charset=utf-8")
-	return newResponse(req, code, h, []byte(http.StatusText(code)+"\n"))
+	return newResponse(req, code, h, []byte(http.StatusText(code)+"\n"), nil)
 }
 
 // truncateBody cuts the response body down to keepPermille/1000 of its
 // bytes. ContentLength keeps the full length — the damage is silent, like
 // a connection dropped mid-stream. A non-nil readErr is surfaced after the
 // kept prefix (mid-body reset); nil mimics a clean-looking short read.
+// Either way the body stays the lease, so the writer goes back to the
+// pool only when the body is closed.
 func truncateBody(resp *http.Response, keepPermille int, readErr error) {
-	mb := resp.Body.(*memBody)
-	kept := mb.b[:len(mb.b)*keepPermille/1000]
-	if readErr == nil {
-		mb.b = kept
-		return
+	l := resp.Body.(*lease)
+	l.b = l.b[:len(l.b)*keepPermille/1000]
+	if readErr != nil {
+		resp.Body = failAfterBody{ReadCloser: l, err: readErr}
 	}
-	resp.Body = io.NopCloser(&failAfterReader{r: bytes.NewReader(kept), err: readErr})
 }
 
-// failAfterReader yields r's bytes, then err instead of io.EOF.
-type failAfterReader struct {
-	r   io.Reader
+// failAfterBody yields its body's bytes, then err instead of io.EOF. It
+// hides the lease's BodyBytes, so every reader meets the error.
+type failAfterBody struct {
+	io.ReadCloser
 	err error
 }
 
-func (fr *failAfterReader) Read(p []byte) (int, error) {
-	n, err := fr.r.Read(p)
+func (fb failAfterBody) Read(p []byte) (int, error) {
+	n, err := fb.ReadCloser.Read(p)
 	if err == io.EOF {
-		err = fr.err
+		err = fb.err
 	}
 	return n, err
 }
 
-// writer is the ResponseWriter a handler answers into. Its status and body
-// buffer are pooled; result hands the header map to the response and
-// returns the writer to writerPool, so nothing of one request's writer
-// reaches another request's response.
+// writer is the ResponseWriter a handler answers into. A pooled writer
+// keeps its header map and body buffer: lend hands both to the response,
+// and the response's first Close clears them and returns the writer to
+// writerPool, so no two open responses share a map or a buffer.
 type writer struct {
 	code   int
 	header http.Header
@@ -368,7 +377,7 @@ type writer struct {
 	wrote  bool
 }
 
-var writerPool = sync.Pool{New: func() any { return new(writer) }}
+var writerPool = sync.Pool{New: func() any { return &writer{header: make(http.Header)} }}
 
 // maxPooledBody bounds the body buffer a writer takes back to the pool, so
 // one large response does not pin its buffer for the process's lifetime.
@@ -378,7 +387,6 @@ const maxPooledBody = 64 << 10
 func getWriter() *writer {
 	w := writerPool.Get().(*writer)
 	w.code = http.StatusOK
-	w.header = make(http.Header)
 	return w
 }
 
@@ -399,23 +407,26 @@ func (w *writer) Write(b []byte) (int, error) {
 	return w.body.Write(b)
 }
 
-// result copies the handler's answer out into a response of its own — the
-// header map as made for this request, the body at its exact size — and
-// returns the writer to the pool.
-func (w *writer) result(req *http.Request) *http.Response {
+// lend returns the handler's answer as a response that holds w until its
+// body is closed: the header map and the buffered bytes themselves, not
+// copies. An empty body is nil, as a copied-out one was.
+func (w *writer) lend(req *http.Request) *http.Response {
 	var body []byte
-	if n := w.body.Len(); n > 0 {
-		body = make([]byte, n)
-		copy(body, w.body.Bytes())
+	if w.body.Len() > 0 {
+		body = w.body.Bytes()
 	}
-	resp := newResponse(req, w.code, w.header, body)
-	w.header = nil
+	return newResponse(req, w.code, w.header, body, w)
+}
+
+// release empties w's header map and body buffer and returns it to the
+// pool, unless the buffer grew past maxPooledBody.
+func (w *writer) release() {
+	clear(w.header)
 	w.wrote = false
 	w.body.Reset()
 	if w.body.Cap() <= maxPooledBody {
 		writerPool.Put(w)
 	}
-	return resp
 }
 
 // Server serves the registry over a real TCP loopback listener, routing by

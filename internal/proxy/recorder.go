@@ -27,7 +27,8 @@ const AttributionWindow = 15 * time.Minute
 // accounting for delays during switching.
 const RefererGrace = 10 * time.Second
 
-// maxRecordedBody bounds how much of a request body is retained per flow.
+// maxRecordedBody bounds how much of a request body, and of a textual
+// response body, is retained per flow.
 const maxRecordedBody = 16 << 10
 
 // BurstGap is the virtual-time silence that closes a flow burst: flows
@@ -148,7 +149,8 @@ var _ http.RoundTripper = (*Recorder)(nil)
 
 // bytesBody is the fast-path interface an in-memory response body (the
 // virtual network's) exposes: its unread content, without an io.ReadAll
-// copy and without consuming it.
+// copy and without consuming it. The bytes are lent: they stay valid only
+// until the caller closes the body.
 type bytesBody interface {
 	BodyBytes() []byte
 }
@@ -160,7 +162,9 @@ type bytesBody interface {
 // at the recorder's shared copy of each block, so whatever the caller or
 // the inner transport later writes to req.Header or to the returned
 // resp.Header — the TV rebuilds its one request header map for its next
-// request — cannot reach a recorded flow.
+// request, and the virtual network reuses a response's header map once
+// the caller closes the body — cannot reach a recorded flow. Nor does it
+// hold lent body bytes: it keeps its own copy of the textual prefix.
 func (r *Recorder) RoundTrip(req *http.Request) (*http.Response, error) {
 	var reqBody []byte
 	if req.Body != nil && req.Body != http.NoBody {
@@ -187,14 +191,16 @@ func (r *Recorder) RoundTrip(req *http.Request) (*http.Response, error) {
 	// Measure the response body while keeping it readable by the caller:
 	// an in-memory body lends its bytes without being consumed, so the
 	// caller reads the very body the transport returned; any other is
-	// read once and handed on as a reader over the bytes read.
+	// read once and handed on as a reader over the bytes read. That reader
+	// closes the body it replaces only when the caller closes it, since
+	// a transport may lend the response's header until then.
 	var respBody []byte
-	if bb, ok := resp.Body.(bytesBody); ok {
+	bb, lent := resp.Body.(bytesBody)
+	if lent {
 		respBody = bb.BodyBytes()
 	} else {
 		respBody, _ = io.ReadAll(resp.Body)
-		resp.Body.Close()
-		resp.Body = io.NopCloser(bytes.NewReader(respBody))
+		resp.Body = readBody{Reader: bytes.NewReader(respBody), Closer: resp.Body}
 	}
 	resp.ContentLength = int64(len(respBody))
 
@@ -209,16 +215,25 @@ func (r *Recorder) RoundTrip(req *http.Request) (*http.Response, error) {
 		ResponseSize:    int64(len(respBody)),
 	}
 	if isTextual(resp.Header.Get("Content-Type")) {
-		n := len(respBody)
-		if n > maxRecordedBody {
-			n = maxRecordedBody
-		}
-		// The body's bytes are read-only to every holder; reference them
-		// instead of copying.
+		n := min(len(respBody), maxRecordedBody)
+		// A whole body read here is read-only to every holder and is
+		// referenced. Lent bytes are reused once the caller closes the
+		// body, and a prefix would pin its body's whole array, so both
+		// are copied.
 		f.ResponseBody = respBody[:n:n]
+		if lent || n < len(respBody) {
+			f.ResponseBody = bytes.Clone(f.ResponseBody)
+		}
 	}
 	r.record(&f, req.URL)
 	return resp, nil
+}
+
+// readBody is a response body the recorder read whole: it reads the bytes
+// read, and its Close closes the body they were read from.
+type readBody struct {
+	*bytes.Reader
+	io.Closer
 }
 
 // record moves f into the arena, assigns its ID and attribution, and indexes

@@ -47,13 +47,13 @@ func drive(t *testing.T, w *World, clk *clock.Virtual) []string {
 				t.Fatalf("%s%s: %v", host, path, err)
 			}
 			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
 			if err != nil {
 				t.Fatal(err)
 			}
 			var b bytes.Buffer
 			fmt.Fprintf(&b, "%s%s %d\n", host, path, resp.StatusCode)
 			resp.Header.Write(&b)
+			resp.Body.Close()
 			b.Write(body)
 			out = append(out, b.String())
 			clk.Sleep(time.Second)

@@ -130,9 +130,10 @@ func TestAllEntryURLsResolve(t *testing.T) {
 			t.Fatalf("%s: GET entry: %v", ch.Service.Name, err)
 		}
 		body, _ := io.ReadAll(resp.Body)
+		status := resp.StatusCode
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: entry status %d", ch.Service.Name, resp.StatusCode)
+		if status != http.StatusOK {
+			t.Fatalf("%s: entry status %d", ch.Service.Name, status)
 		}
 		doc, err := appmodel.ParseHTML(body)
 		if err != nil {
@@ -313,9 +314,10 @@ func TestTVPingPixelUnderThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
+	ct := resp.Header.Get("Content-Type")
 	resp.Body.Close()
-	if len(body) >= 45 || !strings.HasPrefix(resp.Header.Get("Content-Type"), "image/") {
-		t.Errorf("tvping pixel: %d bytes, %s", len(body), resp.Header.Get("Content-Type"))
+	if len(body) >= 45 || !strings.HasPrefix(ct, "image/") {
+		t.Errorf("tvping pixel: %d bytes, %s", len(body), ct)
 	}
 }
 
@@ -327,8 +329,9 @@ func TestXitiReachedViaRedirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
+	got := resp.Request.URL.Host
 	resp.Body.Close()
-	if got := resp.Request.URL.Host; got != "xiti.com" {
+	if got != "xiti.com" {
 		t.Errorf("tvstat pixel resolved to %q, want xiti.com", got)
 	}
 }

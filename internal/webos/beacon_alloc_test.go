@@ -21,7 +21,7 @@ import (
 // that puts a parse or a copy back on the request path breaks it.
 func TestBeaconAllocations(t *testing.T) {
 	const (
-		measured = 6
+		measured = 2
 		headroom = 4
 	)
 	in := hostnet.New()

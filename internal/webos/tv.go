@@ -121,7 +121,6 @@ type TV struct {
 	storage *LocalStorage
 
 	powered bool
-	network bool
 
 	current *dvb.Service
 	// currentEvent is the airing program decoded from the service's EIT.
@@ -257,12 +256,11 @@ func (tv *TV) newID(prefix string) string {
 // session identifier is generated, as the TV's browser would.
 func (tv *TV) PowerOn() {
 	tv.powered = true
-	tv.network = true
 	tv.sessionID = tv.newID("s")
 	if tv.cfg.PlatformTraffic {
 		// The TV itself phones home; the study disabled this and excluded
 		// lge.com traffic. Modeled so the exclusion has something to drop.
-		_, _ = tv.get("http://snu.lge.com/checkupdate?model="+url.QueryEscape(tv.cfg.Device.Model), "")
+		_ = tv.get("http://snu.lge.com/checkupdate?model="+url.QueryEscape(tv.cfg.Device.Model), "")
 	}
 	tv.logf(LogApp, "power on (session %s)", tv.sessionID)
 }
@@ -339,8 +337,8 @@ func (tv *TV) logf(kind LogKind, format string, args ...any) {
 
 // TuneTo switches the TV to the given service: the running HbbTV app (if
 // any) exits, the switch is announced (for traffic attribution), and the
-// service's autostart application is loaded when the signal carries an AIT
-// and the TV is online.
+// service's autostart application is loaded when the signal carries an
+// AIT.
 func (tv *TV) TuneTo(svc *dvb.Service) error {
 	if !tv.powered {
 		return fmt.Errorf("webos: TV is powered off")
@@ -373,7 +371,7 @@ func (tv *TV) TuneTo(svc *dvb.Service) error {
 	if tv.cfg.OnSwitch != nil {
 		tv.cfg.OnSwitch(svc.Name, id)
 	}
-	if !tv.network || !svc.HasAIT() || svc.Encrypted || svc.Invisible {
+	if !svc.HasAIT() || svc.Encrypted || svc.Invisible {
 		return nil
 	}
 	section := svc.AITSection
@@ -472,7 +470,7 @@ func (tv *TV) loadApp(entry string) error {
 	if err != nil {
 		return fmt.Errorf("parse entry URL: %w", err)
 	}
-	body, err := tv.get(entry, "")
+	body, err := tv.getBody(entry)
 	if err != nil {
 		return err
 	}
@@ -492,7 +490,7 @@ func (tv *TV) loadApp(entry string) error {
 			continue
 		}
 		u := resolveRef(base, res.URL)
-		if _, err := tv.get(u, base.String()); err != nil {
+		if err := tv.get(u, base.String()); err != nil {
 			tv.logf(LogError, "subresource %s: %v", u, err)
 		}
 	}
@@ -520,14 +518,14 @@ func (tv *TV) loadApp(entry string) error {
 	for _, res := range doc.Resources {
 		if res.Kind == appmodel.ResXHR {
 			u := resolveRef(base, res.URL)
-			if _, err := tv.get(u, base.String()); err != nil {
+			if err := tv.get(u, base.String()); err != nil {
 				tv.logf(LogError, "xhr %s: %v", u, err)
 			}
 		}
 	}
 	// Fingerprinting: fetch the script, then report collected properties.
 	if fp := spec.Fingerprint; fp != nil {
-		if _, err := tv.get(resolveRef(base, fp.ScriptURL), base.String()); err == nil {
+		if err := tv.get(resolveRef(base, fp.ScriptURL), base.String()); err == nil {
 			report := map[string]any{
 				"apis":         fp.APIs,
 				"manufacturer": tv.cfg.Device.Manufacturer,
@@ -551,7 +549,7 @@ func (tv *TV) loadApp(entry string) error {
 			"language":     {tv.cfg.Device.Language},
 			"localtime":    {app.vars.LocalTime},
 		})
-		if _, err := tv.get(u, base.String()); err != nil {
+		if err := tv.get(u, base.String()); err != nil {
 			tv.logf(LogError, "leak technical %s: %v", u, err)
 		}
 	}
@@ -562,7 +560,7 @@ func (tv *TV) loadApp(entry string) error {
 			"genre":   {app.vars.Genre},
 			"uid":     {tv.userID},
 		})
-		if _, err := tv.get(u, base.String()); err != nil {
+		if err := tv.get(u, base.String()); err != nil {
 			tv.logf(LogError, "leak behavioral %s: %v", u, err)
 		}
 	}
@@ -674,7 +672,7 @@ func (tv *TV) fireBeacon(bi int) {
 			q.Set(k, vars.Expand(v))
 		}
 		u := addQuery(st.resolve, q)
-		if _, err := tv.get(u, app.baseStr); err != nil {
+		if err := tv.get(u, app.baseStr); err != nil {
 			tv.logf(LogError, "beacon %s: %v", u, err)
 		}
 		return
@@ -706,17 +704,18 @@ func (tv *TV) fireBeacon(bi int) {
 
 // bytesBody is implemented by response bodies whose full content is already
 // in memory (the virtual network's). BodyBytes returns that content without
-// another copy; the returned slice is read-only.
+// another copy; the returned slice is read-only, and the virtual network
+// lends it only until the body is closed.
 type bytesBody interface {
 	BodyBytes() []byte
 }
 
-// readBody drains and closes resp.Body, avoiding the copy when the body is
-// an in-memory one.
+// readBody returns a copy of resp's body, which outlives the response,
+// and closes the body. An in-memory body is copied at its exact size.
 func readBody(resp *http.Response) []byte {
 	var body []byte
 	if bb, ok := resp.Body.(bytesBody); ok {
-		body = bb.BodyBytes()
+		body = bytes.Clone(bb.BodyBytes())
 	} else {
 		body, _ = io.ReadAll(resp.Body)
 	}
@@ -724,21 +723,30 @@ func readBody(resp *http.Response) []byte {
 	return body
 }
 
-// get performs a GET of rawURL and returns the response body.
-func (tv *TV) get(rawURL, referer string) ([]byte, error) {
+// getBody performs a GET of rawURL, without a Referer, and returns a copy
+// of the response body.
+func (tv *TV) getBody(rawURL string) ([]byte, error) {
 	u, err := parseRequestURL(rawURL)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := tv.send(http.MethodGet, u, referer, "", nil)
+	resp, err := tv.send(http.MethodGet, u, "", "", nil)
 	if err != nil {
 		return nil, err
 	}
 	return readBody(resp), nil
 }
 
-// getURL is get for a URL that is already parsed — the beacon fast path —
-// discarding the body.
+// get performs a GET of rawURL, discarding the body.
+func (tv *TV) get(rawURL, referer string) error {
+	u, err := parseRequestURL(rawURL)
+	if err != nil {
+		return err
+	}
+	return tv.getURL(u, referer)
+}
+
+// getURL is get for a URL that is already parsed — the beacon fast path.
 func (tv *TV) getURL(u *url.URL, referer string) error {
 	resp, err := tv.send(http.MethodGet, u, referer, "", nil)
 	if err != nil {
@@ -792,6 +800,10 @@ const maxRedirects = 10
 //   - errors are *url.Error values with the client's operation, URL and
 //     message, which the TV's logs carry.
 //
+// A hop's response lends its header and body only until its body is
+// closed, so send reads a redirect's Location, its Set-Cookie lines and
+// its Request before it closes the body and sends the next hop.
+//
 // The client's handling of user info in URLs (an Authorization header, a
 // masked password in errors) has no counterpart: no HbbTV app request
 // carries user info.
@@ -812,13 +824,13 @@ func (tv *TV) send(method string, u *url.URL, referer, contentType string, body 
 			if loc == "" {
 				return resp, nil
 			}
+			at := u
+			if resp.Request != nil {
+				at = resp.Request.URL
+			}
 			resp.Body.Close()
 			next, err := u.Parse(loc)
 			if err != nil {
-				at := u
-				if resp.Request != nil {
-					at = resp.Request.URL
-				}
 				return nil, urlError(method, at.String(), fmt.Errorf("failed to parse Location header %q: %v", loc, err))
 			}
 			if hopReferer == "" && !(u.Scheme == "https" && next.Scheme == "http") {

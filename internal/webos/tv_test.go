@@ -211,21 +211,6 @@ func TestTVLoadsAutostartApp(t *testing.T) {
 	}
 }
 
-func TestTVOfflineLoadsNothing(t *testing.T) {
-	fx := newFixture(t)
-	fx.tv.PowerOn()
-	fx.tv.network = false // unplugged: linear TV works, HbbTV content does not load
-	if err := fx.tv.TuneTo(fx.svc); err != nil {
-		t.Fatal(err)
-	}
-	if fx.tv.HasApp() {
-		t.Error("app loaded without network")
-	}
-	if fx.rec.Len() != 0 {
-		t.Errorf("offline TV generated %d flows", fx.rec.Len())
-	}
-}
-
 func TestTVWatchFiresBeacons(t *testing.T) {
 	fx := newFixture(t)
 	fx.tv.PowerOn()
