@@ -28,11 +28,14 @@ race:
 # ride along, and so do the engine's cell-dispatch and world-fork tests
 # at GOMAXPROCS 1, 2 and 4: cells of different shards interleave only
 # from 2 on. The transport's lease and concurrency tests run ten times
-# over, to shake the pooled writers its responses are lent.
+# over, to shake the pooled writers its responses are lent, and so does
+# the recorder's concurrent-headers test, to shake the recent header
+# blocks every RoundTrip caller reaches under the recorder's lock.
 chaos:
 	$(GO) test -race -run 'TestChaos' -v .
 	$(GO) test -race ./internal/faults/ ./internal/hostnet/
 	$(GO) test -race -count=10 -run 'TestTransportLease|TestTransportConcurrent' ./internal/hostnet/
+	$(GO) test -race -count=10 -run 'TestRecorderConcurrentHeaderReads' ./internal/proxy/
 	$(GO) test -race -run 'TestRunContinues|TestQuarantine|TestSuccessResets|TestProbeFailure|TestDegradedOnly|TestRetryPolicy|TestVisitDeadline|TestPoolCancellation' ./internal/core/
 	$(GO) test -race -cpu 1,2,4 -run 'TestPoolCell|TestFork' ./internal/core/ ./internal/synth/
 
@@ -68,11 +71,14 @@ resume:
 # and matcher (no panic; parse errors wrap bufio.ErrTooLong; Parse then
 # Append matches every URL as parsing the joined text does), the HbbTV
 # application parser (no panic; render∘parse reaches a fixed point), and
-# two differential targets: the TV jar's one-pass Cookie header against
-# net/http's AddCookie chain, and the tracker's query and cookie scanners
-# against url.ParseQuery and (*http.Request).Cookie. -fuzz is a regular
-# expression, so FuzzLoad is anchored to keep it from also matching
-# FuzzLoadJournal.
+# three differential targets: the TV jar's one-pass Cookie header against
+# net/http's AddCookie chain, the tracker's query and cookie scanners
+# against url.ParseQuery and (*http.Request).Cookie, and the recorder's
+# header blocks against a table keyed by proxy.AppendHeaderKey (the same
+# key gives the same shared map in either role, different keys different
+# maps; every map equals its input; a body is kept exactly for a textual
+# Content-Type). -fuzz is a regular expression, so FuzzLoad is anchored to
+# keep it from also matching FuzzLoadJournal.
 fuzz:
 	$(GO) test ./internal/dvb/ -run '^$$' -fuzz FuzzParseAIT -fuzztime 30s
 	$(GO) test ./internal/dvb/ -run '^$$' -fuzz FuzzDecodeEIT -fuzztime 30s
@@ -86,6 +92,7 @@ fuzz:
 	$(GO) test ./internal/appmodel/ -run '^$$' -fuzz FuzzParseHTML -fuzztime 30s
 	$(GO) test ./internal/webos/ -run '^$$' -fuzz FuzzCookieHeader -fuzztime 30s
 	$(GO) test ./internal/headend/ -run '^$$' -fuzz FuzzTrackerLookups -fuzztime 30s
+	$(GO) test ./internal/proxy/ -run '^$$' -fuzz FuzzRecorderHeaderBlocks -fuzztime 30s
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -186,9 +187,10 @@ func TestRecorderConcurrentHeaderReads(t *testing.T) {
 	}
 }
 
-// TestRecorderHeaderHitAllocatesNothing pins the table's hit path: a block
-// the recorder has seen costs a key build in recorder-owned scratch and a
-// map lookup, no allocation.
+// TestRecorderHeaderHitAllocatesNothing pins the two hit paths: a block
+// among the role's recent ones is matched in place, and a block the recent
+// list has dropped costs a key build in recorder-owned scratch and a table
+// lookup. Neither allocates.
 func TestRecorderHeaderHitAllocatesNothing(t *testing.T) {
 	rec, _ := newTestRecorder()
 	h := http.Header{
@@ -200,14 +202,40 @@ func TestRecorderHeaderHitAllocatesNothing(t *testing.T) {
 	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	first := mapID(rec.headerLocked(h))
+	first := rec.blockLocked(&rec.recentReq, h)
 	allocs := testing.AllocsPerRun(100, func() {
-		if mapID(rec.headerLocked(h)) != first {
-			t.Fatal("second lookup returned a different map")
+		if rec.blockLocked(&rec.recentReq, h) != first {
+			t.Fatal("a recent hit returned another block")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("header table hit allocates %.1f objects, want 0", allocs)
+		t.Errorf("recent-block hit allocates %.1f objects, want 0", allocs)
+	}
+
+	// One block more than the recent list holds, looked up in turn: each
+	// lookup finds its block dropped from the list, so goes to the table.
+	cycle := []http.Header{h}
+	for len(cycle) <= len(rec.recentReq) {
+		c := h.Clone()
+		c.Set("Cookie", fmt.Sprintf("uid=%d", len(cycle)))
+		cycle = append(cycle, c)
+	}
+	blocks := make([]*headerBlock, len(cycle))
+	for i, c := range cycle {
+		blocks[i] = rec.blockLocked(&rec.recentReq, c)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		for i, c := range cycle {
+			if slices.Contains(rec.recentReq[:], blocks[i]) {
+				t.Fatal("the cycle's next block is still recent")
+			}
+			if rec.blockLocked(&rec.recentReq, c) != blocks[i] {
+				t.Fatal("a table hit returned another block")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("header table hit allocates %.1f objects per cycle, want 0", allocs)
 	}
 }
 

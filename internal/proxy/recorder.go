@@ -62,8 +62,13 @@ type Recorder struct {
 	// one read-only map every flow carrying it shares; keyBuf is the
 	// scratch the key is built in, so a table hit allocates nothing. Both
 	// intern tables live as long as the recorder: Reset keeps them.
-	headers map[string]http.Header
-	keyBuf  []byte
+	// recentReq and recentResp hold, per role, the blocks record returned
+	// last, most recent first: consecutive flows mostly carry one of them,
+	// and a flow that does is matched without building its key.
+	headers    map[string]*headerBlock
+	keyBuf     []byte
+	recentReq  recentBlocks
+	recentResp recentBlocks
 	// hostsByChannel remembers which hosts each channel contacted, feeding
 	// the Referer-based attribution correction.
 	hostsByChannel map[string]map[string]struct{}
@@ -100,7 +105,7 @@ func NewRecorder(inner http.RoundTripper, clk clock.Clock) *Recorder {
 		clk:            clk,
 		hostsByChannel: make(map[string]map[string]struct{}),
 		strs:           intern.NewStrings(256),
-		headers:        make(map[string]http.Header, 256),
+		headers:        make(map[string]*headerBlock, 256),
 	}
 }
 
@@ -199,6 +204,11 @@ func (r *Recorder) RoundTrip(req *http.Request) (*http.Response, error) {
 	if lent {
 		respBody = bb.BodyBytes()
 	} else {
+		// A body cut by a reset yields the bytes read before the error, and
+		// the caller reads exactly those, with no error: through the
+		// recorder, a reset and a truncation look alike, a short body whose
+		// ContentLength says what arrived. Failing the round trip instead
+		// would change which visits fail.
 		respBody, _ = io.ReadAll(resp.Body)
 		resp.Body = readBody{Reader: bytes.NewReader(respBody), Closer: resp.Body}
 	}
@@ -214,18 +224,7 @@ func (r *Recorder) RoundTrip(req *http.Request) (*http.Response, error) {
 		ResponseHeaders: resp.Header,
 		ResponseSize:    int64(len(respBody)),
 	}
-	if isTextual(resp.Header.Get("Content-Type")) {
-		n := min(len(respBody), maxRecordedBody)
-		// A whole body read here is read-only to every holder and is
-		// referenced. Lent bytes are reused once the caller closes the
-		// body, and a prefix would pin its body's whole array, so both
-		// are copied.
-		f.ResponseBody = respBody[:n:n]
-		if lent || n < len(respBody) {
-			f.ResponseBody = bytes.Clone(f.ResponseBody)
-		}
-	}
-	r.record(&f, req.URL)
+	r.record(&f, req.URL, respBody, lent)
 	return resp, nil
 }
 
@@ -240,7 +239,9 @@ type readBody struct {
 // it. f's URL is arena-cloned, its host interned and its header maps
 // replaced by the recorder's shared blocks, so every flow of a shard shares
 // one canonical copy per distinct host string and per distinct header block.
-func (r *Recorder) record(f *Flow, u *url.URL) {
+// The response block also settles whether the flow keeps a prefix of
+// respBody, the body's bytes, lent by the inner transport when lent is set.
+func (r *Recorder) record(f *Flow, u *url.URL, respBody []byte, lent bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.urlArena) == cap(r.urlArena) {
@@ -249,8 +250,23 @@ func (r *Recorder) record(f *Flow, u *url.URL) {
 	r.urlArena = append(r.urlArena, *u)
 	f.URL = &r.urlArena[len(r.urlArena)-1]
 	f.host = r.strs.Canon(f.URL.Hostname())
-	f.RequestHeaders = r.headerLocked(f.RequestHeaders)
-	f.ResponseHeaders = r.headerLocked(f.ResponseHeaders)
+	if b := r.blockLocked(&r.recentReq, f.RequestHeaders); b != nil {
+		f.RequestHeaders = b.h
+	}
+	if b := r.blockLocked(&r.recentResp, f.ResponseHeaders); b != nil {
+		f.ResponseHeaders = b.h
+		if b.textual {
+			n := min(len(respBody), maxRecordedBody)
+			// A whole body read by RoundTrip is read-only to every holder
+			// and is referenced. Lent bytes are reused once the caller
+			// closes the body, and a prefix would pin its body's whole
+			// array, so both are copied.
+			f.ResponseBody = respBody[:n:n]
+			if lent || n < len(respBody) {
+				f.ResponseBody = bytes.Clone(f.ResponseBody)
+			}
+		}
+	}
 	r.nextID++
 	f.ID = r.nextID
 	f.Channel, f.ChannelID = r.attributeLocked(f)
@@ -290,20 +306,76 @@ func (r *Recorder) record(f *Flow, u *url.URL) {
 	}
 }
 
-// headerLocked returns the recorder's shared map for h's block, cloning h
-// on first sight; h itself stays the caller's. A nil header stays nil.
-// Callers hold r.mu.
-func (r *Recorder) headerLocked(h http.Header) http.Header {
+// headerBlock is one distinct header block of the recorder's table: the
+// read-only map every flow carrying the block shares, its names with their
+// values, and whether a response carrying it has a textual Content-Type,
+// so keeps its body.
+type headerBlock struct {
+	h       http.Header
+	names   []string
+	values  [][]string
+	textual bool
+}
+
+// newHeaderBlock clones h into a new shared block.
+func newHeaderBlock(h http.Header) *headerBlock {
+	b := &headerBlock{h: h.Clone(), names: make([]string, 0, len(h)), values: make([][]string, 0, len(h))}
+	for name, vs := range b.h {
+		b.names = append(b.names, name)
+		b.values = append(b.values, vs)
+	}
+	b.textual = isTextual(b.h.Get("Content-Type"))
+	return b
+}
+
+// holds reports whether h is b's block. A map with as many entries as b,
+// each of b's names present with b's values, has b's names and values
+// exactly, so it has b's AppendHeaderKey.
+func (b *headerBlock) holds(h http.Header) bool {
+	if len(h) != len(b.names) {
+		return false
+	}
+	for i, name := range b.names {
+		vs, ok := h[name]
+		if !ok || !slices.Equal(vs, b.values[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// recentBlocks is one role's most recently returned blocks, most recent
+// first; nil slots are free.
+type recentBlocks [4]*headerBlock
+
+// blockLocked returns the recorder's shared block for h, cloning h on first
+// sight; h itself stays the caller's. It tries the role's recent blocks
+// before it builds h's key and asks the table, and moves the block it
+// returns to the front of recent. A nil header has no block. Callers hold
+// r.mu.
+func (r *Recorder) blockLocked(recent *recentBlocks, h http.Header) *headerBlock {
 	if h == nil {
 		return nil
 	}
-	r.keyBuf = AppendHeaderKey(r.keyBuf[:0], h)
-	if canon, ok := r.headers[string(r.keyBuf)]; ok {
-		return canon
+	for i, b := range recent {
+		if b == nil {
+			break
+		}
+		if b.holds(h) {
+			copy(recent[1:i+1], recent[:i])
+			recent[0] = b
+			return b
+		}
 	}
-	canon := h.Clone()
-	r.headers[string(r.keyBuf)] = canon
-	return canon
+	r.keyBuf = AppendHeaderKey(r.keyBuf[:0], h)
+	b, ok := r.headers[string(r.keyBuf)]
+	if !ok {
+		b = newHeaderBlock(h)
+		r.headers[string(r.keyBuf)] = b
+	}
+	copy(recent[1:], recent[:len(recent)-1])
+	recent[0] = b
+	return b
 }
 
 // AppendHeaderKey appends the canonical content key of a header block to

@@ -92,48 +92,7 @@ func mergeRunShards(order []string, shards []*RunData) *RunData {
 		return pos(merged.Channels[a].Name) < pos(merged.Channels[b].Name)
 	})
 
-	// Flows: attributed ones grouped by channel in canonical order,
-	// unattributed ones after, in shard-index order.
-	byChannel := make(map[string][]*proxy.Flow)
-	var unattributed []*proxy.Flow
-	for _, s := range shards {
-		if s == nil {
-			continue
-		}
-		for _, f := range s.Flows {
-			if f.Channel == "" {
-				unattributed = append(unattributed, f)
-				continue
-			}
-			byChannel[f.Channel] = append(byChannel[f.Channel], f)
-		}
-	}
-	for _, ci := range merged.Channels {
-		merged.Flows = append(merged.Flows, byChannel[ci.Name]...)
-		delete(byChannel, ci.Name)
-	}
-	// Flows attributed to a channel missing from the merged channel list
-	// (possible after mid-run cancellation) keep canonical order too.
-	if len(byChannel) > 0 {
-		rest := make([]string, 0, len(byChannel))
-		for name := range byChannel {
-			rest = append(rest, name)
-		}
-		sort.Slice(rest, func(a, b int) bool {
-			pa, pb := pos(rest[a]), pos(rest[b])
-			if pa != pb {
-				return pa < pb
-			}
-			return rest[a] < rest[b]
-		})
-		for _, name := range rest {
-			merged.Flows = append(merged.Flows, byChannel[name]...)
-		}
-	}
-	merged.Flows = append(merged.Flows, unattributed...)
-	for i, f := range merged.Flows {
-		f.ID = int64(i + 1)
-	}
+	merged.Flows = mergeFlows(merged.Channels, pos, shards)
 
 	// Screenshots grouped by channel in canonical order, like flows.
 	shotsByChannel := make(map[string][]webos.Screenshot)
@@ -187,4 +146,68 @@ func mergeRunShards(order []string, shards []*RunData) *RunData {
 		merged.Logs = append(merged.Logs, s.Logs...)
 	}
 	return merged
+}
+
+// mergeFlows merges the shards' flows: attributed ones grouped by channel,
+// in the order of channels and then, for channels missing from it, by pos
+// and name; unattributed ones after, in shard-index order. It renumbers
+// them from 1. A shard records each channel's flows in runs, so it moves
+// whole runs: per channel, the runs of every shard in shard-index order.
+func mergeFlows(channels []ChannelInfo, pos func(string) int, shards []*RunData) []*proxy.Flow {
+	byChannel := make(map[string][][]*proxy.Flow)
+	var unattributed [][]*proxy.Flow
+	total := 0
+	for _, s := range shards {
+		if s == nil {
+			continue
+		}
+		total += len(s.Flows)
+		for lo := 0; lo < len(s.Flows); {
+			ch := s.Flows[lo].Channel
+			hi := lo + 1
+			for hi < len(s.Flows) && s.Flows[hi].Channel == ch {
+				hi++
+			}
+			if ch == "" {
+				unattributed = append(unattributed, s.Flows[lo:hi])
+			} else {
+				byChannel[ch] = append(byChannel[ch], s.Flows[lo:hi])
+			}
+			lo = hi
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	flows := make([]*proxy.Flow, 0, total)
+	appendRuns := func(runs [][]*proxy.Flow) {
+		for _, run := range runs {
+			flows = append(flows, run...)
+		}
+	}
+	for _, ci := range channels {
+		appendRuns(byChannel[ci.Name])
+		delete(byChannel, ci.Name)
+	}
+	// Flows attributed to a channel missing from the merged channel list
+	// (possible after mid-run cancellation) keep canonical order too.
+	rest := make([]string, 0, len(byChannel))
+	for name := range byChannel {
+		rest = append(rest, name)
+	}
+	sort.Slice(rest, func(a, b int) bool {
+		pa, pb := pos(rest[a]), pos(rest[b])
+		if pa != pb {
+			return pa < pb
+		}
+		return rest[a] < rest[b]
+	})
+	for _, name := range rest {
+		appendRuns(byChannel[name])
+	}
+	appendRuns(unattributed)
+	for i, f := range flows {
+		f.ID = int64(i + 1)
+	}
+	return flows
 }

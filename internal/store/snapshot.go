@@ -315,11 +315,15 @@ func (t *blockTable) ref(block []byte) uint64 {
 // and loaded datasets share one read-only map per block, so a shared map
 // is flattened, sorted and string-interned once rather than once per
 // flow. Each role needs its own record, since a response block also
-// carries the Set-Cookie list.
+// carries the Set-Cookie list. last is the map ref resolved last and
+// lastID its ID: consecutive flows mostly share a map, and then skip the
+// byMap lookup.
 type headerTable struct {
 	response bool
 	blockTable
-	byMap map[uintptr]uint64
+	byMap  map[uintptr]uint64
+	last   uintptr
+	lastID uint64
 }
 
 func newHeaderTable(response bool) *headerTable {
@@ -334,13 +338,17 @@ func newHeaderTable(response bool) *headerTable {
 // not been seen before.
 func (t *headerTable) ref(h http.Header, tab *intern.Strings, scratch *flowSnapScratch) uint64 {
 	m := reflect.ValueOf(h).Pointer()
-	if id, ok := t.byMap[m]; ok {
-		return id
+	if m == t.last && m != 0 { // 0 is a nil map's, and the zero last's
+		return t.lastID
 	}
-	scratch.hw.buf = scratch.hw.buf[:0]
-	encodeSnapHeader(&scratch.hw, h, t.response, tab, scratch)
-	id := t.blockTable.ref(scratch.hw.buf)
-	t.byMap[m] = id
+	id, ok := t.byMap[m]
+	if !ok {
+		scratch.hw.buf = scratch.hw.buf[:0]
+		encodeSnapHeader(&scratch.hw, h, t.response, tab, scratch)
+		id = t.blockTable.ref(scratch.hw.buf)
+		t.byMap[m] = id
+	}
+	t.last, t.lastID = m, id
 	return id
 }
 
@@ -597,19 +605,35 @@ type flowRefs struct {
 // tables in the order the serial pass interns them (method, URL, request
 // header strings, response header strings, channel, channel ID; request
 // body before response body), and records each flow's local IDs.
+//
+// Consecutive flows mostly repeat each other's strings, so each per-flow
+// string field remembers the last value it interned and its ID, and a flow
+// that repeats the value takes the ID without hashing the string: the value
+// is in the table already, so skipping its lookup moves no ID.
 func (c *chunkEncoder) scan(flows []*proxy.Flow) {
 	c.strs = intern.NewStrings(256)
 	c.blobs = &blobTable{ids: make(map[string]uint64, 16)}
 	c.scratch.reqTab, c.scratch.respTab = newHeaderTable(false), newHeaderTable(true)
 	c.refs = slices.Grow(c.refs[:0], len(flows))[:len(flows)]
 	tab := c.strs
+	var method, scheme, host, path, query, channel, channelID lastString
+	// plain is the last four URL parts plainURL judged and plainOK its
+	// verdict. The zero URL is not plain, so the zero values agree.
+	var plain url.URL
+	var plainOK bool
 	for i, f := range flows {
 		// The URL is stored decomposed when reassembling its four
 		// components is provably identical to re-parsing its string form,
 		// so the loader can skip url.Parse. plainURL settles that without
-		// the round trip for nearly every recorded flow.
+		// the round trip for nearly every recorded flow; it depends on the
+		// four parts alone, so a flow repeating the last parts judged takes
+		// the verdict, but only once its other fields are known to be zero.
 		fast := url.URL{Scheme: f.URL.Scheme, Host: f.URL.Host, Path: f.URL.Path, RawQuery: f.URL.RawQuery}
-		fastOK := *f.URL == fast && plainURL(&fast)
+		fastOK := *f.URL == fast
+		if fastOK && fast != plain {
+			plain, plainOK = fast, plainURL(&fast)
+		}
+		fastOK = fastOK && plainOK
 		var urlStr string
 		if !fastOK {
 			urlStr = f.URL.String()
@@ -628,10 +652,10 @@ func (c *chunkEncoder) scan(flows []*proxy.Flow) {
 				r.flags |= flowFlagWideTime
 			}
 		}
-		r.method = tab.Intern(f.Method)
+		r.method = method.intern(tab, f.Method)
 		if fastOK {
 			r.flags |= flowFlagFastURL
-			r.url = [4]int32{tab.Intern(f.URL.Scheme), tab.Intern(f.URL.Host), tab.Intern(f.URL.Path), tab.Intern(f.URL.RawQuery)}
+			r.url = [4]int32{scheme.intern(tab, f.URL.Scheme), host.intern(tab, f.URL.Host), path.intern(tab, f.URL.Path), query.intern(tab, f.URL.RawQuery)}
 		} else {
 			r.url[0] = tab.Intern(urlStr)
 		}
@@ -639,9 +663,28 @@ func (c *chunkEncoder) scan(flows []*proxy.Flow) {
 		r.reqBody = uint32(c.blobs.ref(f.RequestBody))
 		r.respHdr = uint32(c.scratch.respTab.ref(f.ResponseHeaders, tab, &c.scratch))
 		r.respBody = uint32(c.blobs.ref(f.ResponseBody))
-		r.channel = tab.Intern(f.Channel)
-		r.channelID = tab.Intern(f.ChannelID)
+		r.channel = channel.intern(tab, f.Channel)
+		r.channelID = channelID.intern(tab, f.ChannelID)
 	}
+}
+
+// lastString is one per-flow string field's last interned value in a chunk
+// and its local ID.
+type lastString struct {
+	s   string
+	id  int32
+	set bool
+}
+
+// intern returns s's ID in tab, looking s up only when it differs from the
+// field's last value. String == returns at once when both strings share a
+// pointer, as consecutive flows' methods and channels and the parts of a
+// beacon URL the TV sends again do.
+func (l *lastString) intern(tab *intern.Strings, s string) int32 {
+	if !l.set || s != l.s {
+		l.s, l.id, l.set = s, tab.Intern(s), true
+	}
+	return l.id
 }
 
 // maxFlowRecord bounds a flow record's length: the flag byte, five

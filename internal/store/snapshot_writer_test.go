@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,6 +35,9 @@ import (
 // and paths cycle with a period that does not divide the chunk size, so
 // every chunk of a run brings strings, bodies and blocks that no earlier
 // chunk held.
+//
+// A last run (repeatRun) holds the cases of the encoder's previous-flow
+// checks.
 func writerDataset(t testing.TB) *Dataset {
 	t0 := time.Date(2023, 8, 21, 17, 0, 0, 0, time.UTC)
 	shared := http.Header{"User-Agent": {"HbbTV/1.5.1"}, "Accept": {"text/html", "image/gif"}}
@@ -108,7 +112,63 @@ func writerDataset(t testing.TB) *Dataset {
 		}
 		ds.Runs = append(ds.Runs, run)
 	}
+	ds.Runs = append(ds.Runs, repeatRun(id, t0, shared))
 	return ds
+}
+
+// repeatRun is a run whose consecutive flows differ in one way at a time,
+// against the encoder's reuse of the previous flow's IDs and URL verdict.
+// Every flow carries its strings in backing arrays of its own, so equal
+// strings never share a pointer (a). Its URLs change one part while the
+// other three stay (b); repeat the previous flow's four parts and add a
+// Fragment, a RawPath or ForceQuery, so the URL must not be stored
+// decomposed (c); and switch the query between plain and not plain (d).
+// Request header maps alternate between nil and shared, from the first
+// flow on. Flow IDs continue from lastID.
+func repeatRun(lastID int64, t0 time.Time, shared http.Header) *RunData {
+	base := url.URL{Scheme: "http", Host: "rep.example", Path: "/a/b", RawQuery: "q=1"}
+	edits := []func(u *url.URL){
+		nil,
+		func(u *url.URL) { u.Scheme = "https" }, // (b)
+		nil,
+		func(u *url.URL) { u.Host = "rep2.example" },
+		func(u *url.URL) { u.Host = "[::1]" }, // not plain, but round-trips
+		nil,
+		func(u *url.URL) { u.Path = "/a/c" },
+		func(u *url.URL) { u.Path = "" },
+		func(u *url.URL) { u.RawQuery = "q=2" },
+		nil,
+		func(u *url.URL) { u.Fragment = "frag" }, // (c)
+		nil,
+		func(u *url.URL) { u.RawPath = "/a%2Fb" },
+		nil,
+		func(u *url.URL) { u.RawQuery = "" },
+		func(u *url.URL) { u.RawQuery, u.ForceQuery = "", true },
+		func(u *url.URL) { u.RawQuery = "" },
+		func(u *url.URL) { u.RawQuery = "q=1#x" }, // (d)
+		nil,
+		func(u *url.URL) { u.RawQuery = "q=1#x" },
+		func(u *url.URL) { u.RawQuery = "q=2#x" },
+		nil,
+	}
+	run := &RunData{Name: "Repeats", Date: t0}
+	for i, edit := range edits {
+		u := base
+		if edit != nil {
+			edit(&u)
+		}
+		u.Scheme, u.Host, u.Path, u.RawQuery = strings.Clone(u.Scheme), strings.Clone(u.Host), strings.Clone(u.Path), strings.Clone(u.RawQuery)
+		f := &proxy.Flow{
+			ID: lastID + int64(i) + 1, Time: t0.Add(time.Duration(i) * time.Second),
+			Method: strings.Clone("GET"), URL: &u, StatusCode: 200,
+			Channel: strings.Clone("Das Erste"), ChannelID: strings.Clone("sid-0"),
+		}
+		if i%2 == 1 {
+			f.RequestHeaders = shared
+		}
+		run.Flows = append(run.Flows, f)
+	}
+	return run
 }
 
 // writerCheckpoint puts the fixture's runs into checkpoint cells.

@@ -95,7 +95,16 @@ func killAtSize(t *testing.T, cmd *exec.Cmd, done chan error, journal string, th
 			t.Fatalf("journal %s never reached %d bytes", journal, threshold)
 		}
 		if fi, err := os.Stat(journal); err == nil && fi.Size() >= threshold {
-			if err := cmd.Process.Kill(); err != nil {
+			err := cmd.Process.Kill()
+			if errors.Is(err, os.ErrProcessDone) {
+				// The child wrote its last bytes and exited between the
+				// check of done above and the kill: it finished first.
+				if err := <-done; err != nil {
+					t.Fatalf("child exited non-zero before the kill: %v", err)
+				}
+				return false
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			<-done // reaps the SIGKILL'd child
