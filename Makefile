@@ -85,7 +85,7 @@ fuzz:
 	$(GO) test ./internal/dvb/ -run '^$$' -fuzz FuzzDecodeSDT -fuzztime 30s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 30s
 	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzLoadJournal -fuzztime 30s
-	$(GO) test ./internal/store/ -run '^$$' -fuzz FuzzInternRoundTrip -fuzztime 30s
+	$(GO) test ./internal/intern/ -run '^$$' -fuzz FuzzInternRoundTrip -fuzztime 30s
 	$(GO) test ./internal/policy/ -run '^$$' -fuzz FuzzParseAdWindow -fuzztime 30s
 	$(GO) test ./internal/policy/ -run '^$$' -fuzz FuzzExtractText -fuzztime 30s
 	$(GO) test ./internal/filterlist/ -run '^$$' -fuzz FuzzFilterList -fuzztime 30s
@@ -97,8 +97,11 @@ fuzz:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# fmt rewrites the tree in place; lint is the read-only CI gate
-# (vet + a gofmt diff that fails when any file needs formatting).
+# fmt rewrites the tree in place; lint is the read-only CI gate: vet, a
+# gofmt diff that fails when any file needs formatting, and vet plus the
+# tests of pipebench, the benchmark's nested module, which builds against
+# the library in this checkout, so a library change that breaks the
+# benchmark fails here instead of in a benchmark run.
 fmt:
 	gofmt -l -w .
 
@@ -108,6 +111,7 @@ lint:
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt required for:"; echo "$$unformatted"; exit 1; \
 	fi
+	cd pipebench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-json runs the paper-scale benchmark suite with machine-readable
 # (test2json) output for the CI artifact trail (BENCH_*.json trajectory).

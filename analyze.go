@@ -318,44 +318,47 @@ func analyzeFig7(env *analysisEnv, res *Results) {
 }
 
 // analyzeFig8 reproduces Fig. 8 (Section V-E ecosystem graph). The
-// channel -> party scan runs over columnar row chunks (sets union
-// order-independently), and the all-pairs BFS behind the average path
-// length fans its sources out over the pool with int64 distance sums, so
-// the reported float is bit-identical to the serial division.
+// channel -> party scan collects the distinct (channel, party) ID pairs
+// of columnar row chunks (sets union order-independently), and the string
+// sets the graph is built from get one entry per distinct pair. The
+// all-pairs BFS behind the average path length fans its sources out over
+// the pool with int64 distance sums, so the reported float is
+// bit-identical to the serial division.
 func analyzeFig8(env *analysisEnv, res *Results) {
 	cols := env.ix.Columns()
 	n := cols.Rows()
-	parts := make([]map[string]map[string]struct{}, sectionChunks(n))
+	type pair struct{ ch, party int32 }
+	parts := make([]map[pair]struct{}, sectionChunks(n))
 	if !env.scanChunks(n, func(chunk, lo, hi int) {
-		local := make(map[string]map[string]struct{})
+		local := make(map[pair]struct{})
+		last := pair{-1, -1}
 		for i := lo; i < hi; i++ {
-			ch := cols.Flows[i].Channel
-			if ch == "" {
+			p := pair{cols.ChannelID[i], cols.PartyID[i]}
+			if p.ch < 0 || p == last {
 				continue
 			}
-			set := local[ch]
-			if set == nil {
-				set = make(map[string]struct{})
-				local[ch] = set
-			}
-			set[cols.Party(i)] = struct{}{}
+			local[p] = struct{}{}
+			last = p
 		}
 		parts[chunk] = local
 	}) {
 		return
 	}
-	merged := make(map[string]map[string]struct{})
+	distinct := make(map[pair]struct{})
 	for _, part := range parts {
-		for ch, set := range part {
-			dst := merged[ch]
-			if dst == nil {
-				merged[ch] = set
-				continue
-			}
-			for p := range set {
-				dst[p] = struct{}{}
-			}
+		for p := range part {
+			distinct[p] = struct{}{}
 		}
+	}
+	merged := make(map[string]map[string]struct{})
+	for p := range distinct {
+		ch := cols.Channels.String(p.ch)
+		set := merged[ch]
+		if set == nil {
+			set = make(map[string]struct{})
+			merged[ch] = set
+		}
+		set[cols.Parties.String(p.party)] = struct{}{}
 	}
 	g := graphx.FromChannelParties(merged, env.ix.FirstParty)
 	// One BFS per node is the expensive part; a handful of sources per

@@ -330,17 +330,3 @@ func selectSections(req []Section) ([]sectionAnalyzer, error) {
 	}
 	return out, nil
 }
-
-// Analyze reproduces the full evaluation serially. It is the
-// compatibility wrapper over AnalyzeContext; new callers wanting
-// parallelism, section selection, telemetry, or cancellation should call
-// AnalyzeContext directly.
-func Analyze(ds *store.Dataset) *Results {
-	res, err := AnalyzeContext(context.Background(), ds, AnalyzeOptions{})
-	if err != nil {
-		// Unreachable for a non-nil dataset: the background context never
-		// cancels and the default section set is always valid.
-		panic("hbbtvlab: Analyze: " + err.Error())
-	}
-	return res
-}

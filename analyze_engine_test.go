@@ -15,7 +15,7 @@ import (
 func smallDataset(t *testing.T, seed int64) *store.Dataset {
 	t.Helper()
 	study := NewStudy(Options{Seed: seed, Scale: 0.04, ProbeWatch: 20 * time.Second})
-	ds, err := study.ExecuteRuns()
+	ds, err := study.Execute(context.Background(), Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,18 +170,4 @@ func TestNewStudyPanicsOnInvalidOptions(t *testing.T) {
 		}
 	}()
 	NewStudy(Options{Parallelism: -1})
-}
-
-// TestRunContextMatchesRun: Run must be exactly RunContext with a
-// background context, and both must reject unknown run names.
-func TestRunContextMatchesRun(t *testing.T) {
-	study := NewStudy(Options{Seed: 5, Scale: 0.04, ProbeWatch: 20 * time.Second})
-	if _, err := study.RunContext(context.Background(), store.RunName("no-such-run")); err == nil {
-		t.Fatal("expected unknown-run error")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := study.RunContext(ctx, store.RunGeneral); err == nil {
-		t.Fatal("expected error from cancelled RunContext")
-	}
 }

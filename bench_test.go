@@ -62,7 +62,7 @@ func benchFixture(b *testing.B) (*store.Dataset, *Results) {
 		if err != nil {
 			panic(err)
 		}
-		ds, err := study.ExecuteRuns()
+		ds, err := study.Execute(context.Background(), Plan{})
 		if err != nil {
 			panic(err)
 		}
@@ -72,7 +72,9 @@ func benchFixture(b *testing.B) (*store.Dataset, *Results) {
 		}
 		benchFunnel = funnel
 		benchDataset = ds
-		benchResults = Analyze(ds)
+		if benchResults, err = AnalyzeContext(context.Background(), ds, AnalyzeOptions{}); err != nil {
+			panic(err)
+		}
 		benchEnv = &analysisEnv{
 			ds: ds, ix: ix, ctx: context.Background(),
 			pool: &chunkPool{slots: make(chan struct{}, 1)},
@@ -335,7 +337,7 @@ func BenchmarkPoolParallelism(b *testing.B) {
 					ProbeWatch:  30 * time.Second,
 					Parallelism: j,
 				})
-				ds, err := study.ExecuteRuns()
+				ds, err := study.Execute(context.Background(), Plan{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -560,7 +562,7 @@ func BenchmarkMeasureThroughput(b *testing.B) {
 				study := NewStudy(opts)
 				start := time.Now()
 				var err error
-				ds, err = study.ExecuteRuns()
+				ds, err = study.Execute(context.Background(), Plan{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -690,7 +692,7 @@ func mergeFixture(b *testing.B) ([]*store.Dataset, *store.Dedup) {
 		dd := store.NewDedup()
 		for i := 0; i < n; i++ {
 			study := NewStudy(Options{Seed: 1, Scale: 1.0, Parallelism: 2, Shards: n})
-			ds, err := study.ExecuteShard(i, n)
+			ds, err := study.Execute(context.Background(), Plan{Shard: i, Of: n})
 			if err != nil {
 				panic(err)
 			}

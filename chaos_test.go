@@ -48,7 +48,7 @@ func runChaosStudy(t *testing.T, opts Options) *store.Dataset {
 	if _, err := study.SelectChannels(); err != nil && !DegradedOnly(err) {
 		t.Fatal(err)
 	}
-	ds, err := study.ExecuteRuns()
+	ds, err := study.Execute(context.Background(), Plan{})
 	if err != nil && !DegradedOnly(err) {
 		t.Fatal(err)
 	}
@@ -133,9 +133,9 @@ func TestChaosDeterminism(t *testing.T) {
 func TestChaosAnalysisTolerates(t *testing.T) {
 	ds, _ := chaosWorld(t)
 
-	res := Analyze(ds)
+	res := analyzeAll(t, ds)
 	if res == nil {
-		t.Fatal("Analyze returned nil for degraded dataset")
+		t.Fatal("AnalyzeContext returned nil for a degraded dataset")
 	}
 	if len(res.TableI) != len(ds.Runs) {
 		t.Errorf("Table I has %d rows, want %d", len(res.TableI), len(ds.Runs))

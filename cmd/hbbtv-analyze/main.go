@@ -85,7 +85,7 @@ func run(args []string, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		ds, err = st.ExecuteRuns()
+		ds, err = st.Execute(context.Background(), hbbtvlab.Plan{})
 		if err != nil {
 			return err
 		}

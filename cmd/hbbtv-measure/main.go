@@ -7,7 +7,7 @@
 //
 //	hbbtv-measure [-seed N] [-scale F] [-j N] [-out flows.ndjson] [-run NAME]
 //	              [-shard i/N] [-snapshot FILE]
-//	              [-checkpoint FILE] [-resume] [-checkpoint-sync N]
+//	              [-checkpoint FILE] [-resume]
 //	              [-telemetry] [-telemetry-json FILE] [-telemetry-http ADDR]
 //	              [-fault-seed N] [-fault-rate F] [-retries N]
 //	              [-max-channel-failures N] [-allow-panics]
@@ -35,15 +35,15 @@
 // hbbtv-trace.
 //
 // With -checkpoint FILE the campaign is crash-safe: every completed
-// (shard, run) cell is committed to a write-ahead journal and fsync'd
-// (cadence: -checkpoint-sync), so a campaign killed at any point — power
-// loss and SIGKILL included — restarts with -resume, replays the
-// journaled cells, measures only the remainder, and produces a dataset
-// byte-identical (by digest) to an uninterrupted run. The journal is
-// self-describing; resuming with a different seed, scale, fault plan,
-// retry policy, run set, topology, or channel order is rejected with an
-// error naming the differing field. Every campaign is checkpointable,
-// the default -j 0 one included: its single shard's cells are its runs.
+// (shard, run) cell is committed to a write-ahead journal and fsync'd,
+// so a campaign killed at any point — power loss and SIGKILL included —
+// restarts with -resume, replays the journaled cells, measures only the
+// remainder, and produces a dataset byte-identical (by digest) to an
+// uninterrupted run. The journal is self-describing; resuming with a
+// different seed, scale, fault plan, retry policy, run set, topology, or
+// channel order is rejected with an error naming the differing field.
+// Every campaign is checkpointable, the default -j 0 one included: its
+// single shard's cells are its runs.
 // On SIGINT or SIGTERM the campaign stops gracefully at the next channel
 // boundary, syncs the journal and the telemetry sinks, and exits with
 // status 3 (distinct from error status 1) so wrappers know the journal is
@@ -301,19 +301,14 @@ func run(args []string) error {
 	// the process exits with the distinct interrupted status.
 	ctx, stopSignals := signalContext()
 	defer stopSignals()
-	co := hbbtvlab.CheckpointOptions{Path: ckpt.Path, Resume: ckpt.Resume, SyncEvery: ckpt.SyncEvery}
-
-	var ds *store.Dataset
-	switch {
-	case shardFlag.Enabled() && ckpt.Enabled():
-		ds, err = study.ExecuteShardResumable(ctx, shardFlag.Index, shardFlag.Of, co)
-	case shardFlag.Enabled():
-		ds, err = study.ExecuteShardContext(ctx, shardFlag.Index, shardFlag.Of)
-	case ckpt.Enabled():
-		ds, err = study.ExecuteResumable(ctx, co)
-	default:
-		ds, err = study.ExecuteRunsContext(ctx)
+	var plan hbbtvlab.Plan
+	if shardFlag.Enabled() {
+		plan.Shard, plan.Of = shardFlag.Index, shardFlag.Of
 	}
+	if ckpt.Enabled() {
+		plan.Checkpoint = &hbbtvlab.CheckpointOptions{Path: ckpt.Path, Resume: ckpt.Resume}
+	}
+	ds, err := study.Execute(ctx, plan)
 	if err != nil && (ds == nil || !hbbtvlab.DegradedOnly(err)) {
 		return interruptedError(ctx, err, &ckpt)
 	}

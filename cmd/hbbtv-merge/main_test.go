@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -39,7 +40,7 @@ func writeShards(t *testing.T, dir string, opts hbbtvlab.Options, n int) []strin
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := st.ExecuteShard(i, n)
+		ds, err := st.Execute(context.Background(), hbbtvlab.Plan{Shard: i, Of: n})
 		if err != nil && !hbbtvlab.DegradedOnly(err) {
 			t.Fatalf("shard %d/%d: %v", i, n, err)
 		}
@@ -147,7 +148,7 @@ func TestMergeVerify(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refDS, err := ref.ExecuteRuns()
+			refDS, err := ref.Execute(context.Background(), hbbtvlab.Plan{})
 			if err != nil && !hbbtvlab.DegradedOnly(err) {
 				t.Fatal(err)
 			}
@@ -215,7 +216,7 @@ func TestVerifyMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refDS, err := ref.ExecuteRuns()
+	refDS, err := ref.Execute(context.Background(), hbbtvlab.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}

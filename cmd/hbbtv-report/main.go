@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -55,11 +56,14 @@ func writeReport(w io.Writer, seed int64, scale float64) error {
 	if err != nil {
 		return err
 	}
-	ds, err := study.ExecuteRuns()
+	ds, err := study.Execute(context.Background(), hbbtvlab.Plan{})
 	if err != nil {
 		return err
 	}
-	res := hbbtvlab.Analyze(ds)
+	res, err := hbbtvlab.AnalyzeContext(context.Background(), ds, hbbtvlab.AnalyzeOptions{})
+	if err != nil {
+		return err
+	}
 
 	// The timing goes to stderr so the report itself is a byte-stable
 	// oracle that CI regenerates and diffs.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -34,7 +35,7 @@ func traceOptions(j int) hbbtvlab.Options {
 // binary snapshot, returning the file path.
 func measure(t *testing.T, dir, name string, opts hbbtvlab.Options) string {
 	t.Helper()
-	ds, err := hbbtvlab.NewStudy(opts).ExecuteRuns()
+	ds, err := hbbtvlab.NewStudy(opts).Execute(context.Background(), hbbtvlab.Plan{})
 	if err != nil && !hbbtvlab.DegradedOnly(err) {
 		t.Fatal(err)
 	}

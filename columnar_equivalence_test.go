@@ -47,7 +47,7 @@ var equivalenceGolden = filepath.Join("testdata", "analyze_equivalence.golden")
 func equivalenceDataset(t *testing.T, seed int64) *store.Dataset {
 	t.Helper()
 	ds, _ := sharedCampaign(t, fmt.Sprintf("equivalence-%d", seed), func(t *testing.T) *store.Dataset {
-		ds, err := NewStudy(Options{Seed: seed, Scale: 0.04, ProbeWatch: 20 * time.Second}).ExecuteRuns()
+		ds, err := NewStudy(Options{Seed: seed, Scale: 0.04, ProbeWatch: 20 * time.Second}).Execute(context.Background(), Plan{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,11 +20,11 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 func runSmallStudy(t *testing.T, seed int64) (*Results, string) {
 	t.Helper()
 	study := NewStudy(Options{Seed: seed, Scale: 0.04, ProbeWatch: 20 * time.Second})
-	ds, err := study.ExecuteRuns()
+	ds, err := study.Execute(context.Background(), Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Analyze(ds)
+	res := analyzeAll(t, ds)
 	var buf bytes.Buffer
 	if err := RenderAll(&buf, res); err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestStudyDeterministic(t *testing.T) {
 // until the golden is deliberately regenerated with -update.
 func TestTableIGolden(t *testing.T) {
 	ds, _ := tableIWorld(t)
-	res := Analyze(ds)
+	res := analyzeAll(t, ds)
 	var buf bytes.Buffer
 	if err := RenderTableI(&buf, res.TableI); err != nil {
 		t.Fatal(err)
@@ -139,11 +139,11 @@ func TestStudySeedSensitivity(t *testing.T) {
 // dataset must yield the same results as analyzing the in-memory one.
 func TestSaveLoadAnalyzeEquivalence(t *testing.T) {
 	study := NewStudy(Options{Seed: 55, Scale: 0.04, ProbeWatch: 20 * time.Second})
-	ds, err := study.ExecuteRuns()
+	ds, err := study.Execute(context.Background(), Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := Analyze(ds)
+	direct := analyzeAll(t, ds)
 
 	var buf bytes.Buffer
 	if err := saveReferenceJSON(&buf, ds); err != nil {
@@ -153,7 +153,7 @@ func TestSaveLoadAnalyzeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reloaded := Analyze(loaded)
+	reloaded := analyzeAll(t, loaded)
 
 	if !reflect.DeepEqual(direct.TableI, reloaded.TableI) {
 		t.Errorf("Table I differs after save/load:\n%+v\n%+v", direct.TableI, reloaded.TableI)

@@ -2,6 +2,7 @@ package hbbtvlab
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -75,7 +76,7 @@ func measureForDigest(t *testing.T, label string, opts Options) *store.Dataset {
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	ds, err := study.ExecuteRuns()
+	ds, err := study.Execute(context.Background(), Plan{})
 	if err != nil && !DegradedOnly(err) {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -161,13 +162,13 @@ func TestDigestTransition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := study.ExecuteShard(i, 2)
+		ds, err := study.Execute(context.Background(), Plan{Shard: i, Of: 2})
 		if err != nil {
 			t.Fatalf("shard %d/2: %v", i, err)
 		}
 		shards = append(shards, ds)
 	}
-	merged, err := Merge(shards...)
+	merged, err := MergeContext(context.Background(), shards...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package hbbtvlab
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -44,7 +45,7 @@ func sharedCampaign(t *testing.T, name string, build func(*testing.T) *store.Dat
 // shard, the paper's procedure.
 func tableIWorld(t *testing.T) (*store.Dataset, string) {
 	return sharedCampaign(t, "table1", func(t *testing.T) *store.Dataset {
-		ds, err := NewStudy(Options{Seed: 321, Scale: 0.04, ProbeWatch: 20 * time.Second}).ExecuteRuns()
+		ds, err := NewStudy(Options{Seed: 321, Scale: 0.04, ProbeWatch: 20 * time.Second}).Execute(context.Background(), Plan{})
 		if err != nil {
 			t.Fatal(err)
 		}

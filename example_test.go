@@ -1,10 +1,12 @@
 package hbbtvlab_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 
 	hbbtvlab "github.com/hbbtvlab/hbbtvlab"
+	"github.com/hbbtvlab/hbbtvlab/internal/core"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
 
@@ -13,6 +15,7 @@ import (
 // render the paper's tables. (Compile-checked; run any example under
 // ./examples for live output.)
 func ExampleNewStudy() {
+	ctx := context.Background()
 	study := hbbtvlab.NewStudy(hbbtvlab.Options{Seed: 1, Scale: 0.05})
 	funnel, err := study.SelectChannels()
 	if err != nil {
@@ -20,19 +23,29 @@ func ExampleNewStudy() {
 	}
 	fmt.Printf("analyzing %d channels\n", funnel.FinalCount())
 
-	dataset, err := study.ExecuteRuns()
+	dataset, err := study.Execute(ctx, hbbtvlab.Plan{})
 	if err != nil {
 		panic(err)
 	}
-	results := hbbtvlab.Analyze(dataset)
+	results, err := hbbtvlab.AnalyzeContext(ctx, dataset, hbbtvlab.AnalyzeOptions{})
+	if err != nil {
+		panic(err)
+	}
 	_ = hbbtvlab.RenderAll(os.Stdout, results)
 }
 
-// ExampleStudy_Run executes a single measurement run and saves the dataset
-// as a snapshot for later offline analysis (hbbtv-analyze -in reads it).
-func ExampleStudy_Run() {
-	study := hbbtvlab.NewStudy(hbbtvlab.Options{Seed: 1, Scale: 0.05})
-	red, err := study.Run(store.RunRed)
+// ExampleOptions_runs narrows the campaign to a single measurement run
+// and saves the dataset as a snapshot for later offline analysis
+// (hbbtv-analyze -in reads it).
+func ExampleOptions_runs() {
+	var red []core.RunSpec
+	for _, spec := range core.DefaultRuns() {
+		if spec.Name == store.RunRed {
+			red = append(red, spec)
+		}
+	}
+	study := hbbtvlab.NewStudy(hbbtvlab.Options{Seed: 1, Scale: 0.05, Runs: red})
+	ds, err := study.Execute(context.Background(), hbbtvlab.Plan{})
 	if err != nil {
 		panic(err)
 	}
@@ -41,7 +54,6 @@ func ExampleStudy_Run() {
 		panic(err)
 	}
 	defer os.Remove(f.Name())
-	ds := &store.Dataset{Runs: []*store.RunData{red}}
 	if err := store.Save(f, ds, store.FormatSnapshot); err != nil {
 		panic(err)
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -28,11 +29,14 @@ func main() {
 		Scale:      0.2,
 		ProbeWatch: 30 * time.Second,
 	})
-	ds, err := study.ExecuteRuns()
+	ds, err := study.Execute(context.Background(), hbbtvlab.Plan{})
 	if err != nil {
 		panic(err)
 	}
-	res := hbbtvlab.Analyze(ds)
+	res, err := hbbtvlab.AnalyzeContext(context.Background(), ds, hbbtvlab.AnalyzeOptions{})
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Println("=== Overlay types per run (Table IV) ===")
 	if err := hbbtvlab.RenderTableIV(os.Stdout, res); err != nil {

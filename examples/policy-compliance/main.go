@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -28,11 +29,14 @@ func main() {
 		Scale:      0.2,
 		ProbeWatch: 30 * time.Second,
 	})
-	ds, err := study.ExecuteRuns()
+	ds, err := study.Execute(context.Background(), hbbtvlab.Plan{})
 	if err != nil {
 		panic(err)
 	}
-	res := hbbtvlab.Analyze(ds)
+	res, err := hbbtvlab.AnalyzeContext(context.Background(), ds, hbbtvlab.AnalyzeOptions{})
+	if err != nil {
+		panic(err)
+	}
 	p := res.Policies
 
 	fmt.Println("=== Policy corpus ===")

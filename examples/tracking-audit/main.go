@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -27,11 +28,14 @@ func main() {
 		Scale:      0.15,
 		ProbeWatch: 30 * time.Second,
 	})
-	ds, err := study.ExecuteRuns()
+	ds, err := study.Execute(context.Background(), hbbtvlab.Plan{})
 	if err != nil {
 		panic(err)
 	}
-	res := hbbtvlab.Analyze(ds)
+	res, err := hbbtvlab.AnalyzeContext(context.Background(), ds, hbbtvlab.AnalyzeOptions{})
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Println("=== Filter-list coverage vs heuristics (Table III) ===")
 	if err := hbbtvlab.RenderTableIII(os.Stdout, res); err != nil {

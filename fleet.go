@@ -12,60 +12,11 @@ import (
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
 
-// This file is the fleet topology's library surface: ExecuteShard runs
-// one collector's partition of a campaign and stamps the result with a
-// self-describing store.ShardManifest; Merge recombines K shard datasets
-// into the dataset the single-process campaign would have produced,
-// byte-identical by Digest. Both follow the package's convenience/context
-// pairing convention (see the package doc).
-
-// ExecuteShard is ExecuteShardContext with context.Background().
-func (s *Study) ExecuteShard(shard, of int) (*store.Dataset, error) {
-	return s.ExecuteShardContext(context.Background(), shard, of)
-}
-
-// ExecuteShardContext performs the configured measurement runs over the
-// shard-th of of strided partitions of the selected channel order — the
-// exact partition, framework and seed the in-process campaign with
-// Options.Shards = of gives its shard-th shard — and returns a shard
-// dataset carrying a store.ShardManifest. Merging the datasets of shards
-// 0..of-1 (Merge, or the hbbtv-merge command) yields a dataset whose
-// Digest is byte-identical to that single-process run's.
-//
-// When of exceeds the channel count the partition clamps exactly like the
-// in-process engine's: shards at or beyond the channel count own no
-// channels and return well-formed empty runs that merge neutrally.
-//
-// When Options.Telemetry is set, the registry must have at least of shard
-// slots (build it as NewTelemetry(Options{Shards: of})); the shard's
-// instrumentation lands in slot shard, mirroring the in-process engine.
-//
-// Like ExecuteRunsContext, per-channel degradation (see DegradedOnly)
-// does not abort the shard: failed visits are recorded as outcomes, the
-// remaining runs proceed, and the joined degradation errors are returned
-// with the well-formed dataset. A cancelled context returns the partial
-// dataset with the context's error; a partial shard fails the merge's
-// coverage verification rather than corrupting the campaign.
-func (s *Study) ExecuteShardContext(ctx context.Context, shard, of int) (*store.Dataset, error) {
-	return s.executeShard(ctx, shard, of, nil)
-}
-
-// executeShard checks a fleet collector's shard request and runs it as
-// its campaign plan; co, when non-nil, journals the shard's cells
-// (ExecuteShardResumable).
-func (s *Study) executeShard(ctx context.Context, shard, of int, co *CheckpointOptions) (*store.Dataset, error) {
-	if of < 1 {
-		return nil, fmt.Errorf("hbbtvlab: ExecuteShard: shard count %d must be >= 1", of)
-	}
-	if shard < 0 || shard >= of {
-		return nil, fmt.Errorf("hbbtvlab: ExecuteShard: shard index %d out of range [0, %d)", shard, of)
-	}
-	if tr := s.opts.Telemetry; tr != nil && tr.Shards() <= shard {
-		return nil, fmt.Errorf("hbbtvlab: ExecuteShard: Options.Telemetry has %d shard slot(s), shard %d of %d needs %d (build the registry with NewTelemetry(Options{Shards: %d}))",
-			tr.Shards(), shard, of, shard+1, of)
-	}
-	return s.campaign(ctx, s.opts.Runs, of, shard, co)
-}
+// This file is the fleet topology's library surface: a collector's Plan
+// (Plan.Of >= 1) stamps its partition of a campaign with a
+// self-describing store.ShardManifest, and MergeContext recombines K shard
+// datasets into the dataset the single-process campaign would have
+// produced, byte-identical by Digest.
 
 // finishShard stamps the dataset with its shard manifest and the final
 // telemetry snapshot.
@@ -135,11 +86,6 @@ func hashRunSpecs(specs []core.RunSpec) string {
 			len(spec.Button), spec.Button, spec.Watch, spec.ShotEvery)
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// Merge is MergeContext with context.Background().
-func Merge(datasets ...*store.Dataset) (*store.Dataset, error) {
-	return MergeContext(context.Background(), datasets...)
 }
 
 // MergeContext verifies the shard manifests of the given shard datasets —

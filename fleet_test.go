@@ -46,7 +46,7 @@ func executeFleet(t *testing.T, opts Options, n int) []*store.Dataset {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := st.ExecuteShard(i, n)
+		ds, err := st.Execute(context.Background(), Plan{Shard: i, Of: n})
 		if err != nil && !DegradedOnly(err) {
 			t.Fatalf("shard %d/%d: %v", i, n, err)
 		}
@@ -106,7 +106,7 @@ func TestFleetDigestParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				refDS, err := ref.ExecuteRuns()
+				refDS, err := ref.Execute(context.Background(), Plan{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,7 +120,7 @@ func TestFleetDigestParity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ds, err := st.ExecuteRuns()
+					ds, err := st.Execute(context.Background(), Plan{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -130,7 +130,7 @@ func TestFleetDigestParity(t *testing.T) {
 				}
 
 				shards := executeFleet(t, opts, n)
-				merged, err := Merge(shards...)
+				merged, err := MergeContext(context.Background(), shards...)
 				if err != nil {
 					t.Fatalf("merge: %v", err)
 				}
@@ -142,7 +142,7 @@ func TestFleetDigestParity(t *testing.T) {
 				}
 
 				persisted, dd := roundTripShards(t, shards, saveSnapshot)
-				merged2, err := Merge(persisted...)
+				merged2, err := MergeContext(context.Background(), persisted...)
 				if err != nil {
 					t.Fatalf("merge persisted: %v", err)
 				}
@@ -171,7 +171,7 @@ func TestFleetChaosDigestParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refDS, err := ref.ExecuteRunsContext(context.Background())
+	refDS, err := ref.Execute(context.Background(), Plan{})
 	if err != nil && !DegradedOnly(err) {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestFleetChaosDigestParity(t *testing.T) {
 	// Shards in the gzip-JSON files earlier versions wrote must load with
 	// their manifests and merge identically too.
 	persisted, _ := roundTripShards(t, shards, saveReferenceJSON)
-	merged, err := Merge(persisted...)
+	merged, err := MergeContext(context.Background(), persisted...)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
@@ -205,7 +205,7 @@ func TestFleetWiderThanChannels(t *testing.T) {
 	if len(channels) >= 64 {
 		t.Skipf("world too large (%d channels) for the clamp case", len(channels))
 	}
-	refDS, err := ref.ExecuteRuns()
+	refDS, err := ref.Execute(context.Background(), Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestFleetWiderThanChannels(t *testing.T) {
 	if empty != 64-len(channels) {
 		t.Errorf("%d empty shards, want %d", empty, 64-len(channels))
 	}
-	merged, err := Merge(shards...)
+	merged, err := MergeContext(context.Background(), shards...)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
@@ -231,26 +231,27 @@ func TestFleetWiderThanChannels(t *testing.T) {
 // TestMergeManifestVerification exercises the merge's rejection paths:
 // mismatched parameters, missing and duplicate shards, no manifest.
 func TestMergeManifestVerification(t *testing.T) {
+	ctx := context.Background()
 	opts := fleetOptions(1, 2)
 	shards := executeFleet(t, opts, 2)
 
-	if _, err := Merge(shards[0]); err == nil || !strings.Contains(err.Error(), "missing shard") {
+	if _, err := MergeContext(ctx, shards[0]); err == nil || !strings.Contains(err.Error(), "missing shard") {
 		t.Errorf("missing shard not rejected: %v", err)
 	}
-	if _, err := Merge(shards[0], shards[0]); err == nil || !strings.Contains(err.Error(), "duplicate shard") {
+	if _, err := MergeContext(ctx, shards[0], shards[0]); err == nil || !strings.Contains(err.Error(), "duplicate shard") {
 		t.Errorf("duplicate shard not rejected: %v", err)
 	}
-	if _, err := Merge(shards[0], &store.Dataset{}); err == nil || !strings.Contains(err.Error(), "no shard manifest") {
+	if _, err := MergeContext(ctx, shards[0], &store.Dataset{}); err == nil || !strings.Contains(err.Error(), "no shard manifest") {
 		t.Errorf("manifest-less dataset not rejected: %v", err)
 	}
 
 	otherSeed := executeFleet(t, fleetOptions(2, 2), 2)
-	if _, err := Merge(shards[0], otherSeed[1]); err == nil || !strings.Contains(err.Error(), "seed") {
+	if _, err := MergeContext(ctx, shards[0], otherSeed[1]); err == nil || !strings.Contains(err.Error(), "seed") {
 		t.Errorf("seed mismatch not rejected: %v", err)
 	}
 
 	otherWidth := executeFleet(t, fleetOptions(1, 4), 4)
-	if _, err := Merge(shards[0], otherWidth[1]); err == nil || !strings.Contains(err.Error(), "shards") {
+	if _, err := MergeContext(ctx, shards[0], otherWidth[1]); err == nil || !strings.Contains(err.Error(), "shards") {
 		t.Errorf("width mismatch not rejected: %v", err)
 	}
 
@@ -262,41 +263,47 @@ func TestMergeManifestVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faultyDS, err := faulty.ExecuteShard(1, 2)
+	faultyDS, err := faulty.Execute(ctx, Plan{Shard: 1, Of: 2})
 	if err != nil && !DegradedOnly(err) {
 		t.Fatal(err)
 	}
-	if _, err := Merge(shards[0], faultyDS); err == nil || !strings.Contains(err.Error(), "fault config") {
+	if _, err := MergeContext(ctx, shards[0], faultyDS); err == nil || !strings.Contains(err.Error(), "fault config") {
 		t.Errorf("fault-config mismatch not rejected: %v", err)
 	}
 }
 
-// TestExecuteShardValidation covers the shard-argument and telemetry
-// sizing guards.
-func TestExecuteShardValidation(t *testing.T) {
+// TestExecutePlanValidation covers Execute's plan checks and its
+// telemetry sizing guard for fleet collectors.
+func TestExecutePlanValidation(t *testing.T) {
+	ctx := context.Background()
 	st := NewStudy(Options{Seed: 1, Scale: 0.01, ProbeWatch: 20 * time.Second})
-	if _, err := st.ExecuteShard(0, 0); err == nil {
-		t.Error("of=0 accepted")
-	}
-	if _, err := st.ExecuteShard(-1, 2); err == nil {
-		t.Error("negative shard accepted")
-	}
-	if _, err := st.ExecuteShard(2, 2); err == nil {
-		t.Error("shard == of accepted")
+	for _, tc := range []struct {
+		name string
+		plan Plan
+		want string
+	}{
+		{"shard without of", Plan{Shard: 1}, "needs Plan.Of"},
+		{"negative of", Plan{Of: -1}, "must be >= 0"},
+		{"negative shard", Plan{Shard: -1, Of: 2}, "out of range"},
+		{"shard == of", Plan{Shard: 2, Of: 2}, "out of range"},
+	} {
+		if _, err := st.Execute(ctx, tc.plan); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %+v gave %v, want an error containing %q", tc.name, tc.plan, err, tc.want)
+		}
 	}
 
 	small := NewStudy(Options{
 		Seed: 1, Scale: 0.01, ProbeWatch: 20 * time.Second,
 		Telemetry: NewTelemetry(Options{}), // 1 slot: serial sizing
 	})
-	if _, err := small.ExecuteShard(3, 4); err == nil || !strings.Contains(err.Error(), "shard slot") {
+	if _, err := small.Execute(ctx, Plan{Shard: 3, Of: 4}); err == nil || !strings.Contains(err.Error(), "shard slot") {
 		t.Errorf("undersized telemetry registry accepted: %v", err)
 	}
 	sized := NewStudy(Options{
 		Seed: 1, Scale: 0.01, ProbeWatch: 20 * time.Second,
 		Telemetry: NewTelemetry(Options{Parallelism: 1, Shards: 4}),
 	})
-	ds, err := sized.ExecuteShard(3, 4)
+	ds, err := sized.Execute(ctx, Plan{Shard: 3, Of: 4})
 	if err != nil && !DegradedOnly(err) {
 		t.Fatal(err)
 	}

@@ -4,10 +4,12 @@
 //
 // The public API follows the study's own workflow:
 //
+//	ctx := context.Background()
 //	study := hbbtvlab.NewStudy(hbbtvlab.Options{Seed: 1, Scale: 1.0})
-//	funnel, _ := study.SelectChannels()   // Section IV-B filtering funnel
-//	dataset, _ := study.ExecuteRuns()     // the five measurement runs
-//	results := hbbtvlab.Analyze(dataset)  // Sections V, VI, VII
+//	funnel, _ := study.SelectChannels()               // Section IV-B filtering funnel
+//	dataset, _ := study.Execute(ctx, hbbtvlab.Plan{}) // the five measurement runs
+//	opts := hbbtvlab.AnalyzeOptions{Parallelism: 4}
+//	results, _ := hbbtvlab.AnalyzeContext(ctx, dataset, opts) // Sections V, VI, VII
 //
 // Everything below the API is built from scratch on the standard library:
 // a DVB broadcast layer with binary AITs, a webOS-style TV with an HbbTV
@@ -17,37 +19,35 @@
 // and the privacy-policy pipeline with policy-vs-traffic contradiction
 // checks).
 //
-// # Context pairing
+// # Contexts
 //
-// Every long-running entry point comes in a convenience/context pair:
-// ExecuteRuns and ExecuteRunsContext, ExecuteShard and
-// ExecuteShardContext, Run and RunContext, Merge and MergeContext,
-// Analyze and AnalyzeContext. The convenience form is the context form
-// called with context.Background(); the context form supports cooperative
-// cancellation and — where noted — returns the well-formed partial
-// result collected so far together with the context's error.
+// Every long-running call takes a context: Study.Execute, MergeContext
+// and AnalyzeContext. Cancellation is cooperative, and where noted the
+// call returns the well-formed partial result collected so far together
+// with the context's error.
 //
 // # One measurement engine
 //
-// Every measurement entry point — ExecuteRuns, ExecuteResumable,
-// ExecuteShard, ExecuteShardResumable, Run and their context forms — is a
-// plan for the same engine, core.Pool, over the campaign's logical shards
-// (see Options.Shards). A one-shard campaign is the paper's procedure of
-// Section IV-C: one TV visits every channel on a single timeline, run
-// after run, on the study's own post-funnel framework. It is therefore
-// checkpointable, fleet-mergeable and traced exactly like a sharded one.
+// Study.Execute is the one measurement call, and its Plan picks the
+// variant: in process, one collector of a fleet, journaled. Every plan
+// runs on the same engine, core.Pool, over the campaign's logical shards
+// (see Options.Shards); Options.Runs narrows the runs. A one-shard
+// campaign is the paper's procedure of Section IV-C: one TV visits every
+// channel on a single timeline, run after run, on the study's own
+// post-funnel framework. It is therefore checkpointable, fleet-mergeable
+// and traced exactly like a sharded one.
 //
 // # Fleet topology
 //
 // A campaign can be split across independent collector processes:
-// ExecuteShard(i, N) measures the i-th strided partition of the channel
-// order and returns a shard dataset whose store.ShardManifest makes it
-// self-describing; Merge verifies K such datasets cover the campaign
-// exactly once with identical study parameters and recombines them into
-// a dataset byte-identical (by Digest) to the single-process campaign of
-// the same study with Options.Shards = N, at any Parallelism. The
-// hbbtv-measure -shard i/N flag and the hbbtv-merge command are the CLI
-// face of the same API.
+// Execute with Plan{Shard: i, Of: N} measures the i-th strided partition
+// of the channel order and returns a shard dataset whose
+// store.ShardManifest makes it self-describing; MergeContext verifies K
+// such datasets cover the campaign exactly once with identical study
+// parameters and recombines them into a dataset byte-identical (by
+// Digest) to the single-process campaign of the same study with
+// Options.Shards = N, at any Parallelism. The hbbtv-measure -shard i/N
+// flag and the hbbtv-merge command are the CLI face of the same API.
 package hbbtvlab
 
 import (
@@ -297,32 +297,75 @@ func (s *Study) Selected() ([]*dvb.Service, error) {
 	return s.selected, nil
 }
 
-// ExecuteRuns performs all configured measurement runs over the selected
-// channels and returns the full dataset.
-func (s *Study) ExecuteRuns() (*store.Dataset, error) {
-	return s.ExecuteRunsContext(context.Background())
+// Plan selects what one Execute call measures. The zero Plan is the whole
+// campaign, measured in process.
+type Plan struct {
+	// Of >= 1 makes the process collector Shard of an Of-way fleet (see
+	// Fleet topology in the package doc): it measures the partition,
+	// framework and seed the in-process campaign with Options.Shards = Of
+	// gives its Shard-th shard, clamped the same way when Of exceeds the
+	// channel count, and returns a dataset carrying a store.ShardManifest.
+	// A telemetry registry then needs Of shard slots (build it with
+	// NewTelemetry(Options{Shards: Of})). Of 0 measures every shard in
+	// process, and Shard must then be 0.
+	Shard, Of int
+	// Checkpoint, when non-nil, journals every completed (shard, run) cell
+	// before the shard goes on, so a killed campaign resumes from its
+	// journal (see CheckpointOptions) to a dataset, a collector's manifest
+	// included, byte-identical to an uninterrupted run's.
+	Checkpoint *CheckpointOptions
 }
 
-// ExecuteRunsContext is ExecuteRuns with cooperative cancellation. The
-// runs execute as a core.Pool plan over the campaign's logical shards (see
-// Options.Shards); a one-shard campaign is the paper's single-TV procedure
-// on the study's own framework. A cancelled context yields the well-formed
-// partial dataset collected so far together with the context's error.
+// Execute performs the runs of Options.Runs over the selected channels as
+// a core.Pool plan of the campaign's logical shards (see Options.Shards).
+// Per-channel degradation (see DegradedOnly) does not abort it: failed
+// visits are recorded as outcomes, and the joined degradation errors come
+// back with the well-formed dataset. A cancelled context yields the
+// well-formed partial dataset collected so far with the context's error;
+// a partial shard dataset fails the merge's coverage verification.
+func (s *Study) Execute(ctx context.Context, p Plan) (*store.Dataset, error) {
+	switch {
+	case p.Of < 0:
+		return nil, fmt.Errorf("hbbtvlab: Execute: Plan.Of %d must be >= 0", p.Of)
+	case p.Of == 0 && p.Shard != 0:
+		return nil, fmt.Errorf("hbbtvlab: Execute: Plan.Shard %d needs Plan.Of, the fleet's shard count", p.Shard)
+	case p.Of > 0 && (p.Shard < 0 || p.Shard >= p.Of):
+		return nil, fmt.Errorf("hbbtvlab: Execute: shard index %d out of range [0, %d)", p.Shard, p.Of)
+	}
+	if tr := s.opts.Telemetry; p.Of > 0 && tr != nil && tr.Shards() <= p.Shard {
+		return nil, fmt.Errorf("hbbtvlab: Execute: Options.Telemetry has %d shard slot(s), shard %d of %d needs %d (build the registry with NewTelemetry(Options{Shards: %d}))",
+			tr.Shards(), p.Shard, p.Of, p.Shard+1, p.Of)
+	}
+	return s.campaign(ctx, p)
+}
+
+// ExecuteRunsContext is Execute with the zero Plan. It is kept, with
+// ExecuteResumable, because the pipeline benchmark (pipebench) calls both
+// names; other callers use Execute.
 func (s *Study) ExecuteRunsContext(ctx context.Context) (*store.Dataset, error) {
-	return s.campaign(ctx, s.opts.Runs, s.opts.shards(), -1, nil)
+	return s.Execute(ctx, Plan{})
 }
 
-// campaign executes specs over the selected channels as a core.Pool plan
-// of shards logical shards: the one measurement engine behind every entry
-// point. With fleetShard < 0 it measures every shard and merges them;
-// otherwise it measures only shard fleetShard, for one collector of a
-// fleet, and stamps the dataset with its shard manifest. A non-nil co
-// journals every completed (shard, run) cell and, on resume, replays the
-// journaled ones instead of measuring them again.
-func (s *Study) campaign(ctx context.Context, specs []core.RunSpec, shards, fleetShard int, co *CheckpointOptions) (ds *store.Dataset, err error) {
+// ExecuteResumable is Execute with a checkpointed in-process Plan, kept
+// for the pipeline benchmark like ExecuteRunsContext.
+func (s *Study) ExecuteResumable(ctx context.Context, co CheckpointOptions) (*store.Dataset, error) {
+	return s.Execute(ctx, Plan{Checkpoint: &co})
+}
+
+// campaign executes a checked plan: the one measurement engine behind
+// Execute. An in-process plan measures every shard and merges them; a
+// collector's measures only shard p.Shard of p.Of and stamps the dataset
+// with its shard manifest. A non-nil p.Checkpoint journals every completed
+// (shard, run) cell and, on resume, replays the journaled ones instead of
+// measuring them again.
+func (s *Study) campaign(ctx context.Context, p Plan) (ds *store.Dataset, err error) {
 	channels, err := s.Selected()
 	if err != nil {
 		return nil, err
+	}
+	shards := s.opts.shards()
+	if p.Of > 0 {
+		shards = p.Of
 	}
 	eff := core.EffectiveShards(shards, len(channels))
 	pool := &core.Pool{
@@ -333,18 +376,18 @@ func (s *Study) campaign(ctx context.Context, specs []core.RunSpec, shards, flee
 		// clock.
 		Telemetry: s.opts.Telemetry.Controller(s.Framework.Clock.Now),
 	}
-	if co != nil {
+	if p.Checkpoint != nil {
 		// The journal records an in-process campaign's effective shard
 		// count and a fleet collector's N.
-		topology := eff
-		if fleetShard >= 0 {
-			topology = shards
+		topology, fleetShard := eff, -1
+		if p.Of > 0 {
+			topology, fleetShard = p.Of, p.Shard
 		}
 		want, err := s.checkpointHeader(channels, topology, fleetShard)
 		if err != nil {
 			return nil, err
 		}
-		cp, journal, err := openJournal(*co, want)
+		cp, journal, err := openJournal(*p.Checkpoint, want)
 		if err != nil {
 			return nil, err
 		}
@@ -357,15 +400,15 @@ func (s *Study) campaign(ctx context.Context, specs []core.RunSpec, shards, flee
 			}
 		}()
 	}
-	if fleetShard < 0 {
-		ds, err = pool.ExecuteRuns(ctx, specs, channels)
+	if p.Of == 0 {
+		ds, err = pool.ExecuteRuns(ctx, s.opts.Runs, channels)
 		s.attachTelemetry(ds)
 		if err != nil {
 			return ds, fmt.Errorf("hbbtvlab: runs: %w", err)
 		}
 		return ds, nil
 	}
-	runs, err := pool.ExecuteShard(ctx, fleetShard, specs, channels)
+	runs, err := pool.ExecuteShard(ctx, p.Shard, s.opts.Runs, channels)
 	ds = &store.Dataset{}
 	for _, run := range runs {
 		if run != nil {
@@ -373,9 +416,9 @@ func (s *Study) campaign(ctx context.Context, specs []core.RunSpec, shards, flee
 		}
 	}
 	if err != nil {
-		err = fmt.Errorf("hbbtvlab: shard %d: %w", fleetShard, err)
+		err = fmt.Errorf("hbbtvlab: shard %d: %w", p.Shard, err)
 	}
-	return ds, errors.Join(err, s.finishShard(ds, fleetShard, shards, channels))
+	return ds, errors.Join(err, s.finishShard(ds, p.Shard, p.Of, channels))
 }
 
 // attachTelemetry embeds the engine's final telemetry snapshot and span
@@ -424,26 +467,4 @@ func (s *Study) shardFramework(shards int) core.ShardFactory {
 		s.worldsMu.Unlock()
 		return fw, nil
 	}
-}
-
-// Run executes a single named run (useful for examples and ablations).
-func (s *Study) Run(name store.RunName) (*store.RunData, error) {
-	return s.RunContext(context.Background(), name)
-}
-
-// RunContext is Run with cooperative cancellation: a cancelled context
-// yields the partial run data collected so far with the context's error.
-// The run is the campaign ExecuteRunsContext would measure with
-// Options.Runs narrowed to the named spec.
-func (s *Study) RunContext(ctx context.Context, name store.RunName) (*store.RunData, error) {
-	for _, spec := range s.opts.Runs {
-		if spec.Name == name {
-			ds, err := s.campaign(ctx, []core.RunSpec{spec}, s.opts.shards(), -1, nil)
-			if ds == nil || len(ds.Runs) == 0 {
-				return nil, err
-			}
-			return ds.Runs[0], err
-		}
-	}
-	return nil, fmt.Errorf("hbbtvlab: unknown run %q", name)
 }

@@ -29,15 +29,28 @@ func TestMain(m *testing.M) {
 	if err != nil {
 		panic(err)
 	}
-	ds, err := study.ExecuteRuns()
+	ds, err := study.Execute(context.Background(), Plan{})
 	if err != nil {
 		panic(err)
 	}
 	testWorld = study.World
 	testFunnel = funnel
 	testDataset = ds
-	testResults = Analyze(ds)
+	if testResults, err = AnalyzeContext(context.Background(), ds, AnalyzeOptions{}); err != nil {
+		panic(err)
+	}
 	m.Run()
+}
+
+// analyzeAll runs every analysis section serially over ds, failing the
+// test on error.
+func analyzeAll(t testing.TB, ds *store.Dataset) *Results {
+	t.Helper()
+	res, err := AnalyzeContext(context.Background(), ds, AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestStudyFunnelEndpoints(t *testing.T) {
@@ -374,56 +387,21 @@ func TestRenderAllProducesReport(t *testing.T) {
 	}
 }
 
+// TestRunSingle: one named run is the campaign with Options.Runs narrowed
+// to its spec.
 func TestRunSingle(t *testing.T) {
-	study := NewStudy(Options{Seed: 5, Scale: 0.02, ProbeWatch: 20 * time.Second})
-	run, err := study.Run(store.RunGeneral)
+	var general []core.RunSpec
+	for _, spec := range core.DefaultRuns() {
+		if spec.Name == store.RunGeneral {
+			general = append(general, spec)
+		}
+	}
+	study := NewStudy(Options{Seed: 5, Scale: 0.02, ProbeWatch: 20 * time.Second, Runs: general})
+	ds, err := study.Execute(context.Background(), Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Name != store.RunGeneral || len(run.Flows) == 0 {
-		t.Errorf("run = %+v", run.Name)
-	}
-	if _, err := study.Run("Purple"); err == nil {
-		t.Error("unknown run accepted")
-	}
-}
-
-// TestRunContextIsNarrowedCampaign: a single run is the campaign with
-// Options.Runs narrowed to its spec — same engine, same shards, same
-// bytes — for the paper's procedure and for a sharded study alike.
-func TestRunContextIsNarrowedCampaign(t *testing.T) {
-	var red []core.RunSpec
-	for _, spec := range core.DefaultRuns() {
-		if spec.Name == store.RunRed {
-			red = append(red, spec)
-		}
-	}
-	for _, tc := range []struct{ parallelism, shards int }{{0, 0}, {2, 2}} {
-		opts := Options{
-			Seed: 5, Scale: 0.02, ProbeWatch: 20 * time.Second,
-			Parallelism: tc.parallelism, Shards: tc.shards,
-		}
-		run, err := NewStudy(opts).RunContext(context.Background(), store.RunRed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		narrowed := opts
-		narrowed.Runs = red
-		ds, err := NewStudy(narrowed).ExecuteRunsContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := (&store.Dataset{Runs: []*store.RunData{run}}).Digest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ds.Digest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("j=%d shards=%d: RunContext digest %s != narrowed campaign digest %s",
-				tc.parallelism, tc.shards, got, want)
-		}
+	if len(ds.Runs) != 1 || ds.Runs[0].Name != store.RunGeneral || len(ds.Runs[0].Flows) == 0 {
+		t.Errorf("runs = %d, want one non-empty %s run", len(ds.Runs), store.RunGeneral)
 	}
 }

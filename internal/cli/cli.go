@@ -116,20 +116,18 @@ func (s *Shard) Set(v string) error {
 // Enabled reports whether -shard was given.
 func (s *Shard) Enabled() bool { return s.set }
 
-// Checkpoint is the crash-safety flag trio of resumable campaigns:
-// -checkpoint names the write-ahead journal, -resume continues a killed
-// campaign from it, -checkpoint-sync tunes the fsync cadence.
+// Checkpoint is the crash-safety flag pair of resumable campaigns:
+// -checkpoint names the write-ahead journal, and -resume continues a
+// killed campaign from it.
 type Checkpoint struct {
-	Path      string
-	Resume    bool
-	SyncEvery int
+	Path   string
+	Resume bool
 }
 
-// Register installs -checkpoint, -resume, and -checkpoint-sync.
+// Register installs -checkpoint and -resume.
 func (c *Checkpoint) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Path, "checkpoint", "", "write-ahead checkpoint journal: every completed (shard, run) cell is committed and fsync'd here, so a killed campaign can continue with -resume")
 	fs.BoolVar(&c.Resume, "resume", false, "resume the campaign from the -checkpoint journal: replay its completed cells, measure only the rest (requires -checkpoint)")
-	fs.IntVar(&c.SyncEvery, "checkpoint-sync", 1, "fsync the checkpoint journal after every N committed cells (1 = every cell, the safest; larger trades the newest cells' durability for fewer fsyncs)")
 }
 
 // Enabled reports whether a checkpoint journal was requested.
@@ -139,9 +137,6 @@ func (c *Checkpoint) Enabled() bool { return c.Path != "" }
 func (c *Checkpoint) Validate() error {
 	if c.Resume && c.Path == "" {
 		return fmt.Errorf("-resume continues a journaled campaign; it requires -checkpoint FILE")
-	}
-	if c.SyncEvery < 1 {
-		return fmt.Errorf("-checkpoint-sync must be >= 1, got %d", c.SyncEvery)
 	}
 	return nil
 }

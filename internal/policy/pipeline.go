@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/hbbtvlab/hbbtvlab/internal/intern"
 	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
@@ -95,7 +96,7 @@ type bodyInfo struct {
 // NewBodies interns the response bodies of rows (ScanFlows output, in row
 // order) into a table of distinct bodies.
 func NewBodies(flows []*proxy.Flow, rows []int32) *Bodies {
-	ids := store.NewStrings(0)
+	ids := intern.NewStrings(0)
 	b := &Bodies{rows: rows, bodyOf: make([]int32, len(rows))}
 	for j, row := range rows {
 		b.bodyOf[j] = ids.InternBytes(flows[row].ResponseBody)

@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 
 	"github.com/hbbtvlab/hbbtvlab/internal/etld"
+	"github.com/hbbtvlab/hbbtvlab/internal/intern"
 	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
 )
 
@@ -45,10 +46,10 @@ type Columns struct {
 	// Intern tables. Channels is seeded with the dataset's channel
 	// metadata (in first-appearance order, matching Index.Channels) before
 	// flow-attributed names are added.
-	URLs     *Strings
-	Hosts    *Strings
-	Parties  *Strings
-	Channels *Strings
+	URLs     *intern.Strings
+	Hosts    *intern.Strings
+	Parties  *intern.Strings
+	Channels *intern.Strings
 	// MetaChannels is the number of Channels entries seeded from run
 	// metadata; IDs [0, MetaChannels) enumerate Index.Channels in order.
 	MetaChannels int
@@ -209,7 +210,7 @@ type cookieCell struct {
 // chunk's share of the row columns (written directly into the global
 // arrays, since chunks own disjoint row ranges).
 type chunkLocal struct {
-	urls, hosts, chans, bodies *Strings
+	urls, hosts, chans, bodies *intern.Strings
 	payloads                   payloadTable
 	cells                      []cookieCell
 }
@@ -222,7 +223,7 @@ type payloadKey struct {
 }
 
 // payloadTable interns payload keys with dense IDs in first-insertion
-// order, as Strings does for strings.
+// order, as intern.Strings does for strings.
 type payloadTable struct {
 	ids  map[payloadKey]int32
 	keys []payloadKey
@@ -323,7 +324,7 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 	// The channel table is seeded from the runs' channel metadata in
 	// dataset order, so table IDs [0, nMeta) enumerate Index.Channels and
 	// a channel's first entry is the one Dataset.ChannelInfo returns.
-	c.Channels = NewStrings(64)
+	c.Channels = intern.NewStrings(64)
 	for _, r := range ds.Runs {
 		for i := range r.Channels {
 			if int(c.Channels.Intern(r.Channels[i].Name)) == len(c.ChannelMeta) {
@@ -350,10 +351,10 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 			hi = rows
 		}
 		local := chunkLocal{
-			urls:   NewStrings(32),
-			hosts:  NewStrings(32),
-			chans:  NewStrings(16),
-			bodies: NewStrings(0),
+			urls:   intern.NewStrings(32),
+			hosts:  intern.NewStrings(32),
+			chans:  intern.NewStrings(16),
+			bodies: intern.NewStrings(0),
 		}
 		memo := urlMemo{index: make(map[url.URL]int32, 64)}
 		cookies := make(setCookieMemo)
@@ -404,10 +405,10 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 	// order assigns global IDs exactly as a serial scan would (a string's
 	// ID is fixed by its first occurrence), so the tables are independent
 	// of the worker count.
-	urlTables := make([]*Strings, nChunks)
-	hostTables := make([]*Strings, nChunks)
-	chanTables := make([]*Strings, nChunks)
-	bodyTables := make([]*Strings, nChunks)
+	urlTables := make([]*intern.Strings, nChunks)
+	hostTables := make([]*intern.Strings, nChunks)
+	chanTables := make([]*intern.Strings, nChunks)
+	bodyTables := make([]*intern.Strings, nChunks)
 	for i := range locals {
 		urlTables[i] = locals[i].urls
 		hostTables[i] = locals[i].hosts
@@ -415,14 +416,14 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 		bodyTables[i] = locals[i].bodies
 	}
 	var urlRemap, hostRemap, chanRemap [][]int32
-	c.URLs, urlRemap = MergeStrings(urlTables)
-	c.Hosts, hostRemap = MergeStrings(hostTables)
+	c.URLs, urlRemap = intern.MergeStrings(urlTables)
+	c.Hosts, hostRemap = intern.MergeStrings(hostTables)
 	chanRemap = c.Channels.Absorb(chanTables)
 	payloadRemap := c.mergePayloads(locals, bodyTables)
 
 	// eTLD+1 once per distinct host, interning the party table in host-ID
 	// order (deterministic).
-	c.Parties = NewStrings(c.Hosts.Len())
+	c.Parties = intern.NewStrings(c.Hosts.Len())
 	c.PartyOfHost = make([]int32, c.Hosts.Len())
 	for hostID, host := range c.Hosts.All() {
 		c.PartyOfHost[hostID] = c.Parties.Intern(etld.MustRegistrableDomain(host))
@@ -505,11 +506,11 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 }
 
 // mergePayloads stitches the chunk-local payload tables into c.Payloads in
-// chunk order, as MergeStrings does for strings: the request bodies merge
+// chunk order, as intern.MergeStrings does for strings: the request bodies merge
 // first, and each local key is re-keyed by its global body ID. It returns
 // the per-chunk local-ID -> global-ID remaps.
-func (c *Columns) mergePayloads(locals []chunkLocal, bodyTables []*Strings) [][]int32 {
-	bodies, bodyRemap := MergeStrings(bodyTables)
+func (c *Columns) mergePayloads(locals []chunkLocal, bodyTables []*intern.Strings) [][]int32 {
+	bodies, bodyRemap := intern.MergeStrings(bodyTables)
 	var global payloadTable
 	remaps := make([][]int32, len(locals))
 	for ci := range locals {

@@ -3,7 +3,11 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -198,5 +202,79 @@ func TestSnapshotImplausibleHeaderCount(t *testing.T) {
 	}
 	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "implausible count") {
 		t.Fatalf("err = %v, want an implausible-count error", err)
+	}
+}
+
+// withCorruptFlowChunks returns the one-run snapshot raw with a stray byte
+// appended to each of the named flow chunks of its run. The chunks end
+// the run section, so the test finds where they start as the one offset
+// from which the flow count and nchunks length-prefixed chunks consume
+// the rest of the section exactly, and re-frames the section.
+func withCorruptFlowChunks(t *testing.T, raw []byte, nflows, nchunks int, corrupt ...int) []byte {
+	t.Helper()
+	sr := &snapReader{b: raw, off: len(snapshotMagic) + 1}
+	for sr.err == nil {
+		start := sr.off
+		tag := sr.byte()
+		payload := sr.bytes()
+		if tag != secRun {
+			continue
+		}
+		for o := 0; o < len(payload); o++ {
+			pr := &snapReader{b: payload, off: o}
+			if pr.uvarint() != uint64(nflows) {
+				continue
+			}
+			chunks := make([][]byte, nchunks)
+			for i := range chunks {
+				chunks[i] = pr.bytes()
+			}
+			if pr.err != nil || pr.off != len(payload) {
+				continue
+			}
+			body := binary.AppendUvarint(bytes.Clone(payload[:o]), uint64(nflows))
+			for i, c := range chunks {
+				if slices.Contains(corrupt, i) {
+					c = append(bytes.Clone(c), 0)
+				}
+				body = binary.AppendUvarint(body, uint64(len(c)))
+				body = append(body, c...)
+			}
+			out := append(bytes.Clone(raw[:start]), tag)
+			out = binary.AppendUvarint(out, uint64(len(body)))
+			out = append(out, body...)
+			return append(out, raw[sr.off:]...)
+		}
+		t.Fatal("no flow chunks found in the run section")
+	}
+	t.Fatalf("no run section: %v", sr.err)
+	return nil
+}
+
+// TestSnapshotCorruptFlowChunksFailAlike: a run whose second and fourth
+// flow chunks are corrupt fails to load with the second chunk's error at
+// GOMAXPROCS 1, 2 and 4, however the workers happen to claim the chunks.
+func TestSnapshotCorruptFlowChunksFailAlike(t *testing.T) {
+	const nchunks = 5
+	run := &RunData{Name: RunGeneral}
+	for i := 0; i < (nchunks-1)*snapFlowChunk+7; i++ {
+		f := mkFlow(fmt.Sprintf("http://t%d.example/p?i=%d", i%5, i), "KiKA", false)
+		f.ID = int64(i)
+		run.Flows = append(run.Flows, f)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, &Dataset{Runs: []*RunData{run}}, FormatSnapshot); err != nil {
+		t.Fatal(err)
+	}
+	raw := withCorruptFlowChunks(t, buf.Bytes(), len(run.Flows), nchunks, 1, 3)
+	const want = "store: snapshot: 1 stray bytes after flow chunk 1"
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for i := 0; i < 20; i++ {
+			if _, err := Load(bytes.NewReader(raw)); err == nil || err.Error() != want {
+				t.Fatalf("GOMAXPROCS %d, load %d: err = %v, want %q", procs, i, err, want)
+			}
+		}
 	}
 }

@@ -15,8 +15,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/hbbtvlab/hbbtvlab/internal/appmodel"
@@ -1456,66 +1454,39 @@ func (d *snapDecoder) decodeRun(sr *snapReader) (*RunData, error) {
 // fanning the chunks out over GOMAXPROCS workers. Chunk i covers flows
 // [i*snapFlowChunk, ...), so workers write disjoint slices; each chunk
 // allocates its own flow and URL arenas, which parallelizes even the
-// zeroing of the ~200 bytes/flow of output memory.
+// zeroing of the ~200 bytes/flow of output memory. Flow decoding only
+// reads the decoder's tables (strings, blobs, built headers), so the
+// workers share d freely. A corrupt run fails with its lowest failing
+// chunk's error, whatever the worker count.
 func (d *snapDecoder) decodeFlowChunks(flows []*proxy.Flow, chunks [][]byte) error {
-	decodeOne := func(dec *snapDecoder, ci int) error {
-		lo := ci * snapFlowChunk
-		hi := min(lo+snapFlowChunk, len(flows))
-		arena := make([]proxy.Flow, hi-lo)
-		urls := make([]url.URL, hi-lo)
-		cr := &snapReader{b: chunks[ci]}
-		for i := range arena {
-			dec.decodeFlow(cr, &arena[i], &urls[i])
-			if cr.err != nil {
-				return cr.err
-			}
-			flows[lo+i] = &arena[i]
-		}
-		if cr.off != len(cr.b) {
-			return fmt.Errorf("store: snapshot: %d stray bytes after flow chunk %d", len(cr.b)-cr.off, ci)
-		}
-		return nil
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	if workers <= 1 {
-		for ci := range chunks {
-			if err := decodeOne(d, ci); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var next atomic.Int64
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Flow decoding only reads the decoder's tables (strings,
-			// blobs, built headers), so workers share d freely.
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= len(chunks) {
-					return
-				}
-				if err := decodeOne(d, ci); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	errs := make([]error, len(chunks))
+	parallelChunks(context.Background(), runtime.GOMAXPROCS(0), len(chunks), func(ci int) {
+		errs[ci] = d.decodeFlowChunk(flows, chunks[ci], ci)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// decodeFlowChunk decodes chunk ci of a run into its share of flows.
+func (d *snapDecoder) decodeFlowChunk(flows []*proxy.Flow, chunk []byte, ci int) error {
+	lo := ci * snapFlowChunk
+	hi := min(lo+snapFlowChunk, len(flows))
+	arena := make([]proxy.Flow, hi-lo)
+	urls := make([]url.URL, hi-lo)
+	cr := &snapReader{b: chunk}
+	for i := range arena {
+		d.decodeFlow(cr, &arena[i], &urls[i])
+		if cr.err != nil {
+			return cr.err
+		}
+		flows[lo+i] = &arena[i]
+	}
+	if cr.off != len(cr.b) {
+		return fmt.Errorf("store: snapshot: %d stray bytes after flow chunk %d", len(cr.b)-cr.off, ci)
 	}
 	return nil
 }

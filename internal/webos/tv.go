@@ -180,33 +180,38 @@ type runningApp struct {
 }
 
 // beaconState is the per-beacon work hoisted out of fireBeacon: the base URL
-// resolved against the document once, and the parameter keys escaped and
-// sorted the way url.Values.Encode would emit them. When fast is false (the
-// resolved URL already carries a query, a fragment, or a forced "?"), the
-// beacon takes the original parse-and-merge path instead.
+// resolved against the document once, and the query parameters escaped and
+// sorted the way url.Values.Encode emits the resolved URL's own query with
+// every template value added to it. A URL that does not parse keeps its
+// parse error instead, and every fire logs it.
 //
-// A fast beacon also keeps the query it last rendered together with the
+// A beacon also keeps the query it last rendered together with the
 // variables it rendered it from, and reuses it while they are unchanged.
 // Those are every variable, except that the clock's two stay zero when no
 // template reads them (readsClock false): they are the only ones that move
 // under a running app, while a PowerOn can still mint a new session
 // under it.
 type beaconState struct {
-	fast       bool
 	base       url.URL // RawQuery empty; copied per fire
+	forceQuery bool    // the resolved URL ends in a bare "?"
 	params     []beaconParam
-	resolve    string // resolved URL string for the fallback path
+	raw        string // the resolved URL, logged with err
+	err        error  // why raw does not parse
 	readsClock bool   // a template reads {localtime} or {unixtime}
 	rendered   bool   // query holds the rendering of vars
 	vars       appmodel.Vars
 	query      string
 }
 
-// beaconParam is one query parameter with its key pre-escaped.
+// beaconParam is one query parameter with its key pre-escaped: a template
+// expanded per fire, or a value of the resolved URL's own query, escaped
+// once.
 type beaconParam struct {
 	key      string // raw key, used for Encode-compatible sort order
 	escKey   string
 	template string
+	literal  bool   // escValue, not template, is the value
+	escValue string // the escaped literal value
 }
 
 // beaconEvent is one scheduled beacon firing inside a Watch slice.
@@ -634,26 +639,38 @@ func (tv *TV) Watch(d time.Duration) {
 	}
 }
 
-// prepareBeacon hoists the per-fire URL work out of fireBeacon. The fast
-// path is only taken when appending "?query" to the resolved URL's string
-// form is provably identical to the parse/merge/re-encode the slow path
-// performs: no pre-existing query, no fragment, no forced "?".
+// prepareBeacon hoists the per-fire URL work out of fireBeacon. A beacon
+// sends the resolved URL with the template values added to its query by
+// url.Values.Add, as get would send its string form: so the URL's own
+// query pairs become literal parameters, ahead of the template of the same
+// key, and the rest of the URL is what get's parse gives back, because an
+// encoded query holds no byte that could move a boundary.
 func prepareBeacon(base *url.URL, b appmodel.BeaconSpec) beaconState {
-	st := beaconState{resolve: resolveRef(base, b.URL)}
-	u, err := url.Parse(st.resolve)
-	if err != nil || u.RawQuery != "" || u.ForceQuery || u.Fragment != "" {
+	st := beaconState{raw: resolveRef(base, b.URL)}
+	u, err := url.Parse(st.raw)
+	if err != nil {
+		st.err = err
 		return st
 	}
-	st.fast = true
+	own := u.Query()
+	st.forceQuery = u.ForceQuery
+	u.RawQuery, u.ForceQuery = "", false
+	u.Host = strings.TrimSuffix(u.Host, ":") // as parseRequestURL does
 	st.base = *u
-	st.params = make([]beaconParam, 0, len(b.Params))
+	st.params = make([]beaconParam, 0, len(own)+len(b.Params))
+	for k, vs := range own {
+		for _, v := range vs {
+			st.params = append(st.params, beaconParam{key: k, escKey: url.QueryEscape(k), literal: true, escValue: url.QueryEscape(v)})
+		}
+	}
 	for k, v := range b.Params {
 		st.params = append(st.params, beaconParam{key: k, escKey: url.QueryEscape(k), template: v})
 		st.readsClock = st.readsClock || appmodel.ReadsClock(v)
 	}
-	// url.Values.Encode sorts by raw key; matching its order keeps the
-	// emitted query — and thus the recorded flow URL — byte-identical.
-	sort.Slice(st.params, func(a, b int) bool { return st.params[a].key < st.params[b].key })
+	// url.Values.Encode sorts by raw key and keeps each key's values in
+	// the order Add appended them; matching it keeps the emitted query —
+	// and thus the recorded flow URL — byte-identical.
+	sort.SliceStable(st.params, func(a, b int) bool { return st.params[a].key < st.params[b].key })
 	return st
 }
 
@@ -664,17 +681,8 @@ func (tv *TV) fireBeacon(bi int) {
 	}
 	tv.metrics.beacons.Inc()
 	st := &app.bstates[bi]
-	if !st.fast {
-		vars := tv.appVars(true) // refresh local time / unix time per request
-		b := app.beacons[bi]
-		q := url.Values{}
-		for k, v := range b.Params {
-			q.Set(k, vars.Expand(v))
-		}
-		u := addQuery(st.resolve, q)
-		if err := tv.get(u, app.baseStr); err != nil {
-			tv.logf(LogError, "beacon %s: %v", u, err)
-		}
+	if st.err != nil {
+		tv.logf(LogError, "beacon %s: %v", st.raw, st.err)
 		return
 	}
 	// Without readsClock the templates ignore the clock, so the zero clock
@@ -690,13 +698,18 @@ func (tv *TV) fireBeacon(bi int) {
 			}
 			sb.WriteString(p.escKey)
 			sb.WriteByte('=')
-			sb.WriteString(url.QueryEscape(vars.Expand(p.template)))
+			if p.literal {
+				sb.WriteString(p.escValue)
+			} else {
+				sb.WriteString(url.QueryEscape(vars.Expand(p.template)))
+			}
 		}
 		st.query, st.vars, st.rendered = sb.String(), vars, true
 	}
 	u := &tv.reqURL
 	*u = st.base
 	u.RawQuery = st.query
+	u.ForceQuery = st.forceQuery && st.query == ""
 	if err := tv.getURL(u, app.baseStr); err != nil {
 		tv.logf(LogError, "beacon %s: %v", u.String(), err)
 	}

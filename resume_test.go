@@ -49,7 +49,7 @@ func digestOrFatal(t *testing.T, ds *store.Dataset) string {
 func executeResumable(t *testing.T, opts Options, co CheckpointOptions) string {
 	t.Helper()
 	study := resumeStudy(t, opts)
-	ds, err := study.ExecuteResumable(context.Background(), co)
+	ds, err := study.Execute(context.Background(), Plan{Checkpoint: &co})
 	if err != nil && !DegradedOnly(err) {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestResumeDigestParityAfterKill(t *testing.T) {
 			// First resume — but cut ITS journal too (second kill) before
 			// letting a final resume finish the campaign.
 			study := resumeStudy(t, chaosOptions(p))
-			ds, err := study.ExecuteResumable(context.Background(), CheckpointOptions{Path: path, Resume: true})
+			ds, err := study.Execute(context.Background(), Plan{Checkpoint: &CheckpointOptions{Path: path, Resume: true}})
 			if err != nil && !DegradedOnly(err) {
 				t.Fatalf("j=%d kill %d at byte %d: first resume: %v", p, ki, cut, err)
 			}
@@ -163,7 +163,7 @@ func TestResumeRejectsMismatchedStudy(t *testing.T) {
 			opts := chaosOptions(2)
 			tc.mutate(&opts)
 			study := resumeStudy(t, opts)
-			_, err := study.ExecuteResumable(context.Background(), CheckpointOptions{Path: full, Resume: true})
+			_, err := study.Execute(context.Background(), Plan{Checkpoint: &CheckpointOptions{Path: full, Resume: true}})
 			if err == nil {
 				t.Fatalf("resume with mismatched %s accepted", tc.name)
 			}
@@ -183,7 +183,7 @@ func TestResumeRejectsMismatchedStudy(t *testing.T) {
 
 	// A cold start must refuse to clobber an existing journal.
 	study := resumeStudy(t, chaosOptions(2))
-	if _, err := study.ExecuteResumable(context.Background(), CheckpointOptions{Path: full}); err == nil || !strings.Contains(err.Error(), "already exists") {
+	if _, err := study.Execute(context.Background(), Plan{Checkpoint: &CheckpointOptions{Path: full}}); err == nil || !strings.Contains(err.Error(), "already exists") {
 		t.Fatalf("cold start over an existing journal: %v", err)
 	}
 }
@@ -274,7 +274,7 @@ func TestResumeQuarantineRoundTrip(t *testing.T) {
 	}
 
 	study := resumeStudy(t, chaosOptions(2))
-	ds, err := study.ExecuteResumable(context.Background(), CheckpointOptions{Path: cutPath, Resume: true})
+	ds, err := study.Execute(context.Background(), Plan{Checkpoint: &CheckpointOptions{Path: cutPath, Resume: true}})
 	if err != nil && !DegradedOnly(err) {
 		t.Fatal(err)
 	}

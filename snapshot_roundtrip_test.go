@@ -2,6 +2,7 @@ package hbbtvlab
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		ProbeWatch: 20 * time.Second,
 		Telemetry:  tele,
 	})
-	ds, err := study.ExecuteRuns()
+	ds, err := study.Execute(context.Background(), Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}

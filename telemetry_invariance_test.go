@@ -2,6 +2,7 @@ package hbbtvlab
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -17,7 +18,7 @@ func studyDigest(t *testing.T, opts Options) (*store.Dataset, string) {
 	opts.Scale = 0.04
 	opts.ProbeWatch = 20 * time.Second
 	study := NewStudy(opts)
-	ds, err := study.ExecuteRuns()
+	ds, err := study.Execute(context.Background(), Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package hbbtvlab
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"reflect"
@@ -53,7 +54,7 @@ func executeTraced(t *testing.T, label string, opts Options) *store.Dataset {
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	ds, err := study.ExecuteRuns()
+	ds, err := study.Execute(context.Background(), Plan{})
 	if err != nil && !DegradedOnly(err) {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -222,7 +223,7 @@ func TestFleetTraceMergesToInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, err := study.ExecuteShard(i, n)
+		ds, err := study.Execute(context.Background(), Plan{Shard: i, Of: n})
 		if err != nil && !DegradedOnly(err) {
 			t.Fatalf("shard %d: %v", i, err)
 		}
@@ -232,7 +233,7 @@ func TestFleetTraceMergesToInProcess(t *testing.T) {
 		shards[i] = ds
 	}
 
-	merged, err := Merge(shards...)
+	merged, err := MergeContext(context.Background(), shards...)
 	if err != nil {
 		t.Fatal(err)
 	}
