@@ -41,16 +41,18 @@ chaos:
 
 # resume runs the crash-safety suite under the race detector: the
 # checkpoint/journal format's torn-file contract (cut at every byte,
-# corrupt every section boundary), the in-process kill simulation
-# (journals truncated at seed-derived offsets must resume to digest
-# parity for every worker count, quarantine state included), and the
-# child-process chaos tests (hbbtv-measure SIGKILL'd mid-campaign and
-# resumed, fleet shards killed and merged, SIGINT exiting 3 with flushed
-# telemetry sinks). Kill points are seed-derived and logged, so a red
-# run names the exact (seed, size) pair to replay.
+# corrupt every section boundary, refuse a cell frame spliced in from
+# another campaign's journal), the in-process kill simulation (journals
+# truncated at seed-derived offsets must resume to digest parity for
+# every worker count, quarantine state included), the merge's refusal of
+# a collector that stopped early, and the child-process chaos tests
+# (hbbtv-measure SIGKILL'd mid-campaign and resumed, fleet shards killed
+# and merged, SIGINT exiting 3 with flushed telemetry sinks). Kill points
+# are seed-derived and logged, so a red run names the exact (seed, size)
+# pair to replay.
 resume:
 	$(GO) test -race -run 'TestCheckpoint|TestJournal' -v ./internal/store/
-	$(GO) test -race -run 'TestResume|TestChaosProcessKillResumeParity|TestChaosFleetKillResumeMerge|TestChaosResumeMismatchRejectedCLI|TestChaosInterruptGracefulExit' -v .
+	$(GO) test -race -run 'TestResume|TestMergeRejectsPartialShard|TestChaosProcessKillResumeParity|TestChaosFleetKillResumeMerge|TestChaosResumeMismatchRejectedCLI|TestChaosInterruptGracefulExit' -v .
 
 # Short coverage-guided fuzzing passes (seeded corpora), 30 s each: the
 # binary AIT decoder, the EIT and SDT decoders (no panic; every error wraps

@@ -1,7 +1,7 @@
 // Command hbbtv-merge recombines the shard datasets of a fleet campaign
 // (written by hbbtv-measure -shard i/N) into one complete dataset. The
-// shard manifests are verified first — identical study parameters and
-// channel order, shards 0..N-1 present exactly once — and the merged
+// shard manifests are verified first — one campaign identity, shards
+// 0..N-1 present exactly once, every run on every shard — and the merged
 // dataset's digest is byte-identical to a single-process -j 1 -shards N
 // run of the same seed (fault-degraded campaigns included).
 //
@@ -83,7 +83,7 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("load %s: %w", path, err)
 		}
 		if ds.Shard == nil {
-			return fmt.Errorf("%s has no shard manifest (not a shard dataset; measure it with -shard i/N)", path)
+			return fmt.Errorf("%s has no shard manifest: it is not a shard dataset (measure one with -shard i/N), or its collector did not finish", path)
 		}
 		datasets = append(datasets, ds)
 	}

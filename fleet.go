@@ -12,43 +12,24 @@ import (
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
 
-// This file is the fleet topology's library surface: a collector's Plan
-// (Plan.Of >= 1) stamps its partition of a campaign with a
-// self-describing store.ShardManifest, and MergeContext recombines K shard
-// datasets into the dataset the single-process campaign would have
-// produced, byte-identical by Digest.
+// This file is the fleet topology's library surface: the campaign
+// identity a collector's shard manifest and every checkpoint journal
+// carry, and MergeContext, which recombines K shard datasets into the
+// dataset the single-process campaign would have produced, byte-identical
+// by Digest.
 
-// finishShard stamps the dataset with its shard manifest and the final
-// telemetry snapshot.
-func (s *Study) finishShard(ds *store.Dataset, shard, of int, channels []*dvb.Service) error {
+// identity is the campaign's store.Campaign over channels as a
+// shards-way campaign: the fingerprint of the study's effective
+// configuration and the canonical channel order. Composite configuration
+// (run specs, fault plans) is digested so the identity stays flat and
+// comparable.
+func (s *Study) identity(channels []*dvb.Service, shards int) (store.Campaign, error) {
 	order := make([]string, len(channels))
 	for i, svc := range channels {
 		order[i] = svc.Name
 	}
-	params, err := s.studyParams()
-	if err != nil {
-		return err
-	}
-	m := &store.ShardManifest{
-		Shard:        shard,
-		Shards:       of,
-		Params:       params,
-		ChannelOrder: order,
-		OrderDigest:  store.ChannelOrderDigest(order),
-	}
-	for _, run := range ds.Runs {
-		m.Coverage = append(m.Coverage, store.CoverageFromRun(run))
-	}
-	ds.Shard = m
-	s.attachTelemetry(ds)
-	return nil
-}
-
-// studyParams fingerprints the study's effective configuration for the
-// shard manifest. Composite configuration (run specs, fault plans) is
-// digested so the manifest stays flat and comparable.
-func (s *Study) studyParams() (store.StudyParams, error) {
-	p := store.StudyParams{
+	id := store.Campaign{Shards: shards, ChannelOrder: order, OrderDigest: store.ChannelOrderDigest(order)}
+	id.Params = store.StudyParams{
 		Seed:         s.opts.Seed,
 		Scale:        s.opts.Scale,
 		ProbeWatchNS: int64(s.opts.ProbeWatch),
@@ -67,12 +48,12 @@ func (s *Study) studyParams() (store.StudyParams, error) {
 		// deterministic and covers what actually ran.
 		raw, err := json.Marshal(s.opts.Faults)
 		if err != nil {
-			return p, fmt.Errorf("hbbtvlab: shard manifest: marshal fault config: %w", err)
+			return id, fmt.Errorf("hbbtvlab: campaign identity: marshal fault config: %w", err)
 		}
 		sum := sha256.Sum256(raw)
-		p.FaultsDigest = hex.EncodeToString(sum[:])
+		id.Params.FaultsDigest = hex.EncodeToString(sum[:])
 	}
-	return p, nil
+	return id, nil
 }
 
 // hashRunSpecs digests the run specs field by field (length-framed), so
@@ -89,8 +70,8 @@ func hashRunSpecs(specs []core.RunSpec) string {
 }
 
 // MergeContext verifies the shard manifests of the given shard datasets —
-// identical study parameters and channel order, shards 0..N-1 covered
-// exactly once — and merges them into one complete dataset whose Digest
+// one store.Campaign, shards 0..N-1 covered exactly once, every run on
+// every shard — and merges them into one complete dataset whose Digest
 // is byte-identical to the single-process campaign of the same study with
 // Options.Shards = N (at any Parallelism), fault-degraded campaigns
 // included. The merged dataset carries no shard manifest, but it does

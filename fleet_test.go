@@ -3,6 +3,7 @@ package hbbtvlab
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -269,6 +270,70 @@ func TestMergeManifestVerification(t *testing.T) {
 	}
 	if _, err := MergeContext(ctx, shards[0], faultyDS); err == nil || !strings.Contains(err.Error(), "fault config") {
 		t.Errorf("fault-config mismatch not rejected: %v", err)
+	}
+}
+
+// TestMergeRejectsPartialShard: a collector that stopped early must not
+// merge. A cancelled collector stamps no manifest, whether its context
+// was cancelled before the first channel or partway through its last
+// run, and the merge refuses a shard that lacks a run the other shard
+// holds, as a partial file written by an earlier version, which carries
+// a manifest, does.
+func TestMergeRejectsPartialShard(t *testing.T) {
+	ctx := context.Background()
+	// collect measures shard 1 of opts' 2-way fleet under ctx, which
+	// cancels it.
+	collect := func(ctx context.Context, opts Options) *store.Dataset {
+		t.Helper()
+		st, err := NewStudyChecked(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := st.Execute(ctx, Plan{Shard: 1, Of: 2})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled collector: err = %v, want context.Canceled", err)
+		}
+		if ds.Shard != nil {
+			t.Errorf("cancelled collector stamped a shard manifest")
+		}
+		return ds
+	}
+	opts := fleetOptions(7, 2)
+	full := executeFleet(t, opts, 2)
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	preCancelled := collect(cancelled, opts)
+
+	general := opts
+	general.Runs = core.DefaultRuns()[:1]
+	midRun := collect(&cancelAfterErrs{Context: ctx, after: 3}, general)
+	skipped := 0
+	outcomes := midRun.Runs[len(midRun.Runs)-1].Outcomes
+	for _, o := range outcomes {
+		if o.Error == "run cancelled" {
+			skipped++
+		}
+	}
+	if skipped == 0 || skipped == len(outcomes) {
+		t.Fatalf("cancellation did not land partway through the run: %d of %d channels cancelled", skipped, len(outcomes))
+	}
+
+	manifest := *full[1].Shard
+	manifest.Coverage = manifest.Coverage[:len(manifest.Coverage)-1]
+	lastRunRemoved := &store.Dataset{Runs: full[1].Runs[:len(full[1].Runs)-1], Shard: &manifest}
+
+	for _, tc := range []struct {
+		name            string
+		shard0, partial *store.Dataset
+	}{
+		{"pre-cancelled collector", full[0], preCancelled},
+		{"cancelled partway through the last run", executeFleet(t, general, 2)[0], midRun},
+		{"last run removed", full[0], lastRunRemoved},
+	} {
+		if _, err := MergeContext(ctx, tc.shard0, tc.partial); err == nil || !strings.Contains(err.Error(), "did not finish") {
+			t.Errorf("%s: merge gave %v, want an error saying the collector did not finish", tc.name, err)
+		}
 	}
 }
 

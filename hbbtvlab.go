@@ -42,12 +42,13 @@
 // A campaign can be split across independent collector processes:
 // Execute with Plan{Shard: i, Of: N} measures the i-th strided partition
 // of the channel order and returns a shard dataset whose
-// store.ShardManifest makes it self-describing; MergeContext verifies K
-// such datasets cover the campaign exactly once with identical study
-// parameters and recombines them into a dataset byte-identical (by
-// Digest) to the single-process campaign of the same study with
-// Options.Shards = N, at any Parallelism. The hbbtv-measure -shard i/N
-// flag and the hbbtv-merge command are the CLI face of the same API.
+// store.ShardManifest makes it self-describing; a collector that stopped
+// early stamps none. MergeContext verifies that K such datasets describe
+// one campaign (store.Campaign) and cover it exactly once, and recombines
+// them into a dataset byte-identical (by Digest) to the single-process
+// campaign of the same study with Options.Shards = N, at any
+// Parallelism. The hbbtv-measure -shard i/N flag and the hbbtv-merge
+// command are the CLI face of the same API.
 package hbbtvlab
 
 import (
@@ -321,8 +322,11 @@ type Plan struct {
 // Per-channel degradation (see DegradedOnly) does not abort it: failed
 // visits are recorded as outcomes, and the joined degradation errors come
 // back with the well-formed dataset. A cancelled context yields the
-// well-formed partial dataset collected so far with the context's error;
-// a partial shard dataset fails the merge's coverage verification.
+// well-formed partial dataset collected so far with the context's error.
+// A collector's dataset carries its shard manifest only when the
+// collector finished, its error nil or DegradedOnly: one that stopped
+// early returns its partial runs without a manifest, and the merge
+// refuses them.
 func (s *Study) Execute(ctx context.Context, p Plan) (*store.Dataset, error) {
 	switch {
 	case p.Of < 0:
@@ -354,20 +358,30 @@ func (s *Study) ExecuteResumable(ctx context.Context, co CheckpointOptions) (*st
 
 // campaign executes a checked plan: the one measurement engine behind
 // Execute. An in-process plan measures every shard and merges them; a
-// collector's measures only shard p.Shard of p.Of and stamps the dataset
-// with its shard manifest. A non-nil p.Checkpoint journals every completed
-// (shard, run) cell and, on resume, replays the journaled ones instead of
-// measuring them again.
+// collector's measures only shard p.Shard of p.Of and, once it finished,
+// stamps the dataset with its shard manifest. A non-nil p.Checkpoint
+// journals every completed (shard, run) cell and, on resume, replays the
+// journaled ones instead of measuring them again. The manifest and the
+// journal header carry the one campaign identity built here.
 func (s *Study) campaign(ctx context.Context, p Plan) (ds *store.Dataset, err error) {
 	channels, err := s.Selected()
 	if err != nil {
 		return nil, err
 	}
-	shards := s.opts.shards()
+	// The identity records a collector's fleet width and an in-process
+	// campaign's effective shard count; fleetShard is -1 in process.
+	width, fleetShard := s.opts.shards(), -1
 	if p.Of > 0 {
-		shards = p.Of
+		width, fleetShard = p.Of, p.Shard
 	}
-	eff := core.EffectiveShards(shards, len(channels))
+	eff := core.EffectiveShards(width, len(channels))
+	if p.Of == 0 {
+		width = eff
+	}
+	id, err := s.identity(channels, width)
+	if err != nil {
+		return nil, err
+	}
 	pool := &core.Pool{
 		Shards:  eff,
 		Workers: max(s.opts.Parallelism, 1),
@@ -377,17 +391,7 @@ func (s *Study) campaign(ctx context.Context, p Plan) (ds *store.Dataset, err er
 		Telemetry: s.opts.Telemetry.Controller(s.Framework.Clock.Now),
 	}
 	if p.Checkpoint != nil {
-		// The journal records an in-process campaign's effective shard
-		// count and a fleet collector's N.
-		topology, fleetShard := eff, -1
-		if p.Of > 0 {
-			topology, fleetShard = p.Of, p.Shard
-		}
-		want, err := s.checkpointHeader(channels, topology, fleetShard)
-		if err != nil {
-			return nil, err
-		}
-		cp, journal, err := openJournal(*p.Checkpoint, want)
+		cp, journal, err := s.openJournal(*p.Checkpoint, id, fleetShard)
 		if err != nil {
 			return nil, err
 		}
@@ -415,10 +419,20 @@ func (s *Study) campaign(ctx context.Context, p Plan) (ds *store.Dataset, err er
 			ds.Runs = append(ds.Runs, run)
 		}
 	}
+	s.attachTelemetry(ds)
 	if err != nil {
 		err = fmt.Errorf("hbbtvlab: shard %d: %w", p.Shard, err)
+		if !core.DegradedOnly(err) {
+			// A collector that stopped early stamps no manifest, so the
+			// merge refuses its partial dataset.
+			return ds, err
+		}
 	}
-	return ds, errors.Join(err, s.finishShard(ds, p.Shard, p.Of, channels))
+	ds.Shard = &store.ShardManifest{Shard: p.Shard, Campaign: id}
+	for _, run := range ds.Runs {
+		ds.Shard.Coverage = append(ds.Shard.Coverage, store.CoverageFromRun(run))
+	}
+	return ds, err
 }
 
 // attachTelemetry embeds the engine's final telemetry snapshot and span

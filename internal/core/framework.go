@@ -102,10 +102,9 @@ type Config struct {
 	// Seed drives channel-order randomization, the interaction sequence,
 	// and TV identifier generation.
 	Seed int64
-	// Start positions the virtual clock before the first run.
-	Start time.Time
-	// Clock, when non-nil, is shared with the world (so that e.g. tracker
-	// timestamp cookies advance with the measurement timeline).
+	// Clock is the framework's virtual clock, shared with the world (so
+	// that e.g. tracker timestamp cookies advance with the measurement
+	// timeline).
 	Clock *clock.Virtual
 	// Availability restricts per-run channel availability (nil = all).
 	Availability map[store.RunName]map[string]bool
@@ -143,16 +142,9 @@ type fwMetrics struct {
 // framework's current (channel, attempt) so retries roll fresh fault
 // decisions.
 func New(cfg Config) *Framework {
-	if cfg.Start.IsZero() {
-		cfg.Start = time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC)
-	}
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.NewVirtual(cfg.Start)
-	}
 	src := countrand.New(cfg.Seed ^ 0x5bd1e995)
 	f := &Framework{
-		Clock:        clk,
+		Clock:        cfg.Clock,
 		Telemetry:    cfg.Telemetry,
 		src:          src,
 		rng:          rand.New(src),
@@ -164,14 +156,14 @@ func New(cfg Config) *Framework {
 	}
 	rec := proxy.NewRecorder(&hostnet.Transport{
 		Net:        cfg.Internet,
-		Clock:      clk,
+		Clock:      cfg.Clock,
 		Faults:     cfg.Faults,
 		FaultScope: func() (string, int) { return f.scopeChannel, f.scopeAttempt },
 		OnFault:    f.onFault,
-	}, clk)
+	}, cfg.Clock)
 	rec.SetTelemetry(cfg.Telemetry)
 	tv := webos.New(webos.Config{
-		Clock:        clk,
+		Clock:        cfg.Clock,
 		Transport:    rec,
 		Seed:         cfg.Seed,
 		OnSwitch:     rec.SwitchChannel,

@@ -24,10 +24,10 @@ import (
 // On disk a checkpoint is an ordinary snapshot container, written and read
 // by the same writeContainer and readContainer as a dataset snapshot
 // (snapshot.go). Its lead section is secCheckpoint, holding the JSON
-// metadata — study params fingerprint, topology, channel order, and the
-// per-cell states — and one secRun section per cell carries its RunData.
-// The metadata must stay the first section: it puts the identity block at
-// a fixed offset. The dataset loader ignores the checkpoint tag, so
+// metadata — the Campaign identity, the fleet shard, the run names, and
+// the per-cell states — and one secRun section per cell carries its
+// RunData. The metadata must stay the first section: it puts the identity
+// block at a fixed offset. The dataset loader ignores the checkpoint tag, so
 // store.Load opens a checkpoint file as a plain dataset of its cell runs.
 //
 // The sidecar journal (journal.go) appends one single-cell checkpoint
@@ -91,40 +91,32 @@ type CheckpointCell struct {
 }
 
 // Checkpoint is a self-describing set of completed cells. Its identity
-// block (Params through OrderDigest) pins the campaign the cells belong
-// to, so a resume with mismatched study parameters or topology is
+// block (Campaign, FleetShard and Runs) pins the campaign the cells
+// belong to, so a resume with mismatched study parameters or topology is
 // rejected with the differing field named instead of silently producing a
 // dataset no uninterrupted run could have measured.
 type Checkpoint struct {
-	// Params is the study fingerprint — the same one the fleet layer's
-	// shard manifests carry.
-	Params StudyParams `json:"params"`
-	// Shards is the engine's shard count (Options.Shards for in-process
-	// campaigns, the fleet width for -shard collectors).
-	Shards int `json:"shards"`
+	// Campaign is the identity a fleet collector's shard manifest carries
+	// too. Its Shards is the engine's effective shard count for in-process
+	// campaigns and the fleet width for -shard collectors.
+	Campaign
 	// FleetShard is the fleet partition index for -shard i/N collectors,
 	// or -1 for in-process campaigns (which own every shard).
 	FleetShard int `json:"fleetShard"`
 	// Runs lists the run names in spec order; cell RunIndex values index
 	// into it.
 	Runs []RunName `json:"runs"`
-	// ChannelOrder is the canonical channel order with its digest — same
-	// contract as ShardManifest.
-	ChannelOrder []string `json:"channelOrder"`
-	OrderDigest  string   `json:"orderDigest"`
 	// Cells are the completed cells, in commit order.
 	Cells []*CheckpointCell `json:"cells,omitempty"`
 }
 
 // Validate checks that the loaded checkpoint describes the same campaign
-// as want (a header built from the resuming study's configuration). The
-// first mismatching field is named in the error.
+// as want (a header built from the resuming study's configuration, or a
+// journal frame read after cp's header). The first mismatching field is
+// named in the error.
 func (cp *Checkpoint) Validate(want *Checkpoint) error {
-	if field := cp.Params.diff(want.Params); field != "" {
-		return fmt.Errorf("store: checkpoint: study parameter mismatch: %s differs from the checkpointed campaign", field)
-	}
-	if cp.Shards != want.Shards {
-		return fmt.Errorf("store: checkpoint: shard count mismatch: checkpoint has %d, study wants %d", cp.Shards, want.Shards)
+	if field := cp.Diff(&want.Campaign); field != "" {
+		return fmt.Errorf("store: checkpoint: campaign mismatch: %s differs from the checkpointed campaign", field)
 	}
 	if cp.FleetShard != want.FleetShard {
 		return fmt.Errorf("store: checkpoint: fleet shard mismatch: checkpoint is for shard %s, study wants %s",
@@ -137,9 +129,6 @@ func (cp *Checkpoint) Validate(want *Checkpoint) error {
 		if name != want.Runs[i] {
 			return fmt.Errorf("store: checkpoint: run specs mismatch: run %d is %s in the checkpoint, %s in the study", i, name, want.Runs[i])
 		}
-	}
-	if cp.OrderDigest != want.OrderDigest {
-		return fmt.Errorf("store: checkpoint: channel order mismatch: checkpoint digest %s, study digest %s", cp.OrderDigest, want.OrderDigest)
 	}
 	return nil
 }

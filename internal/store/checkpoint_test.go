@@ -31,19 +31,21 @@ func readCheckpoint(r io.Reader) (*Checkpoint, error) {
 func sampleCheckpoint() *Checkpoint {
 	ds := sampleDataset()
 	return &Checkpoint{
-		Params: StudyParams{
-			Seed:         321,
-			Scale:        0.5,
-			ProbeWatchNS: int64(20 * time.Second),
-			RunsDigest:   "runs-digest",
-			FaultsDigest: "faults-digest",
-			Retry:        RetryParams{MaxAttempts: 2, BackoffNS: 1e9, QuarantineAfter: 2},
+		Campaign: Campaign{
+			Shards: 2,
+			Params: StudyParams{
+				Seed:         321,
+				Scale:        0.5,
+				ProbeWatchNS: int64(20 * time.Second),
+				RunsDigest:   "runs-digest",
+				FaultsDigest: "faults-digest",
+				Retry:        RetryParams{MaxAttempts: 2, BackoffNS: 1e9, QuarantineAfter: 2},
+			},
+			ChannelOrder: []string{"KiKA", "n-tv"},
+			OrderDigest:  ChannelOrderDigest([]string{"KiKA", "n-tv"}),
 		},
-		Shards:       2,
-		FleetShard:   -1,
-		Runs:         []RunName{RunGeneral, RunRed},
-		ChannelOrder: []string{"KiKA", "n-tv"},
-		OrderDigest:  ChannelOrderDigest([]string{"KiKA", "n-tv"}),
+		FleetShard: -1,
+		Runs:       []RunName{RunGeneral, RunRed},
 		Cells: []*CheckpointCell{
 			{
 				Shard:    0,
@@ -540,6 +542,59 @@ func TestJournalCorruptCRC(t *testing.T) {
 	}
 	if validLen != headerEnd.Size() {
 		t.Fatalf("valid length %d, want header end %d", validLen, headerEnd.Size())
+	}
+}
+
+// TestJournalRejectsForeignCell: a cell frame spliced in from another
+// campaign's journal, its CRC intact, is neither a torn tail nor a cell
+// of this journal: LoadJournal names the differing field and returns no
+// checkpoint, and ResumeJournal refuses the file.
+func TestJournalRejectsForeignCell(t *testing.T) {
+	// journal writes cp's journal with its first cell and returns the
+	// file's bytes and where its header frame ends.
+	journal := func(cp *Checkpoint) ([]byte, int64) {
+		t.Helper()
+		path := journalPath(t)
+		j, err := CreateJournal(path, cp, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		headerEnd, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(cp.Cells[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw, headerEnd.Size()
+	}
+	own, ownEnd := journal(sampleCheckpoint())
+	foreign := sampleCheckpoint()
+	foreign.Params.Seed = 999
+	other, otherEnd := journal(foreign)
+
+	path := journalPath(t)
+	spliced := append(own[:ownEnd:ownEnd], other[otherEnd:]...)
+	if err := os.WriteFile(path, spliced, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cp, _, err := LoadJournal(path)
+	if err == nil || errors.Is(err, ErrJournalTorn) || !strings.Contains(err.Error(), "seed") {
+		t.Fatalf("foreign cell frame: err = %v, want an error naming the seed", err)
+	}
+	if cp != nil {
+		t.Errorf("foreign cell frame: LoadJournal returned a checkpoint of %d cells", len(cp.Cells))
+	}
+	if _, j, err := ResumeJournal(path, 1); err == nil {
+		j.Close()
+		t.Error("ResumeJournal accepted a journal with a foreign cell frame")
 	}
 }
 

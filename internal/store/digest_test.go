@@ -117,7 +117,7 @@ func TestDigestFieldSensitivity(t *testing.T) {
 
 	ds := digestFixture()
 	ds.Telemetry = &telemetry.Snapshot{Counters: map[string]uint64{"proxy_flows_recorded": 1}}
-	ds.Shard = &ShardManifest{Shard: 1, Shards: 2, ChannelOrder: []string{"A", "B"}}
+	ds.Shard = &ShardManifest{Shard: 1, Campaign: Campaign{Shards: 2, ChannelOrder: []string{"A", "B"}}}
 	ds.Trace = &telemetry.Trace{Spans: []telemetry.Span{{Name: "visit"}}}
 	if got := mustDigest(t, ds); got != base {
 		t.Errorf("telemetry, shard manifest and trace changed the digest: %s != %s", got, base)

@@ -13,13 +13,14 @@ import (
 	"github.com/hbbtvlab/hbbtvlab/internal/telemetry"
 )
 
-// This file is the fleet layer of the measurement engine: the shard
-// manifest that makes a persisted shard dataset self-describing, the
-// content-addressed dedup tables that keep K shard loads from holding K
-// copies of identical bodies and header blocks, and the manifest-verified
-// merge (MergeShards) that recombines shard datasets — produced by
-// independent collector processes — into the byte-identical dataset a
-// single-process sharded run yields.
+// This file is the fleet layer of the measurement engine: the campaign
+// identity (Campaign) that shard manifests and checkpoint journals share,
+// the shard manifest that makes a persisted shard dataset
+// self-describing, the content-addressed dedup tables that keep K shard
+// loads from holding K copies of identical bodies and header blocks, and
+// the manifest-verified merge (MergeShards) that recombines shard
+// datasets — produced by independent collector processes — into the
+// byte-identical dataset a single-process sharded run yields.
 //
 // The merge's correctness contract mirrors MergeRunShards': every rule
 // depends only on the shard index and the canonical channel order, both
@@ -27,21 +28,16 @@ import (
 // collector finished first, which machine it ran on, and in which order
 // the shard files are handed to the merge.
 
-// ShardManifest makes a persisted shard dataset self-describing: it pins
-// the shard's position in the campaign partition, the study parameters
-// that defined the world, and the canonical channel order every shard
-// derived, so shards from mismatched configurations are rejected at merge
-// time instead of silently producing a dataset no single-process run
-// could have measured.
-type ShardManifest struct {
-	// Shard and Shards locate the dataset in the campaign partition: the
-	// dataset holds exactly the channels at canonical indices i with
-	// i % min(Shards, len(ChannelOrder)) == Shard — the same clamped
-	// strided partition the in-process engine (core.Pool) uses.
-	Shard  int `json:"shard"`
+// Campaign is a campaign's identity: its shard count, the study
+// fingerprint and the canonical channel order. It is the one record that
+// says which campaign a persisted piece of it belongs to: a shard
+// manifest and every checkpoint journal frame carry it, and every reader
+// of either checks it with Diff before trusting what it describes.
+type Campaign struct {
+	// Shards is the campaign's shard count: a fleet's width, or an
+	// in-process campaign's effective shard count.
 	Shards int `json:"shards"`
-	// Params fingerprints the study configuration. Two shards merge only
-	// when their Params are identical.
+	// Params fingerprints the study configuration.
 	Params StudyParams `json:"params"`
 	// ChannelOrder is the full canonical channel order (the funnel's
 	// output), which the merge needs to interleave shard data back into
@@ -51,6 +47,49 @@ type ShardManifest struct {
 	// OrderDigest is ChannelOrderDigest(ChannelOrder) — the cheap
 	// cross-shard identity check.
 	OrderDigest string `json:"orderDigest"`
+}
+
+// Diff names the first field in which o differs from c — a study
+// parameter ("seed", "scale", "probe watch time", "run specs", "fault
+// config", "retry policy"), then "shard count", then "channel order" —
+// or returns "" when both describe the same campaign. The parameters
+// come first because they decide the world, and with it the channel
+// order and an in-process campaign's effective shard count.
+func (c *Campaign) Diff(o *Campaign) string {
+	p, q := &c.Params, &o.Params
+	switch {
+	case p.Seed != q.Seed:
+		return "seed"
+	case p.Scale != q.Scale:
+		return "scale"
+	case p.ProbeWatchNS != q.ProbeWatchNS:
+		return "probe watch time"
+	case p.RunsDigest != q.RunsDigest:
+		return "run specs"
+	case p.FaultsDigest != q.FaultsDigest:
+		return "fault config"
+	case p.Retry != q.Retry:
+		return "retry policy"
+	case c.Shards != o.Shards:
+		return "shard count"
+	case c.OrderDigest != o.OrderDigest:
+		return "channel order"
+	}
+	return ""
+}
+
+// ShardManifest makes a persisted shard dataset self-describing: it pins
+// the shard's position in the campaign partition and the campaign it
+// belongs to, so shards from mismatched configurations are rejected at
+// merge time instead of silently producing a dataset no single-process
+// run could have measured. Only a collector that finished stamps one.
+type ShardManifest struct {
+	// Shard locates the dataset in the campaign partition: the dataset
+	// holds exactly the channels at canonical indices i with
+	// i % min(Shards, len(ChannelOrder)) == Shard — the same clamped
+	// strided partition the in-process engine (core.Pool) uses.
+	Shard int `json:"shard"`
+	Campaign
 	// Coverage summarizes the per-channel outcomes of each run the shard
 	// executed, so the merge can verify the shard measured exactly its
 	// assigned partition.
@@ -84,11 +123,11 @@ func assignedChannels(channels, shard, shards int) int {
 	return n
 }
 
-// StudyParams is the manifest's fingerprint of everything that defines a
-// campaign's results besides the partition itself. Fields are flat and
+// StudyParams is the campaign's fingerprint of everything that defines
+// its results besides the partition itself. Fields are flat and
 // comparable; composite configuration (run specs, fault plans) is carried
 // as a digest so extending those types can never silently weaken the
-// merge-time identity check.
+// identity check.
 type StudyParams struct {
 	Seed  int64   `json:"seed"`
 	Scale float64 `json:"scale"`
@@ -114,27 +153,6 @@ type RetryParams struct {
 	BackoffMaxNS    int64 `json:"backoffMaxNs"`
 	VisitDeadlineNS int64 `json:"visitDeadlineNs"`
 	QuarantineAfter int   `json:"quarantineAfter"`
-}
-
-// diff returns the name of the first field in which q differs from p, or
-// "" when the params are identical — the merge's error messages name the
-// offending parameter instead of dumping both structs.
-func (p StudyParams) diff(q StudyParams) string {
-	switch {
-	case p.Seed != q.Seed:
-		return "seed"
-	case p.Scale != q.Scale:
-		return "scale"
-	case p.ProbeWatchNS != q.ProbeWatchNS:
-		return "probe watch time"
-	case p.RunsDigest != q.RunsDigest:
-		return "run specs"
-	case p.FaultsDigest != q.FaultsDigest:
-		return "fault config"
-	case p.Retry != q.Retry:
-		return "retry policy"
-	}
-	return ""
 }
 
 // ShardRunCoverage summarizes one run's per-channel outcomes on one shard.
@@ -288,13 +306,13 @@ func (d *Dedup) Apply(ds *Dataset) {
 }
 
 // MergeShards verifies the shard manifests of K shard datasets and merges
-// them into one complete dataset: the manifests must agree on every study
-// parameter and on the canonical channel order, and together cover shards
-// 0..N-1 exactly once. Runs are aligned by name and recombined through
-// the canonical-order merge (MergeRunShards), so the result is
-// byte-identical — Digest and all — to the dataset a single-process
-// sharded run (core.Pool with Shards = N) of the same study produces,
-// degraded campaigns included.
+// them into one complete dataset: the manifests must describe one
+// Campaign and together cover shards 0..N-1 exactly once, and every shard
+// must hold every run another shard holds. Runs are aligned by name and
+// recombined through the canonical-order merge (MergeRunShards), so the
+// result is byte-identical — Digest and all — to the dataset a
+// single-process sharded run (core.Pool with Shards = N) of the same
+// study produces, degraded campaigns included.
 //
 // The shards' telemetry snapshots and span traces are merged too (see
 // telemetry.MergeShardSnapshots/MergeShardTraces): the merged dataset
@@ -315,7 +333,7 @@ func MergeShards(ctx context.Context, tele *telemetry.Shard, datasets []*Dataset
 			return nil, fmt.Errorf("store: merge: dataset %d is nil", i)
 		}
 		if ds.Shard == nil {
-			return nil, fmt.Errorf("store: merge: dataset %d has no shard manifest (not a shard dataset; measure it with -shard i/N)", i)
+			return nil, fmt.Errorf("store: merge: dataset %d has no shard manifest: it is not a shard dataset, or its collector did not finish", i)
 		}
 	}
 
@@ -327,20 +345,15 @@ func MergeShards(ctx context.Context, tele *telemetry.Shard, datasets []*Dataset
 	byShard := make([]*Dataset, n)
 	for i, ds := range datasets {
 		m := ds.Shard
-		if m.Shards != n {
-			return nil, fmt.Errorf("store: merge: manifest mismatch: dataset %d is 1 of %d shards, dataset 0 is 1 of %d", i, m.Shards, n)
+		if field := ref.Diff(&m.Campaign); field != "" {
+			return nil, fmt.Errorf("store: merge: manifest mismatch: %s differs between dataset 0 (shard %d of %d shards) and dataset %d (shard %d of %d shards)",
+				field, ref.Shard, n, i, m.Shard, m.Shards)
 		}
 		if m.Shard < 0 || m.Shard >= n {
 			return nil, fmt.Errorf("store: merge: dataset %d: shard index %d out of range [0, %d)", i, m.Shard, n)
 		}
 		if byShard[m.Shard] != nil {
 			return nil, fmt.Errorf("store: merge: duplicate shard %d of %d", m.Shard, n)
-		}
-		if field := ref.Params.diff(m.Params); field != "" {
-			return nil, fmt.Errorf("store: merge: manifest mismatch: dataset %d: %s differs from dataset 0", i, field)
-		}
-		if m.OrderDigest != ref.OrderDigest {
-			return nil, fmt.Errorf("store: merge: manifest mismatch: dataset %d: channel order differs from dataset 0", i)
 		}
 		byShard[m.Shard] = ds
 	}
@@ -355,9 +368,7 @@ func MergeShards(ctx context.Context, tele *telemetry.Shard, datasets []*Dataset
 	}
 
 	// Coverage cross-check: each shard's runs must have considered exactly
-	// the channels its partition assigns — a shard measured with a
-	// different channel list but a forged/equal order digest cannot
-	// happen, but a shard file truncated by a crashed collector can.
+	// the channels its partition assigns.
 	for s, ds := range byShard {
 		want := assignedChannels(len(ref.ChannelOrder), s, n)
 		for _, cov := range ds.Shard.Coverage {
@@ -370,7 +381,10 @@ func MergeShards(ctx context.Context, tele *telemetry.Shard, datasets []*Dataset
 
 	// Runs align by name, in first-appearance order over the shards in
 	// shard order — for a complete campaign that is exactly the spec order
-	// every shard executed.
+	// every shard executed. A shard that lacks one of them stopped before
+	// it: collectors stamp no manifest then, but files written by earlier
+	// versions carry one, and merging such a shard would leave that run's
+	// channels unmeasured.
 	var runOrder []RunName
 	seen := make(map[RunName]bool, 8)
 	for _, ds := range byShard {
@@ -378,6 +392,13 @@ func MergeShards(ctx context.Context, tele *telemetry.Shard, datasets []*Dataset
 			if !seen[run.Name] {
 				seen[run.Name] = true
 				runOrder = append(runOrder, run.Name)
+			}
+		}
+	}
+	for s, ds := range byShard {
+		for _, name := range runOrder {
+			if ds.Run(name) == nil {
+				return nil, fmt.Errorf("store: merge: shard %d has no %s run, which another shard holds: its collector did not finish", s, name)
 			}
 		}
 	}

@@ -28,7 +28,10 @@ import (
 // WriteCheckpoint container with no cells. Each cell frame carries one
 // single-cell WriteCheckpoint container stamped with the same identity
 // block — the cell format and the compact checkpoint format are the same
-// bytes, framed, and every frame is independently decodable.
+// bytes, framed, and every frame is independently decodable. The reader
+// validates every cell frame's identity block against the header's, so a
+// frame spliced in from another campaign's journal is refused even though
+// its CRC holds.
 //
 // A crash can tear only the frame being written. The reader verifies
 // each frame's length and CRC and stops at the first damaged one,
@@ -100,7 +103,7 @@ func CreateJournal(path string, header *Checkpoint, syncEvery int) (*CheckpointJ
 		f.Close()
 		return nil, err
 	}
-	if err := j.Sync(); err != nil {
+	if err := j.syncLocked(); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -165,14 +168,8 @@ func (j *CheckpointJournal) write(frame []byte) error {
 	return nil
 }
 
-// Sync flushes the journal to stable storage.
-func (j *CheckpointJournal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.syncLocked()
-}
-
-// syncLocked is Sync for a caller holding j.mu.
+// syncLocked flushes the journal to stable storage. The caller holds j.mu
+// or has not shared j yet.
 func (j *CheckpointJournal) syncLocked() error {
 	j.sinceSync = 0
 	if err := j.f.Sync(); err != nil {
@@ -253,6 +250,9 @@ func LoadJournal(path string) (*Checkpoint, int64, error) {
 			}
 			if len(one.Cells) != 1 {
 				return nil, 0, fmt.Errorf("store: checkpoint journal: cell frame at offset %d holds %d cells", frameStart, len(one.Cells))
+			}
+			if err := cp.Validate(one); err != nil {
+				return nil, 0, fmt.Errorf("store: checkpoint journal: cell frame at offset %d belongs to another campaign: %w", frameStart, err)
 			}
 			cell := one.Cells[0]
 			if err := cp.checkCell(cell); err != nil {

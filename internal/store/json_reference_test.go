@@ -135,16 +135,19 @@ func fixtureDataset() *Dataset {
 	}
 	order := []string{"A", "B"}
 	ds.Shard = &ShardManifest{
-		Shard: 0, Shards: 2,
-		Params: StudyParams{
-			Seed: 1, Scale: 0.05, ProbeWatchNS: int64(20 * time.Second),
-			RunsDigest: "runs", FaultsDigest: "faults",
-			Retry: RetryParams{MaxAttempts: 2, BackoffNS: int64(2 * time.Second), BackoffMaxNS: int64(time.Minute),
-				VisitDeadlineNS: int64(5 * time.Minute), QuarantineAfter: 2},
+		Shard: 0,
+		Campaign: Campaign{
+			Shards: 2,
+			Params: StudyParams{
+				Seed: 1, Scale: 0.05, ProbeWatchNS: int64(20 * time.Second),
+				RunsDigest: "runs", FaultsDigest: "faults",
+				Retry: RetryParams{MaxAttempts: 2, BackoffNS: int64(2 * time.Second), BackoffMaxNS: int64(time.Minute),
+					VisitDeadlineNS: int64(5 * time.Minute), QuarantineAfter: 2},
+			},
+			ChannelOrder: order,
+			OrderDigest:  ChannelOrderDigest(order),
 		},
-		ChannelOrder: order,
-		OrderDigest:  ChannelOrderDigest(order),
-		Coverage:     []ShardRunCoverage{{Run: RunRed, Date: t0, Channels: 1, OK: 1, Failed: 1, Skipped: 1, Quarantined: 1}},
+		Coverage: []ShardRunCoverage{{Run: RunRed, Date: t0, Channels: 1, OK: 1, Failed: 1, Skipped: 1, Quarantined: 1}},
 	}
 	ds.Trace = &telemetry.Trace{
 		Spans: []telemetry.Span{

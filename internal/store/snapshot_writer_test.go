@@ -56,7 +56,7 @@ func writerDataset(t testing.TB) *Dataset {
 	sizes := []int{0, 1, 2047, 2048, 2049, 4097}
 	names := []RunName{RunGeneral, RunRed, RunGreen, RunBlue, RunYellow, "Extra"}
 	ds := &Dataset{
-		Shard:     &ShardManifest{Shard: 0, Shards: 1, ChannelOrder: channels},
+		Shard:     &ShardManifest{Shard: 0, Campaign: Campaign{Shards: 1, ChannelOrder: channels}},
 		Telemetry: &telemetry.Snapshot{Counters: map[string]uint64{"proxy_flows_recorded": 1}},
 	}
 	id := int64(0)

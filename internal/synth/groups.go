@@ -95,13 +95,3 @@ var groups = []OperatorGroup{
 	{Name: "IndependentShops", FirstParty: "teleshop-apps.de", Weight: 14, Category: dvb.CategoryShopping,
 		NoticeStyle: 4, PolicyTemplate: 6, UsesTVPing: true},
 }
-
-// totalGroupWeight is the sum of group weights (the analyzed-channel
-// count at scale 1.0).
-func totalGroupWeight() int {
-	n := 0
-	for _, g := range groups {
-		n += g.Weight
-	}
-	return n
-}

@@ -94,6 +94,16 @@ func TestFunnelPopulationShape(t *testing.T) {
 	}
 }
 
+// totalGroupWeight is the sum of group weights (the analyzed-channel
+// count at scale 1.0).
+func totalGroupWeight() int {
+	n := 0
+	for _, g := range groups {
+		n += g.Weight
+	}
+	return n
+}
+
 func TestGroupWeightsSumToFinal(t *testing.T) {
 	if got := totalGroupWeight(); got != paperFinal {
 		t.Fatalf("group weights sum to %d, want %d", got, paperFinal)

@@ -214,21 +214,6 @@ func TestConsentCookieIsTimestampValued(t *testing.T) {
 	}
 }
 
-func TestPlatformTrafficWhenEnabled(t *testing.T) {
-	in := hostnet.New()
-	in.HandleFunc("snu.lge.com", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "{}")
-	})
-	vc := clock.NewVirtual(time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC))
-	rec := proxy.NewRecorder(&hostnet.Transport{Net: in}, vc)
-	tv := New(Config{Clock: vc, Transport: rec, Seed: 1, PlatformTraffic: true})
-	tv.PowerOn()
-	flows := rec.Flows()
-	if len(flows) != 1 || !strings.Contains(flows[0].URL.Host, "lge.com") {
-		t.Errorf("platform traffic flows = %v", flows)
-	}
-}
-
 func TestKeysIgnoredWithoutApp(t *testing.T) {
 	vc := clock.NewVirtual(time.Date(2023, 8, 21, 9, 0, 0, 0, time.UTC))
 	rec := proxy.NewRecorder(&hostnet.Transport{Net: hostnet.New()}, vc)

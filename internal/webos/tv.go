@@ -49,15 +49,11 @@ var LGDevice = DeviceInfo{
 type Config struct {
 	Clock     clock.Clock
 	Transport http.RoundTripper // the proxy recorder
-	Device    DeviceInfo
 	// OnSwitch is invoked on every channel switch (the remote-control
 	// script forwarded switches to the proxy for attribution).
 	OnSwitch func(name, id string)
 	// Seed drives session/user identifier generation.
 	Seed int64
-	// PlatformTraffic enables the TV's own phone-home traffic to lge.com.
-	// The study disabled all configurable platform communication.
-	PlatformTraffic bool
 	// Telemetry, when non-nil, counts tunes, key presses, screenshots,
 	// and app loads on the shard's telemetry slot.
 	Telemetry *telemetry.Shard
@@ -225,9 +221,6 @@ func New(cfg Config) *TV {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	if cfg.Device == (DeviceInfo{}) {
-		cfg.Device = LGDevice
-	}
 	src := countrand.New(cfg.Seed)
 	tv := &TV{
 		cfg:     cfg,
@@ -240,7 +233,7 @@ func New(cfg Config) *TV {
 	tv.userID = tv.newID("u")
 	tv.userAgent = fmt.Sprintf(
 		"Mozilla/5.0 (Web0S; Linux/SmartTV) AppleWebKit/537.36 HbbTV/1.5.1 (+DRM; %s; %s; %s;)",
-		cfg.Device.Manufacturer, cfg.Device.Model, cfg.Device.OS)
+		LGDevice.Manufacturer, LGDevice.Model, LGDevice.OS)
 	tv.hdr = make(http.Header, 4)
 	tv.uaValue = []string{tv.userAgent}
 	tv.metrics = tvMetrics{
@@ -262,11 +255,6 @@ func (tv *TV) newID(prefix string) string {
 func (tv *TV) PowerOn() {
 	tv.powered = true
 	tv.sessionID = tv.newID("s")
-	if tv.cfg.PlatformTraffic {
-		// The TV itself phones home; the study disabled this and excluded
-		// lge.com traffic. Modeled so the exclusion has something to drop.
-		_ = tv.get("http://snu.lge.com/checkupdate?model="+url.QueryEscape(tv.cfg.Device.Model), "")
-	}
 	tv.logf(LogApp, "power on (session %s)", tv.sessionID)
 }
 
@@ -434,10 +422,10 @@ func (tv *TV) appVars(withClock bool) appmodel.Vars {
 	v := appmodel.Vars{
 		SessionID:    tv.sessionID,
 		UserID:       tv.userID,
-		Manufacturer: tv.cfg.Device.Manufacturer,
-		Model:        tv.cfg.Device.Model,
-		OS:           tv.cfg.Device.OS,
-		Language:     tv.cfg.Device.Language,
+		Manufacturer: LGDevice.Manufacturer,
+		Model:        LGDevice.Model,
+		OS:           LGDevice.OS,
+		Language:     LGDevice.Language,
 	}
 	if withClock {
 		now := tv.clk.Now()
@@ -533,10 +521,10 @@ func (tv *TV) loadApp(entry string) error {
 		if err := tv.get(resolveRef(base, fp.ScriptURL), base.String()); err == nil {
 			report := map[string]any{
 				"apis":         fp.APIs,
-				"manufacturer": tv.cfg.Device.Manufacturer,
-				"model":        tv.cfg.Device.Model,
-				"os":           tv.cfg.Device.OS,
-				"language":     tv.cfg.Device.Language,
+				"manufacturer": LGDevice.Manufacturer,
+				"model":        LGDevice.Model,
+				"os":           LGDevice.OS,
+				"language":     LGDevice.Language,
 				"localTime":    app.vars.LocalTime,
 				"canvas":       tv.pseudoFingerprint("canvas"),
 				"webgl":        tv.pseudoFingerprint("webgl"),
@@ -548,10 +536,10 @@ func (tv *TV) loadApp(entry string) error {
 	// Explicit data-leak reports.
 	for _, target := range spec.LeakTechnical {
 		u := addQuery(resolveRef(base, target), url.Values{
-			"manufacturer": {tv.cfg.Device.Manufacturer},
-			"model":        {tv.cfg.Device.Model},
-			"os":           {tv.cfg.Device.OS},
-			"language":     {tv.cfg.Device.Language},
+			"manufacturer": {LGDevice.Manufacturer},
+			"model":        {LGDevice.Model},
+			"os":           {LGDevice.OS},
+			"language":     {LGDevice.Language},
 			"localtime":    {app.vars.LocalTime},
 		})
 		if err := tv.get(u, base.String()); err != nil {
@@ -923,7 +911,7 @@ func drain(resp *http.Response) {
 // API — what a canvas/WebGL fingerprint boils down to for the analysis.
 func (tv *TV) pseudoFingerprint(api string) string {
 	h := uint64(1469598103934665603)
-	for _, b := range []byte(api + tv.cfg.Device.Model + tv.cfg.Device.OS + tv.userID) {
+	for _, b := range []byte(api + LGDevice.Model + LGDevice.OS + tv.userID) {
 		h ^= uint64(b)
 		h *= 1099511628211
 	}

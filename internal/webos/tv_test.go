@@ -130,9 +130,6 @@ func newFixture(t *testing.T) *testFixture {
 		w.Header().Set("Content-Type", "image/gif")
 		w.WriteHeader(http.StatusOK)
 	})
-	in.HandleFunc("snu.lge.com", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "{}")
-	})
 
 	vc := clock.NewVirtual(time.Date(2023, 9, 27, 14, 0, 0, 0, time.UTC))
 	rec := proxy.NewRecorder(&hostnet.Transport{Net: in}, vc)
@@ -355,16 +352,6 @@ func TestTVWipeBrowserState(t *testing.T) {
 	fx.tv.WipeBrowserState()
 	if fx.tv.CookieJar().Len() != 0 || fx.tv.Storage().Len() != 0 {
 		t.Error("wipe left state behind")
-	}
-}
-
-func TestTVPlatformTrafficExcludedByDefault(t *testing.T) {
-	fx := newFixture(t)
-	fx.tv.PowerOn()
-	for _, f := range fx.rec.Flows() {
-		if strings.Contains(f.URL.Host, "lge.com") {
-			t.Errorf("platform traffic present despite being disabled: %v", f.URL)
-		}
 	}
 }
 

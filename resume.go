@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"github.com/hbbtvlab/hbbtvlab/internal/core"
-	"github.com/hbbtvlab/hbbtvlab/internal/dvb"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
 
@@ -34,42 +33,21 @@ type CheckpointOptions struct {
 	Resume bool
 }
 
-// checkpointHeader builds the self-describing journal header for this
-// study: the parameter fingerprint, the engine topology (shards, and the
-// fleet shard index or -1 for an in-process campaign), the run names in
-// order, and the canonical channel order. Resume validates a loaded
-// journal against exactly this value.
-func (s *Study) checkpointHeader(channels []*dvb.Service, shards, fleetShard int) (*store.Checkpoint, error) {
-	params, err := s.studyParams()
-	if err != nil {
-		return nil, err
-	}
-	order := make([]string, len(channels))
-	for i, svc := range channels {
-		order[i] = svc.Name
-	}
-	runs := make([]store.RunName, len(s.opts.Runs))
-	for i, spec := range s.opts.Runs {
-		runs[i] = spec.Name
-	}
-	return &store.Checkpoint{
-		Params:       params,
-		Shards:       shards,
-		FleetShard:   fleetShard,
-		Runs:         runs,
-		ChannelOrder: order,
-		OrderDigest:  store.ChannelOrderDigest(order),
-	}, nil
-}
-
-// openJournal opens the campaign's checkpoint journal: a cold start
-// creates it (refusing to clobber an existing file), a resume loads it,
-// truncates any torn tail, and validates it against the study at hand.
-// The journal fsyncs after every appended cell. The returned Checkpoint
-// carries the journaled cells (none on a cold start).
-func openJournal(co CheckpointOptions, want *store.Checkpoint) (*store.Checkpoint, *store.CheckpointJournal, error) {
+// openJournal opens the checkpoint journal of campaign id, measured as
+// fleet shard fleetShard (-1 for an in-process campaign). Its header is
+// id with the fleet shard and the run names in order: a cold start
+// creates the journal with it (refusing to clobber an existing file), a
+// resume loads the journal, truncates any torn tail, and validates it
+// against exactly this header. The journal fsyncs after every appended
+// cell. The returned Checkpoint carries the journaled cells (none on a
+// cold start).
+func (s *Study) openJournal(co CheckpointOptions, id store.Campaign, fleetShard int) (*store.Checkpoint, *store.CheckpointJournal, error) {
 	if co.Path == "" {
 		return nil, nil, errors.New("hbbtvlab: checkpoint: journal path is empty")
+	}
+	want := &store.Checkpoint{Campaign: id, FleetShard: fleetShard, Runs: make([]store.RunName, len(s.opts.Runs))}
+	for i, spec := range s.opts.Runs {
+		want.Runs[i] = spec.Name
 	}
 	if co.Resume {
 		cp, journal, err := store.ResumeJournal(co.Path, 1)
