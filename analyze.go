@@ -1,7 +1,6 @@
 package hbbtvlab
 
 import (
-	"slices"
 	"sort"
 	"time"
 
@@ -609,25 +608,18 @@ func analyzeConsent(env *analysisEnv, res *Results) {
 	res.Consent = f
 }
 
-// analyzePolicies reproduces Section VII. Corpus collection finds the HTML
-// responses over row chunks, then extracts, classifies and annotates each
-// distinct body once, one body per parallel task; the fold over the HTML
-// rows keeps what depends on the row (the URL-based rescue, runs and
-// channels, a doc's first URL and host).
+// analyzePolicies reproduces Section VII. Corpus collection extracts,
+// classifies and annotates each distinct HTML document of the index once,
+// one body per parallel task; the fold over the document rows keeps what
+// depends on the row (the URL-based rescue, runs and channels, a doc's
+// first URL and host).
 func analyzePolicies(env *analysisEnv, res *Results) {
 	cols := env.ix.Columns()
-	n := cols.Rows()
-	parts := make([][]int32, sectionChunks(n))
-	if !env.scanChunks(n, func(chunk, lo, hi int) {
-		parts[chunk] = policy.ScanFlows(cols.Flows, lo, hi)
-	}) {
-		return
-	}
-	bodies := policy.NewBodies(cols.Flows, slices.Concat(parts...))
+	bodies := policy.NewBodies(cols)
 	if !env.scanChunksSized(bodies.Len(), 1, func(_, lo, hi int) { bodies.Classify(lo, hi) }) {
 		return
 	}
-	corpus := bodies.Collect(cols.Flows, cols.RunName)
+	corpus := bodies.Collect()
 	f := PolicyFindings{
 		Corpus:         corpus,
 		RightsCoverage: policy.RightsCoverage(corpus.Texts()),

@@ -4,7 +4,10 @@
 //
 // Usage:
 //
-//	hbbtv-analyze [-seed N] [-scale F] [-j N] -t table1|table2|table3|table4|table5|fig5|fig6|fig7|fig8|findings|all
+//	hbbtv-analyze [-seed N] [-scale F] [-probewatch D] [-j N] -t TARGET
+//	hbbtv-analyze -in FILE [-j N] -t TARGET
+//
+// TARGET is table1|table2|table3|table4|table5|fig5|fig6|fig7|fig8|findings|all.
 package main
 
 import (
@@ -52,7 +55,7 @@ func run(args []string, w io.Writer) error {
 	var study cli.Study
 	var jobs cli.Jobs
 	study.Register(fs)
-	jobs.Register(fs, "the analysis engine")
+	jobs.Register(fs, "worker goroutines for the analysis engine (0 = serial; results are identical for every j)")
 	target := fs.String("t", "all", "what to print: table1..table5, fig5..fig8, findings, all")
 	in := fs.String("in", "", "analyze a dataset saved by hbbtv-measure -snapshot (or a gzip-JSON file an earlier version wrote with -save) instead of re-measuring")
 	probe := fs.Duration("probewatch", 0, "override the exploratory per-channel watch time (0 = paper's 910s)")
@@ -61,6 +64,15 @@ func run(args []string, w io.Writer) error {
 	}
 	if err := jobs.Validate(); err != nil {
 		return err
+	}
+	var conflict error
+	fs.Visit(func(f *flag.Flag) {
+		if *in != "" && conflict == nil && (f.Name == "seed" || f.Name == "scale" || f.Name == "probewatch") {
+			conflict = fmt.Errorf("-%s describes a campaign to measure; it conflicts with -in, which analyzes a saved one", f.Name)
+		}
+	})
+	if conflict != nil {
+		return conflict
 	}
 	sections, ok := targetSections[*target]
 	if !ok {

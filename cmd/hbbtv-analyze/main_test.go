@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -55,5 +57,33 @@ func TestRunRejectsInvalidOptions(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-scale", "-1"}, &buf); err == nil {
 		t.Fatal("expected option-validation error for negative scale")
+	}
+}
+
+// TestRunInRejectsCampaignFlags: -seed, -scale and -probewatch describe a
+// campaign to measure, and -in measures none, so each is an error with -in
+// instead of being ignored.
+func TestRunInRejectsCampaignFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(f, &store.Dataset{}, store.FormatSnapshot); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-in", path, "-t", "table1"}, &buf); err != nil {
+		t.Fatalf("-in alone: %v", err)
+	}
+	for _, flagArgs := range [][]string{{"-seed", "999"}, {"-scale", "3"}, {"-probewatch", "5s"}} {
+		args := append([]string{"-in", path, "-t", "table1"}, flagArgs...)
+		err := run(args, &buf)
+		if err == nil || !strings.Contains(err.Error(), flagArgs[0]) || !strings.Contains(err.Error(), "-in") {
+			t.Errorf("%v: error %v, want one naming %s and -in", args, err, flagArgs[0])
+		}
 	}
 }

@@ -140,7 +140,7 @@ func run(args []string) error {
 	var shardFlag cli.Shard
 	var ckpt cli.Checkpoint
 	world.Register(fs)
-	jobs.Register(fs, "the measurement engine, whose default shard count is 1 at -j 0 and 8 otherwise")
+	jobs.Register(fs, "worker goroutines for the measurement engine (0 = the one-shard campaign, run serially; for every -j >= 1 the results are identical at a fixed -shards, default 8)")
 	telem.Register(fs)
 	output.Register(fs, "the FULL dataset")
 	shardFlag.Register(fs)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -162,9 +163,9 @@ func TestColumnarAnalyzeEquivalence(t *testing.T) {
 
 // TestColumnarIndexEquivalence compares store.BuildIndex with the
 // row-by-row reference fold: every exported aggregate (FirstParty,
-// Channels, Window, Runs, SetEvents, PerChannelTracking) and every row's
-// flow, run, URL, host, party and kind must agree, for serial and parallel
-// builds.
+// Channels, Window, Runs, SetEvents, PerChannelTracking), every row's run,
+// URL, host, party and kind, and the HTML document rows with their bodies
+// must agree, for serial and parallel builds.
 func TestColumnarIndexEquivalence(t *testing.T) {
 	for _, seed := range equivalenceSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -198,13 +199,11 @@ func TestColumnarIndexEquivalence(t *testing.T) {
 					t.Errorf("%s: PerChannelTracking differs", label)
 				}
 				cols := ix.Columns()
-				if ix.FlowCount() != len(ref.Flows) {
-					t.Fatalf("%s: FlowCount %d, reference %d", label, ix.FlowCount(), len(ref.Flows))
+				if ix.FlowCount() != len(ref.Run) {
+					t.Fatalf("%s: FlowCount %d, reference %d", label, ix.FlowCount(), len(ref.Run))
 				}
-				for i := range ref.Flows {
+				for i := range ref.Run {
 					switch {
-					case cols.Flows[i] != ref.Flows[i]:
-						t.Fatalf("%s: row %d holds another flow", label, i)
 					case cols.RunName(i) != ref.Run[i]:
 						t.Fatalf("%s: row %d run %q, reference %q", label, i, cols.RunName(i), ref.Run[i])
 					case cols.Kind[i] != ref.Kind[i]:
@@ -216,6 +215,24 @@ func TestColumnarIndexEquivalence(t *testing.T) {
 					case cols.Host(i) != ref.Host[i]:
 						t.Fatalf("%s: row %d host %q, reference %q", label, i, cols.Host(i), ref.Host[i])
 					}
+				}
+				if len(ref.DocRows) == 0 {
+					t.Fatalf("%s: the reference lists no HTML documents", label)
+				}
+				if !slices.Equal(cols.DocRows, ref.DocRows) || len(cols.DocBody) != len(ref.DocRows) {
+					t.Fatalf("%s: document rows differ from the reference (%d rows, reference %d)", label, len(cols.DocRows), len(ref.DocRows))
+				}
+				for j, row := range ref.DocRows {
+					if cols.Docs[cols.DocBody[j]] != ref.DocBody[j] {
+						t.Fatalf("%s: document row %d holds another body", label, row)
+					}
+				}
+				distinct := make(map[string]bool)
+				for _, body := range ref.DocBody {
+					distinct[body] = true
+				}
+				if len(cols.Docs) != len(distinct) {
+					t.Errorf("%s: %d distinct document bodies, reference %d", label, len(cols.Docs), len(distinct))
 				}
 			}
 		})

@@ -28,17 +28,16 @@ func (s *Study) Register(fs *flag.FlagSet) {
 	fs.Float64Var(&s.Scale, "scale", 1.0, "world scale (1.0 = paper scale, 396 channels)")
 }
 
-// Jobs is the worker-count flag. The purpose string completes the usage
-// line ("the sharded measurement engine", "the analysis engine"), because
-// what -j parallelizes differs per command while its contract — results
-// are identical for every value — does not.
+// Jobs is the worker-count flag. Each command writes its usage text,
+// because what -j parallelizes, and what it promises about the results,
+// differ per command.
 type Jobs struct {
 	N int
 }
 
-// Register installs -j.
-func (j *Jobs) Register(fs *flag.FlagSet, purpose string) {
-	fs.IntVar(&j.N, "j", 0, fmt.Sprintf("worker goroutines for %s (0 = serial; results are identical for every j)", purpose))
+// Register installs -j with the command's usage text.
+func (j *Jobs) Register(fs *flag.FlagSet, usage string) {
+	fs.IntVar(&j.N, "j", 0, usage)
 }
 
 // Validate rejects negative worker counts.

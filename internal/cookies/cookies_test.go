@@ -325,7 +325,7 @@ func TestScanSyncingSplitInvariance(t *testing.T) {
 			t.Errorf("split at %d: %+v, want %+v", k, got, whole)
 		}
 	}
-	if ref := detectSyncing(ix.Dataset.Runs, ix.SetEvents, winStart, winEnd); !reflect.DeepEqual(ref, whole) {
+	if ref := detectSyncing([]*store.RunData{run}, ix.SetEvents, winStart, winEnd); !reflect.DeepEqual(ref, whole) {
 		t.Errorf("scanned syncs = %+v, reference = %+v", whole, ref)
 	}
 }
@@ -353,7 +353,7 @@ func TestSyncingTargetIsPerRow(t *testing.T) {
 		t.Errorf("syncs = %+v, want %+v", syncs, want)
 	}
 	ix := buildIndex(t, run)
-	if ref := detectSyncing(ix.Dataset.Runs, ix.SetEvents, winStart, winEnd); !reflect.DeepEqual(ref, want) {
+	if ref := detectSyncing([]*store.RunData{run}, ix.SetEvents, winStart, winEnd); !reflect.DeepEqual(ref, want) {
 		t.Errorf("reference syncs = %+v, want %+v", ref, want)
 	}
 }

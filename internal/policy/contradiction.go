@@ -96,7 +96,7 @@ type WindowViolation struct {
 
 // CheckAdWindow finds the tracking requests on the given channels outside
 // the declared window: the index rows whose kind meets the paper's
-// tracking definition, reported in row order.
+// tracking definition, reported in row order. A row's time is read in UTC.
 func CheckAdWindow(cols *store.Columns, channels []string, w AdWindow) []WindowViolation {
 	covered := make([]bool, cols.Channels.Len())
 	for _, c := range channels {
@@ -109,12 +109,12 @@ func CheckAdWindow(cols *store.Columns, channels []string, w AdWindow) []WindowV
 		if ch < 0 || !covered[ch] || !cols.Kind[i].Tracking() {
 			continue
 		}
-		f := cols.Flows[i]
-		if w.Contains(f.Time) {
+		t := time.Unix(0, cols.TimeNS[i]).UTC()
+		if w.Contains(t) {
 			continue
 		}
 		out = append(out, WindowViolation{
-			Run: cols.RunName(i), Channel: f.Channel, Host: cols.Host(i), Time: f.Time,
+			Run: cols.RunName(i), Channel: cols.Channels.String(ch), Host: cols.Host(i), Time: t,
 		})
 	}
 	return out
@@ -131,9 +131,6 @@ const (
 	// ContradictionOptOut: targeted advertising framed as opt-out, which
 	// requires opt-in consent under the GDPR.
 	ContradictionOptOut Contradiction = "opt_out_for_targeted_ads"
-	// ContradictionUndisclosed3P: third-party tracking observed without a
-	// third-party sharing declaration.
-	ContradictionUndisclosed3P Contradiction = "undisclosed_third_party_sharing"
 )
 
 // CheckStatic evaluates the per-policy contradictions that need no traffic:
@@ -144,13 +141,4 @@ func CheckStatic(practices map[Practice]bool) []Contradiction {
 		out = append(out, ContradictionOptOut)
 	}
 	return out
-}
-
-// CheckThirdPartyDisclosure flags policies that do not declare third-party
-// sharing although the channel's traffic contains third-party trackers.
-func CheckThirdPartyDisclosure(practices map[Practice]bool, observedThirdPartyTrackers bool) []Contradiction {
-	if observedThirdPartyTrackers && !practices[PracticeThirdPartySharing] {
-		return []Contradiction{ContradictionUndisclosed3P}
-	}
-	return nil
 }

@@ -1,11 +1,10 @@
 package policy
 
 import (
+	"net/url"
 	"sort"
 	"strings"
 
-	"github.com/hbbtvlab/hbbtvlab/internal/intern"
-	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
 
@@ -51,36 +50,15 @@ type Corpus struct {
 // manual-correction stand-in.
 var policyURLHints = []string{"datenschutz", "privacy", "dsgvo", "gdpr"}
 
-// ScanFlows returns the rows in [lo, hi) (dataset row order) whose
-// responses the collection pipeline reads: status-200 HTML responses with
-// a body. Scans of consecutive ranges, concatenated in range order, equal
-// the scan of their union.
-func ScanFlows(flows []*proxy.Flow, lo, hi int) []int32 {
-	var rows []int32
-	for i := lo; i < hi; i++ {
-		f := flows[i]
-		if f.StatusCode != 200 || len(f.ResponseBody) == 0 {
-			continue
-		}
-		if !strings.HasPrefix(f.ContentType(), "text/html") {
-			continue
-		}
-		rows = append(rows, int32(i))
-	}
-	return rows
-}
-
-// Bodies is the collection pipeline's work per distinct response body:
-// text extraction, classification, and — for a body that is a policy on
-// some row — hashing, language detection and annotation each run once per
-// body, however many rows serve it. Only what depends on the row stays per
-// row (see Collect). Fill it with Classify over every body ID, then fold
-// the rows with Collect.
+// Bodies is the collection pipeline's work per distinct HTML document
+// of an index (store.Columns.Docs): text extraction, classification, and
+// — for a body that is a policy on some row — hashing, language detection
+// and annotation each run once per body, however many rows serve it. Only
+// what depends on the row stays per row (see Collect). Fill it with
+// Classify over every body ID, then fold the rows with Collect.
 type Bodies struct {
-	rows   []int32  // the HTML rows, in row order
-	bodyOf []int32  // body ID of each entry of rows
-	bodies []string // distinct bodies, in first-occurrence order
-	info   []bodyInfo
+	cols *store.Columns
+	info []bodyInfo
 }
 
 // bodyInfo is Classify's result for one body.
@@ -93,27 +71,19 @@ type bodyInfo struct {
 	doc Doc
 }
 
-// NewBodies interns the response bodies of rows (ScanFlows output, in row
-// order) into a table of distinct bodies.
-func NewBodies(flows []*proxy.Flow, rows []int32) *Bodies {
-	ids := intern.NewStrings(0)
-	b := &Bodies{rows: rows, bodyOf: make([]int32, len(rows))}
-	for j, row := range rows {
-		b.bodyOf[j] = ids.InternBytes(flows[row].ResponseBody)
-	}
-	b.bodies = ids.All()
-	b.info = make([]bodyInfo, len(b.bodies))
-	return b
+// NewBodies returns the pipeline over the HTML documents of cols.
+func NewBodies(cols *store.Columns) *Bodies {
+	return &Bodies{cols: cols, info: make([]bodyInfo, len(cols.Docs))}
 }
 
 // Len returns the number of distinct bodies, the ID range of Classify.
-func (b *Bodies) Len() int { return len(b.bodies) }
+func (b *Bodies) Len() int { return len(b.info) }
 
 // Classify extracts and classifies bodies [lo, hi); each ID writes its
 // own slot.
 func (b *Bodies) Classify(lo, hi int) {
 	for id := lo; id < hi; id++ {
-		body := b.bodies[id]
+		body := b.cols.Docs[id]
 		text := ExtractText(body)
 		in := bodyInfo{
 			policy:      IsPolicy(text),
@@ -134,45 +104,46 @@ func (b *Bodies) Classify(lo, hi int) {
 	}
 }
 
-// Collect folds the rows, in row order (runName resolves a row's run),
-// into the corpus: classify, deduplicate by text hash, and book runs and
-// channels. A text the classifier rejects still counts on a row whose URL
-// path hints at a policy, if the text names "datenschutz"; such rows count
-// as corrected false negatives. A doc takes its URL and host from the
-// first row that counts it.
-func (b *Bodies) Collect(flows []*proxy.Flow, runName func(int) store.RunName) *Corpus {
+// Collect folds the document rows, in row order, into the corpus:
+// classify, deduplicate by text hash, and book runs and channels. A text
+// the classifier rejects still counts on a row whose URL path hints at a
+// policy, if the text names "datenschutz"; such rows count as corrected
+// false negatives. A doc takes its URL and host from the first row that
+// counts it.
+func (b *Bodies) Collect() *Corpus {
+	cols := b.cols
 	c := &Corpus{
 		PerRun:     make(map[store.RunName]int),
 		ByLanguage: make(map[Language]int),
 	}
 	byHash := make(map[string]*Doc)
-	for j, row := range b.rows {
-		f := flows[row]
-		in := &b.info[b.bodyOf[j]]
+	for j, row32 := range cols.DocRows {
+		row := int(row32)
+		in := &b.info[cols.DocBody[j]]
 		if !in.policy {
 			// Manual-evaluation stand-in: URL hints plus minimal legal
 			// vocabulary rescue texts that mix disclosures with
 			// unrelated content (discounts, usage instructions).
-			if !in.datenschutz || !urlLooksLikePolicy(f.URL.Path) {
+			if !in.datenschutz || !urlLooksLikePolicy(cols.URL(row)) {
 				continue
 			}
 			c.CorrectedFalseNegatives++
 		}
-		run := runName(int(row))
+		run := cols.RunName(row)
 		c.Occurrences++
 		c.PerRun[run]++
 		doc := byHash[in.doc.SHA1]
 		if doc == nil {
 			d := in.doc
-			d.URL = f.URL.String()
-			d.Host = f.Host()
+			d.URL = cols.URL(row)
+			d.Host = cols.Host(row)
 			doc = &d
 			byHash[d.SHA1] = doc
 			c.Unique = append(c.Unique, doc)
 		}
 		addUnique(&doc.Runs, run)
-		if f.Channel != "" {
-			addUniqueStr(&doc.Channels, f.Channel)
+		if ch := cols.ChannelID[row]; ch >= 0 {
+			addUniqueStr(&doc.Channels, cols.Channels.String(ch))
 		}
 	}
 	sort.Slice(c.Unique, func(a, b int) bool { return c.Unique[a].SHA1 < c.Unique[b].SHA1 })
@@ -191,8 +162,14 @@ func (b *Bodies) Collect(flows []*proxy.Flow, runName func(int) store.RunName) *
 	return c
 }
 
-func urlLooksLikePolicy(path string) bool {
-	low := strings.ToLower(path)
+// urlLooksLikePolicy reports whether the path of rawURL carries a policy
+// hint; the host and the query do not count.
+func urlLooksLikePolicy(rawURL string) bool {
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return false
+	}
+	low := strings.ToLower(u.Path)
 	for _, h := range policyURLHints {
 		if strings.Contains(low, h) {
 			return true

@@ -69,13 +69,23 @@ func flatten(ds *store.Dataset) ([]*proxy.Flow, []store.RunName) {
 	return flows, runs
 }
 
-// collect runs the collection pipeline over every flow of ds, each pass
-// as one chunk, walking the runs directly instead of an index's rows.
-func collect(ds *store.Dataset) *Corpus {
-	flows, runs := flatten(ds)
-	b := NewBodies(flows, ScanFlows(flows, 0, len(flows)))
+// columns builds the index of ds with the zero IndexConfig.
+func columns(t *testing.T, ds *store.Dataset) *store.Columns {
+	t.Helper()
+	ix, err := store.BuildIndex(context.Background(), ds, store.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix.Columns()
+}
+
+// collect runs the collection pipeline over the index of ds, classifying
+// every body in one pass.
+func collect(t *testing.T, ds *store.Dataset) *Corpus {
+	t.Helper()
+	b := NewBodies(columns(t, ds))
 	b.Classify(0, b.Len())
-	return b.Collect(flows, func(i int) store.RunName { return runs[i] })
+	return b.Collect()
 }
 
 // collectReference is the serial reference of the pipeline: it extracts,
@@ -128,7 +138,7 @@ func collectReference(ds *store.Dataset) *Corpus {
 }
 
 func TestCollectPipeline(t *testing.T) {
-	c := collect(pipelineDataset())
+	c := collect(t, pipelineDataset())
 	if c.Occurrences != 5 { // 3×A + B + english; misc rejected
 		t.Errorf("occurrences = %d, want 5", c.Occurrences)
 	}
@@ -180,7 +190,7 @@ func TestCollectManualCorrection(t *testing.T) {
 			htmlFlow("http://shop.de/datenschutz.html", "S", mixed, t0),
 		},
 	}}}
-	c := collect(ds)
+	c := collect(t, ds)
 	if c.CorrectedFalseNegatives != 1 {
 		t.Errorf("corrected FNs = %d, want 1", c.CorrectedFalseNegatives)
 	}
@@ -209,43 +219,35 @@ func TestCollectIgnoresNonHTMLAndErrors(t *testing.T) {
 			},
 		},
 	}}}
-	c := collect(ds)
+	c := collect(t, ds)
 	if c.Occurrences != 0 || len(c.Unique) != 0 {
 		t.Errorf("corpus not empty: %d/%d", c.Occurrences, len(c.Unique))
 	}
 }
 
 func TestCorpusHelpers(t *testing.T) {
-	c := collect(pipelineDataset())
+	c := collect(t, pipelineDataset())
 	if got := len(c.Texts()); got != len(c.Unique) {
 		t.Errorf("Texts() = %d", got)
 	}
 }
 
-// splitCollect runs the pipeline over the index's rows with each pass cut
-// in two: the HTML scan at row k and the body table at k clamped to its
-// size.
+// splitCollect runs the pipeline over the index's documents with the
+// body table classified in two passes, cut at body k.
 func splitCollect(cols *store.Columns, k int) *Corpus {
-	n := cols.Rows()
-	m := min(k, n)
-	b := NewBodies(cols.Flows, append(ScanFlows(cols.Flows, 0, m), ScanFlows(cols.Flows, m, n)...))
-	m = min(k, b.Len())
-	b.Classify(0, m)
-	b.Classify(m, b.Len())
-	return b.Collect(cols.Flows, cols.RunName)
+	b := NewBodies(cols)
+	b.Classify(0, k)
+	b.Classify(k, b.Len())
+	return b.Collect()
 }
 
-// checkSplitCollect checks the pipeline over ds at every split point
-// against the serial reference, and returns the corpus.
+// checkSplitCollect checks the pipeline over ds at every split point of
+// the body table against the serial reference, and returns the corpus.
 func checkSplitCollect(t *testing.T, ds *store.Dataset) *Corpus {
 	t.Helper()
-	ix, err := store.BuildIndex(context.Background(), ds, store.IndexConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := ix.Columns()
+	cols := columns(t, ds)
 	ref := collectReference(ds)
-	for k := 0; k <= cols.Rows(); k++ {
+	for k := 0; k <= len(cols.Docs); k++ {
 		if got := splitCollect(cols, k); !reflect.DeepEqual(got, ref) {
 			t.Errorf("split at %d: corpus differs from the serial reference", k)
 		}
@@ -253,25 +255,22 @@ func checkSplitCollect(t *testing.T, ds *store.Dataset) *Corpus {
 	return ref
 }
 
-// TestScanFlowsSplitInvariance: the policies section scans columnar row
-// chunks for HTML responses and classifies the distinct bodies in chunks.
-// For every split point the corpus must equal the serial reference,
-// including the dedup of the repeated policy across the split.
-func TestScanFlowsSplitInvariance(t *testing.T) {
-	ds := pipelineDataset()
-	if c := checkSplitCollect(t, ds); c.Occurrences != 5 {
+// TestBodiesSplitInvariance: the policies section classifies the index's
+// distinct document bodies in chunks. For every split point the corpus
+// must equal the serial reference, including the dedup of the repeated
+// policy across the split.
+func TestBodiesSplitInvariance(t *testing.T) {
+	if c := checkSplitCollect(t, pipelineDataset()); c.Occurrences != 5 {
 		t.Fatalf("occurrences = %d, want 5", c.Occurrences)
-	}
-	if !reflect.DeepEqual(collect(ds), collectReference(ds)) {
-		t.Error("corpus of the dataset's runs differs from the serial reference")
 	}
 }
 
 // TestRescueIsPerRow pins what the body table must not memoize: one
-// non-policy body is served first under a plain path and then under a
-// /datenschutz path. Only the second row is rescued and counted as a
+// non-policy body is served under a plain path, then under a URL whose
+// host and query (but not path) carry policy hints, and then under a
+// /datenschutz path. Only the last row is rescued and counted as a
 // corrected false negative, and the doc takes its URL and host from that
-// row, wherever the split falls between the two.
+// row, wherever the split falls.
 func TestRescueIsPerRow(t *testing.T) {
 	mixed := wrap(`<p>` + miscText + ` Hinweis zum Datenschutz: wir speichern Bestelldaten.</p>`)
 	t0 := time.Date(2023, 9, 14, 10, 0, 0, 0, time.UTC)
@@ -279,6 +278,7 @@ func TestRescueIsPerRow(t *testing.T) {
 		Name: store.RunRed,
 		Flows: []*proxy.Flow{
 			htmlFlow("http://shop.de/angebot.html", "S", mixed, t0),
+			htmlFlow("http://privacy.shop.de/angebot.html?ref=datenschutz", "S", mixed, t0),
 			htmlFlow("http://www.shop.de/datenschutz.html", "S", mixed, t0),
 		},
 	}}}
@@ -333,9 +333,10 @@ func TestCheckAdWindow(t *testing.T) {
 	}
 	cols := ix.Columns()
 	covered := []string{"Kids", "Kids2"}
+	flows, runs := flatten(ds)
 	violation := func(row int) WindowViolation {
-		f := cols.Flows[row]
-		return WindowViolation{Run: cols.RunName(row), Channel: f.Channel, Host: f.Host(), Time: f.Time}
+		f := flows[row]
+		return WindowViolation{Run: runs[row], Channel: f.Channel, Host: f.Host(), Time: f.Time}
 	}
 
 	got := CheckAdWindow(cols, covered, AdWindow{StartHour: 17, EndHour: 6})

@@ -270,19 +270,6 @@ func TestCheckStatic(t *testing.T) {
 	}
 }
 
-func TestCheckThirdPartyDisclosure(t *testing.T) {
-	noShare := AnnotatePractices("Datenschutzerklärung: Wir erheben Daten. Keine Cookies.")
-	if got := CheckThirdPartyDisclosure(noShare, true); len(got) != 1 {
-		t.Errorf("undisclosed sharing not flagged: %v", got)
-	}
-	if got := CheckThirdPartyDisclosure(AnnotatePractices(germanPolicy), true); len(got) != 0 {
-		t.Errorf("disclosed sharing flagged: %v", got)
-	}
-	if got := CheckThirdPartyDisclosure(noShare, false); len(got) != 0 {
-		t.Errorf("no trackers but flagged: %v", got)
-	}
-}
-
 // Property: SimHash is deterministic and insensitive to leading/trailing
 // whitespace.
 func TestSimHashProperty(t *testing.T) {

@@ -10,20 +10,23 @@ package store
 //
 //   - chunk scan (parallel): flows are split into fixed-size row chunks;
 //     each chunk interns its strings and request payloads into chunk-local
-//     tables, parses cookies, and evaluates the response-dependent
-//     classifier bits. A URL's string is built once per distinct url.URL
-//     value in the chunk, not once per row.
+//     tables, parses cookies, evaluates the response-dependent classifier
+//     bits, and notes the rows whose response is an HTML document. A URL's
+//     string is built once per distinct url.URL value in the chunk, not
+//     once per row.
 //   - stitch (serial, deterministic): chunk-local tables merge into global
 //     tables in chunk order — provably the same ID assignment a serial
-//     scan would produce — and per-host eTLD+1s resolve once per host.
+//     scan would produce — per-host eTLD+1s resolve once per host, and the
+//     documents' bodies are interned in row order.
 //   - finish (parallel): local IDs remap to global IDs in place, and the
 //     URL-determined classifier bits are evaluated once per *distinct*
 //     URL, not once per flow.
 //
 // Every phase is a pure function of the dataset, so the columns are
-// byte-identical for any worker count. The analysis sections follow the
-// same rule: their per-row loops read tables that hold one entry per
-// distinct URL, payload, channel or response body.
+// byte-identical for any worker count. The build is the last reader of the
+// flows (IndexConfig.ClassifyFlow its one per-flow callback). The analysis
+// sections read only the columns, and their per-row loops read tables that
+// hold one entry per distinct URL, payload, channel or response body.
 
 import (
 	"context"
@@ -82,9 +85,13 @@ type Columns struct {
 	// PayloadID maps a row to its entry in Payloads; -1 for rows whose
 	// request carries neither a query nor a body.
 	PayloadID []int32
-	// Flows maps rows back to the original flow records, for what no
-	// column holds (response bodies and headers, the flow's time.Time).
-	Flows []*proxy.Flow
+	// DocRows lists, in row order, the rows whose response is an HTML
+	// document (status 200, media type text/html, a body). DocBody maps
+	// each to its body in Docs, the distinct bodies in first-occurrence
+	// order. The Section VII policy corpus is built from them.
+	DocRows []int32
+	DocBody []int32
+	Docs    []string
 
 	// PartyOfHost maps HostID -> PartyID (eTLD+1 computed once per host).
 	PartyOfHost []int32
@@ -213,6 +220,7 @@ type chunkLocal struct {
 	urls, hosts, chans, bodies *intern.Strings
 	payloads                   payloadTable
 	cells                      []cookieCell
+	docs                       []int32 // HTML document rows
 }
 
 // payloadKey identifies a payload inside one intern table: the query
@@ -315,7 +323,6 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 		HTTPS:      make([]bool, rows),
 		HasCookies: make([]bool, rows),
 		PayloadID:  make([]int32, rows),
-		Flows:      flows,
 	}
 	for i, r := range ds.Runs {
 		c.RunNames[i] = r.Name
@@ -394,6 +401,9 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 					}
 				}
 			}
+			if f.StatusCode == 200 && len(f.ResponseBody) > 0 && f.ContentType() == "text/html" {
+				local.docs = append(local.docs, int32(i))
+			}
 		}
 		locals[chunk] = local
 	})
@@ -420,6 +430,16 @@ func buildColumns(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Columns, 
 	c.Hosts, hostRemap = intern.MergeStrings(hostTables)
 	chanRemap = c.Channels.Absorb(chanTables)
 	payloadRemap := c.mergePayloads(locals, bodyTables)
+	// Document bodies are interned here, once: chunk-local tables would
+	// copy a body once per chunk that serves it.
+	docs := intern.NewStrings(0)
+	for i := range locals {
+		for _, row := range locals[i].docs {
+			c.DocRows = append(c.DocRows, row)
+			c.DocBody = append(c.DocBody, docs.InternBytes(flows[row].ResponseBody))
+		}
+	}
+	c.Docs = docs.All()
 
 	// eTLD+1 once per distinct host, interning the party table in host-ID
 	// order (deterministic).

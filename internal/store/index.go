@@ -16,10 +16,12 @@ package store
 // assembled in one deterministic serial fold over the columns — so an
 // Index built with any worker count is identical, byte for byte. A flow
 // is addressed by its row (its position in dataset order across runs);
-// every per-flow question is a column read at that row.
+// every per-flow question is a column read at that row, and no analysis
+// reads a flow once BuildIndex has returned.
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
@@ -177,9 +179,9 @@ func (r *RunIndex) HTTPSShare() float64 {
 // collections are read-only after BuildIndex returns and safe for
 // concurrent readers.
 type Index struct {
-	Dataset *Dataset
-	// Window spans the earliest and latest flow timestamps (falling back
-	// to the paper's measurement period for flow-less datasets).
+	// Window spans the earliest and latest flow timestamps, in UTC
+	// (falling back to the paper's measurement period for flow-less
+	// datasets).
 	Window TimeWindow
 	// FirstParty maps channel name -> first-party eTLD+1 (Section V-A
 	// rule with the filter-list correction).
@@ -220,7 +222,6 @@ func BuildIndex(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Index, erro
 		return nil, err
 	}
 	ix := &Index{
-		Dataset:            ds,
 		FirstParty:         make(map[string]string),
 		PerChannelTracking: make(map[string]*ChannelTracking),
 		cols:               cols,
@@ -247,7 +248,6 @@ func BuildIndex(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Index, erro
 		trackers map[int32]struct{}
 	}
 	track := make([]chanTrack, nChan)
-	var lo, hi time.Time
 	row := 0
 	for _, run := range ds.Runs {
 		ri := RunIndex{
@@ -258,13 +258,6 @@ func BuildIndex(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Index, erro
 		chanTracking := make([]int, nChan)
 		end := row + len(run.Flows)
 		for i := row; i < end; i++ {
-			f := cols.Flows[i]
-			if lo.IsZero() || f.Time.Before(lo) {
-				lo = f.Time
-			}
-			if f.Time.After(hi) {
-				hi = f.Time
-			}
 			kind := cols.Kind[i]
 			if cols.HTTPS[i] {
 				ri.HTTPSRequests++
@@ -322,7 +315,7 @@ func BuildIndex(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Index, erro
 			for a, b := cols.CookieOff[i], cols.CookieOff[i+1]; a < b; a++ {
 				ri.SetEvents = append(ri.SetEvents, CookieSetEvent{
 					Run:     run.Name,
-					Channel: f.Channel,
+					Channel: cols.Channels.String(ch),
 					Party:   cols.Parties.String(pid),
 					Host:    cols.Hosts.String(cols.HostID[i]),
 					Name:    cells[a].name,
@@ -343,11 +336,10 @@ func BuildIndex(ctx context.Context, ds *Dataset, cfg IndexConfig) (*Index, erro
 		}
 		ix.Runs = append(ix.Runs, ri)
 	}
-	if lo.IsZero() {
-		lo = time.Date(2023, 8, 1, 0, 0, 0, 0, time.UTC)
-		hi = time.Date(2023, 12, 31, 0, 0, 0, 0, time.UTC)
+	ix.Window = TimeWindow{Start: time.Date(2023, 8, 1, 0, 0, 0, 0, time.UTC), End: time.Date(2023, 12, 31, 0, 0, 0, 0, time.UTC)}
+	if len(cols.TimeNS) > 0 {
+		ix.Window = TimeWindow{Start: time.Unix(0, slices.Min(cols.TimeNS)).UTC(), End: time.Unix(0, slices.Max(cols.TimeNS)).UTC()}
 	}
-	ix.Window = TimeWindow{Start: lo, End: hi}
 	ix.Coverage = buildCoverage(ds)
 	for id := range best {
 		if best[id].ok {

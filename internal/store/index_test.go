@@ -106,7 +106,7 @@ func TestBuildIndexAggregates(t *testing.T) {
 	// Per-row lookups: row 0 is the first flow of the first run.
 	cols := ix.Columns()
 	f := ds.Runs[0].Flows[0]
-	if cols.Flows[0] != f || cols.URL(0) != f.URL.String() || cols.Host(0) != f.Host() {
+	if cols.URL(0) != f.URL.String() || cols.Host(0) != f.Host() {
 		t.Error("row 0 URL/Host mismatch")
 	}
 	if cols.Party(0) != "a.de" {

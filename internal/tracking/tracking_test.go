@@ -157,7 +157,7 @@ func TestPerChannelAndCategory(t *testing.T) {
 	if by["A"].TrackingRequests != 3 || by["A"].TrackerCount() != 2 {
 		t.Errorf("A = %+v", by["A"])
 	}
-	cats := PerCategory(by, ix.Dataset, 1)
+	cats := PerCategory(by, &store.Dataset{Runs: runs}, 1)
 	if len(cats) != 3 {
 		t.Fatalf("categories = %+v", cats)
 	}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/hbbtvlab/hbbtvlab/internal/etld"
-	"github.com/hbbtvlab/hbbtvlab/internal/proxy"
 	"github.com/hbbtvlab/hbbtvlab/internal/store"
 )
 
@@ -14,7 +13,8 @@ import (
 // the eTLD+1 of the host, and both classifiers' kind bits — where the
 // index interns them into columns and classifies each distinct URL once.
 // Coverage is left out: the index computes it from the outcome records
-// alone, and internal/store tests it.
+// alone, and internal/store tests it. The HTML documents are listed row by
+// row with each row's own body.
 type referenceIndex struct {
 	FirstParty         map[string]string
 	Channels           []string
@@ -24,12 +24,16 @@ type referenceIndex struct {
 	PerChannelTracking map[string]*store.ChannelTracking
 
 	// Row-aligned views, in dataset order (runs concatenated).
-	Flows []*proxy.Flow
 	Run   []store.RunName
 	URL   []string
 	Host  []string
 	Party []string
 	Kind  []store.FlowKind
+
+	// DocRows lists the rows whose response is an HTML document (status
+	// 200, media type text/html, a body); DocBody holds each one's body.
+	DocRows []int32
+	DocBody []string
 }
 
 // buildReferenceIndex folds ds into a referenceIndex under cfg's
@@ -68,7 +72,10 @@ func buildReferenceIndex(ds *store.Dataset, cfg store.IndexConfig) *referenceInd
 			if cfg.ClassifyURL != nil {
 				kind |= cfg.ClassifyURL(url)
 			}
-			ref.Flows = append(ref.Flows, f)
+			if f.StatusCode == 200 && f.ContentType() == "text/html" && len(f.ResponseBody) > 0 {
+				ref.DocRows = append(ref.DocRows, int32(len(ref.Run)))
+				ref.DocBody = append(ref.DocBody, string(f.ResponseBody))
+			}
 			ref.Run = append(ref.Run, run.Name)
 			ref.URL = append(ref.URL, url)
 			ref.Host = append(ref.Host, host)
